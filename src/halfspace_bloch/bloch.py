@@ -10,6 +10,15 @@ check each other:
 
 Both produce coefficient maps supported on the base index 0 and the strict
 half-space planes only, normalized to 1 at the base plane wave.
+
+Both routes, the residual and the discrepancy run on the array-backed
+coefficient sets of :mod:`coeffset`: whole offset arrays are convolved with
+the potential support, merged through packed integer keys, and given one
+batched |g+t|^2 per distinct target.  The results equal those of the
+original dict loops bit for bit.  That is why the kernel never uses numpy's
+complex ``*``, ``/`` or ``abs``: they round some values differently from
+Python's complex arithmetic, so products and quotients are written out in
+real arithmetic and moduli are taken with Python's ``abs``.
 """
 
 from __future__ import annotations
@@ -20,10 +29,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import coeffset
 from .errors import ResonanceError
-from .lattice import IndexVector, LatticeBasis, as_index, decompose
-from .potential import FourierPotential, convolve
-from .spectrum import eigenvalue
+from .lattice import IndexVector, LatticeBasis, as_index, sign_value
+from .potential import FourierPotential
+from .spectrum import eigenvalue, eigenvalues
 
 #: scale of the guard below which a denominator counts as resonant
 DENOM_TOL_SCALE = 1e-12
@@ -78,6 +88,35 @@ def _require_classified(q: FourierPotential) -> tuple[int, str]:
     return (q.k or 1, q.sign or "+")
 
 
+def _base_wave(dimension: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficient set of the bare plane wave: 1 at offset 0."""
+    return np.zeros((1, dimension), dtype=np.int64), np.ones(1, dtype=complex)
+
+
+def _resonance_check(denom: np.ndarray, tol: float) -> int | None:
+    """Position of the first denominator below the guard, or None."""
+    bad = np.flatnonzero(np.abs(denom) < tol)
+    return int(bad[0]) if bad.size else None
+
+
+def _apply(basis, support, qvals, gamma, t, lam, tol, offsets, values):
+    """:func:`apply_A` on coefficient arrays; the result is sorted, zeros dropped."""
+    rows, re, im = coeffset.convolve_rows(support, qvals, offsets, values)
+    first, inverse = coeffset.unique_rows(rows)
+    denom = (lam - eigenvalues(basis, rows[first] + gamma, t))[inverse]
+    at = _resonance_check(denom, tol)
+    if at is not None:
+        target = tuple(rows[at].tolist())
+        value = float(denom[at])
+        raise ResonanceError(
+            f"resonant denominator at offset {target}: {value!r}",
+            index=target,
+            value=value,
+        )
+    re, im = coeffset.divide(re, im, denom)
+    return coeffset.nonzero(rows[first], coeffset.accumulate(inverse, re, im, first.size))
+
+
 def apply_A(
     basis: LatticeBasis,
     q: FourierPotential,
@@ -98,21 +137,11 @@ def apply_A(
     t = np.asarray(t, dtype=float)
     lam = eigenvalue(basis, gamma, t)
     tol = denominator_tolerance(lam) if denom_tol is None else denom_tol
-    out: dict[IndexVector, complex] = {}
-    for g1, qv in q.coeffs.items():
-        for delta, cv in coeffs.items():
-            target = tuple(a + b for a, b in zip(delta, g1))
-            denom = lam - eigenvalue(
-                basis, tuple(a + b for a, b in zip(gamma, target)), t
-            )
-            if abs(denom) < tol:
-                raise ResonanceError(
-                    f"resonant denominator at offset {target}: {denom!r}",
-                    index=target,
-                    value=denom,
-                )
-            out[target] = out.get(target, 0j) + qv * cv / denom
-    return {n: v for n, v in sorted(out.items()) if v != 0}
+    support, qvals = coeffset.from_mapping(q.coeffs, basis.dimension)
+    offsets, values = coeffset.from_mapping(coeffs, basis.dimension)
+    return coeffset.to_dict(
+        *_apply(basis, support, qvals, gamma, t, lam, tol, offsets, values)
+    )
 
 
 def bloch_series(
@@ -133,32 +162,37 @@ def bloch_series(
     gamma = as_index(gamma, basis.dimension)
     t = np.asarray(t, dtype=float)
     lam = eigenvalue(basis, gamma, t)
-    zero = (0,) * basis.dimension
+    tol = denominator_tolerance(lam)
+    support, qvals = coeffset.from_mapping(q.coeffs, basis.dimension)
 
-    total: dict[IndexVector, complex] = {zero: 1.0 + 0j}
-    term: dict[IndexVector, complex] = {zero: 1.0 + 0j}
+    term = _base_wave(basis.dimension)
+    terms = [term]
     masses: list[float] = []
     tail = 0.0
     order = 0
     for order in range(1, max_order + 1):
-        term = apply_A(basis, q, gamma, t, term)
-        tail = sum(abs(v) for v in term.values())
+        term = _apply(basis, support, qvals, gamma, t, lam, tol, *term)
+        tail = sum(map(abs, term[1].tolist()))
         masses.append(tail)
-        for n, v in term.items():
-            total[n] = total.get(n, 0j) + v
+        terms.append(term)
         if tail < tail_tol:
             break
     if not q.coeffs:
         order, tail = 0, 0.0
 
-    total = {n: v for n, v in sorted(total.items()) if v != 0}
-    total[zero] = 1.0 + 0j
+    # the base entry sums to exactly 1 + 0j: no term reaches plane 0
+    values = np.concatenate([v for _, v in terms])
+    offsets, values = coeffset.nonzero(
+        *coeffset.merge(
+            np.concatenate([n for n, _ in terms]), values.real, values.imag
+        )
+    )
     return BlochCoefficients(
         gamma=gamma,
         t=tuple(float(x) for x in t),
         k=k,
         sign=sign,
-        coeffs=total,
+        coeffs=coeffset.to_dict(offsets, values),
         order=order,
         lam=lam,
         tail=tail,
@@ -182,53 +216,62 @@ def closed_form_coeffs(
     Requires the base eigenvalue to be simple (resonances raise).
     """
     k, sign = _require_classified(q)
-    sig = 1 if sign == "+" else -1
     gamma = as_index(gamma, basis.dimension)
     t = np.asarray(t, dtype=float)
     lam = eigenvalue(basis, gamma, t)
     tol = denominator_tolerance(lam)
-    zero = (0,) * basis.dimension
+    support, qvals = coeffset.from_mapping(q.coeffs, basis.dimension)
 
-    # potential support split by signed plane index
-    by_plane: dict[int, list[tuple[IndexVector, complex]]] = {}
-    for g1, qv in q.coeffs.items():
-        p = sig * decompose(g1, k)[1]
-        by_plane.setdefault(p, []).append((g1, qv))
+    # potential support split by signed plane index, in order of appearance
+    support_planes = (sign_value(sign) * support[:, k - 1]).tolist()
+    by_plane = {
+        p1: np.flatnonzero(np.equal(support_planes, p1))
+        for p1 in dict.fromkeys(support_planes)
+    }
 
-    computed: dict[int, dict[IndexVector, complex]] = {0: {zero: 1.0 + 0j}}
+    base = _base_wave(basis.dimension)
+    computed = [base]
     for p in range(1, depth + 1):
-        numerators: dict[IndexVector, complex] = {}
-        for p1, entries in by_plane.items():
-            lower = computed.get(p - p1)
-            if not lower:
-                continue
-            for g1, qv in entries:
-                for dlt, cv in lower.items():
-                    target = tuple(a + b for a, b in zip(dlt, g1))
-                    numerators[target] = numerators.get(target, 0j) + qv * cv
-        plane_coeffs: dict[IndexVector, complex] = {}
-        for dlt, num in sorted(numerators.items()):
-            d = lam - eigenvalue(basis, tuple(a + b for a, b in zip(gamma, dlt)), t)
-            if abs(d) < tol:
-                raise ResonanceError(
-                    f"d(gamma, delta) vanished at delta={dlt}: {d!r}",
-                    index=dlt,
-                    value=d,
-                )
-            if num != 0:
-                plane_coeffs[dlt] = num / d
-        computed[p] = plane_coeffs
+        blocks = [
+            coeffset.convolve_rows(support[idx], qvals[idx], *computed[p - p1])
+            for p1, idx in by_plane.items()
+            if p1 <= p
+        ]
+        if not blocks:
+            computed.append((base[0][:0], base[1][:0]))
+            continue
+        rows = np.concatenate([b[0] for b in blocks])
+        first, inverse = coeffset.unique_rows(rows)
+        targets = rows[first]
+        numerators = coeffset.accumulate(
+            inverse,
+            np.concatenate([b[1] for b in blocks]),
+            np.concatenate([b[2] for b in blocks]),
+            first.size,
+        )
+        d = lam - eigenvalues(basis, targets + gamma, t)
+        at = _resonance_check(d, tol)
+        if at is not None:
+            dlt = tuple(targets[at].tolist())
+            value = float(d[at])
+            raise ResonanceError(
+                f"d(gamma, delta) vanished at delta={dlt}: {value!r}",
+                index=dlt,
+                value=value,
+            )
+        keep = numerators != 0
+        re, im = coeffset.divide(numerators.real[keep], numerators.imag[keep], d[keep])
+        computed.append((targets[keep], coeffset.join(re, im)))
 
-    coeffs: dict[IndexVector, complex] = {zero: 1.0 + 0j}
-    for p in range(1, depth + 1):
-        coeffs.update(computed[p])
-    coeffs = dict(sorted(coeffs.items()))
+    offsets = np.concatenate([n for n, _ in computed])
+    values = np.concatenate([v for _, v in computed])
+    ranked, _ = coeffset.unique_rows(offsets)
     return BlochCoefficients(
         gamma=gamma,
         t=tuple(float(x) for x in t),
         k=k,
         sign=sign,
-        coeffs=coeffs,
+        coeffs=coeffset.to_dict(offsets[ranked], values[ranked]),
         order=depth,
         lam=lam,
         tail=None,
@@ -263,15 +306,23 @@ def residual(
                 f"pad {pad} is below the one-convolution support growth {growth:.6g}"
             )
     t = np.asarray(psi.t, dtype=float)
-    defect: dict[IndexVector, complex] = {}
-    for dlt, cv in psi.coeffs.items():
-        shifted = eigenvalue(
-            basis, tuple(a + b for a, b in zip(psi.gamma, dlt)), t
-        )
-        defect[dlt] = defect.get(dlt, 0j) + (shifted - psi.lam) * cv
-    for n, v in convolve(q.coeffs, psi.coeffs).items():
-        defect[n] = defect.get(n, 0j) + v
-    return math.sqrt(sum(abs(v) ** 2 for v in defect.values()))
+    offsets, values = coeffset.from_mapping(psi.coeffs, basis.dimension)
+    shift = eigenvalues(basis, offsets + psi.gamma, t) - psi.lam
+    re, im = coeffset.product(shift, 0.0, values.real, values.imag)
+    conv_offsets, conv = coeffset.convolve(
+        *coeffset.from_mapping(q.coeffs, basis.dimension), offsets, values
+    )
+    rows = np.concatenate([offsets, conv_offsets])
+    first, inverse = coeffset.unique_rows(rows)
+    defect = coeffset.accumulate(
+        inverse,
+        np.concatenate([re, conv.real]),
+        np.concatenate([im, conv.imag]),
+        first.size,
+    )
+    # summed in order of first appearance: psi's offsets, then the new ones
+    defect = defect[np.argsort(first)]
+    return math.sqrt(sum(abs(v) ** 2 for v in defect.tolist()))
 
 
 def evaluate_function(
@@ -303,10 +354,15 @@ def max_discrepancy(
     if a.gamma != b.gamma or a.k != b.k or a.sign != b.sign:
         raise ValueError("coefficient sets describe different Bloch functions")
     limit = min(a.order, b.order) if max_plane is None else max_plane
-    sig = 1 if a.sign == "+" else -1
-    worst = 0.0
-    for key in set(a.coeffs) | set(b.coeffs):
-        p = sig * decompose(key, a.k)[1]
-        if 0 < p <= limit or key == (0,) * len(key):
-            worst = max(worst, abs(a.coeffs.get(key, 0j) - b.coeffs.get(key, 0j)))
-    return worst
+    dimension = len(a.gamma)
+    a_offsets, a_values = coeffset.from_mapping(a.coeffs, dimension)
+    b_offsets, b_values = coeffset.from_mapping(b.coeffs, dimension)
+    rows = np.concatenate([a_offsets, b_offsets])
+    first, inverse = coeffset.unique_rows(rows)
+    diff = np.zeros(first.size, dtype=complex)
+    diff[inverse[: len(a_values)]] = a_values
+    diff[inverse[len(a_values) :]] -= b_values
+    keys = rows[first]
+    p = sign_value(a.sign) * keys[:, a.k - 1]
+    on_planes = ((0 < p) & (p <= limit)) | ~keys.any(axis=1)
+    return max(map(abs, diff[on_planes].tolist()), default=0.0)

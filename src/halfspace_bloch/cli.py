@@ -88,6 +88,19 @@ def _require(doc: dict, key: str, kind, field: str):
     return value
 
 
+def _numbers(raw, dim: int, field: str) -> list[float]:
+    """A list of ``dim`` finite numbers, or :class:`ConfigError`."""
+    if not isinstance(raw, list) or len(raw) != dim:
+        raise ConfigError(f"'{field}' must be a list of {dim} numbers", field=field)
+    try:
+        values = [float(x) for x in raw]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"'{field}' contains a non-number", field=field) from exc
+    if not all(math.isfinite(x) for x in values):
+        raise ConfigError(f"'{field}' contains a non-finite number", field=field)
+    return values
+
+
 def parse_basis(doc: dict) -> LatticeBasis:
     dim = _require(doc, "dimension", int, "dimension")
     gens = _require(doc, "generators", list, "generators")
@@ -96,19 +109,7 @@ def parse_basis(doc: dict) -> LatticeBasis:
             f"'generators' must list {dim} vectors, got {len(gens)}",
             field="generators",
         )
-    rows = []
-    for i, row in enumerate(gens):
-        if not isinstance(row, list) or len(row) != dim:
-            raise ConfigError(
-                f"'generators[{i}]' must be a list of {dim} numbers",
-                field=f"generators[{i}]",
-            )
-        try:
-            rows.append([float(x) for x in row])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"'generators[{i}]' contains a non-number", field=f"generators[{i}]"
-            ) from exc
+    rows = [_numbers(row, dim, f"generators[{i}]") for i, row in enumerate(gens)]
     return LatticeBasis(np.array(rows))
 
 
@@ -185,24 +186,20 @@ def parse_potential(doc: dict, basis: LatticeBasis) -> "ParsedPotential":
         if basis.dimension == 1:
             prev = reduced.get(key[0], 0)
             reduced[key[0]] = prev + red
-    truncation = doc.get("params", {}).get("truncation_radius")
-    if truncation is not None:
-        q = potential.truncated(basis, coeffs, float(truncation), mode=mode)
-    else:
-        q = potential.FourierPotential(basis, coeffs, mode=mode)
+    truncation = _param_number(_params(doc), "truncation_radius", None)
+    try:
+        if truncation is not None:
+            q = potential.truncated(basis, coeffs, truncation, mode=mode)
+        else:
+            q = potential.FourierPotential(basis, coeffs, mode=mode)
+    except ValueError as exc:  # the mode is unknown or not admitted here
+        raise ConfigError(str(exc), field="mode") from exc
     return ParsedPotential(q, reduced if basis.dimension == 1 else None, pi_exact)
 
 
 def parse_t(doc: dict, basis: LatticeBasis) -> np.ndarray:
     raw = doc.get("t", [0.0] * basis.dimension)
-    if not isinstance(raw, list) or len(raw) != basis.dimension:
-        raise ConfigError(
-            f"'t' must be a list of {basis.dimension} numbers", field="t"
-        )
-    try:
-        return np.array([float(x) for x in raw])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("'t' contains a non-number", field="t") from exc
+    return np.array(_numbers(raw, basis.dimension, "t"))
 
 
 def _params(doc: dict) -> dict:
@@ -212,22 +209,37 @@ def _params(doc: dict) -> dict:
     return params
 
 
-def _param_number(params: dict, key: str, default):
+def _param_number(params: dict, key: str, default, minimum: float | None = None):
     value = params.get(key, default)
     if value is None:
         return None
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"'params.{key}' must be a number", field=f"params.{key}")
+    if (
+        not isinstance(value, (int, float))
+        or isinstance(value, bool)
+        or not math.isfinite(value)
+    ):
+        raise ConfigError(
+            f"'params.{key}' must be a finite number", field=f"params.{key}"
+        )
+    _check_minimum(key, value, minimum)
     return float(value)
 
 
-def _param_int(params: dict, key: str, default):
+def _param_int(params: dict, key: str, default, minimum: int | None = None):
     value = params.get(key, default)
     if value is None:
         return None
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"'params.{key}' must be an integer", field=f"params.{key}")
+    _check_minimum(key, value, minimum)
     return value
+
+
+def _check_minimum(key: str, value, minimum) -> None:
+    if minimum is not None and value < minimum:
+        raise ConfigError(
+            f"'params.{key}' must be at least {minimum}", field=f"params.{key}"
+        )
 
 
 def _param_gamma(params: dict, basis: LatticeBasis) -> tuple[int, ...]:
@@ -311,12 +323,7 @@ def cmd_bloch(doc: dict) -> tuple[dict, int]:
         report["max_discrepancy"] = bloch.max_discrepancy(series, closed)
     point = params.get("evaluate_at")
     if point is not None:
-        if not isinstance(point, list) or len(point) != basis.dimension:
-            raise ConfigError(
-                f"'params.evaluate_at' must be a list of {basis.dimension} numbers",
-                field="params.evaluate_at",
-            )
-        x = [float(v) for v in point]
+        x = _numbers(point, basis.dimension, "params.evaluate_at")
         chosen = series if series is not None else closed
         value = bloch.evaluate_function(basis, chosen, x)
         report["value_at"] = {"x": x, "re": value.real, "im": value.imag}
@@ -328,7 +335,7 @@ def cmd_oracle(doc: dict, want_matrix: bool = False):
     pot = parse_potential(doc, basis)
     t = parse_t(doc, basis)
     params = _params(doc)
-    cutoff = _param_number(params, "cutoff", 6.0)
+    cutoff = _param_number(params, "cutoff", 6.0, minimum=0.0)
     gamma = _param_gamma(params, basis)
 
     op = galerkin.build(basis, pot.q, t, cutoff)
@@ -351,15 +358,19 @@ def cmd_oracle(doc: dict, want_matrix: bool = False):
         return report, EXIT_GUARD
 
     spectrum_values = galerkin.truncated_spectrum(op)
-    free_values = tuple(
-        sorted(spectrum.eigenvalue(basis, n, t) for n in op.index_set)
-    )
+    free_values = tuple(sorted(spectrum.eigenvalues(basis, op.index_set, t).tolist()))
     report["spectrum_match"] = spectrum_values == free_values
 
+    try:
+        base = op.position(gamma)
+    except KeyError:
+        raise CutoffError(
+            f"cutoff {cutoff} ball does not contain gamma={gamma}"
+        ) from None
     closed = bloch.closed_form_coeffs(
-        basis, pot.q, gamma, t, depth=max(op.planes) - (op.planes[op.position(gamma)])
+        basis, pot.q, gamma, t, depth=max(op.planes) - op.planes[base]
     )
-    vec = galerkin.eigenvector_backsolve(op, op.position(gamma))
+    vec = galerkin.eigenvector_backsolve(op, base)
     worst = 0.0
     for dlt in galerkin.interior_cone(op, gamma):
         node = tuple(a + b for a, b in zip(gamma, dlt))
@@ -389,9 +400,7 @@ def _multiplicity_oned(doc: dict, params: dict, mode: str) -> tuple[dict, int]:
             "1-D multiplicity modes require dimension 1", field="dimension"
         )
     pot = parse_potential(doc, basis)
-    n = _param_int(params, "n", 1)
-    if n < 1:
-        raise ConfigError("'params.n' must be a positive integer", field="params.n")
+    n = _param_int(params, "n", 1, minimum=1)
     criterion_tol = _param_number(params, "criterion_tol", rootfn.CRITERION_TOL)
 
     report: dict[str, Any] = {
@@ -415,7 +424,7 @@ def _multiplicity_oned(doc: dict, params: dict, mode: str) -> tuple[dict, int]:
         report["predicted_multiplicity"] = 2 if criterion_zero else 1
     if mode in ("oracle", "both"):
         t = parse_t(doc, basis)
-        cutoff = _param_number(params, "cutoff", None)
+        cutoff = _param_number(params, "cutoff", None, minimum=0.0)
         if cutoff is None:
             cutoff = float(2 * math.pi * (3 * n + 2))
         lam = spectrum.eigenvalue(basis, (n,), t)
@@ -459,7 +468,7 @@ def _multiplicity_second_plane(doc: dict, params: dict) -> tuple[dict, int]:
         basis, pot.q, group, j, t, criterion_tol=criterion_tol
     )
 
-    cutoff = _param_number(params, "cutoff", 2.0 * group_cutoff)
+    cutoff = _param_number(params, "cutoff", 2.0 * group_cutoff, minimum=0.0)
     op = galerkin.build(basis, pot.q, t, cutoff)
     subset = [
         n
@@ -485,8 +494,8 @@ def _multiplicity_second_plane(doc: dict, params: dict) -> tuple[dict, int]:
 def cmd_fermi(doc: dict, as_csv: bool):
     basis = parse_basis(doc)
     params = _params(doc)
-    rho = _param_number(params, "rho", 0.5)
-    resolution = _param_int(params, "resolution", 21)
+    rho = _param_number(params, "rho", 0.5, minimum=0.0)
+    resolution = _param_int(params, "resolution", 21, minimum=2)
     threshold = _param_number(params, "threshold", 0.01)
     sample = isoenergetic.sample_surface(basis, rho, resolution, threshold)
     if as_csv:

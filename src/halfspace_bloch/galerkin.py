@@ -15,14 +15,16 @@ from __future__ import annotations
 import io
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
+from . import coeffset
 from .errors import NoEigenvectorError, TriangularityError
-from .lattice import IndexVector, LatticeBasis, as_index, decompose
+from .lattice import IndexVector, LatticeBasis, as_index, decompose, sign_value
 from .potential import FourierPotential
-from .spectrum import eigenvalue
+from .spectrum import eigenvalues
 
 #: relative spectral-norm factor for numerical rank decisions
 RANK_TOL_SCALE = 1e-9
@@ -63,6 +65,11 @@ class TruncatedOperator:
         scale = float(np.max(np.abs(self.diagonal))) if self.size else 0.0
         return DIAG_EQ_SCALE * (1.0 + scale)
 
+    @cached_property
+    def _witness(self) -> tuple[IndexVector, IndexVector] | None:
+        # built on first use only: the rank probes never need the N x N mask
+        return _first_grading_violation(self)
+
 
 def build(
     basis: LatticeBasis,
@@ -77,21 +84,27 @@ def build(
     """
     t_arr = np.asarray(t, dtype=float)
     k, sign = (q.k or 1), (q.sign or "+")
-    sig = 1 if sign == "+" else -1
+    sig = sign_value(sign)
     ball = basis.enumerate_ball(np.zeros(basis.dimension), cutoff)
     index_set = tuple(sorted(ball, key=lambda n: (sig * n[k - 1], n)))
     positions = {n: i for i, n in enumerate(index_set)}
 
     size = len(index_set)
-    diag = np.array([eigenvalue(basis, n, t_arr) for n in index_set])
+    indices = np.array(index_set, dtype=np.int64).reshape(size, basis.dimension)
+    diag = eigenvalues(basis, indices, t_arr)
     matrix = np.zeros((size, size), dtype=complex)
     matrix[np.diag_indices(size)] = diag
-    for g1, qv in q.coeffs.items():
-        for j, n in enumerate(index_set):
-            target = tuple(a + b for a, b in zip(n, g1))
-            i = positions.get(target)
-            if i is not None:
-                matrix[i, j] += qv
+    # q_{g1} couples column n to row n + g1 wherever n + g1 is in the ball;
+    # no two (row, column) pairs repeat, so one scattered add places them all
+    support, qvals = coeffset.from_mapping(q.coeffs, basis.dimension)
+    targets = (support[:, None, :] + indices[None, :, :]).reshape(-1, basis.dimension)
+    first, inverse = coeffset.unique_rows(np.concatenate([indices, targets]))
+    position = np.full(first.size, -1)
+    position[inverse[:size]] = np.arange(size)
+    rows = position[inverse[size:]]
+    inside = rows >= 0
+    cols = np.tile(np.arange(size), len(qvals))
+    matrix[rows[inside], cols[inside]] += np.repeat(qvals, size)[inside]
     matrix.setflags(write=False)
     diag.setflags(write=False)
     return TruncatedOperator(
@@ -108,13 +121,7 @@ def build(
     )
 
 
-def triangularity_witness(op: TruncatedOperator) -> tuple[IndexVector, IndexVector] | None:
-    """First entry violating the strict plane grading, or None.
-
-    The grading demands a zero at every (row, col) pair with row plane <=
-    col plane, row != col; this is an exact structural check, not a
-    tolerance test.
-    """
+def _first_grading_violation(op: TruncatedOperator) -> tuple[IndexVector, IndexVector] | None:
     p = np.asarray(op.planes)
     bad = (p[:, None] <= p[None, :]) & (op.matrix != 0)
     np.fill_diagonal(bad, False)
@@ -124,8 +131,31 @@ def triangularity_witness(op: TruncatedOperator) -> tuple[IndexVector, IndexVect
     return op.index_set[rows[0]], op.index_set[cols[0]]
 
 
+def triangularity_witness(op: TruncatedOperator) -> tuple[IndexVector, IndexVector] | None:
+    """First entry violating the strict plane grading, or None.
+
+    The grading demands a zero at every (row, col) pair with row plane <=
+    col plane, row != col; this is an exact structural check, not a
+    tolerance test.  The scan runs once per operator and is cached on it.
+    """
+    return op._witness
+
+
 def is_plane_triangular(op: TruncatedOperator) -> bool:
     return triangularity_witness(op) is None
+
+
+def _require_triangular(op: TruncatedOperator, use: str) -> None:
+    """Raise :class:`TriangularityError` with the witness entry, if there is one."""
+    witness = triangularity_witness(op)
+    if witness is not None:
+        raise TriangularityError(
+            f"{use} requires the plane-triangular structure; matrix entry at "
+            f"rows {witness[0]} <- {witness[1]} breaks the plane grading "
+            "(potential not in class S, or wrong ordering)",
+            row=witness[0],
+            col=witness[1],
+        )
 
 
 def truncated_spectrum(op: TruncatedOperator) -> tuple[float, ...]:
@@ -134,14 +164,7 @@ def truncated_spectrum(op: TruncatedOperator) -> tuple[float, ...]:
     Valid because the matrix is strictly triangular off the diagonal; raises
     :class:`TriangularityError` (with a witness entry) when it is not.
     """
-    witness = triangularity_witness(op)
-    if witness is not None:
-        raise TriangularityError(
-            f"matrix entry at rows {witness[0]} <- {witness[1]} breaks the "
-            "plane grading (potential not in class S, or wrong ordering)",
-            row=witness[0],
-            col=witness[1],
-        )
+    _require_triangular(op, "reading the spectrum off the diagonal")
     return tuple(sorted(float(x.real) for x in np.diag(op.matrix)))
 
 
@@ -174,13 +197,7 @@ def eigenvector_backsolve(op: TruncatedOperator, i: int) -> BacksolveResult:
     leading term (:class:`NoEigenvectorError`); a zero one leaves the entry
     free and it is pinned to 0 (position flagged).
     """
-    witness = triangularity_witness(op)
-    if witness is not None:
-        raise TriangularityError(
-            "back substitution requires the plane-triangular structure",
-            row=witness[0],
-            col=witness[1],
-        )
+    _require_triangular(op, "back substitution")
     n = op.size
     if not 0 <= i < n:
         raise IndexError(f"diagonal position {i} out of range")
@@ -213,8 +230,10 @@ def first_associated_backsolve(
 
     The scalar c is fixed at the first repeated-diagonal row where the
     eigenvector has a nonzero entry; later repeated rows must agree within
-    the diagonal tolerance or :class:`NoEigenvectorError` is raised.
+    the diagonal tolerance or :class:`NoEigenvectorError` is raised.  Like
+    :func:`eigenvector_backsolve`, it requires the plane-triangular structure.
     """
+    _require_triangular(op, "back substitution")
     n = op.size
     lam = op.diagonal[i]
     eq_tol = op.eigen_eq_tol()
@@ -331,7 +350,7 @@ def interior_cone(
     gamma = as_index(gamma, op.basis.dimension)
     if gamma not in op._positions or not op.q.coeffs:
         return {(0,) * op.basis.dimension} if gamma in op._positions else set()
-    sig = 1 if op.sign == "+" else -1
+    sig = sign_value(op.sign)
     gamma_plane = sig * gamma[op.k - 1]
     max_plane = max(op.planes) - gamma_plane
 

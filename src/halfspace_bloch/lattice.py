@@ -62,10 +62,11 @@ def in_halfspace(delta: Sequence[int], k: int, sign: str) -> bool:
     plane is excluded on both sides.
     """
     _, p = decompose(delta, k)
-    return _sign_value(sign) * p >= 1
+    return sign_value(sign) * p >= 1
 
 
-def _sign_value(sign: str) -> int:
+def sign_value(sign: str) -> int:
+    """+1 for the '+' half-lattice, -1 for '-'."""
     if sign == "+":
         return 1
     if sign == "-":

@@ -15,6 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import coeffset
 from .lattice import IndexVector, LatticeBasis, as_index, in_halfspace
 
 MODES = ("summable", "square-summable")
@@ -145,9 +146,11 @@ def convolve(
     a: Mapping[IndexVector, complex], b: Mapping[IndexVector, complex]
 ) -> dict[IndexVector, complex]:
     """Sparse convolution of two coefficient maps; exact zeros are dropped."""
-    out: dict[IndexVector, complex] = {}
-    for na, va in a.items():
-        for nb, vb in b.items():
-            key = tuple(x + y for x, y in zip(na, nb))
-            out[key] = out.get(key, 0j) + va * vb
-    return {n: v for n, v in sorted(out.items()) if v != 0}
+    if not a or not b:
+        return {}
+    dimension = len(next(iter(a)))
+    return coeffset.to_dict(
+        *coeffset.convolve(
+            *coeffset.from_mapping(a, dimension), *coeffset.from_mapping(b, dimension)
+        )
+    )

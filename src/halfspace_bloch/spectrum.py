@@ -32,6 +32,19 @@ def eigenvalue(basis: LatticeBasis, gamma: Sequence[int], t: Sequence[float]) ->
     return float(v @ v)
 
 
+def eigenvalues(basis: LatticeBasis, indices, t: Sequence[float]) -> np.ndarray:
+    """|g + t|^2 for every row g of an (m, d) integer index array.
+
+    Bit-equal to :func:`eigenvalue` row by row: both products are stacked
+    matmuls, so each row goes through the same vector-matrix and dot kernels
+    as the scalar call.  One (m, d) gemm or an einsum would round some rows
+    differently in the last place.
+    """
+    x = np.asarray(indices, dtype=float).reshape(-1, basis.dimension)
+    v = (x[:, None, :] @ basis.generators)[:, 0, :] + np.asarray(t, dtype=float)
+    return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
 @dataclass(frozen=True)
 class Plane:
     """Members of one degeneracy group lying on the axis-k plane of index n."""

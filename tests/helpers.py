@@ -14,7 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 import halfspace_bloch as hb
-from halfspace_bloch import galerkin, spectrum
+from halfspace_bloch import bloch, galerkin, spectrum
+from halfspace_bloch.errors import ResonanceError
 
 # -- geometry oracles ---------------------------------------------------------
 
@@ -216,3 +217,130 @@ def oned_oracle_multiplicity(reduced: dict, n: int, cutoff_planes: int | None = 
     op = galerkin.build(basis, oned_potential(reduced), (0.0,), 2 * math.pi * planes)
     lam = spectrum.eigenvalue(basis, (n,), (0.0,))
     return galerkin.geometric_multiplicity(op, lam), op, lam
+
+
+# -- dict-loop references for the coefficient kernel ---------------------------
+#
+# The loops the array kernel in ``coeffset`` replaced, kept literally: the
+# kernel must reproduce them bit for bit (coefficients, tails, term masses,
+# the first resonance hit).
+
+
+def reference_apply_A(basis, q, gamma, t, coeffs, denom_tol=None):
+    gamma = tuple(gamma)
+    t = np.asarray(t, dtype=float)
+    lam = spectrum.eigenvalue(basis, gamma, t)
+    tol = bloch.denominator_tolerance(lam) if denom_tol is None else denom_tol
+    out = {}
+    for g1, qv in q.coeffs.items():
+        for delta, cv in coeffs.items():
+            target = tuple(a + b for a, b in zip(delta, g1))
+            denom = lam - spectrum.eigenvalue(
+                basis, tuple(a + b for a, b in zip(gamma, target)), t
+            )
+            if abs(denom) < tol:
+                raise ResonanceError(
+                    f"resonant denominator at offset {target}: {denom!r}",
+                    index=target,
+                    value=denom,
+                )
+            out[target] = out.get(target, 0j) + qv * cv / denom
+    return {n: v for n, v in sorted(out.items()) if v != 0}
+
+
+def reference_series(basis, q, gamma, t, max_order, tail_tol):
+    """(coeffs, order, tail, term_masses) of the dict-loop series."""
+    gamma = tuple(gamma)
+    zero = (0,) * basis.dimension
+    total = {zero: 1.0 + 0j}
+    term = {zero: 1.0 + 0j}
+    masses = []
+    tail = 0.0
+    order = 0
+    for order in range(1, max_order + 1):
+        term = reference_apply_A(basis, q, gamma, t, term)
+        tail = sum(abs(v) for v in term.values())
+        masses.append(tail)
+        for n, v in term.items():
+            total[n] = total.get(n, 0j) + v
+        if tail < tail_tol:
+            break
+    if not q.coeffs:
+        order, tail = 0, 0.0
+    total = {n: v for n, v in sorted(total.items()) if v != 0}
+    total[zero] = 1.0 + 0j
+    return total, order, tail, tuple(masses)
+
+
+def reference_closed_form(basis, q, gamma, t, depth):
+    gamma = tuple(gamma)
+    sig = 1 if q.sign == "+" else -1
+    t = np.asarray(t, dtype=float)
+    lam = spectrum.eigenvalue(basis, gamma, t)
+    tol = bloch.denominator_tolerance(lam)
+    zero = (0,) * basis.dimension
+    by_plane = {}
+    for g1, qv in q.coeffs.items():
+        by_plane.setdefault(sig * g1[q.k - 1], []).append((g1, qv))
+    computed = {0: {zero: 1.0 + 0j}}
+    for p in range(1, depth + 1):
+        numerators = {}
+        for p1, entries in by_plane.items():
+            lower = computed.get(p - p1)
+            if not lower:
+                continue
+            for g1, qv in entries:
+                for dlt, cv in lower.items():
+                    target = tuple(a + b for a, b in zip(dlt, g1))
+                    numerators[target] = numerators.get(target, 0j) + qv * cv
+        plane_coeffs = {}
+        for dlt, num in sorted(numerators.items()):
+            d = lam - spectrum.eigenvalue(
+                basis, tuple(a + b for a, b in zip(gamma, dlt)), t
+            )
+            if abs(d) < tol:
+                raise ResonanceError(
+                    f"d(gamma, delta) vanished at delta={dlt}: {d!r}",
+                    index=dlt,
+                    value=d,
+                )
+            if num != 0:
+                plane_coeffs[dlt] = num / d
+        computed[p] = plane_coeffs
+    coeffs = {zero: 1.0 + 0j}
+    for p in range(1, depth + 1):
+        coeffs.update(computed[p])
+    return dict(sorted(coeffs.items()))
+
+
+def reference_convolve(a, b):
+    out = {}
+    for na, va in a.items():
+        for nb, vb in b.items():
+            key = tuple(x + y for x, y in zip(na, nb))
+            out[key] = out.get(key, 0j) + va * vb
+    return {n: v for n, v in sorted(out.items()) if v != 0}
+
+
+def reference_residual(basis, q, psi):
+    t = np.asarray(psi.t, dtype=float)
+    defect = {}
+    for dlt, cv in psi.coeffs.items():
+        shifted = spectrum.eigenvalue(
+            basis, tuple(a + b for a, b in zip(psi.gamma, dlt)), t
+        )
+        defect[dlt] = defect.get(dlt, 0j) + (shifted - psi.lam) * cv
+    for n, v in reference_convolve(q.coeffs, psi.coeffs).items():
+        defect[n] = defect.get(n, 0j) + v
+    return math.sqrt(sum(abs(v) ** 2 for v in defect.values()))
+
+
+def reference_max_discrepancy(a, b, max_plane=None):
+    limit = min(a.order, b.order) if max_plane is None else max_plane
+    sig = 1 if a.sign == "+" else -1
+    worst = 0.0
+    for key in set(a.coeffs) | set(b.coeffs):
+        p = sig * key[a.k - 1]
+        if 0 < p <= limit or key == (0,) * len(key):
+            worst = max(worst, abs(a.coeffs.get(key, 0j) - b.coeffs.get(key, 0j)))
+    return worst

@@ -316,3 +316,80 @@ def test_deterministic_output(tmp_path, capsys):
     _, out1 = run(tmp_path, capsys, config, "bloch")
     _, out2 = run(tmp_path, capsys, config, "bloch")
     assert out1 == out2
+
+
+_POT = [{"index": [1, 0], "re": 0.1}]
+
+
+@pytest.mark.parametrize(
+    "command, config, code, stderr_start",
+    [
+        (
+            "bloch",
+            {**IDENTITY_2D, "potential": _POT, "params": {"evaluate_at": ["a", 1]}},
+            2,
+            "config error (params.evaluate_at)",
+        ),
+        ("bloch", {**IDENTITY_2D, "potential": _POT, "params": [1]}, 2, "config error (params)"),
+        ("oracle", {**IDENTITY_2D, "potential": _POT, "params": []}, 2, "config error (params)"),
+        ("bloch", {**IDENTITY_2D, "potential": _POT, "mode": "bogus"}, 2, "config error (mode)"),
+        (
+            "classify",
+            {"dimension": 1, "generators": [[1.0]], "mode": "square-summable"},
+            2,
+            "config error (mode)",
+        ),
+        (
+            "bloch",
+            {"dimension": 2, "generators": [[math.nan, 0.0], [0.0, 1.0]], "potential": _POT},
+            2,
+            "config error (generators[0])",
+        ),
+        (
+            "oracle",
+            {**IDENTITY_2D, "potential": _POT, "params": {"cutoff": -1}},
+            2,
+            "config error (params.cutoff)",
+        ),
+        (
+            "multiplicity",
+            {
+                "dimension": 1,
+                "generators": [[2 * math.pi]],
+                "potential": [{"index": [1], "re": "1/2"}],
+                "params": {"mode": "oracle", "cutoff": -1},
+            },
+            2,
+            "config error (params.cutoff)",
+        ),
+        ("fermi", {**IDENTITY_2D, "params": {"resolution": 1}}, 2, "config error (params.resolution)"),
+        ("fermi", {**IDENTITY_2D, "params": {"rho": -1}}, 2, "config error (params.rho)"),
+        (
+            "oracle",
+            {**IDENTITY_2D, "potential": _POT, "params": {"cutoff": 2.0, "gamma": [5, 0]}},
+            3,
+            "CutoffError: ",
+        ),
+    ],
+    ids=[
+        "evaluate-at-non-number",
+        "bloch-params-list",
+        "oracle-params-list",
+        "mode-bogus",
+        "square-summable-1d",
+        "nan-generator",
+        "oracle-negative-cutoff",
+        "multiplicity-negative-cutoff",
+        "fermi-resolution-1",
+        "fermi-negative-rho",
+        "oracle-gamma-outside-ball",
+    ],
+)
+def test_contract_exit_codes(tmp_path, capsys, command, config, code, stderr_start):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main([command, "--config", str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(stderr_start)
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")

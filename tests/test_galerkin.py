@@ -32,6 +32,25 @@ def test_build_single_harmonic_entries():
             assert op.matrix[op.position(target), j] == a
 
 
+@pytest.mark.parametrize("generators", ([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.5, 0.9]]))
+def test_build_equals_entrywise_loop(generators):
+    basis = hb.LatticeBasis(np.array(generators))
+    rng = np.random.default_rng(47)
+    potentials = [helpers.random_halfspace_potential(rng, basis) for _ in range(3)]
+    potentials.append(hb.FourierPotential(basis, {(1, 0): 1.0, (-1, 0): 0.5j, (0, 0): 0.25}))
+    for q in potentials:
+        op = galerkin.build(basis, q, T, 4.0)
+        expected = np.zeros((op.size, op.size), dtype=complex)
+        for i, n in enumerate(op.index_set):
+            expected[i, i] = spectrum.eigenvalue(basis, n, T)
+        for g1, qv in q.coeffs.items():
+            for j, n in enumerate(op.index_set):
+                target = tuple(a + b for a, b in zip(n, g1))
+                if target in op.index_set:
+                    expected[op.position(target), j] += qv
+        assert np.array_equal(op.matrix, expected)
+
+
 def test_plane_major_order():
     q = hb.FourierPotential(BASIS, {(1, 0): 0.1})
     op = galerkin.build(BASIS, q, T, 2.0)
@@ -67,6 +86,43 @@ def test_unclassified_potential_fails_triangularity():
     assert not galerkin.is_plane_triangular(op)
     with pytest.raises(TriangularityError):
         galerkin.truncated_spectrum(op)
+
+
+def test_backsolves_require_triangularity():
+    q = hb.FourierPotential(BASIS, {(1, 0): 1.0, (-1, 0): 1.0})
+    op = galerkin.build(BASIS, q, T, 2.0)
+    with pytest.raises(TriangularityError) as err:
+        galerkin.eigenvector_backsolve(op, 0)
+    assert (err.value.row, err.value.col) == galerkin.triangularity_witness(op)
+    with pytest.raises(TriangularityError) as err:
+        galerkin.first_associated_backsolve(op, 0, np.zeros(op.size, dtype=complex))
+    assert (err.value.row, err.value.col) == galerkin.triangularity_witness(op)
+
+
+@pytest.mark.parametrize("coeffs", ({(1, 0): 0.2, (1, 1): 0.1}, {(1, 0): 1.0, (-1, 0): 1.0}))
+def test_triangularity_mask_built_once_and_lazily(monkeypatch, coeffs):
+    scans = []
+    scan = galerkin._first_grading_violation
+    monkeypatch.setattr(
+        galerkin, "_first_grading_violation", lambda op: scans.append(op) or scan(op)
+    )
+    op = galerkin.build(BASIS, hb.FourierPotential(BASIS, coeffs), T, 3.0)
+    assert scans == []
+    witness = galerkin.triangularity_witness(op)
+    for use in (
+        galerkin.is_plane_triangular,
+        galerkin.truncated_spectrum,
+        lambda op: galerkin.eigenvector_backsolve(op, 0),
+        lambda op: galerkin.first_associated_backsolve(op, 0, np.zeros(op.size)),
+    ):
+        try:
+            use(op)
+        except TriangularityError:
+            assert witness is not None
+        except NoEigenvectorError:
+            assert witness is None  # got past the guard
+    assert galerkin.triangularity_witness(op) == witness
+    assert scans == [op]
 
 
 def test_spectrum_identity_exact():

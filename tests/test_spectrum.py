@@ -18,6 +18,26 @@ def test_eigenvalue_examples():
     assert spectrum.eigenvalue(BASIS, (0, 1), (0.5, 0.3)) == pytest.approx(1.94)
 
 
+@pytest.mark.parametrize(
+    "generators",
+    (
+        [[2 * math.pi]],
+        [[1.0, 0.0], [1.0, 1.0]],
+        [[1.0, 0.0], [0.5, math.sqrt(3) / 2]],
+        [[1.0, 0.2, 0.0], [0.3, 1.0, 0.1], [0.0, 0.4, 1.3]],
+    ),
+    ids=("1d", "skewed", "hexagonal", "3d"),
+)
+def test_batched_eigenvalues_bit_equal_scalar(generators):
+    basis = hb.LatticeBasis(np.array(generators))
+    rng = np.random.default_rng(len(generators))
+    t = rng.uniform(-0.5, 0.5, size=basis.dimension)
+    indices = rng.integers(-25, 26, size=(500, basis.dimension))
+    batched = spectrum.eigenvalues(basis, indices, t).tolist()
+    assert batched == [spectrum.eigenvalue(basis, n, t) for n in indices.tolist()]
+    assert spectrum.eigenvalues(basis, indices[:0], t).shape == (0,)
+
+
 def test_is_simple_collision_at_origin():
     assert not spectrum.is_simple(BASIS, (1, 0), (0.0, 0.0), cutoff=6.0)
 
