@@ -496,7 +496,7 @@ def cmd_fermi(doc: dict, as_csv: bool):
     params = _params(doc)
     rho = _param_number(params, "rho", 0.5, minimum=0.0)
     resolution = _param_int(params, "resolution", 21, minimum=2)
-    threshold = _param_number(params, "threshold", 0.01)
+    threshold = _param_number(params, "threshold", 0.01, minimum=0.0)
     sample = isoenergetic.sample_surface(basis, rho, resolution, threshold)
     if as_csv:
         return sample.to_csv(), EXIT_OK

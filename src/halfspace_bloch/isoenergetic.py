@@ -5,20 +5,48 @@ translated by the lattice and clipped to the fundamental domain.  Points
 are reported as a cloud with their distance to the nearest sphere and the
 translating lattice index; set-level claims (potential independence) are
 tested on the cloud directly.
+
+The distance of a point t is min over lattice points n of | |n + t| - rho |,
+taken over its own ball |n + t| <= cutoff, with the lexicographically first
+minimizer.  All points of a grid are scored against one candidate set:
+
+* **Candidate lemma.**  |n + t| <= cutoff implies |n + t0| <= |n + t| +
+  |t - t0| <= cutoff + |t - t0|, so the ball of radius cutoff + max |t - t0|
+  about -t0 contains the ball of every point.  The grid is scored with
+  t0 = 0, i.e. the ball |n| <= cutoff + max |t|; a single point is the case
+  t0 = t, whose candidate set is its own ball.  Candidates outside a
+  point's own ball are scored as ``inf``; the rest keep their lexicographic
+  order, so ``argmin``, which takes the first minimum, picks the same
+  minimizer as a scan of the point's own ball.
+* **Masked candidates never win.**  Every point x lies within the covering
+  radius of some lattice point, and the covering radius is at most half the
+  fundamental-domain diameter D (reduce x into the parallelepiped
+  [-1/2, 1/2)^d about a lattice point; the norm is convex, so the largest
+  offset is a vertex, |sum +-v_j / 2| <= D/2).  Taking x on the sphere
+  |x + t| = rho gives a lattice point with distance at most D/2, inside the
+  point's ball since rho + D/2 < cutoff.  A candidate outside the ball has
+  distance above cutoff - rho >= D, so it can neither win nor tie, and the
+  minimizers sit D/2 inside every radius used, far beyond rounding.
+
+Each |n + t|^2 is the stacked matmul of
+:func:`~halfspace_bloch.lattice.squared_norms`, bit-equal to the scalar
+:func:`~halfspace_bloch.spectrum.eigenvalue`.
 """
 
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import CutoffError
-from .lattice import IndexVector, LatticeBasis
-from .spectrum import eigenvalue
+from .lattice import IndexVector, LatticeBasis, squared_norms
+
+#: grid-point-by-candidate entries scored at once; bounds the temporary arrays
+#: of one chunk whatever the resolution
+_CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -27,19 +55,18 @@ class SurfaceSample:
 
     ``points`` holds (t, distance, nearest lattice index) for every retained
     grid point, where distance = min over lattice points g of
-    | |g + t| - rho |.
+    | |g + t| - rho |.  ``dimension`` names the CSV columns, also when no
+    point is retained.
     """
 
     rho: float
     resolution: int
     threshold: float
+    dimension: int
     points: tuple[tuple[tuple[float, ...], float, IndexVector], ...]
 
     def to_csv(self) -> str:
-        if not self.points:
-            dim = 0
-        else:
-            dim = len(self.points[0][0])
+        dim = self.dimension
         buf = io.StringIO()
         cols = [f"t_{i+1}" for i in range(dim)] + ["distance"] + [
             f"gamma_{i+1}" for i in range(dim)
@@ -51,6 +78,42 @@ class SurfaceSample:
         return buf.getvalue()
 
 
+def _check_cutoff(basis: LatticeBasis, rho: float, cutoff: float) -> None:
+    if rho < 0:
+        raise ValueError(f"rho must be nonnegative, got {rho}")
+    needed = rho + basis.fundamental_diameter()
+    if cutoff < needed:
+        raise CutoffError(
+            f"cutoff {cutoff} too small to certify the minimizer; need at least "
+            f"{needed:.6g}"
+        )
+
+
+def _nearest(
+    basis: LatticeBasis, ts: np.ndarray, t0: np.ndarray, rho: float, cutoff: float
+) -> tuple[np.ndarray, list[IndexVector], np.ndarray]:
+    """(distance per row of ts, candidate list, index of each row's minimizer).
+
+    Candidates are the ball about -t0 that covers the ball of every row;
+    the (grid x candidate) array is scored in row chunks of at most
+    ``_CHUNK_ELEMENTS`` entries.  See the module docstring for why this
+    gives every row the result of its own ball.
+    """
+    reach = cutoff + float(np.sqrt(squared_norms(ts - t0)).max())
+    candidates = basis.enumerate_ball(-t0, reach)
+    points = basis.to_cartesian(candidates)
+    rows = max(1, _CHUNK_ELEMENTS // len(candidates))
+    dist = np.empty(len(ts))
+    best = np.empty(len(ts), dtype=np.intp)
+    for lo in range(0, len(ts), rows):
+        norms = np.sqrt(squared_norms(points + ts[lo : lo + rows, None, :]))
+        scored = np.where(norms <= cutoff, np.abs(norms - rho), np.inf)
+        j = scored.argmin(axis=1)
+        best[lo : lo + rows] = j
+        dist[lo : lo + rows] = scored[np.arange(len(j)), j]
+    return dist, candidates, best
+
+
 def distance_to_surface(
     basis: LatticeBasis,
     t: Sequence[float],
@@ -60,25 +123,14 @@ def distance_to_surface(
     """min over g of | |g + t| - rho | with its lexicographically first argmin.
 
     The cutoff must reach rho plus the fundamental-domain diameter so that
-    the enumeration (over |g + t| <= cutoff) provably contains a minimizer.
+    the ball |g + t| <= cutoff provably contains a minimizer.
     """
-    if rho < 0:
-        raise ValueError(f"rho must be nonnegative, got {rho}")
-    needed = rho + basis.fundamental_diameter()
-    if cutoff < needed:
-        raise CutoffError(
-            f"cutoff {cutoff} too small to certify the minimizer; need at least "
-            f"{needed:.6g}"
-        )
+    _check_cutoff(basis, rho, cutoff)
     t = np.asarray(t, dtype=float)
-    best: tuple[float, IndexVector] | None = None
-    for n in basis.enumerate_ball(-t, cutoff):
-        dist = abs(math.sqrt(eigenvalue(basis, n, t)) - rho)
-        if best is None or dist < best[0]:
-            best = (dist, n)
-    if best is None:
-        raise CutoffError(f"empty enumeration ball at cutoff {cutoff}")
-    return best
+    if t.shape != (basis.dimension,):
+        raise ValueError(f"t must have length {basis.dimension}")
+    dist, candidates, best = _nearest(basis, t[None, :], t, rho, cutoff)
+    return float(dist[0]), candidates[best[0]]
 
 
 def sample_surface(
@@ -97,15 +149,19 @@ def sample_surface(
         raise ValueError(f"resolution must be at least 2, got {resolution}")
     if cutoff is None:
         cutoff = rho + basis.fundamental_diameter() + 1.0
+    _check_cutoff(basis, rho, cutoff)
     axis = np.linspace(-0.5, 0.5, resolution)
     grids = np.meshgrid(*([axis] * basis.dimension), indexing="ij")
-    coords = np.stack([g.ravel() for g in grids], axis=-1)
-    points = []
-    for c in coords:
-        t = c @ basis.generators
-        dist, gamma = distance_to_surface(basis, t, rho, cutoff)
-        if dist <= threshold:
-            points.append((tuple(float(x) for x in t), dist, gamma))
+    ts = basis.to_cartesian(np.stack([g.ravel() for g in grids], axis=-1))
+    dist, candidates, best = _nearest(basis, ts, np.zeros(basis.dimension), rho, cutoff)
+    kept = np.flatnonzero(dist <= threshold).tolist()
+    points = tuple(
+        (tuple(ts[i].tolist()), float(dist[i]), candidates[best[i]]) for i in kept
+    )
     return SurfaceSample(
-        rho=rho, resolution=resolution, threshold=threshold, points=tuple(points)
+        rho=rho,
+        resolution=resolution,
+        threshold=threshold,
+        dimension=basis.dimension,
+        points=points,
     )

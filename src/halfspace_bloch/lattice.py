@@ -114,9 +114,15 @@ class LatticeBasis:
 
     # -- coordinates ---------------------------------------------------
 
-    def to_cartesian(self, n: Sequence[int]) -> np.ndarray:
-        """Cartesian point of the integer index n: sum_j n_j v_j."""
-        return np.asarray(n, dtype=float) @ self.generators
+    def to_cartesian(self, n) -> np.ndarray:
+        """Cartesian point sum_j n_j v_j of an index, or of every row of an array.
+
+        A stacked matmul: each row goes through the same vector-matrix kernel
+        as a single 1-D index, so the rows of a batch are bit-equal to
+        one-at-a-time calls (one (m, d) gemm is free to round them otherwise).
+        """
+        x = np.asarray(n, dtype=float)
+        return (x[..., None, :] @ self.generators)[..., 0, :]
 
     def index_of(self, point: Sequence[float]) -> IndexVector:
         """Nearest integer index of a cartesian point (exact on lattice points)."""
@@ -156,7 +162,10 @@ class LatticeBasis:
         """All indices n with |to_cartesian(n) - center| <= radius, in lex order.
 
         The integer bounding box comes from the dual coordinates of the
-        center, so no candidate is missed regardless of basis skew.
+        center, so no candidate is missed regardless of basis skew.  The box
+        is built as one array (``indexing="ij"`` rows are already in lex
+        order) and filtered in one step; each kept row's norm is bit-equal
+        to the scalar ``sqrt(v @ v)`` of ``v = to_cartesian(n) - center``.
         """
         if radius < 0:
             raise ValueError(f"radius must be nonnegative, got {radius}")
@@ -165,22 +174,31 @@ class LatticeBasis:
             raise ValueError(f"center must have length {self.dimension}")
         mid = c @ self._inverse
         half = radius * np.sqrt((self._inverse**2).sum(axis=0))
-        ranges = [
-            range(math.ceil(m - h - _BOX_PAD), math.floor(m + h + _BOX_PAD) + 1)
+        axes = [
+            np.arange(math.ceil(m - h - _BOX_PAD), math.floor(m + h + _BOX_PAD) + 1)
             for m, h in zip(mid, half)
         ]
-        out = []
-        for n in itertools.product(*ranges):
-            v = self.to_cartesian(n) - c
-            if math.sqrt(float(v @ v)) <= radius:
-                out.append(n)
-        return out
+        box = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        box = box.reshape(-1, self.dimension)
+        keep = np.sqrt(squared_norms(self.to_cartesian(box) - c)) <= radius
+        return list(map(tuple, box[keep].tolist()))
 
     def reduce_quasimomentum(self, t: Sequence[float]) -> np.ndarray:
         """Translate t by a lattice vector into generator coordinates [-1/2, 1/2)."""
         coords = np.asarray(t, dtype=float) @ self._inverse
         reduced = coords - np.floor(coords + 0.5)
         return reduced @ self.generators
+
+
+def squared_norms(v: np.ndarray) -> np.ndarray:
+    """v . v over the last axis of a float array.
+
+    A stacked (1, d) @ (d, 1) matmul, so every entry is bit-equal to the 1-D
+    ``v @ v`` of its row; an einsum or ``(v**2).sum(-1)`` sums in another
+    order and rounds some entries differently.
+    """
+    v = np.ascontiguousarray(v)
+    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 def _orthogonal_component(mat: np.ndarray, k: int) -> np.ndarray:

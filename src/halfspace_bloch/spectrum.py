@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CutoffError
-from .lattice import IndexVector, LatticeBasis, as_index, decompose
+from .lattice import IndexVector, LatticeBasis, as_index, squared_norms
 
 #: default gap (in |g+t| units) below which two levels count as colliding
 SIMPLE_GAP_TOL = 1e-6
@@ -36,13 +36,13 @@ def eigenvalues(basis: LatticeBasis, indices, t: Sequence[float]) -> np.ndarray:
     """|g + t|^2 for every row g of an (m, d) integer index array.
 
     Bit-equal to :func:`eigenvalue` row by row: both products are stacked
-    matmuls, so each row goes through the same vector-matrix and dot kernels
-    as the scalar call.  One (m, d) gemm or an einsum would round some rows
+    matmuls (:meth:`LatticeBasis.to_cartesian`, :func:`squared_norms`), so
+    each row goes through the same vector-matrix and dot kernels as the
+    scalar call.  One (m, d) gemm or an einsum would round some rows
     differently in the last place.
     """
     x = np.asarray(indices, dtype=float).reshape(-1, basis.dimension)
-    v = (x[:, None, :] @ basis.generators)[:, 0, :] + np.asarray(t, dtype=float)
-    return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+    return squared_norms(basis.to_cartesian(x) + np.asarray(t, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -110,13 +110,9 @@ def is_simple(
     """
     gamma = as_index(gamma, basis.dimension)
     t, lam = _check_cutoff(basis, gamma, t, cutoff)
-    r = math.sqrt(lam)
-    for n in basis.enumerate_ball(-t, cutoff):
-        if n == gamma:
-            continue
-        if abs(math.sqrt(eigenvalue(basis, n, t)) - r) <= tol:
-            return False
-    return True
+    others = [n for n in basis.enumerate_ball(-t, cutoff) if n != gamma]
+    gaps = np.abs(np.sqrt(eigenvalues(basis, others, t)) - math.sqrt(lam))
+    return not (gaps <= tol).any()
 
 
 def degeneracy_group(
@@ -138,14 +134,11 @@ def degeneracy_group(
         raise ValueError(f"axis k={k} out of range for dimension {basis.dimension}")
     t, lam = _check_cutoff(basis, gamma, t, cutoff)
 
-    members: list[tuple[IndexVector, int]] = []
-    excluded_gap = math.inf
-    for n in basis.enumerate_ball(-t, cutoff):
-        gap = abs(eigenvalue(basis, n, t) - lam)
-        if gap <= group_tol:
-            members.append((n, decompose(n, k)[1]))
-        else:
-            excluded_gap = min(excluded_gap, gap)
+    ball = basis.enumerate_ball(-t, cutoff)
+    gaps = np.abs(eigenvalues(basis, ball, t) - lam)
+    hit = gaps <= group_tol
+    members = [(n, n[k - 1]) for n, h in zip(ball, hit.tolist()) if h]
+    excluded_gap = float(gaps[~hit].min()) if not hit.all() else math.inf
     if gamma not in [b for b, _ in members]:
         raise CutoffError(
             f"enumeration ball (cutoff {cutoff}) does not contain gamma={gamma}"

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 import halfspace_bloch as hb
-from halfspace_bloch import bloch, galerkin, spectrum
+from halfspace_bloch import bloch, galerkin, lattice, spectrum
 from halfspace_bloch.errors import ResonanceError
 
 # -- geometry oracles ---------------------------------------------------------
@@ -344,3 +344,91 @@ def reference_max_discrepancy(a, b, max_plane=None):
         if 0 < p <= limit or key == (0,) * len(key):
             worst = max(worst, abs(a.coeffs.get(key, 0j) - b.coeffs.get(key, 0j)))
     return worst
+
+
+# -- loop references for the batched lattice layer -----------------------------
+#
+# The per-point loops that ``enumerate_ball``, ``distance_to_surface``,
+# ``sample_surface``, ``is_simple`` and ``degeneracy_group`` replaced, kept
+# literally with the original ``n @ generators`` coordinates: the batched code
+# must reproduce them bit for bit, ties and boundary points included.
+
+
+def reference_cartesian(basis, n):
+    return np.asarray(n, dtype=float) @ basis.generators
+
+
+def reference_eigenvalue(basis, n, t):
+    v = reference_cartesian(basis, n) + np.asarray(t, dtype=float)
+    return float(v @ v)
+
+
+def reference_enumerate_ball(basis, center, radius):
+    c = np.asarray(center, dtype=float)
+    mid = c @ basis._inverse
+    half = radius * np.sqrt((basis._inverse**2).sum(axis=0))
+    pad = lattice._BOX_PAD
+    ranges = [
+        range(math.ceil(m - h - pad), math.floor(m + h + pad) + 1)
+        for m, h in zip(mid, half)
+    ]
+    out = []
+    for n in itertools.product(*ranges):
+        v = reference_cartesian(basis, n) - c
+        if math.sqrt(float(v @ v)) <= radius:
+            out.append(n)
+    return out
+
+
+def reference_distance_to_surface(basis, t, rho, cutoff):
+    t = np.asarray(t, dtype=float)
+    best = None
+    for n in reference_enumerate_ball(basis, -t, cutoff):
+        dist = abs(math.sqrt(reference_eigenvalue(basis, n, t)) - rho)
+        if best is None or dist < best[0]:
+            best = (dist, n)
+    return best
+
+
+def reference_sample_surface(basis, rho, resolution, threshold, cutoff=None):
+    """The retained ``points`` of the per-point scan."""
+    if cutoff is None:
+        cutoff = rho + basis.fundamental_diameter() + 1.0
+    axis = np.linspace(-0.5, 0.5, resolution)
+    grids = np.meshgrid(*([axis] * basis.dimension), indexing="ij")
+    coords = np.stack([g.ravel() for g in grids], axis=-1)
+    points = []
+    for c in coords:
+        t = c @ basis.generators
+        dist, gamma = reference_distance_to_surface(basis, t, rho, cutoff)
+        if dist <= threshold:
+            points.append((tuple(float(x) for x in t), dist, gamma))
+    return tuple(points)
+
+
+def reference_is_simple(basis, gamma, t, cutoff, tol=spectrum.SIMPLE_GAP_TOL):
+    gamma = tuple(gamma)
+    t = np.asarray(t, dtype=float)
+    r = math.sqrt(reference_eigenvalue(basis, gamma, t))
+    for n in reference_enumerate_ball(basis, -t, cutoff):
+        if n == gamma:
+            continue
+        if abs(math.sqrt(reference_eigenvalue(basis, n, t)) - r) <= tol:
+            return False
+    return True
+
+
+def reference_group_scan(basis, gamma, t, k, cutoff, group_tol=spectrum.GROUP_TOL):
+    """(members in canonical order, excluded_gap) of the degeneracy-group loop."""
+    t = np.asarray(t, dtype=float)
+    lam = reference_eigenvalue(basis, gamma, t)
+    members = []
+    excluded_gap = math.inf
+    for n in reference_enumerate_ball(basis, -t, cutoff):
+        gap = abs(reference_eigenvalue(basis, n, t) - lam)
+        if gap <= group_tol:
+            members.append((n, n[k - 1]))
+        else:
+            excluded_gap = min(excluded_gap, gap)
+    members.sort(key=lambda item: (-item[1], item[0]))
+    return tuple(members), excluded_gap

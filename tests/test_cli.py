@@ -270,6 +270,14 @@ def test_fermi_csv_default(tmp_path, capsys):
     assert len(lines) > 10
 
 
+def test_fermi_csv_empty_sample_keeps_header(tmp_path, capsys):
+    # threshold 0 at rho 0.4 on a 3-point grid retains nothing
+    config = {**IDENTITY_2D, "params": {"rho": 0.4, "resolution": 3, "threshold": 0.0}}
+    code, out = run(tmp_path, capsys, config, "fermi")
+    assert code == 0
+    assert out == "t_1,t_2,distance,gamma_1,gamma_2\n"
+
+
 def test_fermi_json_and_out_file(tmp_path, capsys):
     config = {
         **IDENTITY_2D,
@@ -365,6 +373,12 @@ _POT = [{"index": [1, 0], "re": 0.1}]
         ("fermi", {**IDENTITY_2D, "params": {"resolution": 1}}, 2, "config error (params.resolution)"),
         ("fermi", {**IDENTITY_2D, "params": {"rho": -1}}, 2, "config error (params.rho)"),
         (
+            "fermi",
+            {**IDENTITY_2D, "params": {"threshold": -0.01}},
+            2,
+            "config error (params.threshold)",
+        ),
+        (
             "oracle",
             {**IDENTITY_2D, "potential": _POT, "params": {"cutoff": 2.0, "gamma": [5, 0]}},
             3,
@@ -382,6 +396,7 @@ _POT = [{"index": [1, 0], "re": 0.1}]
         "multiplicity-negative-cutoff",
         "fermi-resolution-1",
         "fermi-negative-rho",
+        "fermi-negative-threshold",
         "oracle-gamma-outside-ball",
     ],
 )

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -103,3 +104,90 @@ def test_csv_export_round_trip():
     assert len(lines) == len(sample.points) + 1
     first = lines[1].split(",")
     assert float(first[2]) <= 0.02
+
+
+SURFACE_BASES = {
+    "identity": BASIS,
+    "skewed": hb.LatticeBasis(np.array([[1.0, 0.0], [1.0, 1.0]])),
+    "hexagonal": hb.LatticeBasis(np.array([[1.0, 0.0], [0.5, math.sqrt(3) / 2]])),
+    "scaled": hb.LatticeBasis(1.5 * np.eye(2)),
+}
+
+
+@pytest.mark.parametrize("name", SURFACE_BASES)
+def test_sample_surface_equals_per_point_loop(name):
+    basis = SURFACE_BASES[name]
+    i = list(SURFACE_BASES).index(name)
+    # the four bases together cover every resolution from 2 to 21
+    for j, resolution in enumerate(range(2 + i, 22, 4)):
+        rho = (0.0, 0.5, 0.77, 1.3)[(i + j) % 4]
+        threshold = math.inf if j % 2 else 0.05
+        sample = isoenergetic.sample_surface(basis, rho, resolution, threshold)
+        expected = helpers.reference_sample_surface(basis, rho, resolution, threshold)
+        assert sample.points == expected
+        assert sample.dimension == 2
+
+
+def test_sample_surface_chunking_invariant(monkeypatch):
+    basis = SURFACE_BASES["hexagonal"]
+    expected = helpers.reference_sample_surface(basis, 0.9, 9, math.inf)
+    for cap in (1, 61):
+        monkeypatch.setattr(isoenergetic, "_CHUNK_ELEMENTS", cap)
+        assert isoenergetic.sample_surface(basis, 0.9, 9, math.inf).points == expected
+
+
+def test_one_candidate_set_covers_every_point_ball(monkeypatch):
+    balls = []
+    enumerate_ball = hb.LatticeBasis.enumerate_ball
+
+    def recording(self, center, radius):
+        balls.append(enumerate_ball(self, center, radius))
+        return balls[-1]
+
+    monkeypatch.setattr(hb.LatticeBasis, "enumerate_ball", recording)
+    basis = SURFACE_BASES["skewed"]
+    rho, resolution = 0.6, 7
+    isoenergetic.sample_surface(basis, rho, resolution, threshold=0.05)
+    assert len(balls) == 1
+    cutoff = rho + basis.fundamental_diameter() + 1.0
+    axis = np.linspace(-0.5, 0.5, resolution)
+    for c in itertools.product(axis, repeat=2):
+        t = np.asarray(c) @ basis.generators
+        assert set(helpers.reference_enumerate_ball(basis, -t, cutoff)) <= set(balls[0])
+
+
+def test_distance_to_surface_equals_per_point_loop():
+    rng = np.random.default_rng(83)
+    for basis in SURFACE_BASES.values():
+        for trial in range(12):
+            # t also far outside the fundamental domain
+            t = rng.uniform(-8, 8, size=2)
+            rho = 0.0 if trial % 4 == 0 else float(rng.uniform(0, 2))
+            cutoff = rho + basis.fundamental_diameter() + float(rng.uniform(0, 1.5))
+            assert isoenergetic.distance_to_surface(
+                basis, t, rho, cutoff
+            ) == helpers.reference_distance_to_surface(basis, t, rho, cutoff)
+
+
+@pytest.mark.parametrize(
+    "t, rho, expected",
+    [
+        ((0.0, 0.0), 0.5, (0.5, (-1, 0))),
+        ((0.5, 0.0), 0.5, (0.0, (-1, 0))),
+        ((0.5, 0.5), 0.0, (math.sqrt(0.5), (-1, -1))),
+        ((-0.5, 0.5), 1.0, (abs(math.sqrt(0.5) - 1.0), (0, -1))),
+    ],
+)
+def test_distance_exact_ties_take_lex_first(t, rho, expected):
+    got = isoenergetic.distance_to_surface(BASIS, t, rho, cutoff=4.0)
+    assert got == expected
+    assert got == helpers.reference_distance_to_surface(BASIS, t, rho, 4.0)
+
+
+def test_guards_reject_small_cutoff_and_negative_rho():
+    with pytest.raises(CutoffError):
+        isoenergetic.sample_surface(BASIS, 1.0, resolution=5, threshold=0.1, cutoff=2.0)
+    with pytest.raises(ValueError):
+        isoenergetic.sample_surface(BASIS, -0.1, resolution=5, threshold=0.1)
+    with pytest.raises(ValueError):
+        isoenergetic.distance_to_surface(BASIS, (0.0, 0.0), -0.1, cutoff=4.0)

@@ -122,6 +122,40 @@ def test_enumerate_ball_matches_oracle_random():
             )
 
 
+HEXAGONAL = hb.LatticeBasis(np.array([[1.0, 0.0], [0.5, math.sqrt(3) / 2]]))
+SKEWED_3D = hb.LatticeBasis(np.array([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.5, 1.0]]))
+EXACTNESS_BASES = {
+    "identity": IDENTITY,
+    "skewed": SKEWED,
+    "hexagonal": HEXAGONAL,
+    "scaled": SCALED,
+    "skewed-3d": SKEWED_3D,
+}
+
+
+@pytest.mark.parametrize("name", EXACTNESS_BASES)
+def test_enumerate_ball_equals_reference_loop(name):
+    basis = EXACTNESS_BASES[name]
+    d = basis.dimension
+    rng = np.random.default_rng(100 + list(EXACTNESS_BASES).index(name))
+    on_lattice = basis.to_cartesian(rng.integers(-3, 4, size=d))
+    cases = [(np.zeros(d), 0.0), (on_lattice, 0.0), (rng.uniform(-2, 2, size=d), 0.0)]
+    # radii on lattice shells: the boundary point sits exactly at the radius
+    for n in rng.integers(-2, 3, size=(4, d)):
+        v = helpers.reference_cartesian(basis, n)
+        cases.append((np.zeros(d), math.sqrt(float(v @ v))))
+    for _ in range(6):
+        center = rng.uniform(-2, 2, size=d)
+        cases.append((center, float(rng.uniform(0, 3.5))))
+        for n in np.rint(center @ basis._inverse) + rng.integers(-2, 3, size=(12 // d, d)):
+            v = helpers.reference_cartesian(basis, n) - center
+            cases.append((center, math.sqrt(float(v @ v))))
+    for center, radius in cases:
+        got = basis.enumerate_ball(center, radius)
+        assert got == helpers.reference_enumerate_ball(basis, center, radius)
+        assert all(type(x) is int for n in got for x in n)
+
+
 def test_reduce_quasimomentum_examples():
     assert np.allclose(IDENTITY.reduce_quasimomentum((1.3, -0.7)), [0.3, 0.3])
     assert np.allclose(IDENTITY.reduce_quasimomentum((0.0, 0.0)), [0.0, 0.0])

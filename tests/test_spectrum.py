@@ -38,6 +38,40 @@ def test_batched_eigenvalues_bit_equal_scalar(generators):
     assert spectrum.eigenvalues(basis, indices[:0], t).shape == (0,)
 
 
+@pytest.mark.parametrize(
+    "generators",
+    (
+        [[2 * math.pi]],
+        [[1.0, 0.0], [0.0, 1.0]],
+        [[1.0, 0.0], [1.0, 1.0]],
+        [[1.0, 0.0], [0.5, math.sqrt(3) / 2]],
+        [[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.5, 1.0]],
+    ),
+    ids=("1d", "identity", "skewed", "hexagonal", "3d"),
+)
+def test_simplicity_and_groups_equal_loop_scan(generators):
+    basis = hb.LatticeBasis(np.array(generators))
+    d = basis.dimension
+    rng = np.random.default_rng(10 + len(generators))
+    for trial in range(8 if d < 3 else 4):
+        gamma = tuple(int(x) for x in rng.integers(-1, 2, size=d))
+        # exact collisions at t = 0 and half-integer t, generic ones otherwise
+        t = basis.to_cartesian([(0.0, 0.5, 0.5)[(trial + j) % 3] for j in range(d)])
+        if trial % 2:
+            t = helpers.random_rational_t(rng, basis)
+        cutoff = 4.0 * math.sqrt(spectrum.eigenvalue(basis, gamma, t)) + 1.5
+        for tol in (spectrum.SIMPLE_GAP_TOL, 0.3):
+            assert spectrum.is_simple(
+                basis, gamma, t, cutoff, tol
+            ) == helpers.reference_is_simple(basis, gamma, t, cutoff, tol)
+        for group_tol in (spectrum.GROUP_TOL, 0.5):
+            k = 1 + trial % d
+            group = spectrum.degeneracy_group(basis, gamma, t, k, cutoff, group_tol)
+            members, gap = helpers.reference_group_scan(basis, gamma, t, k, cutoff, group_tol)
+            assert group.members == members
+            assert group.excluded_gap == gap and type(group.excluded_gap) is float
+
+
 def test_is_simple_collision_at_origin():
     assert not spectrum.is_simple(BASIS, (1, 0), (0.0, 0.0), cutoff=6.0)
 
