@@ -96,6 +96,8 @@ def _numbers(raw, dim: int, field: str) -> list[float]:
         values = [float(x) for x in raw]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"'{field}' contains a non-number", field=field) from exc
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ConfigError(f"'{field}' contains a non-finite number", field=field) from exc
     if not all(math.isfinite(x) for x in values):
         raise ConfigError(f"'{field}' contains a non-finite number", field=field)
     return values
@@ -169,18 +171,23 @@ def parse_potential(doc: dict, basis: LatticeBasis) -> "ParsedPotential":
         if pi_exact:
             re = _parse_exact(rec.get("re", 0), f"{field}.re")
             im = _parse_exact(rec.get("im", 0), f"{field}.im")
-            value = complex(float(re) * PI_SQ, float(im) * PI_SQ)
+            try:
+                value = complex(float(re) * PI_SQ, float(im) * PI_SQ)
+            except OverflowError as exc:
+                raise ConfigError(f"'{field}' is too large for a float", field=field) from exc
             red = re if im == 0 else complex(float(re), float(im))
         else:
             try:
                 re = float(rec.get("re", 0.0))
                 im = float(rec.get("im", 0.0))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(
                     f"'{field}.re'/'{field}.im' must be numbers", field=field
                 ) from exc
             value = complex(re, im)
             red = complex(re, im) / PI_SQ
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            raise ConfigError(f"'{field}' must have a finite value", field=field)
         key = tuple(idx)
         coeffs[key] = coeffs.get(key, 0j) + value
         if basis.dimension == 1:
@@ -210,46 +217,62 @@ def _params(doc: dict) -> dict:
 
 
 def _param_number(params: dict, key: str, default, minimum: float | None = None):
-    value = params.get(key, default)
+    """``params[key]`` as a finite float; absent or null gives ``default``."""
+    value = default if params.get(key) is None else params[key]
     if value is None:
         return None
     if (
         not isinstance(value, (int, float))
         or isinstance(value, bool)
-        or not math.isfinite(value)
+        or not abs(value) <= sys.float_info.max  # NaN, inf, ints beyond float
     ):
         raise ConfigError(
             f"'params.{key}' must be a finite number", field=f"params.{key}"
         )
-    _check_minimum(key, value, minimum)
+    _check_range(key, value, minimum)
     return float(value)
 
 
-def _param_int(params: dict, key: str, default, minimum: int | None = None):
-    value = params.get(key, default)
+def _param_int(
+    params: dict,
+    key: str,
+    default,
+    minimum: int | None = None,
+    maximum: int | None = None,
+):
+    """``params[key]`` as an int in range; absent or null gives ``default``."""
+    value = default if params.get(key) is None else params[key]
     if value is None:
         return None
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"'params.{key}' must be an integer", field=f"params.{key}")
-    _check_minimum(key, value, minimum)
+    _check_range(key, value, minimum, maximum)
     return value
 
 
-def _check_minimum(key: str, value, minimum) -> None:
+def _check_range(key: str, value, minimum, maximum=None) -> None:
     if minimum is not None and value < minimum:
         raise ConfigError(
             f"'params.{key}' must be at least {minimum}", field=f"params.{key}"
         )
+    if maximum is not None and value > maximum:
+        raise ConfigError(
+            f"'params.{key}' must be at most {maximum}", field=f"params.{key}"
+        )
 
 
-def _param_gamma(params: dict, basis: LatticeBasis) -> tuple[int, ...]:
-    raw = params.get("gamma", [0] * basis.dimension)
+def _param_index(params: dict, key: str, basis: LatticeBasis, default) -> tuple[int, ...]:
+    """A lattice index: a list of ``basis.dimension`` integers, or :class:`ConfigError`.
+
+    Absent or null gives ``default``.
+    """
+    raw = default if params.get(key) is None else params[key]
     if not isinstance(raw, list) or len(raw) != basis.dimension or not all(
         isinstance(x, int) and not isinstance(x, bool) for x in raw
     ):
         raise ConfigError(
-            f"'params.gamma' must be a list of {basis.dimension} integers",
-            field="params.gamma",
+            f"'params.{key}' must be a list of {basis.dimension} integers",
+            field=f"params.{key}",
         )
     return tuple(raw)
 
@@ -286,7 +309,7 @@ def cmd_bloch(doc: dict) -> tuple[dict, int]:
     pot = parse_potential(doc, basis)
     t = parse_t(doc, basis)
     params = _params(doc)
-    gamma = _param_gamma(params, basis)
+    gamma = _param_index(params, "gamma", basis, [0] * basis.dimension)
     method = params.get("method", "both")
     if method not in ("series", "closed-form", "both"):
         raise ConfigError(
@@ -336,7 +359,7 @@ def cmd_oracle(doc: dict, want_matrix: bool = False):
     t = parse_t(doc, basis)
     params = _params(doc)
     cutoff = _param_number(params, "cutoff", 6.0, minimum=0.0)
-    gamma = _param_gamma(params, basis)
+    gamma = _param_index(params, "gamma", basis, [0] * basis.dimension)
 
     op = galerkin.build(basis, pot.q, t, cutoff)
     if want_matrix:
@@ -400,6 +423,11 @@ def _multiplicity_oned(doc: dict, params: dict, mode: str) -> tuple[dict, int]:
             "1-D multiplicity modes require dimension 1", field="dimension"
         )
     pot = parse_potential(doc, basis)
+    if mode != "oracle" and any(m <= 0 and v != 0 for m, v in pot.reduced.items()):
+        raise ConfigError(
+            "the 1-D criterion needs a potential on positive harmonics only",
+            field="potential",
+        )
     n = _param_int(params, "n", 1, minimum=1)
     criterion_tol = _param_number(params, "criterion_tol", rootfn.CRITERION_TOL)
 
@@ -442,16 +470,13 @@ def _multiplicity_second_plane(doc: dict, params: dict) -> tuple[dict, int]:
     basis = parse_basis(doc)
     pot = parse_potential(doc, basis)
     t = parse_t(doc, basis)
-    k = _param_int(params, "k", 1)
-    member_raw = params.get("member")
-    if not isinstance(member_raw, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in member_raw
-    ):
+    k = _param_int(params, "k", 1, minimum=1, maximum=basis.dimension)
+    if pot.q.classification != (k, "+"):
         raise ConfigError(
-            "'params.member' must list the target lattice index",
-            field="params.member",
+            f"the second-plane criterion needs a potential classified (k={k}, '+')",
+            field="potential",
         )
-    member = tuple(member_raw)
+    member = _param_index(params, "member", basis, None)
     criterion_tol = _param_number(params, "criterion_tol", rootfn.CRITERION_TOL)
     lam_probe = spectrum.eigenvalue(basis, member, t)
     group_cutoff = _param_number(
@@ -470,6 +495,12 @@ def _multiplicity_second_plane(doc: dict, params: dict) -> tuple[dict, int]:
 
     cutoff = _param_number(params, "cutoff", 2.0 * group_cutoff, minimum=0.0)
     op = galerkin.build(basis, pot.q, t, cutoff)
+    try:
+        op.position(member)
+    except KeyError:
+        raise CutoffError(
+            f"cutoff {cutoff} ball does not contain member={member}"
+        ) from None
     subset = [
         n
         for n, p in zip(op.index_set, op.planes)

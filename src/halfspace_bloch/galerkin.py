@@ -8,6 +8,35 @@ triangular off the diagonal.  That makes the truncated spectrum literally
 the diagonal, eigenvectors available by forward substitution, and Jordan
 structure measurable by numerical rank, all independent of the analytic
 coefficient formulas this module is used to verify.
+
+Rank probes on the plane window.  Group the rows of A = M - lam I by plane.
+A is block lower triangular and every diagonal block is itself diagonal,
+with the entries M_jj - lam = |g + t|^2 + q_0 - lam (q_0, the constant
+harmonic, sits on the diagonal).  Let [p_lo, p_hi] be the planes that hold
+a diagonal entry M_jj within ``eigen_eq_tol()`` of lam, the tolerance the
+backsolves apply to the same gaps M_jj - lam, and split the planes into
+those before, inside and after it:
+
+    A = [[B11, 0, 0], [B21, B22, 0], [B31, B32, B33]].
+
+Planes outside the window add no kernel: every diagonal entry of B11 and
+B33 differs from zero by more than the tolerance, so these triangular
+blocks are invertible.  If A x = 0, then B11 x1 = 0 gives x1 = 0, then
+B22 x2 = 0, and B33 x3 = -B32 x2 fixes x3; conversely every x2 in ker B22
+extends this way to exactly one x in ker A.  So x -> x2 is a bijection and
+dim ker A = dim ker B22.  A^2 is block lower triangular in the same split
+with diagonal blocks B11^2, B22^2, B33^2: its middle one is the sum of
+A_2j A_j2 over j, where A_12 = A_23 = 0 leave only B22 B22.  B11^2 and
+B33^2 are invertible, so dim ker A^2 = dim ker B22^2.  The argument needs
+only the blocks outside the window to be invertible, so widening the window
+by further planes is always safe: an entry just inside the tolerance can
+never lose kernel.  An explicit absolute rank threshold r widens it to
+every gap at or below max(r, sqrt(r)) as well, so that no diagonal entry of
+A or of A^2 that the threshold would call zero is left outside.  The lemma holds as well for the submatrix over an
+invariant subset of indices, which keeps the plane-major order.  The probes
+therefore take their SVDs on B22 alone, and their default threshold scales
+with the norm of B22, which does not grow with the cutoff as the norm of A
+does.
 """
 
 from __future__ import annotations
@@ -26,7 +55,7 @@ from .lattice import IndexVector, LatticeBasis, as_index, decompose, sign_value
 from .potential import FourierPotential
 from .spectrum import eigenvalues
 
-#: relative spectral-norm factor for numerical rank decisions
+#: rank threshold relative to the spectral norm of the probed window block
 RANK_TOL_SCALE = 1e-9
 
 #: relative width for treating two diagonal entries as the same eigenvalue
@@ -278,17 +307,53 @@ def _numerical_rank(mat: np.ndarray, rank_tol: float | None) -> tuple[int, np.nd
     return int(np.sum(svals > threshold)), svals, threshold
 
 
+def _window_block(
+    op: TruncatedOperator,
+    lam: float,
+    positions: Sequence[int] | None = None,
+    rank_tol: float | None = None,
+) -> np.ndarray:
+    """The window block B22 of M - lam I: rows and columns on the planes
+    p_lo .. p_hi that hold a diagonal entry of M near lam.
+
+    Near means a gap |M_jj - lam| within ``op.eigen_eq_tol()``, or, with an
+    explicit ``rank_tol``, within ``max(rank_tol, sqrt(rank_tol))`` when that
+    is larger (module docstring).
+    ``positions`` (ascending) restricts everything to a subset, whose order
+    the block keeps; the block is 0 x 0 when no diagonal entry is near lam.
+    """
+    pos = np.arange(op.size) if positions is None else np.asarray(positions, dtype=int)
+    planes = np.asarray(op.planes, dtype=int)[pos]
+    tol = op.eigen_eq_tol()
+    if rank_tol is not None:
+        tol = max(tol, rank_tol, float(np.sqrt(rank_tol)))
+    near = np.abs(np.diagonal(op.matrix)[pos] - lam) <= tol
+    if near.any():
+        p_lo, p_hi = planes[near].min(), planes[near].max()
+        pos = pos[(planes >= p_lo) & (planes <= p_hi)]
+    else:
+        pos = pos[:0]
+    return op.matrix[np.ix_(pos, pos)] - lam * np.eye(pos.size)
+
+
 def geometric_multiplicity(
     op: TruncatedOperator, lam: float, rank_tol: float | None = None
 ) -> int:
-    """dim ker(M - lam I) of the truncation via numerically ranked SVD.
+    """dim ker(M - lam I) of the truncation, as dim ker of its window block B22.
 
-    Default threshold is 1e-9 times the spectral norm.  A warning is issued
-    when some singular value sits within a factor 10 of the threshold, since
-    the rank decision is then borderline.
+    The block is ranked by SVD (see the module docstring for why the window
+    suffices).  The default threshold is ``RANK_TOL_SCALE`` (1e-9) times the
+    largest singular value of the window block, which does not grow with the
+    cutoff.  An explicit ``rank_tol`` is an absolute threshold; it ranks the
+    window block, which then also takes in every plane with a diagonal gap
+    at or below ``max(rank_tol, sqrt(rank_tol))``.  A warning is issued when some singular value
+    of the block sits within a factor 10 of the threshold, since the rank
+    decision is then borderline.  Requires the plane-triangular structure
+    (:class:`TriangularityError` otherwise).
     """
-    a = op.matrix - lam * np.eye(op.size)
-    rank, svals, threshold = _numerical_rank(a, rank_tol)
+    _require_triangular(op, "the rank probe")
+    block = _window_block(op, lam, rank_tol=rank_tol)
+    rank, svals, threshold = _numerical_rank(block, rank_tol)
     if threshold > 0 and np.any(
         (svals >= threshold / 10) & (svals <= threshold * 10)
     ):
@@ -297,7 +362,7 @@ def geometric_multiplicity(
             f"threshold {threshold:.3e}",
             stacklevel=2,
         )
-    return op.size - rank
+    return block.shape[0] - rank
 
 
 def jordan_chain_excess(
@@ -308,21 +373,24 @@ def jordan_chain_excess(
 ) -> int:
     """Number of Jordan blocks of size >= 2 at lam: dim ker(A^2) - dim ker(A).
 
-    With ``subset`` the probe runs on the submatrix over those lattice
-    indices, which must span an invariant subspace (columns may not leak
-    outside; checked exactly).
+    Both kernels are taken on the window block B22 and its square, which is
+    the window block of A^2 (module docstring).  With ``subset`` the probe
+    runs on the submatrix over those lattice indices, which must span an
+    invariant subspace (columns may not leak outside; checked exactly).
+    Requires the plane-triangular structure (:class:`TriangularityError`
+    otherwise); rank thresholds as in :func:`geometric_multiplicity`.
     """
-    a = op.matrix - lam * np.eye(op.size)
+    _require_triangular(op, "the Jordan probe")
+    pos = None
     if subset is not None:
         pos = sorted(op.position(n) for n in subset)
         outside = np.setdiff1d(np.arange(op.size), pos)
         if np.any(op.matrix[np.ix_(outside, pos)] != 0):
             raise ValueError("subset does not span an invariant subspace")
-        a = a[np.ix_(pos, pos)]
-    size = a.shape[0]
+    a = _window_block(op, lam, pos, rank_tol)
     rank1, _, _ = _numerical_rank(a, rank_tol)
     rank2, _, _ = _numerical_rank(a @ a, rank_tol)
-    return (size - rank2) - (size - rank1)
+    return rank1 - rank2
 
 
 def matrix_csv(op: TruncatedOperator) -> str:

@@ -432,3 +432,31 @@ def reference_group_scan(basis, gamma, t, k, cutoff, group_tol=spectrum.GROUP_TO
             excluded_gap = min(excluded_gap, gap)
     members.sort(key=lambda item: (-item[1], item[0]))
     return tuple(members), excluded_gap
+
+
+# -- dense references for the window rank probes -------------------------------
+#
+# The probes as they were before they moved to the plane window: one SVD of
+# the whole M - lam (and of its square), threshold 1e-9 times its spectral
+# norm.  The window probes must give the same integers.
+
+
+def _dense_rank(a, rank_tol):
+    svals = np.linalg.svd(a, compute_uv=False)
+    if rank_tol is None:
+        rank_tol = galerkin.RANK_TOL_SCALE * (float(svals[0]) if svals.size else 0.0)
+    return int(np.sum(svals > rank_tol))
+
+
+def reference_geometric_multiplicity(op, lam, rank_tol=None):
+    a = op.matrix - lam * np.eye(op.size)
+    return op.size - _dense_rank(a, rank_tol)
+
+
+def reference_jordan_chain_excess(op, lam, rank_tol=None, subset=None):
+    a = op.matrix - lam * np.eye(op.size)
+    if subset is not None:
+        pos = sorted(op.position(n) for n in subset)
+        a = a[np.ix_(pos, pos)]
+    size = a.shape[0]
+    return (size - _dense_rank(a @ a, rank_tol)) - (size - _dense_rank(a, rank_tol))

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from halfspace_bloch import cli
 
@@ -327,6 +333,8 @@ def test_deterministic_output(tmp_path, capsys):
 
 
 _POT = [{"index": [1, 0], "re": 0.1}]
+_ONED = {"dimension": 1, "generators": [[2 * math.pi]]}
+_SECOND_PLANE = {"mode": "2d-second-plane", "k": 1, "member": [0, 1], "cutoff": 6.0}
 
 
 @pytest.mark.parametrize(
@@ -380,9 +388,74 @@ _POT = [{"index": [1, 0], "re": 0.1}]
         ),
         (
             "oracle",
+            {**IDENTITY_2D, "potential": _POT, "params": {"cutoff": 10**400}},
+            2,
+            "config error (params.cutoff)",
+        ),
+        ("bloch", {**IDENTITY_2D, "potential": _POT, "t": [10**400, 0]}, 2, "config error (t)"),
+        (
+            "oracle",
             {**IDENTITY_2D, "potential": _POT, "params": {"cutoff": 2.0, "gamma": [5, 0]}},
             3,
             "CutoffError: ",
+        ),
+        (
+            "multiplicity",
+            {**_ONED, "potential": [{"index": [0], "re": "1/2"}], "params": {"mode": "both"}},
+            2,
+            "config error (potential)",
+        ),
+        (
+            "multiplicity",
+            {**IDENTITY_2D, "potential": [{"index": [-1, 0], "re": 0.5}], "params": _SECOND_PLANE},
+            2,
+            "config error (potential)",
+        ),
+        (
+            "multiplicity",
+            {**IDENTITY_2D, "potential": _POT, "params": {**_SECOND_PLANE, "k": 3}},
+            2,
+            "config error (params.k)",
+        ),
+        (
+            "multiplicity",
+            {**IDENTITY_2D, "potential": _POT, "params": {**_SECOND_PLANE, "k": 0}},
+            2,
+            "config error (params.k)",
+        ),
+        (
+            "multiplicity",
+            {**IDENTITY_2D, "potential": _POT, "params": {**_SECOND_PLANE, "member": [0, 1, 0]}},
+            2,
+            "config error (params.member)",
+        ),
+        (
+            "multiplicity",
+            {**IDENTITY_2D, "potential": _POT, "params": {**_SECOND_PLANE, "cutoff": 0.5}},
+            3,
+            "CutoffError: ",
+        ),
+        (
+            "multiplicity",
+            {**_ONED, "potential": [{"index": [1], "re": "1e400"}], "params": {"mode": "both"}},
+            2,
+            "config error (potential[0])",
+        ),
+        (
+            "multiplicity",
+            {**_ONED, "potential": [{"index": [1], "re": math.nan}], "params": {"mode": "oracle"}},
+            2,
+            "config error (potential[0])",
+        ),
+        (
+            "multiplicity",
+            {
+                **_ONED,
+                "potential": [{"index": [-1], "re": 0.5}, {"index": [1], "re": 0.5}],
+                "params": {"mode": "oracle"},
+            },
+            3,
+            "TriangularityError: ",
         ),
     ],
     ids=[
@@ -397,7 +470,18 @@ _POT = [{"index": [1, 0], "re": 0.1}]
         "fermi-resolution-1",
         "fermi-negative-rho",
         "fermi-negative-threshold",
+        "oracle-huge-int-cutoff",
+        "bloch-huge-int-t",
         "oracle-gamma-outside-ball",
+        "multiplicity-1d-criterion-nonpositive-harmonic",
+        "multiplicity-second-plane-wrong-class",
+        "multiplicity-k-above-dimension",
+        "multiplicity-k-zero",
+        "multiplicity-member-wrong-length",
+        "multiplicity-member-outside-ball",
+        "multiplicity-potential-overflow",
+        "multiplicity-potential-nan",
+        "multiplicity-oracle-not-triangular",
     ],
 )
 def test_contract_exit_codes(tmp_path, capsys, command, config, code, stderr_start):
@@ -408,3 +492,110 @@ def test_contract_exit_codes(tmp_path, capsys, command, config, code, stderr_sta
     assert captured.out == ""
     assert captured.err.startswith(stderr_start)
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+def test_null_numeric_param_means_default(tmp_path, capsys):
+    config = {**_ONED, "potential": [{"index": [1], "re": "1/2"}], "params": {"mode": "both"}}
+    absent = run(tmp_path, capsys, config, "multiplicity")
+    config["params"].update(n=None, cutoff=None)
+    assert run(tmp_path, capsys, config, "multiplicity") == absent
+    assert absent[0] == 0
+    config = {**IDENTITY_2D, "potential": _POT}
+    absent = run(tmp_path, capsys, config, "oracle")
+    assert run(tmp_path, capsys, {**config, "params": {"gamma": None}}, "oracle") == absent
+    assert absent[0] == 0
+
+
+def test_multiplicity_oracle_counts_the_constant_harmonic(tmp_path, capsys):
+    # q_0 = -12 pi^2 puts the diagonal |2 pi m|^2 + q_0 on lam = 4 pi^2 at m = +-2
+    config = {
+        **_ONED,
+        "potential": [{"index": [0], "re": "-12"}],
+        "t": [0.0],
+        "params": {"mode": "oracle", "n": 1},
+    }
+    code, report = run_json(tmp_path, capsys, config, "multiplicity")
+    assert (code, report["oracle_multiplicity"]) == (0, 2)
+
+
+# -- fuzzed multiplicity configs -------------------------------------------------
+
+_ONED_VALID = {
+    "dimension": 1,
+    "generators": [[2 * math.pi]],
+    "potential": [{"index": [1], "re": "1/2"}, {"index": [2], "re": "-1/16"}],
+    "t": [0.0],
+    "params": {"mode": "both", "n": 1, "cutoff": 8.0},
+}
+_TWOD_VALID = {
+    **IDENTITY_2D,
+    "potential": [{"index": [1, -1], "re": 0.3}, {"index": [1, 0], "re": 0.25}],
+    "t": [0.0, 0.0],
+    "params": {"mode": "2d-second-plane", "k": 1, "member": [0, 1], "cutoff": 8.0},
+}
+_JUNK = st.sampled_from([None, "x", [], {}, True, 1.5])
+_VALUE = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from([0, -1, "1/3", "-7/4", math.nan, math.inf, 10**400, "1e400", "1/0", "x"]),
+    _JUNK,
+)
+
+
+@st.composite
+def _mutated_multiplicity_config(draw):
+    """A valid 1-D or 2-D multiplicity config with one to three fields mutated."""
+    config = json.loads(json.dumps(draw(st.sampled_from([_ONED_VALID, _TWOD_VALID]))))
+    params, records = config["params"], config["potential"]
+    dim = config["dimension"]
+    index = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    for kind in draw(st.lists(st.integers(0, 8), min_size=1, max_size=3)):
+        if kind == 0:
+            params["mode"] = draw(
+                st.sampled_from(["1d-criterion", "oracle", "both", "2d-second-plane", "x"])
+            )
+        elif kind == 1:
+            params["n"] = draw(st.one_of(st.integers(-1, 3), _JUNK))
+        elif kind == 2:
+            params["k"] = draw(st.one_of(st.integers(-1, 3), _JUNK))
+        elif kind == 3:
+            params["member"] = draw(
+                st.one_of(index, st.lists(st.integers(-2, 2), max_size=3), _JUNK)
+            )
+        elif kind == 4:
+            # the cutoff stays at most 8: the oracle matrix is dense on its ball
+            params["cutoff"] = draw(st.one_of(st.floats(-1.0, 8.0), st.integers(-1, 8), _JUNK))
+        elif kind == 5:
+            records.append({"index": draw(index), "re": draw(st.floats(-2.0, 2.0))})
+        elif records and kind == 6:
+            records.pop(draw(st.integers(0, len(records) - 1)))
+        elif records and kind == 7:
+            rec = records[draw(st.integers(0, len(records) - 1))]
+            rec[draw(st.sampled_from(["re", "im"]))] = draw(_VALUE)
+        elif records:
+            rec = records[draw(st.integers(0, len(records) - 1))]
+            rec["index"] = draw(st.one_of(index, st.lists(st.integers(-2, 2), max_size=3), _JUNK))
+    return config
+
+
+@settings(
+    max_examples=120,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(config=_mutated_multiplicity_config())
+def test_fuzzed_multiplicity_keeps_exit_contract(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/config.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli.main(["multiplicity", "--config", path])
+    assert code in (0, 2, 3, 4)
+    assert err.getvalue().count("\n") <= 1
+    # outside pytest a warning would print two more stderr lines
+    assert [str(w.message) for w in caught] == []

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -250,6 +251,171 @@ def test_jordan_chain_excess_invariant_subset_guard():
     with pytest.raises(ValueError):
         # a p = 0 index other than the probe member leaks
         galerkin.jordan_chain_excess(op, 1.0, subset=[(0, 1), (-1, 0)])
+
+
+# -- window rank probes against the dense references -----------------------------
+
+@pytest.mark.parametrize("n", (1, 2))
+def test_rank_probes_equal_dense_reference_oned(n):
+    rng = np.random.default_rng(61 + n)
+    cases = [{1: a, 2: -a * a / 4} for a in (Fraction(1, 2), Fraction(2, 5), Fraction(7, 4))]
+    for _ in range(6):
+        draws = helpers.ONED_DRAWS
+        cases.append({m: draws[int(rng.integers(1 if m == 1 else 0, len(draws)))] for m in range(1, 5)})
+    answers = set()
+    for reduced in cases:
+        mult, op, lam = helpers.oned_oracle_multiplicity(reduced, n)
+        assert mult == helpers.reference_geometric_multiplicity(op, lam)
+        excess = galerkin.jordan_chain_excess(op, lam)
+        assert excess == helpers.reference_jordan_chain_excess(op, lam)
+        answers.add((mult, excess))
+    assert {(2, 0), (1, 1)} <= answers
+
+
+def _second_plane_case(rng, lam, k, drop):
+    """Identity lattice, t = 0: a (k, '+') potential and a second-plane member
+    of the lam group; ``drop`` removes every criterion path coefficient, else
+    one is forced in."""
+    s = 1 if rng.uniform() < 0.5 else -1
+    member = (0, s) if lam == 1 else (-1, s)
+    if lam == 1:
+        critical = {(1, -s)}
+    else:
+        critical = {(2, 1 - s), (2, -1 - s)} | {(1, a) for a in range(-2, 3)}
+    candidates = [(p, a) for p in (1, 2) for a in range(-2, 3)]
+    picks = rng.choice(len(candidates), size=int(rng.integers(3, 7)), replace=False)
+    coeffs = {candidates[i]: helpers.random_unit_disc(rng, 0.6) for i in sorted(picks)}
+    coeffs.setdefault((2, -1), helpers.random_unit_disc(rng, 0.6))
+    if drop:
+        coeffs = {n: v for n, v in coeffs.items() if n not in critical}
+    else:
+        coeffs.setdefault((2, 1 - s) if lam == 2 else (1, -s), 0.4)
+    if k == 2:
+        coeffs = {(a, p): v for (p, a), v in coeffs.items()}
+        member = member[::-1]
+    return hb.FourierPotential(BASIS, coeffs), member
+
+
+@pytest.mark.parametrize("lam, k", ((1, 1), (1, 2), (2, 1), (2, 2)))
+def test_rank_probes_equal_dense_reference_second_plane(lam, k):
+    rng = np.random.default_rng(67 + 2 * lam + k)
+    answers = set()
+    for drop in (True, False) * 3:
+        q, member = _second_plane_case(rng, lam, k, drop)
+        op = galerkin.build(BASIS, q, (0.0, 0.0), 7.0)
+        second = member[k - 1]
+        subset = [n for n, p in zip(op.index_set, op.planes) if p > second] + [member]
+        excess = galerkin.jordan_chain_excess(op, float(lam), subset=subset)
+        assert excess == helpers.reference_jordan_chain_excess(op, float(lam), subset=subset)
+        assert galerkin.jordan_chain_excess(op, float(lam)) == (
+            helpers.reference_jordan_chain_excess(op, float(lam))
+        )
+        assert galerkin.geometric_multiplicity(op, float(lam)) == (
+            helpers.reference_geometric_multiplicity(op, float(lam))
+        )
+        answers.add(excess)
+    assert answers == {0, 1}
+
+
+def test_free_operator_window_spans_three_planes():
+    op = galerkin.build(BASIS, hb.FourierPotential(BASIS, {}), (0.0, 0.0), 2.5)
+    rows = [i for i, p in enumerate(op.planes) if -1 <= p <= 1]
+    expected = op.matrix[np.ix_(rows, rows)] - np.eye(len(rows))
+    assert np.array_equal(galerkin._window_block(op, 1.0), expected)
+    assert galerkin.geometric_multiplicity(op, 1.0) == 4
+    assert helpers.reference_geometric_multiplicity(op, 1.0) == 4
+    assert galerkin.jordan_chain_excess(op, 1.0) == 0
+    assert helpers.reference_jordan_chain_excess(op, 1.0) == 0
+
+
+def test_rank_probes_equal_dense_reference_skewed_basis():
+    basis = hb.LatticeBasis(np.array([[1.0, 0.0], [0.5, 0.9]]))
+    t = (0.31, 0.17)
+    rng = np.random.default_rng(71)
+    for _ in range(3):
+        q = helpers.random_halfspace_potential(rng, basis, max_harmonics=4)
+        op = galerkin.build(basis, q, t, 4.0)
+        for lam in sorted(set(op.diagonal.tolist()))[::5]:
+            assert galerkin.geometric_multiplicity(op, lam) == (
+                helpers.reference_geometric_multiplicity(op, lam)
+            )
+            assert galerkin.jordan_chain_excess(op, lam) == (
+                helpers.reference_jordan_chain_excess(op, lam)
+            )
+
+
+def test_rank_probes_off_the_diagonal_have_empty_window():
+    q = hb.FourierPotential(BASIS, {(1, 0): 0.3, (1, 1): 0.2j})
+    op = galerkin.build(BASIS, q, T, 3.0)
+    lam = 0.5 * (op.diagonal[0] + op.diagonal[1]) + 0.123
+    assert galerkin._window_block(op, lam).shape == (0, 0)
+    assert galerkin.geometric_multiplicity(op, lam) == 0
+    assert helpers.reference_geometric_multiplicity(op, lam) == 0
+    assert galerkin.jordan_chain_excess(op, lam) == 0
+    assert helpers.reference_jordan_chain_excess(op, lam) == 0
+
+
+def test_rank_probes_read_the_constant_harmonic_on_the_diagonal():
+    # q_0 = -12 pi^2 shifts the diagonal to 4 pi^2 (m^2 - 3): it meets
+    # lam = 4 pi^2 at m = +-2, planes the free values |2 pi m|^2 would not pick
+    basis = hb.LatticeBasis(np.array([[2 * math.pi]]))
+    pi_sq = math.pi ** 2
+    lam = 4 * pi_sq
+    answers = []
+    for coeffs in ({(0,): -12 * pi_sq}, {(0,): -12 * pi_sq, (1,): 0.5 * pi_sq}):
+        op = galerkin.build(basis, hb.FourierPotential(basis, coeffs), (0.0,), 30.0)
+        mult = galerkin.geometric_multiplicity(op, lam)
+        assert mult == helpers.reference_geometric_multiplicity(op, lam)
+        assert galerkin.jordan_chain_excess(op, lam) == (
+            helpers.reference_jordan_chain_excess(op, lam)
+        )
+        answers.append(mult)
+    assert answers[0] == 2
+
+
+def test_explicit_rank_tol_widens_the_window():
+    op = galerkin.build(BASIS, hb.FourierPotential(BASIS, {}), (0.0, 0.0), 2.5)
+    # gaps |n|^2 - 1 of 3 at (0, +-2) and (+-2, 0): rank_tol 3.5 calls them
+    # zero, also on the planes +-2 that hold no gap within eigen_eq_tol
+    with pytest.warns(UserWarning, match="borderline rank decision"):
+        assert galerkin.geometric_multiplicity(op, 1.0, rank_tol=3.5) == 13
+    assert helpers.reference_geometric_multiplicity(op, 1.0, rank_tol=3.5) == 13
+    # at lam = 3.3 no gap is within 0.6, but the gaps 0.7 at |n|^2 = 4 square
+    # to 0.49, which the threshold calls zero in (M - lam)^2
+    assert galerkin.jordan_chain_excess(op, 3.3, rank_tol=0.6) == 4
+    assert helpers.reference_jordan_chain_excess(op, 3.3, rank_tol=0.6) == 4
+
+
+def test_rank_threshold_independent_of_cutoff(monkeypatch):
+    thresholds = []
+    rank = galerkin._numerical_rank
+
+    def recording_rank(mat, rank_tol):
+        result = rank(mat, rank_tol)
+        thresholds.append(result[2])
+        return result
+
+    monkeypatch.setattr(galerkin, "_numerical_rank", recording_rank)
+    reduced = {1: Fraction(2, 5), 2: -Fraction(1, 25)}
+    for planes in (5, 8, 12):
+        helpers.oned_oracle_multiplicity(reduced, 1, cutoff_planes=planes)
+    assert len(thresholds) == 3 and len(set(thresholds)) == 1
+
+
+def test_explicit_rank_tol_is_absolute_and_borderline_warns():
+    op = galerkin.build(BASIS, hb.FourierPotential(BASIS, {}), (0.0, 0.0), 2.5)
+    # window gaps |n|^2 - 1 are 0 (four times), 1 (five times) and 3 or 4
+    with pytest.warns(UserWarning, match="borderline rank decision"):
+        assert galerkin.geometric_multiplicity(op, 1.0, rank_tol=1.5) == 9
+
+
+def test_rank_probes_require_triangularity():
+    q = hb.FourierPotential(BASIS, {(1, 0): 1.0, (-1, 0): 1.0})
+    op = galerkin.build(BASIS, q, T, 2.0)
+    for probe in (galerkin.geometric_multiplicity, galerkin.jordan_chain_excess):
+        with pytest.raises(TriangularityError) as err:
+            probe(op, float(op.diagonal[0]))
+        assert (err.value.row, err.value.col) == galerkin.triangularity_witness(op)
 
 
 def test_matrix_csv_round_trip():
