@@ -24,7 +24,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from . import bloch, galerkin, isoenergetic, potential, rootfn, spectrum
+from . import bloch, galerkin, isoenergetic, jsonfmt, potential, rootfn, spectrum
 from .errors import (
     ConfigError,
     CutoffError,
@@ -277,6 +277,15 @@ def _param_index(params: dict, key: str, basis: LatticeBasis, default) -> tuple[
     return tuple(raw)
 
 
+def _require_class_s(q: potential.FourierPotential, use: str) -> None:
+    """:class:`ConfigError` unless q is zero or classified into a half-lattice."""
+    if q.classification is None and q.coeffs:
+        raise ConfigError(
+            f"{use} needs a potential in class S (support in one open half-lattice)",
+            field="potential",
+        )
+
+
 # -- commands ------------------------------------------------------------------
 
 
@@ -307,6 +316,7 @@ def cmd_classify(doc: dict) -> tuple[dict, int]:
 def cmd_bloch(doc: dict) -> tuple[dict, int]:
     basis = parse_basis(doc)
     pot = parse_potential(doc, basis)
+    _require_class_s(pot.q, "bloch")
     t = parse_t(doc, basis)
     params = _params(doc)
     gamma = _param_index(params, "gamma", basis, [0] * basis.dimension)
@@ -379,6 +389,9 @@ def cmd_oracle(doc: dict, want_matrix: bool = False):
     if not triangular:
         report["spectrum_match"] = False
         return report, EXIT_GUARD
+    # a triangular matrix can still come from an unclassifiable potential,
+    # e.g. a constant harmonic q_0 beside others; the closed form needs class S
+    _require_class_s(pot.q, "oracle")
 
     spectrum_values = galerkin.truncated_spectrum(op)
     free_values = tuple(sorted(spectrum.eigenvalues(basis, op.index_set, t).tolist()))
@@ -549,7 +562,7 @@ def cmd_fermi(doc: dict, as_csv: bool):
 
 
 def _write_output(payload, out_path: str | None) -> None:
-    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n"
+    text = payload if isinstance(payload, str) else jsonfmt.dumps(payload) + "\n"
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
     else:

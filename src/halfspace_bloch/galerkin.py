@@ -41,7 +41,6 @@ does.
 
 from __future__ import annotations
 
-import io
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -91,7 +90,12 @@ class TruncatedOperator:
         return self._positions[as_index(n, self.basis.dimension)]
 
     def eigen_eq_tol(self) -> float:
-        scale = float(np.max(np.abs(self.diagonal))) if self.size else 0.0
+        """Width within which two diagonal entries M_jj count as equal.
+
+        Scaled by the largest |M_jj| = ||g + t|^2 + q_0|, the entries the
+        backsolves and the window probes compare.
+        """
+        scale = float(np.max(np.abs(np.diagonal(self.matrix)))) if self.size else 0.0
         return DIAG_EQ_SCALE * (1.0 + scale)
 
     @cached_property
@@ -151,13 +155,19 @@ def build(
 
 
 def _first_grading_violation(op: TruncatedOperator) -> tuple[IndexVector, IndexVector] | None:
-    p = np.asarray(op.planes)
-    bad = (p[:, None] <= p[None, :]) & (op.matrix != 0)
-    np.fill_diagonal(bad, False)
-    rows, cols = np.nonzero(bad)
-    if rows.size == 0:
-        return None
-    return op.index_set[rows[0]], op.index_set[cols[0]]
+    # The planes ascend, so the entries with row plane <= column plane are,
+    # for each plane block [s, e) of rows, those in columns s onward.  Blocks
+    # are scanned in row order and each in row-major order, so the first hit
+    # is the first violation in row-major order of the whole matrix.
+    planes = np.asarray(op.planes)
+    starts = np.flatnonzero(np.diff(planes, prepend=planes[:1] - 1))
+    for s, e in zip(starts.tolist(), [*starts[1:].tolist(), op.size]):
+        bad = op.matrix[s:e, s:] != 0
+        np.fill_diagonal(bad, False)  # the block's own diagonal, M_jj
+        rows, cols = np.nonzero(bad)
+        if rows.size:
+            return op.index_set[s + rows[0]], op.index_set[s + cols[0]]
+    return None
 
 
 def triangularity_witness(op: TruncatedOperator) -> tuple[IndexVector, IndexVector] | None:
@@ -221,6 +231,8 @@ class BacksolveResult:
 def eigenvector_backsolve(op: TruncatedOperator, i: int) -> BacksolveResult:
     """Solve (M - lam I) x = 0 with x = 1 at diagonal position i, zeros before.
 
+    lam is the diagonal entry M_ii = |g + t|^2 + q_0, constant harmonic included.
+
     Rows after i with the same diagonal value are consistency checks: a
     nonzero accumulated right-hand side there means no eigenvector has this
     leading term (:class:`NoEigenvectorError`); a zero one leaves the entry
@@ -230,7 +242,7 @@ def eigenvector_backsolve(op: TruncatedOperator, i: int) -> BacksolveResult:
     n = op.size
     if not 0 <= i < n:
         raise IndexError(f"diagonal position {i} out of range")
-    lam = op.diagonal[i]
+    lam = op.matrix[i, i]
     eq_tol = op.eigen_eq_tol()
     x = np.zeros(n, dtype=complex)
     x[i] = 1.0
@@ -257,6 +269,8 @@ def first_associated_backsolve(
 ) -> tuple[BacksolveResult, complex]:
     """Solve (M - lam I) x = c * eigvec with x = 1 at position i; returns (x, c).
 
+    lam is the diagonal entry M_ii, as in :func:`eigenvector_backsolve`.
+
     The scalar c is fixed at the first repeated-diagonal row where the
     eigenvector has a nonzero entry; later repeated rows must agree within
     the diagonal tolerance or :class:`NoEigenvectorError` is raised.  Like
@@ -264,7 +278,7 @@ def first_associated_backsolve(
     """
     _require_triangular(op, "back substitution")
     n = op.size
-    lam = op.diagonal[i]
+    lam = op.matrix[i, i]
     eq_tol = op.eigen_eq_tol()
     x = np.zeros(n, dtype=complex)
     x[i] = 1.0
@@ -394,14 +408,14 @@ def jordan_chain_excess(
 
 
 def matrix_csv(op: TruncatedOperator) -> str:
-    """Dense matrix as CSV, row-major, cells formatted re+imi."""
-    buf = io.StringIO()
-    for row in op.matrix:
-        buf.write(
-            ",".join(f"{c.real:.17g}{c.imag:+.17g}i" for c in row)
-        )
-        buf.write("\n")
-    return buf.getvalue()
+    """Dense matrix as CSV, row-major, cells formatted re+imi.
+
+    One ``%``-template formats a row from its interleaved real and imaginary
+    parts; ``"%.17g%+.17gi"`` is the cell ``f"{c.real:.17g}{c.imag:+.17g}i"``.
+    """
+    row = ",".join(["%.17g%+.17gi"] * op.size) + "\n"
+    parts = op.matrix.view(float).reshape(op.size, 2 * op.size)
+    return "".join([row % tuple(r.tolist()) for r in parts])
 
 
 def interior_cone(

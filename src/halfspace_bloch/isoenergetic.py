@@ -35,7 +35,6 @@ Each |n + t|^2 is the stacked matmul of
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -66,16 +65,17 @@ class SurfaceSample:
     points: tuple[tuple[tuple[float, ...], float, IndexVector], ...]
 
     def to_csv(self) -> str:
+        """The points as CSV under a header, formatted by one ``%``-template.
+
+        ``"%.17g"`` is ``f"{x:.17g}"`` and ``"%s"`` is ``str(g)``.
+        """
         dim = self.dimension
-        buf = io.StringIO()
         cols = [f"t_{i+1}" for i in range(dim)] + ["distance"] + [
             f"gamma_{i+1}" for i in range(dim)
         ]
-        buf.write(",".join(cols) + "\n")
-        for t, dist, gamma in self.points:
-            row = [f"{x:.17g}" for x in t] + [f"{dist:.17g}"] + [str(g) for g in gamma]
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
+        row = ",".join(["%.17g"] * (dim + 1) + ["%s"] * dim) + "\n"
+        values = [v for t, dist, gamma in self.points for v in (*t, dist, *gamma)]
+        return ",".join(cols) + "\n" + (row * len(self.points)) % tuple(values)
 
 
 def _check_cutoff(basis: LatticeBasis, rho: float, cutoff: float) -> None:

@@ -460,3 +460,39 @@ def reference_jordan_chain_excess(op, lam, rank_tol=None, subset=None):
         a = a[np.ix_(pos, pos)]
     size = a.shape[0]
     return (size - _dense_rank(a @ a, rank_tol)) - (size - _dense_rank(a, rank_tol))
+
+
+# -- triangularity and CSV references --------------------------------------------
+# The dense witness scan and the per-cell CSV loops that the block scan and
+# the %-templates replaced; the library must give the same witness and the
+# same text.
+
+
+def reference_grading_violation(op):
+    """First entry (row-major) with row plane <= column plane, off the diagonal."""
+    p = np.asarray(op.planes)
+    bad = (p[:, None] <= p[None, :]) & (op.matrix != 0)
+    np.fill_diagonal(bad, False)
+    rows, cols = np.nonzero(bad)
+    if rows.size == 0:
+        return None
+    return op.index_set[rows[0]], op.index_set[cols[0]]
+
+
+def reference_surface_csv(sample):
+    dim = sample.dimension
+    cols = [f"t_{i+1}" for i in range(dim)] + ["distance"] + [
+        f"gamma_{i+1}" for i in range(dim)
+    ]
+    lines = [",".join(cols)]
+    for t, dist, gamma in sample.points:
+        row = [f"{x:.17g}" for x in t] + [f"{dist:.17g}"] + [str(g) for g in gamma]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_matrix_csv(op):
+    return "".join(
+        ",".join(f"{c.real:.17g}{c.imag:+.17g}i" for c in row) + "\n"
+        for row in op.matrix
+    )

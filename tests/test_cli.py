@@ -457,6 +457,19 @@ _SECOND_PLANE = {"mode": "2d-second-plane", "k": 1, "member": [0, 1], "cutoff": 
             3,
             "TriangularityError: ",
         ),
+        (
+            "bloch",
+            {**IDENTITY_2D, "potential": [{"index": [-1, 0], "re": 0.1}, *_POT]},
+            2,
+            "config error (potential)",
+        ),
+        (
+            # q_0 sits on the diagonal: the matrix is triangular, the potential not in S
+            "oracle",
+            {**IDENTITY_2D, "potential": [{"index": [0, 0], "re": 0.7}, *_POT]},
+            2,
+            "config error (potential)",
+        ),
     ],
     ids=[
         "evaluate-at-non-number",
@@ -482,6 +495,8 @@ _SECOND_PLANE = {"mode": "2d-second-plane", "k": 1, "member": [0, 1], "cutoff": 
         "multiplicity-potential-overflow",
         "multiplicity-potential-nan",
         "multiplicity-oracle-not-triangular",
+        "bloch-potential-not-in-s",
+        "oracle-triangular-potential-not-in-s",
     ],
 )
 def test_contract_exit_codes(tmp_path, capsys, command, config, code, stderr_start):
@@ -577,15 +592,9 @@ def _mutated_multiplicity_config(draw):
     return config
 
 
-@settings(
-    max_examples=120,
-    derandomize=True,
-    deadline=None,
-    database=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(config=_mutated_multiplicity_config())
-def test_fuzzed_multiplicity_keeps_exit_contract(config):
+def _exit_contract_holds(command: str, config: dict) -> None:
+    """Run ``command`` on ``config``: a documented exit code, at most one stderr
+    line, no traceback and no warning."""
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/config.json"
         with open(path, "w", encoding="utf-8") as fh:
@@ -594,8 +603,107 @@ def test_fuzzed_multiplicity_keeps_exit_contract(config):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                code = cli.main(["multiplicity", "--config", path])
+                code = cli.main([command, "--config", path])
     assert code in (0, 2, 3, 4)
     assert err.getvalue().count("\n") <= 1
     # outside pytest a warning would print two more stderr lines
     assert [str(w.message) for w in caught] == []
+
+
+_FUZZ_SETTINGS = settings(
+    max_examples=120,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@_FUZZ_SETTINGS
+@given(config=_mutated_multiplicity_config())
+def test_fuzzed_multiplicity_keeps_exit_contract(config):
+    _exit_contract_holds("multiplicity", config)
+
+
+# -- fuzzed bloch and oracle configs ---------------------------------------------
+
+_TWOD_POTENTIAL = [{"index": [1, 0], "re": 0.1}, {"index": [1, 1], "re": 0.05, "im": 0.02}]
+_BLOCH_VALID = {
+    **IDENTITY_2D,
+    "potential": _TWOD_POTENTIAL,
+    "t": [0.31, 0.17],
+    "params": {"method": "both", "order": 4, "depth": 4},
+}
+_ORACLE_VALID = {
+    **IDENTITY_2D,
+    "potential": _TWOD_POTENTIAL,
+    "t": [0.31, 0.17],
+    "params": {"cutoff": 4.0, "gamma": [0, 0]},
+}
+
+
+@st.composite
+def _mutated_twod_config(draw, valid: dict, param_values: dict):
+    """``valid`` with one to three fields mutated: a parameter drawn from
+    ``param_values``, ``t``, ``mode``, or a potential record."""
+    config = json.loads(json.dumps(valid))
+    params, records = config["params"], config["potential"]
+    index = st.lists(st.integers(-2, 2), min_size=2, max_size=2)
+    for kind in draw(st.lists(st.integers(0, 6), min_size=1, max_size=3)):
+        if kind == 0:
+            key = draw(st.sampled_from(sorted(param_values)))
+            params[key] = draw(st.one_of(param_values[key], _JUNK))
+        elif kind == 1:
+            config["t"] = draw(
+                st.one_of(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2), _JUNK)
+            )
+        elif kind == 2:
+            config["mode"] = draw(st.sampled_from(["summable", "square-summable", "x"]))
+        elif kind == 3:
+            records.append({"index": draw(index), "re": draw(st.floats(-2.0, 2.0))})
+        elif records and kind == 4:
+            records.pop(draw(st.integers(0, len(records) - 1)))
+        elif records and kind == 5:
+            rec = records[draw(st.integers(0, len(records) - 1))]
+            rec[draw(st.sampled_from(["re", "im"]))] = draw(_VALUE)
+        elif records:
+            rec = records[draw(st.integers(0, len(records) - 1))]
+            rec["index"] = draw(st.one_of(index, st.lists(st.integers(-2, 2), max_size=3), _JUNK))
+    return config
+
+
+_GAMMA = st.lists(st.integers(-2, 2), min_size=2, max_size=2)
+
+
+@_FUZZ_SETTINGS
+@given(
+    config=_mutated_twod_config(
+        _BLOCH_VALID,
+        {
+            "method": st.sampled_from(["series", "closed-form", "both", "x"]),
+            # orders and depths stay small: each term is a convolution
+            "order": st.integers(-1, 6),
+            "depth": st.integers(-1, 6),
+            "gamma": _GAMMA,
+            "tail_tol": st.sampled_from([1e-30, 1e-12, 0.5, -1.0, math.inf, math.nan]),
+            "evaluate_at": st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+        },
+    )
+)
+def test_fuzzed_bloch_keeps_exit_contract(config):
+    _exit_contract_holds("bloch", config)
+
+
+@_FUZZ_SETTINGS
+@given(
+    config=_mutated_twod_config(
+        _ORACLE_VALID,
+        {
+            # the cutoff stays at most 5: the oracle matrix is dense on its ball
+            "cutoff": st.one_of(st.floats(-1.0, 5.0), st.integers(-1, 5)),
+            "gamma": _GAMMA,
+        },
+    )
+)
+def test_fuzzed_oracle_keeps_exit_contract(config):
+    _exit_contract_holds("oracle", config)

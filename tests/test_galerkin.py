@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -100,6 +101,41 @@ def test_backsolves_require_triangularity():
     assert (err.value.row, err.value.col) == galerkin.triangularity_witness(op)
 
 
+@pytest.mark.parametrize(
+    "coeffs, witnessed",
+    [
+        ({(1, 0): 0.2, (1, 1): 0.1}, False),
+        ({(0, -2): 1.0, (1, -5): 1.0}, False),  # classified (2, '-')
+        ({(0, 0): 0.7, (1, 0): 0.3}, False),  # q_0 sits on the diagonal
+        ({(1, 0): 1.0, (-1, 0): 1.0}, True),
+        ({(2, 1): 0.5, (-1, 3): 0.25j, (1, -1): 0.1}, True),
+        # same-plane couplings: the witness lies inside a diagonal block
+        ({(0, 1): 1.0, (0, -1): 1.0}, True),
+        ({(1, 0): 0.3, (0, 2): 0.2, (0, -1): 0.1}, True),
+    ],
+)
+def test_grading_witness_equals_dense_scan(coeffs, witnessed):
+    basis = hb.LatticeBasis(np.array([[1.0, 0.0], [0.5, 0.9]]))
+    rng = np.random.default_rng(59)
+    ops = [
+        galerkin.build(b, hb.FourierPotential(b, coeffs), T, cutoff)
+        for b in (BASIS, basis)
+        for cutoff in (0.0, 2.0, 4.5)
+    ]
+    if not witnessed:
+        ops += [
+            galerkin.build(BASIS, helpers.random_halfspace_potential(rng, BASIS, k, sign), T, 4.0)
+            for k, sign in ((1, "+"), (2, "-"))
+        ]
+    for op in ops:
+        witness = galerkin.triangularity_witness(op)
+        assert witness == helpers.reference_grading_violation(op)
+        assert (witness is not None) == (witnessed and op.size > 1)
+    if coeffs.keys() == {(0, 1), (0, -1)}:
+        row, col = witness
+        assert row[0] == col[0]
+
+
 @pytest.mark.parametrize("coeffs", ({(1, 0): 0.2, (1, 1): 0.1}, {(1, 0): 1.0, (-1, 0): 1.0}))
 def test_triangularity_mask_built_once_and_lazily(monkeypatch, coeffs):
     scans = []
@@ -180,6 +216,21 @@ def test_backsolve_matches_closed_form_on_interior_cone():
         node = (delta[0], delta[1])
         value = result.vector[op.position(node)]
         assert abs(value - closed.coeffs.get(delta, 0j)) < 1e-10
+
+
+def test_backsolves_use_the_matrix_diagonal():
+    # the constant harmonic moves every M_jj = |g + t|^2 + q_0 off the free value
+    q = hb.FourierPotential(BASIS, {(0, 0): 0.7, (1, 0): 0.3})
+    op = galerkin.build(BASIS, q, (0.1, 0.2), 3.0)
+    i = op.position((0, 0))
+    shifted = op.matrix - op.matrix[i, i] * np.eye(op.size)
+    eig = galerkin.eigenvector_backsolve(op, i)
+    assert np.linalg.norm(shifted @ eig.vector) <= op.eigen_eq_tol()
+    chain, c = galerkin.first_associated_backsolve(op, i, eig.vector)
+    assert np.linalg.norm(shifted @ chain.vector - c * eig.vector) <= op.eigen_eq_tol()
+    assert op.eigen_eq_tol() == galerkin.DIAG_EQ_SCALE * (
+        1.0 + np.max(np.abs(np.diagonal(op.matrix)))
+    )
 
 
 def test_backsolve_unit_leading_normalization():
@@ -428,6 +479,19 @@ def test_matrix_csv_round_trip():
         [[complex(cell.replace("i", "j")) for cell in row] for row in rows]
     )
     assert np.allclose(parsed, op.matrix)
+
+
+def test_matrix_csv_equals_per_cell_loop():
+    rng = np.random.default_rng(61)
+    q = helpers.random_halfspace_potential(rng, BASIS, coeff_scale=0.3)
+    op = galerkin.build(BASIS, q, T, 10.0)
+    assert op.size >= 300
+    assert galerkin.matrix_csv(op) == helpers.reference_matrix_csv(op)
+    # signed zeros and extreme magnitudes, in a matrix the build never makes
+    cells = np.array([[complex(-0.0, -0.0), 0j], [1e-300 - 1e300j, complex(-0.0, 2.5)]])
+    small = dataclasses.replace(op, matrix=cells, index_set=op.index_set[:2])
+    assert galerkin.matrix_csv(small) == helpers.reference_matrix_csv(small)
+    assert galerkin.matrix_csv(small).startswith("-0-0i,0+0i\n")
 
 
 def _interior_cone_chain_oracle(op, gamma, q):

@@ -106,6 +106,25 @@ def test_csv_export_round_trip():
     assert float(first[2]) <= 0.02
 
 
+def test_csv_equals_per_point_loop():
+    samples = [
+        isoenergetic.sample_surface(basis, rho, resolution, threshold)
+        for basis in (BASIS, hb.LatticeBasis(np.array([[1.0, 0.0], [0.5, math.sqrt(3) / 2]])))
+        for rho, resolution, threshold in ((0.5, 21, 0.02), (0.4, 3, 0.0), (0.77, 9, math.inf))
+    ]
+    assert any(not s.points for s in samples) and any(s.points for s in samples)
+    # signed zeros and a 1-D and a 3-D table, as the dataclass admits them
+    samples += [
+        isoenergetic.SurfaceSample(0.5, 2, 0.1, 2, (((-0.0, 0.5), -0.0, (0, -1)),)),
+        isoenergetic.SurfaceSample(0.5, 2, 0.1, 1, (((1e-300,), 0.1, (3,)),)),
+        isoenergetic.SurfaceSample(0.5, 2, 0.1, 3, ()),
+    ]
+    for sample in samples:
+        assert sample.to_csv() == helpers.reference_surface_csv(sample)
+    assert samples[-3].to_csv().splitlines()[1] == "-0,0.5,-0,0,-1"
+    assert samples[-1].to_csv() == "t_1,t_2,t_3,distance,gamma_1,gamma_2,gamma_3\n"
+
+
 SURFACE_BASES = {
     "identity": BASIS,
     "skewed": hb.LatticeBasis(np.array([[1.0, 0.0], [1.0, 1.0]])),
