@@ -16,6 +16,7 @@ Outputs are deterministic given the config.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -105,6 +106,8 @@ def _numbers(raw, dim: int, field: str) -> list[float]:
 
 def parse_basis(doc: dict) -> LatticeBasis:
     dim = _require(doc, "dimension", int, "dimension")
+    if dim < 1:
+        raise ConfigError("'dimension' must be at least 1", field="dimension")
     gens = _require(doc, "generators", list, "generators")
     if len(gens) != dim:
         raise ConfigError(
@@ -326,8 +329,8 @@ def cmd_bloch(doc: dict) -> tuple[dict, int]:
             "'params.method' must be series, closed-form, or both",
             field="params.method",
         )
-    order = _param_int(params, "order", 8)
-    depth = _param_int(params, "depth", 6)
+    order = _param_int(params, "order", 8, minimum=1)
+    depth = _param_int(params, "depth", 6, minimum=0)
     tail_tol = _param_number(params, "tail_tol", bloch.DEFAULT_TAIL_TOL)
 
     report: dict[str, Any] = {
@@ -587,10 +590,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and reused after it."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
 

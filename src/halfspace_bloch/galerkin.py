@@ -9,6 +9,27 @@ the diagonal, eigenvectors available by forward substitution, and Jordan
 structure measurable by numerical rank, all independent of the analytic
 coefficient formulas this module is used to verify.
 
+Storage.  Each harmonic q_{g1} fills at most one entry per column, so the
+matrix holds at most |supp q| N nonzero entries, against N^2 dense.  The
+operator keeps the diagonal M_jj = |g + t|^2 + q_0, the off-diagonal
+couplings as (row, col, value) arrays sorted row-major with no zero stored,
+and the rows at which each plane block starts.  Nothing builds the N x N
+matrix; ``op.matrix`` densifies on demand, for the CSV dump and for tests.
+The triangularity witness is the first coupling, in row-major order, whose
+row plane is not above its column plane.
+
+Forward substitution by plane.  On a plane-triangular matrix the diagonal
+block of a plane is diagonal (no coupling within a plane) and every
+coupling into a row comes from a column on an earlier plane.  So once x is
+known on the planes before, the right-hand sides of all rows of the next
+plane are fixed, and none depends on another row of the same plane: one
+scatter-add of value * x[col] over that plane's couplings gives them all,
+and one divide by the gaps M_jj - lam gives x there.  This is the row-by-row
+substitution with its sums regrouped, so it is exact up to the order of
+the floating-point additions.  The rows whose gap is within the diagonal
+tolerance are checked per plane, in row order and with the same tolerance,
+so a failure is reported at the row the row-by-row loop would stop at.
+
 Rank probes on the plane window.  Group the rows of A = M - lam I by plane.
 A is block lower triangular and every diagonal block is itself diagonal,
 with the entries M_jj - lam = |g + t|^2 + q_0 - lam (q_0, the constant
@@ -63,11 +84,15 @@ DIAG_EQ_SCALE = 1e-9
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """Dense matrix of the operator on a plane-major-ordered index ball.
+    """The operator on a plane-major-ordered index ball, in plane-graded sparse form.
 
     ``index_set`` is ordered by ascending signed plane index along axis k
     (ties lexicographic), which for sign '+' is ascending plane order; the
-    matrix rows/columns follow that order.  Immutable after build.
+    rows/columns follow that order.  The matrix M is stored as its diagonal
+    ``matrix_diagonal`` (M_jj = |g + t|^2 + q_0; ``diagonal`` holds the free
+    values |g + t|^2) and its off-diagonal couplings ``(rows, cols, values)``,
+    sorted row-major with no zero stored.  ``plane_bounds`` lists the first
+    row of each plane block, then ``size``.  Immutable after build.
     """
 
     basis: LatticeBasis
@@ -76,9 +101,13 @@ class TruncatedOperator:
     k: int
     sign: str
     index_set: tuple[IndexVector, ...]
-    matrix: np.ndarray
     diagonal: np.ndarray
+    matrix_diagonal: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
     planes: tuple[int, ...]
+    plane_bounds: np.ndarray
     _positions: dict[IndexVector, int] = field(repr=False)
 
     @property
@@ -95,12 +124,24 @@ class TruncatedOperator:
         Scaled by the largest |M_jj| = ||g + t|^2 + q_0|, the entries the
         backsolves and the window probes compare.
         """
-        scale = float(np.max(np.abs(np.diagonal(self.matrix)))) if self.size else 0.0
+        scale = float(np.max(np.abs(self.matrix_diagonal))) if self.size else 0.0
         return DIAG_EQ_SCALE * (1.0 + scale)
 
     @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense N x N matrix, built on first use.
+
+        Only :func:`matrix_csv` and tests read it; no algorithm here does.
+        """
+        dense = np.zeros((self.size, self.size), dtype=complex)
+        dense[np.diag_indices(self.size)] = self.matrix_diagonal
+        dense[self.rows, self.cols] = self.values
+        dense.setflags(write=False)
+        return dense
+
+    @cached_property
     def _witness(self) -> tuple[IndexVector, IndexVector] | None:
-        # built on first use only: the rank probes never need the N x N mask
+        # built on first use only: the rank probes never need the scan
         return _first_grading_violation(self)
 
 
@@ -125,21 +166,31 @@ def build(
     size = len(index_set)
     indices = np.array(index_set, dtype=np.int64).reshape(size, basis.dimension)
     diag = eigenvalues(basis, indices, t_arr)
-    matrix = np.zeros((size, size), dtype=complex)
-    matrix[np.diag_indices(size)] = diag
     # q_{g1} couples column n to row n + g1 wherever n + g1 is in the ball;
-    # no two (row, column) pairs repeat, so one scattered add places them all
+    # no two (row, column) pairs repeat
     support, qvals = coeffset.from_mapping(q.coeffs, basis.dimension)
     targets = (support[:, None, :] + indices[None, :, :]).reshape(-1, basis.dimension)
     first, inverse = coeffset.unique_rows(np.concatenate([indices, targets]))
     position = np.full(first.size, -1)
     position[inverse[:size]] = np.arange(size)
     rows = position[inverse[size:]]
-    inside = rows >= 0
     cols = np.tile(np.arange(size), len(qvals))
-    matrix[rows[inside], cols[inside]] += np.repeat(qvals, size)[inside]
-    matrix.setflags(write=False)
-    diag.setflags(write=False)
+    vals = np.repeat(qvals, size)
+    inside = rows >= 0
+    rows, cols, vals = rows[inside], cols[inside], vals[inside]
+    # the constant harmonic q_0 lands on the diagonal; every other entry is
+    # stored as 0j + q, the value a scatter-add onto a zero matrix would hold
+    # (no zero among them: the potential keeps no zero coefficient)
+    on_diag = rows == cols
+    mdiag = diag.astype(complex)
+    mdiag[rows[on_diag]] += vals[on_diag]
+    rows, cols, vals = rows[~on_diag], cols[~on_diag], vals[~on_diag] + 0j
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    plane_arr = sig * indices[:, k - 1]
+    bounds = np.append(np.flatnonzero(np.diff(plane_arr, prepend=plane_arr[:1] - 1)), size)
+    for arr in (diag, mdiag, rows, cols, vals, bounds):
+        arr.setflags(write=False)
     return TruncatedOperator(
         basis=basis,
         q=q,
@@ -147,27 +198,25 @@ def build(
         k=k,
         sign=sign,
         index_set=index_set,
-        matrix=matrix,
         diagonal=diag,
-        planes=tuple(sig * n[k - 1] for n in index_set),
+        matrix_diagonal=mdiag,
+        rows=rows,
+        cols=cols,
+        values=vals,
+        planes=tuple(plane_arr.tolist()),
+        plane_bounds=bounds,
         _positions=positions,
     )
 
 
 def _first_grading_violation(op: TruncatedOperator) -> tuple[IndexVector, IndexVector] | None:
-    # The planes ascend, so the entries with row plane <= column plane are,
-    # for each plane block [s, e) of rows, those in columns s onward.  Blocks
-    # are scanned in row order and each in row-major order, so the first hit
-    # is the first violation in row-major order of the whole matrix.
-    planes = np.asarray(op.planes)
-    starts = np.flatnonzero(np.diff(planes, prepend=planes[:1] - 1))
-    for s, e in zip(starts.tolist(), [*starts[1:].tolist(), op.size]):
-        bad = op.matrix[s:e, s:] != 0
-        np.fill_diagonal(bad, False)  # the block's own diagonal, M_jj
-        rows, cols = np.nonzero(bad)
-        if rows.size:
-            return op.index_set[s + rows[0]], op.index_set[s + cols[0]]
-    return None
+    # The couplings are the nonzero off-diagonal entries in row-major order,
+    # so the first one with row plane <= column plane is the first violation.
+    planes = np.asarray(op.planes, dtype=int)
+    bad = np.flatnonzero(planes[op.rows] <= planes[op.cols])
+    if not bad.size:
+        return None
+    return op.index_set[op.rows[bad[0]]], op.index_set[op.cols[bad[0]]]
 
 
 def triangularity_witness(op: TruncatedOperator) -> tuple[IndexVector, IndexVector] | None:
@@ -204,7 +253,7 @@ def truncated_spectrum(op: TruncatedOperator) -> tuple[float, ...]:
     :class:`TriangularityError` (with a witness entry) when it is not.
     """
     _require_triangular(op, "reading the spectrum off the diagonal")
-    return tuple(sorted(float(x.real) for x in np.diag(op.matrix)))
+    return tuple(sorted(op.matrix_diagonal.real.tolist()))
 
 
 @dataclass(frozen=True)
@@ -228,6 +277,43 @@ class BacksolveResult:
         }
 
 
+def _substitution_start(op: TruncatedOperator, i: int):
+    """(x, eq_tol, repeated, divisor) for forward substitution from position i.
+
+    x is 1 at i and 0 elsewhere; ``repeated`` marks the rows whose gap
+    M_jj - M_ii is within ``eq_tol``; ``divisor`` is that gap, with 1 on the
+    repeated rows, whose entries the callers settle themselves.
+    """
+    if not 0 <= i < op.size:
+        raise IndexError(f"diagonal position {i} out of range")
+    x = np.zeros(op.size, dtype=complex)
+    x[i] = 1.0
+    eq_tol = op.eigen_eq_tol()
+    gap = op.matrix_diagonal - op.matrix_diagonal[i]
+    repeated = np.abs(gap) <= eq_tol
+    return x, eq_tol, repeated, np.where(repeated, 1.0, gap)
+
+
+def _plane_rhs(op: TruncatedOperator, i: int, x: np.ndarray):
+    """Yield ``(s, e, rhs)``, rhs = -(M x) on the rows s .. e-1, for the rows
+    after position i, one plane block at a time.
+
+    Every coupling into a block comes from an earlier plane (module
+    docstring), so rhs needs only the entries of x the caller has filled in
+    before it asks for the next block.
+    """
+    bounds = op.plane_bounds
+    edges = [i + 1, *bounds[np.searchsorted(bounds, i, side="right") :].tolist()]
+    cuts = np.searchsorted(op.rows, edges).tolist()
+    for s, e, lo, hi in zip(edges, edges[1:], cuts, cuts[1:]):
+        if s < e:
+            local = op.rows[lo:hi] - s
+            terms = op.values[lo:hi] * x[op.cols[lo:hi]]
+            yield s, e, -coeffset.join(
+                np.bincount(local, terms.real, e - s), np.bincount(local, terms.imag, e - s)
+            )
+
+
 def eigenvector_backsolve(op: TruncatedOperator, i: int) -> BacksolveResult:
     """Solve (M - lam I) x = 0 with x = 1 at diagonal position i, zeros before.
 
@@ -235,32 +321,27 @@ def eigenvector_backsolve(op: TruncatedOperator, i: int) -> BacksolveResult:
 
     Rows after i with the same diagonal value are consistency checks: a
     nonzero accumulated right-hand side there means no eigenvector has this
-    leading term (:class:`NoEigenvectorError`); a zero one leaves the entry
-    free and it is pinned to 0 (position flagged).
+    leading term (:class:`NoEigenvectorError`, at the first such row); a
+    zero one leaves the entry free and it is pinned to 0 (position flagged).
     """
     _require_triangular(op, "back substitution")
-    n = op.size
-    if not 0 <= i < n:
-        raise IndexError(f"diagonal position {i} out of range")
-    lam = op.matrix[i, i]
-    eq_tol = op.eigen_eq_tol()
-    x = np.zeros(n, dtype=complex)
-    x[i] = 1.0
+    x, eq_tol, repeated, divisor = _substitution_start(op, i)
     flagged: list[int] = []
-    for j in range(i + 1, n):
-        rhs = -np.dot(op.matrix[j, i:j], x[i:j])
-        gap = op.matrix[j, j] - lam
-        if abs(gap) <= eq_tol:
-            if abs(rhs) > eq_tol:
+    for s, e, rhs in _plane_rhs(op, i, x):
+        x[s:e] = rhs / divisor[s:e]
+        if repeated[s:e].any():
+            rows = s + np.flatnonzero(repeated[s:e])
+            blocked = rows[np.abs(rhs[rows - s]) > eq_tol]
+            if blocked.size:
+                j = int(blocked[0])
                 raise NoEigenvectorError(
                     f"no eigenvector with leading term {op.index_set[i]}: row "
-                    f"{op.index_set[j]} accumulates {rhs!r}",
+                    f"{op.index_set[j]} accumulates {rhs[j - s]!r}",
                     position=j,
-                    residual=complex(rhs),
+                    residual=complex(rhs[j - s]),
                 )
-            flagged.append(j)
-        else:
-            x[j] = rhs / gap
+            x[rows] = 0
+            flagged.extend(rows.tolist())
     return BacksolveResult(vector=x, leading=i, flagged=tuple(flagged))
 
 
@@ -272,42 +353,39 @@ def first_associated_backsolve(
     lam is the diagonal entry M_ii, as in :func:`eigenvector_backsolve`.
 
     The scalar c is fixed at the first repeated-diagonal row where the
-    eigenvector has a nonzero entry; later repeated rows must agree within
-    the diagonal tolerance or :class:`NoEigenvectorError` is raised.  Like
+    eigenvector has a nonzero entry, and enters the rows after that one;
+    later repeated rows must agree within the diagonal tolerance or
+    :class:`NoEigenvectorError` is raised.  Like
     :func:`eigenvector_backsolve`, it requires the plane-triangular structure.
     """
     _require_triangular(op, "back substitution")
-    n = op.size
-    lam = op.matrix[i, i]
-    eq_tol = op.eigen_eq_tol()
-    x = np.zeros(n, dtype=complex)
-    x[i] = 1.0
+    x, eq_tol, repeated, divisor = _substitution_start(op, i)
+    eigvec = np.asarray(eigvec)
     c: complex | None = None
+    fixed_at = op.size  # c enters the rows after this one
     flagged: list[int] = []
-    for j in range(i + 1, n):
-        rhs = -np.dot(op.matrix[j, i:j], x[i:j])
-        gap = op.matrix[j, j] - lam
-        if abs(gap) <= eq_tol:
-            if abs(eigvec[j]) > eq_tol:
+    for s, e, rhs in _plane_rhs(op, i, x):
+        for j in (s + np.flatnonzero(repeated[s:e])).tolist():
+            rhs_j, eig_j = rhs[j - s], eigvec[j]
+            if abs(eig_j) > eq_tol:
                 if c is None:
-                    c = complex(-rhs / eigvec[j])
-                elif abs(-rhs - c * eigvec[j]) > eq_tol * (1 + abs(c)):
+                    c, fixed_at = complex(-rhs_j / eig_j), j
+                elif abs(-rhs_j - c * eig_j) > eq_tol * (1 + abs(c)):
                     raise NoEigenvectorError(
-                        "inconsistent chain condition at row "
-                        f"{op.index_set[j]}",
+                        f"inconsistent chain condition at row {op.index_set[j]}",
                         position=j,
-                        residual=complex(rhs),
+                        residual=complex(rhs_j),
                     )
-            elif abs(rhs) > eq_tol:
+            elif abs(rhs_j) > eq_tol:
                 raise NoEigenvectorError(
-                    f"chain blocked at row {op.index_set[j]} with residual {rhs!r}",
+                    f"chain blocked at row {op.index_set[j]} with residual {rhs_j!r}",
                     position=j,
-                    residual=complex(rhs),
+                    residual=complex(rhs_j),
                 )
             flagged.append(j)
-        else:
-            contribution = c * eigvec[j] if c is not None else 0j
-            x[j] = (rhs + contribution) / gap
+        if c is not None:
+            rhs = np.where(np.arange(s, e) > fixed_at, rhs + c * eigvec[s:e], rhs)
+        x[s:e] = np.where(repeated[s:e], 0, rhs / divisor[s:e])
     return BacksolveResult(vector=x, leading=i, flagged=tuple(flagged)), (
         0j if c is None else c
     )
@@ -341,13 +419,28 @@ def _window_block(
     tol = op.eigen_eq_tol()
     if rank_tol is not None:
         tol = max(tol, rank_tol, float(np.sqrt(rank_tol)))
-    near = np.abs(np.diagonal(op.matrix)[pos] - lam) <= tol
+    near = np.abs(op.matrix_diagonal[pos] - lam) <= tol
     if near.any():
         p_lo, p_hi = planes[near].min(), planes[near].max()
         pos = pos[(planes >= p_lo) & (planes <= p_hi)]
     else:
         pos = pos[:0]
-    return op.matrix[np.ix_(pos, pos)] - lam * np.eye(pos.size)
+    return _dense_block(op, pos) - lam * np.eye(pos.size)
+
+
+def _dense_block(op: TruncatedOperator, pos: np.ndarray) -> np.ndarray:
+    """``op.matrix[np.ix_(pos, pos)]`` for ascending positions, from the stored entries."""
+    block = np.zeros((pos.size, pos.size), dtype=complex)
+    if not pos.size:
+        return block
+    block[np.diag_indices(pos.size)] = op.matrix_diagonal[pos]
+    local = np.full(op.size, -1)
+    local[pos] = np.arange(pos.size)
+    lo, hi = np.searchsorted(op.rows, (pos[0], pos[-1] + 1))
+    rows, cols = local[op.rows[lo:hi]], local[op.cols[lo:hi]]
+    inside = (rows >= 0) & (cols >= 0)
+    block[rows[inside], cols[inside]] = op.values[lo:hi][inside]
+    return block
 
 
 def geometric_multiplicity(
@@ -398,8 +491,10 @@ def jordan_chain_excess(
     pos = None
     if subset is not None:
         pos = sorted(op.position(n) for n in subset)
-        outside = np.setdiff1d(np.arange(op.size), pos)
-        if np.any(op.matrix[np.ix_(outside, pos)] != 0):
+        member = np.zeros(op.size, dtype=bool)
+        member[pos] = True
+        # no stored coupling may run from a column in the subset to a row outside it
+        if np.any(member[op.cols] & ~member[op.rows]):
             raise ValueError("subset does not span an invariant subspace")
     a = _window_block(op, lam, pos, rank_tol)
     rank1, _, _ = _numerical_rank(a, rank_tol)

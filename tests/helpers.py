@@ -14,8 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 import halfspace_bloch as hb
-from halfspace_bloch import bloch, galerkin, lattice, spectrum
-from halfspace_bloch.errors import ResonanceError
+from halfspace_bloch import bloch, coeffset, galerkin, lattice, spectrum
+from halfspace_bloch.errors import NoEigenvectorError, ResonanceError
 
 # -- geometry oracles ---------------------------------------------------------
 
@@ -496,3 +496,106 @@ def reference_matrix_csv(op):
         ",".join(f"{c.real:.17g}{c.imag:+.17g}i" for c in row) + "\n"
         for row in op.matrix
     )
+
+
+# -- dense references for the sparse operator -----------------------------------
+#
+# The N x N build, the row-by-row np.dot substitution loops and the dense
+# window slice that the plane-graded sparse operator replaced.  The sparse
+# operator must densify to the same bits, flag the same rows, fail at the same
+# row, and give the same window blocks; the backsolved vectors may differ in
+# the last digits, since the sums run in another order than np.dot's.
+
+
+def reference_build(basis, q, t, cutoff):
+    """(index_set, dense matrix) of the truncated operator, built N x N."""
+    t_arr = np.asarray(t, dtype=float)
+    k, sign = (q.k or 1), (q.sign or "+")
+    sig = lattice.sign_value(sign)
+    ball = basis.enumerate_ball(np.zeros(basis.dimension), cutoff)
+    index_set = tuple(sorted(ball, key=lambda n: (sig * n[k - 1], n)))
+    size = len(index_set)
+    indices = np.array(index_set, dtype=np.int64).reshape(size, basis.dimension)
+    matrix = np.zeros((size, size), dtype=complex)
+    matrix[np.diag_indices(size)] = spectrum.eigenvalues(basis, indices, t_arr)
+    support, qvals = coeffset.from_mapping(q.coeffs, basis.dimension)
+    targets = (support[:, None, :] + indices[None, :, :]).reshape(-1, basis.dimension)
+    first, inverse = coeffset.unique_rows(np.concatenate([indices, targets]))
+    position = np.full(first.size, -1)
+    position[inverse[:size]] = np.arange(size)
+    rows = position[inverse[size:]]
+    inside = rows >= 0
+    cols = np.tile(np.arange(size), len(qvals))
+    matrix[rows[inside], cols[inside]] += np.repeat(qvals, size)[inside]
+    return index_set, matrix
+
+
+def reference_eigenvector_backsolve(op, i):
+    n = op.size
+    if not 0 <= i < n:
+        raise IndexError(f"diagonal position {i} out of range")
+    lam = op.matrix[i, i]
+    eq_tol = op.eigen_eq_tol()
+    x = np.zeros(n, dtype=complex)
+    x[i] = 1.0
+    flagged = []
+    for j in range(i + 1, n):
+        rhs = -np.dot(op.matrix[j, i:j], x[i:j])
+        gap = op.matrix[j, j] - lam
+        if abs(gap) <= eq_tol:
+            if abs(rhs) > eq_tol:
+                raise NoEigenvectorError("blocked", position=j, residual=complex(rhs))
+            flagged.append(j)
+        else:
+            x[j] = rhs / gap
+    return galerkin.BacksolveResult(vector=x, leading=i, flagged=tuple(flagged))
+
+
+def reference_first_associated_backsolve(op, i, eigvec):
+    n = op.size
+    lam = op.matrix[i, i]
+    eq_tol = op.eigen_eq_tol()
+    x = np.zeros(n, dtype=complex)
+    x[i] = 1.0
+    c = None
+    flagged = []
+    for j in range(i + 1, n):
+        rhs = -np.dot(op.matrix[j, i:j], x[i:j])
+        gap = op.matrix[j, j] - lam
+        if abs(gap) <= eq_tol:
+            if abs(eigvec[j]) > eq_tol:
+                if c is None:
+                    c = complex(-rhs / eigvec[j])
+                elif abs(-rhs - c * eigvec[j]) > eq_tol * (1 + abs(c)):
+                    raise NoEigenvectorError("inconsistent", position=j, residual=complex(rhs))
+            elif abs(rhs) > eq_tol:
+                raise NoEigenvectorError("blocked", position=j, residual=complex(rhs))
+            flagged.append(j)
+        else:
+            contribution = c * eigvec[j] if c is not None else 0j
+            x[j] = (rhs + contribution) / gap
+    result = galerkin.BacksolveResult(vector=x, leading=i, flagged=tuple(flagged))
+    return result, (0j if c is None else c)
+
+
+def reference_window_block(op, lam, positions=None, rank_tol=None):
+    """The window block as a slice of the dense matrix."""
+    pos = np.arange(op.size) if positions is None else np.asarray(positions, dtype=int)
+    planes = np.asarray(op.planes, dtype=int)[pos]
+    tol = op.eigen_eq_tol()
+    if rank_tol is not None:
+        tol = max(tol, rank_tol, float(np.sqrt(rank_tol)))
+    near = np.abs(np.diagonal(op.matrix)[pos] - lam) <= tol
+    if near.any():
+        p_lo, p_hi = planes[near].min(), planes[near].max()
+        pos = pos[(planes >= p_lo) & (planes <= p_hi)]
+    else:
+        pos = pos[:0]
+    return op.matrix[np.ix_(pos, pos)] - lam * np.eye(pos.size)
+
+
+def reference_subset_leaks(op, subset):
+    """Whether some column in the subset has a nonzero entry in a row outside it."""
+    pos = sorted(op.position(n) for n in subset)
+    outside = np.setdiff1d(np.arange(op.size), pos)
+    return bool(np.any(op.matrix[np.ix_(outside, pos)] != 0))

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -332,6 +335,31 @@ def test_deterministic_output(tmp_path, capsys):
     assert out1 == out2
 
 
+def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    config = {**IDENTITY_2D, "potential": [{"index": [1, 0], "re": 0.1}], "t": [0.31, 0.17]}
+    assert builds == []  # built on first use
+    first = run(tmp_path, capsys, config, "bloch")
+    second = run(tmp_path, capsys, config, "bloch")
+    assert first[0] == 0 and first == second
+    # a usage error goes through the same parser
+    assert cli.main(["bogus", "--config", "x"]) == 2
+    assert capsys.readouterr().err.startswith("usage: halfspace-bloch")
+    assert builds == [1]
+
+
+def test_parser_not_built_at_import():
+    code = "from halfspace_bloch import cli; print(cli._parser.cache_info().currsize)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ).stdout
+    assert out == "0\n"
+
+
 _POT = [{"index": [1, 0], "re": 0.1}]
 _ONED = {"dimension": 1, "generators": [[2 * math.pi]]}
 _SECOND_PLANE = {"mode": "2d-second-plane", "k": 1, "member": [0, 1], "cutoff": 6.0}
@@ -470,6 +498,26 @@ _SECOND_PLANE = {"mode": "2d-second-plane", "k": 1, "member": [0, 1], "cutoff": 
             2,
             "config error (potential)",
         ),
+        (
+            "bloch",
+            {**IDENTITY_2D, "potential": _POT, "t": [0.31, 0.17], "params": {"method": "series", "order": 0}},
+            2,
+            "config error (params.order)",
+        ),
+        (
+            "bloch",
+            {**IDENTITY_2D, "potential": _POT, "t": [0.31, 0.17], "params": {"method": "series", "order": -1}},
+            2,
+            "config error (params.order)",
+        ),
+        (
+            "bloch",
+            {**IDENTITY_2D, "potential": _POT, "t": [0.31, 0.17], "params": {"depth": -2}},
+            2,
+            "config error (params.depth)",
+        ),
+        ("classify", {"dimension": 0, "generators": [], "potential": []}, 2, "config error (dimension)"),
+        ("fermi", {"dimension": 0, "generators": []}, 2, "config error (dimension)"),
     ],
     ids=[
         "evaluate-at-non-number",
@@ -497,6 +545,11 @@ _SECOND_PLANE = {"mode": "2d-second-plane", "k": 1, "member": [0, 1], "cutoff": 
         "multiplicity-oracle-not-triangular",
         "bloch-potential-not-in-s",
         "oracle-triangular-potential-not-in-s",
+        "bloch-order-zero",
+        "bloch-order-negative",
+        "bloch-depth-negative",
+        "classify-dimension-zero",
+        "fermi-dimension-zero",
     ],
 )
 def test_contract_exit_codes(tmp_path, capsys, command, config, code, stderr_start):
@@ -577,7 +630,7 @@ def _mutated_multiplicity_config(draw):
                 st.one_of(index, st.lists(st.integers(-2, 2), max_size=3), _JUNK)
             )
         elif kind == 4:
-            # the cutoff stays at most 8: the oracle matrix is dense on its ball
+            # the cutoff stays at most 8, which keeps each example fast
             params["cutoff"] = draw(st.one_of(st.floats(-1.0, 8.0), st.integers(-1, 8), _JUNK))
         elif kind == 5:
             records.append({"index": draw(index), "re": draw(st.floats(-2.0, 2.0))})
@@ -642,14 +695,34 @@ _ORACLE_VALID = {
 }
 
 
+#: generator entries: degenerate, non-finite and non-numeric ones among them;
+#: none so small or so large that the lattice balls would hold millions of points
+_GENERATOR_ENTRY = st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, math.nan, math.inf, 10**400, "x", None, True])
+
+
 @st.composite
-def _mutated_twod_config(draw, valid: dict, param_values: dict):
+def _mutated_twod_config(draw, valid: dict, param_values: dict, basis: bool = False):
     """``valid`` with one to three fields mutated: a parameter drawn from
-    ``param_values``, ``t``, ``mode``, or a potential record."""
+    ``param_values``, ``t``, ``mode``, or a potential record; with ``basis``
+    also the dimension or the generators."""
     config = json.loads(json.dumps(valid))
-    params, records = config["params"], config["potential"]
+    params, records = config["params"], config.setdefault("potential", [])
     index = st.lists(st.integers(-2, 2), min_size=2, max_size=2)
-    for kind in draw(st.lists(st.integers(0, 6), min_size=1, max_size=3)):
+    for kind in draw(st.lists(st.integers(0, 8 if basis else 6), min_size=1, max_size=3)):
+        if kind == 7:
+            config["dimension"] = draw(st.one_of(st.integers(-1, 3), _JUNK))
+            continue
+        if kind == 8:
+            gens = config["generators"]
+            rows_ok = isinstance(gens, list) and gens and all(isinstance(r, list) and r for r in gens)
+            if rows_ok and draw(st.booleans()):
+                row = draw(st.integers(0, len(gens) - 1))
+                gens[row][draw(st.integers(0, len(gens[row]) - 1))] = draw(_GENERATOR_ENTRY)
+            else:
+                config["generators"] = draw(st.one_of(
+                    st.lists(st.lists(_GENERATOR_ENTRY, max_size=3), max_size=3), _JUNK
+                ))
+            continue
         if kind == 0:
             key = draw(st.sampled_from(sorted(param_values)))
             params[key] = draw(st.one_of(param_values[key], _JUNK))
@@ -699,7 +772,7 @@ def test_fuzzed_bloch_keeps_exit_contract(config):
     config=_mutated_twod_config(
         _ORACLE_VALID,
         {
-            # the cutoff stays at most 5: the oracle matrix is dense on its ball
+            # the cutoff stays at most 5, which keeps each example fast
             "cutoff": st.one_of(st.floats(-1.0, 5.0), st.integers(-1, 5)),
             "gamma": _GAMMA,
         },
@@ -707,3 +780,43 @@ def test_fuzzed_bloch_keeps_exit_contract(config):
 )
 def test_fuzzed_oracle_keeps_exit_contract(config):
     _exit_contract_holds("oracle", config)
+
+
+# -- fuzzed classify and fermi configs ---------------------------------------------
+
+_CLASSIFY_VALID = {
+    **IDENTITY_2D,
+    "potential": _TWOD_POTENTIAL,
+    "params": {"truncation_radius": None},
+}
+_FERMI_VALID = {**IDENTITY_2D, "params": {"rho": 0.5, "resolution": 9, "threshold": 0.05}}
+_SPECIAL_NUMBER = st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 10**400])
+
+
+@_FUZZ_SETTINGS
+@given(
+    config=_mutated_twod_config(
+        _CLASSIFY_VALID,
+        {"truncation_radius": st.one_of(st.floats(-1.0, 4.0), _SPECIAL_NUMBER)},
+        basis=True,
+    )
+)
+def test_fuzzed_classify_keeps_exit_contract(config):
+    _exit_contract_holds("classify", config)
+
+
+@_FUZZ_SETTINGS
+@given(
+    config=_mutated_twod_config(
+        _FERMI_VALID,
+        {
+            # rho and the resolution stay small: the grid is resolution^d points
+            "rho": st.one_of(st.floats(-1.0, 3.0), _SPECIAL_NUMBER),
+            "resolution": st.integers(-1, 12),
+            "threshold": st.one_of(st.floats(-1.0, 1.0), _SPECIAL_NUMBER),
+        },
+        basis=True,
+    )
+)
+def test_fuzzed_fermi_keeps_exit_contract(config):
+    _exit_contract_holds("fermi", config)

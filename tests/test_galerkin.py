@@ -489,7 +489,15 @@ def test_matrix_csv_equals_per_cell_loop():
     assert galerkin.matrix_csv(op) == helpers.reference_matrix_csv(op)
     # signed zeros and extreme magnitudes, in a matrix the build never makes
     cells = np.array([[complex(-0.0, -0.0), 0j], [1e-300 - 1e300j, complex(-0.0, 2.5)]])
-    small = dataclasses.replace(op, matrix=cells, index_set=op.index_set[:2])
+    small = dataclasses.replace(
+        op,
+        index_set=op.index_set[:2],
+        matrix_diagonal=np.diagonal(cells).copy(),
+        rows=np.array([1]),
+        cols=np.array([0]),
+        values=cells[1:, 0].copy(),
+    )
+    assert small.matrix.tobytes() == cells.tobytes()
     assert galerkin.matrix_csv(small) == helpers.reference_matrix_csv(small)
     assert galerkin.matrix_csv(small).startswith("-0-0i,0+0i\n")
 
@@ -546,3 +554,218 @@ def test_interior_cone_matches_chain_oracle():
         assert galerkin.interior_cone(op, (0, 0)) == _interior_cone_chain_oracle(
             op, (0, 0), q
         )
+
+
+# -- the sparse operator against the dense references ----------------------------
+
+SKEWED = hb.LatticeBasis(np.array([[1.0, 0.0], [0.5, 0.9]]))
+BASIS3 = hb.identity_basis(3)
+
+
+def _dense_reference_cases():
+    """pytest params of (basis, q, t, cutoff): both signs, q_0, skewed and 3-D
+    bases, and potentials outside class S."""
+    rng = np.random.default_rng(73)
+    cases = []
+    for name, basis, t, cutoff in (
+        ("identity", BASIS, T, 4.5),
+        ("skewed", SKEWED, (0.31, 0.17), 4.0),
+        ("3d", BASIS3, (0.3, 0.15, 0.05), 2.5),
+    ):
+        for k, sign in ((1, "+"), (2, "-")):
+            q = helpers.random_halfspace_potential(rng, basis, k, sign, max_harmonics=5)
+            cases.append(pytest.param(basis, q, t, cutoff, id=f"{name}-{k}{sign}"))
+            t0 = (0.0,) * basis.dimension
+            cases.append(pytest.param(basis, q.scaled(-2.5j), t0, cutoff, id=f"{name}-{k}{sign}-t0"))
+        zero = (0,) * basis.dimension
+        one = tuple(int(i == 0) for i in range(basis.dimension))
+        minus = tuple(-x for x in one)
+        for label, coeffs in (
+            ("q0", {zero: 0.7 - 0.2j, one: 0.3}),
+            ("not-in-s", {one: 1.0, minus: 0.5j, zero: -0.25}),
+            ("empty", {}),
+        ):
+            q = hb.FourierPotential(basis, coeffs)
+            cases.append(pytest.param(basis, q, t, cutoff, id=f"{name}-{label}"))
+    same_plane = hb.FourierPotential(BASIS, {(0, 1): 1.0, (0, -1): 2.0})
+    cases.append(pytest.param(BASIS, same_plane, T, 3.0, id="same-plane"))
+    negative_zero = hb.FourierPotential(BASIS, {(1, 0): complex(0.5, -0.0)})
+    cases.append(pytest.param(BASIS, negative_zero, T, 2.0, id="negative-zero"))
+    return cases
+
+
+@pytest.mark.parametrize("basis, q, t, cutoff", _dense_reference_cases())
+def test_sparse_operator_densifies_to_the_dense_build(basis, q, t, cutoff):
+    op = galerkin.build(basis, q, t, cutoff)
+    index_set, dense = helpers.reference_build(basis, q, t, cutoff)
+    assert op.index_set == index_set
+    assert np.array_equal(op.matrix, dense)
+    assert op.matrix.tobytes() == dense.tobytes()  # signed zeros too
+    assert op.matrix_diagonal.tobytes() == np.diagonal(dense).tobytes()
+    # the stored form: sorted row-major, off the diagonal, no zero stored
+    keys = op.rows * op.size + op.cols
+    assert np.all(np.diff(keys) > 0)
+    assert np.all(op.rows != op.cols) and np.all(op.values != 0)
+    assert op.values.size == np.count_nonzero(dense - np.diag(np.diagonal(dense)))
+    assert op.plane_bounds[0] == 0 and op.plane_bounds[-1] == op.size
+    for s, e in zip(op.plane_bounds[:-1], op.plane_bounds[1:]):
+        assert len(set(op.planes[s:e])) == 1 and (s == 0 or op.planes[s - 1] < op.planes[s])
+    assert galerkin.triangularity_witness(op) == helpers.reference_grading_violation(op)
+
+
+def _same_outcome(solve, reference):
+    """Both raise NoEigenvectorError at the same row, or give the same flagged
+    rows, chain constant and vector, to 1e-14 (1 + |x|)."""
+    try:
+        expected = reference()
+    except NoEigenvectorError as err:
+        with pytest.raises(NoEigenvectorError) as got:
+            solve()
+        assert got.value.position == err.position
+        return "blocked"
+    got = solve()
+    (result, c), (ref, ref_c) = (got, expected) if isinstance(got, tuple) else ((got, 0j), (expected, 0j))
+    assert result.flagged == ref.flagged and result.leading == ref.leading
+    assert np.all(np.abs(result.vector - ref.vector) <= 1e-14 * (1 + np.abs(ref.vector)))
+    assert abs(c - ref_c) <= 1e-14 * (1 + abs(ref_c))
+    return "flagged" if ref.flagged else "solved"
+
+
+def _degenerate_operators():
+    """Triangular operators at t = 0, where diagonal values repeat within and
+    across planes, plus tuned and blocked 1-D double eigenvalues."""
+    rng = np.random.default_rng(79)
+    ops = []
+    for basis, k, sign in ((BASIS, 1, "+"), (BASIS, 2, "-"), (SKEWED, 1, "+")):
+        for _ in range(2):
+            q = helpers.random_halfspace_potential(rng, basis, k, sign, max_harmonics=4, max_p=2, max_a=2)
+            ops.append(galerkin.build(basis, q, (0.0, 0.0), 3.2))
+    ops.append(galerkin.build(BASIS, hb.FourierPotential(BASIS, {(0, 0): 0.4, (1, 0): 0.3, (1, 1): 0.2j}), (0.0, 0.0), 3.2))
+    for reduced in ({1: Fraction(1, 2), 2: -Fraction(1, 16)}, {1: Fraction(1, 2)}):
+        ops.append(helpers.oned_oracle_multiplicity(reduced, 1)[1])
+        ops.append(helpers.oned_oracle_multiplicity(reduced, 2)[1])
+    return ops
+
+
+def test_eigenvector_backsolve_equals_dense_loop():
+    outcomes = set()
+    for op in _degenerate_operators():
+        for i in range(op.size):
+            outcomes.add(_same_outcome(
+                lambda: galerkin.eigenvector_backsolve(op, i),
+                lambda: helpers.reference_eigenvector_backsolve(op, i),
+            ))
+    assert outcomes == {"blocked", "flagged", "solved"}
+
+
+def test_first_associated_backsolve_equals_dense_loop():
+    rng = np.random.default_rng(83)
+    outcomes = set()
+    for op in _degenerate_operators():
+        tol = op.eigen_eq_tol()
+        diag = op.matrix_diagonal
+        for i in range(op.size):
+            group = np.flatnonzero(np.abs(diag - diag[i]) <= tol)
+            if group.size < 2:
+                continue
+            eigvecs = [rng.normal(size=op.size) + 1j * rng.normal(size=op.size)]
+            for j in group:
+                try:
+                    eigvecs.append(helpers.reference_eigenvector_backsolve(op, j).vector)
+                except NoEigenvectorError:
+                    pass
+            # nonzero at one repeated row only: c is fixed there and nowhere checked
+            lone = eigvecs[0].copy()
+            lone[group[group > i]] = 0
+            lone[group[-1]] = 1.5 - 0.5j
+            for eigvec in [*eigvecs, lone]:
+                outcomes.add(_same_outcome(
+                    lambda: galerkin.first_associated_backsolve(op, i, eigvec),
+                    lambda: helpers.reference_first_associated_backsolve(op, i, eigvec),
+                ))
+    assert {"blocked", "flagged"} <= outcomes
+
+
+def _handmade_operator(planes, diagonal, entries):
+    """A 1-D operator with the given plane of each row, diagonal and
+    couplings {(row, col): value}."""
+    op = galerkin.build(hb.identity_basis(1), hb.FourierPotential(hb.identity_basis(1), {}), (0.0,), 0.0)
+    keys = sorted(entries)
+    index_set = tuple((j,) for j in range(len(planes)))
+    starts = [j for j in range(len(planes)) if j == 0 or planes[j] != planes[j - 1]]
+    return dataclasses.replace(
+        op,
+        index_set=index_set,
+        diagonal=np.real(np.asarray(diagonal, dtype=complex)),
+        matrix_diagonal=np.asarray(diagonal, dtype=complex),
+        rows=np.array([r for r, _ in keys], dtype=np.int64),
+        cols=np.array([c for _, c in keys], dtype=np.int64),
+        values=np.array([entries[key] for key in keys], dtype=complex),
+        planes=tuple(planes),
+        plane_bounds=np.array([*starts, len(planes)]),
+        _positions={n: j for j, n in enumerate(index_set)},
+    )
+
+
+def test_chain_constant_enters_only_the_rows_after_it():
+    # plane 1 holds a row before the repeated one that fixes c, the repeated
+    # row, and a row after it: only the last takes c * eigvec
+    op = _handmade_operator(
+        [0, 1, 1, 1, 2],
+        [1.0, 5.0, 1.0, 5.0, 1.0],
+        {(1, 0): 2.0, (2, 0): 3.0, (3, 0): -1.0, (4, 1): 2.0, (4, 3): 1.0},
+    )
+    eigvec = np.array([0, 1.0, 1.0, 1.0, 0])
+    chain, c = galerkin.first_associated_backsolve(op, 0, eigvec)
+    ref, ref_c = helpers.reference_first_associated_backsolve(op, 0, eigvec)
+    assert c == ref_c == 3.0
+    assert np.array_equal(chain.vector, ref.vector)
+    assert chain.vector[1] == -0.5 and chain.vector[3] == (1.0 + 3.0) / 4.0
+    # the last row repeats lam and accumulates 2 x_1 + x_3 = 0: flagged
+    assert chain.flagged == ref.flagged == (2, 4)
+    with pytest.raises(NoEigenvectorError, match="inconsistent") as err:
+        galerkin.first_associated_backsolve(op, 0, np.array([0, 1.0, 1.0, 1.0, 1.0]))
+    assert err.value.position == 4
+
+
+def test_window_blocks_equal_dense_slices():
+    rng = np.random.default_rng(89)
+    checked = 0
+    for op in _degenerate_operators():
+        values = sorted(set(op.matrix_diagonal.tolist()), key=lambda v: (v.real, v.imag))
+        positions = [None, np.flatnonzero(rng.uniform(size=op.size) < 0.6)]
+        for lam in [*values[::3], values[0].real + 0.123]:
+            for pos in positions:
+                for rank_tol in (None, 1e-3, 2.5):
+                    block = galerkin._window_block(op, lam, pos, rank_tol)
+                    expected = helpers.reference_window_block(op, lam, pos, rank_tol)
+                    assert block.shape == expected.shape
+                    assert block.tobytes() == expected.tobytes()
+                    checked += block.size > 0
+    assert checked > 50
+
+
+def test_invariant_subset_check_equals_dense_scan():
+    rng = np.random.default_rng(97)
+    verdicts = set()
+    for op in _degenerate_operators()[:6]:
+        for _ in range(20):
+            take = rng.uniform(size=op.size) < rng.choice([0.3, 0.9])
+            plane = rng.choice(op.planes)
+            # a tail of planes is invariant; a random subset usually is not
+            if rng.uniform() < 0.5:
+                take = np.array(op.planes) >= plane
+            subset = [op.index_set[j] for j in np.flatnonzero(take)]
+            if not subset:
+                continue
+            leaks = helpers.reference_subset_leaks(op, subset)
+            verdicts.add(leaks)
+            lam = float(op.matrix_diagonal[op.position(subset[-1])].real)
+            if leaks:
+                with pytest.raises(ValueError, match="invariant"):
+                    galerkin.jordan_chain_excess(op, lam, subset=subset)
+            else:
+                assert galerkin.jordan_chain_excess(op, lam, subset=subset) == (
+                    helpers.reference_jordan_chain_excess(op, lam, subset=subset)
+                )
+    assert verdicts == {True, False}
