@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import math
+import operator
 import sys
 from fractions import Fraction
 from typing import Any, Sequence
@@ -43,6 +44,13 @@ EXIT_GUARD = 3
 EXIT_NONCONVERGENCE = 4
 
 PI_SQ = math.pi**2
+
+#: potential indices are held in int64 arrays
+INDEX_MIN, INDEX_MAX = -(2**63), 2**63 - 1
+
+#: largest fermi work accepted: grid points times candidate box (see
+#: ``_check_fermi_work``); the benchmark's fermi instances stay below 1e5
+FERMI_MAX_WORK = 1e8
 
 _GUARD_ERRORS = (
     CutoffError,
@@ -170,6 +178,11 @@ def parse_potential(doc: dict, basis: LatticeBasis) -> "ParsedPotential":
             raise ConfigError(
                 f"'{field}.index' must be a list of {basis.dimension} integers",
                 field=f"{field}.index",
+            )
+        if not all(INDEX_MIN <= x <= INDEX_MAX for x in idx):
+            # the coefficient arrays hold indices as int64
+            raise ConfigError(
+                f"'{field}.index' entries must lie in [{INDEX_MIN}, {INDEX_MAX}]", field=field
             )
         if pi_exact:
             re = _parse_exact(rec.get("re", 0), f"{field}.re")
@@ -397,7 +410,7 @@ def cmd_oracle(doc: dict, want_matrix: bool = False):
     _require_class_s(pot.q, "oracle")
 
     spectrum_values = galerkin.truncated_spectrum(op)
-    free_values = tuple(sorted(spectrum.eigenvalues(basis, op.index_set, t).tolist()))
+    free_values = tuple(sorted(spectrum.eigenvalues(basis, op.indices, t).tolist()))
     report["spectrum_match"] = spectrum_values == free_values
 
     try:
@@ -410,11 +423,11 @@ def cmd_oracle(doc: dict, want_matrix: bool = False):
         basis, pot.q, gamma, t, depth=max(op.planes) - op.planes[base]
     )
     vec = galerkin.eigenvector_backsolve(op, base)
+    backsolved, positions, coeffs = vec.vector.tolist(), op.positions, closed.coeffs
     worst = 0.0
     for dlt in galerkin.interior_cone(op, gamma):
-        node = tuple(a + b for a, b in zip(gamma, dlt))
-        backsolved = vec.vector[op.position(node)]
-        worst = max(worst, abs(backsolved - closed.coeffs.get(dlt, 0j)))
+        node = tuple(map(operator.add, gamma, dlt))
+        worst = max(worst, abs(backsolved[positions[node]] - coeffs.get(dlt, 0j)))
     report["eigenvector_agreement"] = worst
     return report, EXIT_OK
 
@@ -538,12 +551,39 @@ def _multiplicity_second_plane(doc: dict, params: dict) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
+def _check_fermi_work(basis: LatticeBasis, rho: float, resolution: int) -> None:
+    """:class:`ConfigError` when the sampling would exceed ``FERMI_MAX_WORK``.
+
+    The work is the grid points times the integer box that
+    ``enumerate_ball`` scans for the candidate ball of ``sample_surface``;
+    the box holds the ball, so this bounds the candidates scored too.  The
+    ball's radius is the default cutoff rho + D + 1 plus the largest |t| on
+    the grid, at most D/2, where the fundamental-domain diameter D is at most
+    the sum S of the generator lengths; the bound takes rho + 1.5 S + 1.
+    Computed from the parameters alone, before any array is built.
+    """
+    if resolution**basis.dimension > FERMI_MAX_WORK:
+        raise ConfigError(
+            f"'params.resolution' {resolution} gives more than {FERMI_MAX_WORK:.3g} grid points",
+            field="params.resolution",
+        )
+    generators = sum(math.hypot(*v) for v in basis.generators.tolist())
+    work = float(resolution) ** basis.dimension * basis.box_size(rho + 1.5 * generators + 1.0)
+    if not work <= FERMI_MAX_WORK:
+        raise ConfigError(
+            f"fermi would score {work:.3g} grid-point/candidate pairs, more than "
+            f"{FERMI_MAX_WORK:.3g}; lower params.rho or params.resolution",
+            field="params.rho",
+        )
+
+
 def cmd_fermi(doc: dict, as_csv: bool):
     basis = parse_basis(doc)
     params = _params(doc)
     rho = _param_number(params, "rho", 0.5, minimum=0.0)
     resolution = _param_int(params, "resolution", 21, minimum=2)
     threshold = _param_number(params, "threshold", 0.01, minimum=0.0)
+    _check_fermi_work(basis, rho, resolution)
     sample = isoenergetic.sample_surface(basis, rho, resolution, threshold)
     if as_csv:
         return sample.to_csv(), EXIT_OK

@@ -18,7 +18,7 @@ bit for bit, what those loops return:
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -61,30 +61,40 @@ def divide(re, im, den):
     return re / den, im / den
 
 
+def pack(rows: np.ndarray, lo: Sequence[int], spans: Sequence[int]) -> np.ndarray:
+    """One key per row of an (n, d) int64 array in the box lo_j <= x_j < lo_j + spans_j.
+
+    The key sum_j (x_j - lo_j) * prod(spans[j+1:]) is linear in the row,
+    one-to-one on the box and ordered as the rows are lexicographically; a
+    row outside the box gets a key that may equal one inside.  Keys are
+    int64 when ``prod(spans)`` fits; otherwise (the one fallback) they are
+    exact Python ints in an object array, computed row by row: slower, but
+    unbounded.
+    """
+    if math.prod(spans) >= _KEY_LIMIT:
+        rows = rows.astype(object)
+    key = rows[:, 0] - lo[0]
+    for j in range(1, rows.shape[1]):
+        key = key * spans[j] + (rows[:, j] - lo[j])
+    return key
+
+
 def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first, inverse) for the distinct rows of an (n, d) int64 array.
 
     ``rows[first]`` are the distinct rows in lexicographic order, each at its
     first occurrence, and ``inverse`` maps every row to its rank among them.
-    Rows are merged through one int64 key each, with the radix of every
-    column taken from its span in ``rows``; when the spans' product leaves
-    int64, the slower row-wise ``np.unique`` does the merge instead.
+    Rows are merged through one :func:`pack` key each, with the box spanned
+    by ``rows``.
     """
     if rows.shape[0] == 0:
         empty = np.zeros(0, dtype=np.intp)
         return empty, empty
-    lo = rows.min(axis=0)
-    spans = [int(h) - int(m) + 1 for m, h in zip(lo.tolist(), rows.max(axis=0).tolist())]
-    if math.prod(spans) >= _KEY_LIMIT:
-        _, first, inverse = np.unique(
-            rows, axis=0, return_index=True, return_inverse=True
-        )
-        return first, inverse.reshape(-1)
-    shifted = rows - lo
-    key = shifted[:, 0]
-    for j in range(1, rows.shape[1]):
-        key = key * spans[j] + shifted[:, j]
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    lo = rows.min(axis=0).tolist()
+    spans = [h - m + 1 for m, h in zip(lo, rows.max(axis=0).tolist())]
+    _, first, inverse = np.unique(
+        pack(rows, lo, spans), return_index=True, return_inverse=True
+    )
     return first, inverse
 
 

@@ -65,13 +65,14 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import coeffset
 from .errors import NoEigenvectorError, TriangularityError
-from .lattice import IndexVector, LatticeBasis, as_index, decompose, sign_value
+from .lattice import IndexVector, LatticeBasis, as_index, sign_value
 from .potential import FourierPotential
 from .spectrum import eigenvalues
 
@@ -88,7 +89,8 @@ class TruncatedOperator:
 
     ``index_set`` is ordered by ascending signed plane index along axis k
     (ties lexicographic), which for sign '+' is ascending plane order; the
-    rows/columns follow that order.  The matrix M is stored as its diagonal
+    rows/columns follow that order, and ``indices`` holds the same indices
+    as an (N, d) int64 array.  The matrix M is stored as its diagonal
     ``matrix_diagonal`` (M_jj = |g + t|^2 + q_0; ``diagonal`` holds the free
     values |g + t|^2) and its off-diagonal couplings ``(rows, cols, values)``,
     sorted row-major with no zero stored.  ``plane_bounds`` lists the first
@@ -101,6 +103,7 @@ class TruncatedOperator:
     k: int
     sign: str
     index_set: tuple[IndexVector, ...]
+    indices: np.ndarray
     diagonal: np.ndarray
     matrix_diagonal: np.ndarray
     rows: np.ndarray
@@ -113,6 +116,11 @@ class TruncatedOperator:
     @property
     def size(self) -> int:
         return len(self.index_set)
+
+    @property
+    def positions(self) -> Mapping[IndexVector, int]:
+        """Read-only map from each index tuple in the ball to its row/column."""
+        return MappingProxyType(self._positions)
 
     def position(self, n: Sequence[int]) -> int:
         """Row/column position of a lattice index; KeyError when outside."""
@@ -189,7 +197,7 @@ def build(
     rows, cols, vals = rows[order], cols[order], vals[order]
     plane_arr = sig * indices[:, k - 1]
     bounds = np.append(np.flatnonzero(np.diff(plane_arr, prepend=plane_arr[:1] - 1)), size)
-    for arr in (diag, mdiag, rows, cols, vals, bounds):
+    for arr in (indices, diag, mdiag, rows, cols, vals, bounds):
         arr.setflags(write=False)
     return TruncatedOperator(
         basis=basis,
@@ -198,6 +206,7 @@ def build(
         k=k,
         sign=sign,
         index_set=index_set,
+        indices=indices,
         diagonal=diag,
         matrix_diagonal=mdiag,
         rows=rows,
@@ -521,44 +530,87 @@ def interior_cone(
     An offset is fully determined by the truncation only when every chain of
     potential support steps from the base to it passes exclusively through
     in-ball indices; one out-of-ball predecessor silently zeroes a
-    contribution.  Computed by plane-ordered dynamic programming over the
-    reachable cone.
+    contribution.
+
+    Dynamic programming by plane.  Every step g1 rises by p1 = sign * g1_k >= 1
+    planes, so an offset on plane p of the reachable cone (the sums of steps,
+    ignoring the ball) has its predecessors delta - g1 on the planes p - p1 < p.
+    Call a reachable offset *blocked* when it is outside the ball
+    (gamma + delta not an index of the operator) or has a blocked reachable
+    predecessor; the origin, in the ball and without predecessors, is not.
+    The cone is the set of unblocked offsets.  It is the set the recursion
+
+        determined(delta) = delta in ball and determined(delta - g1) for
+                            every step whose delta - g1 is reachable
+
+    builds (the origin determined), because by induction on the plane,
+    determined(delta) = not blocked(delta) for every reachable delta.
+    Outside the ball delta is blocked and not determined.  Inside it, both
+    read the same reachable predecessors, on earlier planes, where the two
+    already agree: delta is determined exactly when none of them is blocked.
+    Unwinding the recursion, an offset is blocked exactly when some chain to
+    it leaves the ball, the property stated above.
+
+    Packed keys.  Every reachable offset up to the top plane P of the ball
+    (counted from gamma) is a sum of at most P steps, so it lies in the box
+    P * min(0, g1_j) <= delta_j <= P * max(0, g1_j) over the steps, per axis.
+    :func:`coeffset.pack` gives each offset in the box one key, linear and
+    one-to-one there (int64, or exact Python ints when the box is too wide
+    for int64).  Linearity makes the shift of a whole layer by a step one
+    integer add.  Per plane p the layers p - p1, each shifted by its step,
+    are concatenated, sorted and stripped of repeats.  A key is blocked when
+    ``np.searchsorted`` does not find it among the sorted keys of the ball's
+    offsets inside the box, or when it is the shift of a blocked key of a
+    layer below: each layer keeps its blocked keys beside its keys, so the
+    flag travels from the predecessors by the same shifts and one more
+    ``np.searchsorted``.  The unblocked keys of each plane are its part of
+    the cone.  Work and memory follow the reachable set, at most two keys per
+    reachable offset, never the box.
+
+    Raises ``ValueError`` for a potential outside class S, where steps need
+    not rise and the planes give no order.
     """
     gamma = as_index(gamma, op.basis.dimension)
     if gamma not in op._positions or not op.q.coeffs:
         return {(0,) * op.basis.dimension} if gamma in op._positions else set()
+    if op.q.classification is None:
+        raise ValueError("the interior cone needs a potential in class S")
     sig = sign_value(op.sign)
-    gamma_plane = sig * gamma[op.k - 1]
-    max_plane = max(op.planes) - gamma_plane
+    top = max(op.planes) - sig * gamma[op.k - 1]
+    steps = np.array(list(op.q.coeffs), dtype=np.int64)
+    lo = [top * min(0, v) for v in steps.min(axis=0).tolist()]
+    hi = [top * max(0, v) for v in steps.max(axis=0).tolist()]
+    spans = [h - m + 1 for m, h in zip(lo, hi)]
 
-    zero = (0,) * op.basis.dimension
-    steps = [
-        (g1, sig * decompose(g1, op.k)[1]) for g1 in op.q.coeffs
-    ]
-    # reachable cone by plane, ignoring the ball
-    reachable: dict[int, set[IndexVector]] = {0: {zero}}
-    for p in range(1, max_plane + 1):
-        layer: set[IndexVector] = set()
-        for g1, p1 in steps:
-            for prev in reachable.get(p - p1, ()):
-                layer.add(tuple(a + b for a, b in zip(prev, g1)))
-        reachable[p] = layer
+    # the ball's offsets inside the box, in key order
+    offsets = op.indices - np.array(gamma, dtype=np.int64)
+    offsets = offsets[np.all((offsets >= lo) & (offsets <= hi), axis=1)]
+    ball = coeffset.pack(offsets, lo, spans)
+    order = np.argsort(ball, kind="stable")
+    offsets, ball = offsets[order], ball[order]
 
-    determined: set[IndexVector] = {zero}
-    for p in range(1, max_plane + 1):
-        for dlt in reachable[p]:
-            node = tuple(a + b for a, b in zip(gamma, dlt))
-            if node not in op._positions:
-                continue
-            ok = True
-            for g1, p1 in steps:
-                prev = tuple(a - b for a, b in zip(dlt, g1))
-                if prev == zero:
-                    continue
-                if prev in reachable.get(p - p1, ()):
-                    if prev not in determined:
-                        ok = False
-                        break
-            if ok:
-                determined.add(dlt)
-    return determined
+    keys = coeffset.pack(np.vstack([np.zeros_like(steps[:1]), steps]), lo, spans)
+    origin, shifts = keys[:1], (keys[1:] - keys[0]).tolist()
+    rises = (sig * steps[:, op.k - 1]).tolist()
+    # per plane: its reachable keys, sorted, and those of them that are blocked
+    empty = (origin[:0], origin[:0])
+    layers = {0: (origin, origin[:0])}
+    found = [np.searchsorted(ball, origin)]
+    padded = np.append(ball, -1)  # no key in the box is negative: a miss reads -1
+    for p in range(1, top + 1):
+        below = [(layers.get(p - rise, empty), shift) for shift, rise in zip(shifts, rises)]
+        # a stable argsort, the kernel coeffset.unique_rows runs already: the
+        # sort kernels each map a few hundred kB of code into the process
+        keys = np.concatenate([reached + shift for (reached, _), shift in below])
+        keys = keys[np.argsort(keys, kind="stable")]
+        distinct = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+        keys = keys[distinct]
+        at = np.searchsorted(ball, keys)
+        unblocked = padded[at] == keys
+        inherited = [stuck + shift for (_, stuck), shift in below if stuck.size]
+        if inherited:
+            unblocked[np.searchsorted(keys, np.concatenate(inherited))] = False
+        layers[p] = keys, keys[~unblocked]
+        found.append(at[unblocked])
+    return set(zip(*offsets[np.concatenate(found)].T.tolist()))

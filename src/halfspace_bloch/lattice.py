@@ -109,6 +109,8 @@ class LatticeBasis:
         object.__setattr__(self, "generators", mat)
         object.__setattr__(self, "dimension", d)
         object.__setattr__(self, "_inverse", np.linalg.inv(mat))
+        # per generator coordinate, the half-width of the box holding a unit ball
+        object.__setattr__(self, "_dual_norms", np.sqrt((self._inverse**2).sum(axis=0)))
         object.__setattr__(self, "_ortho", ortho)
         object.__setattr__(self, "_sep", np.sqrt(np.einsum("ij,ij->i", ortho, ortho)))
 
@@ -173,7 +175,7 @@ class LatticeBasis:
         if c.shape != (self.dimension,):
             raise ValueError(f"center must have length {self.dimension}")
         mid = c @ self._inverse
-        half = radius * np.sqrt((self._inverse**2).sum(axis=0))
+        half = radius * self._dual_norms
         axes = [
             np.arange(math.ceil(m - h - _BOX_PAD), math.floor(m + h + _BOX_PAD) + 1)
             for m, h in zip(mid, half)
@@ -182,6 +184,16 @@ class LatticeBasis:
         box = box.reshape(-1, self.dimension)
         keep = np.sqrt(squared_norms(self.to_cartesian(box) - c)) <= radius
         return list(map(tuple, box[keep].tolist()))
+
+    def box_size(self, radius: float) -> float:
+        """Upper bound on the integer points :meth:`enumerate_ball` scans for a
+        ball of this radius, about any center, computed without building them:
+        an axis of the box holds at most 2 h + 1 integers, h its half-width
+        (plus the padding).
+        """
+        return math.prod(
+            2.0 * (radius * h) + 2.0 * _BOX_PAD + 1.0 for h in self._dual_norms.tolist()
+        )
 
     def reduce_quasimomentum(self, t: Sequence[float]) -> np.ndarray:
         """Translate t by a lattice vector into generator coordinates [-1/2, 1/2)."""

@@ -599,3 +599,46 @@ def reference_subset_leaks(op, subset):
     pos = sorted(op.position(n) for n in subset)
     outside = np.setdiff1d(np.arange(op.size), pos)
     return bool(np.any(op.matrix[np.ix_(outside, pos)] != 0))
+
+
+def reference_interior_cone(op, gamma):
+    """Interior cone by the dict loop: the reachable cone plane by plane,
+    then each in-ball offset checked against its reachable predecessors."""
+    dimension = op.basis.dimension
+    gamma = lattice.as_index(gamma, dimension)
+    positions = op.positions
+    if gamma not in positions or not op.q.coeffs:
+        return {(0,) * dimension} if gamma in positions else set()
+    sig = lattice.sign_value(op.sign)
+    gamma_plane = sig * gamma[op.k - 1]
+    max_plane = max(op.planes) - gamma_plane
+
+    zero = (0,) * dimension
+    steps = [(g1, sig * lattice.decompose(g1, op.k)[1]) for g1 in op.q.coeffs]
+    # reachable cone by plane, ignoring the ball
+    reachable: dict[int, set] = {0: {zero}}
+    for p in range(1, max_plane + 1):
+        layer: set = set()
+        for g1, p1 in steps:
+            for prev in reachable.get(p - p1, ()):
+                layer.add(tuple(a + b for a, b in zip(prev, g1)))
+        reachable[p] = layer
+
+    determined = {zero}
+    for p in range(1, max_plane + 1):
+        for dlt in reachable[p]:
+            node = tuple(a + b for a, b in zip(gamma, dlt))
+            if node not in positions:
+                continue
+            ok = True
+            for g1, p1 in steps:
+                prev = tuple(a - b for a, b in zip(dlt, g1))
+                if prev == zero:
+                    continue
+                if prev in reachable.get(p - p1, ()):
+                    if prev not in determined:
+                        ok = False
+                        break
+            if ok:
+                determined.add(dlt)
+    return determined

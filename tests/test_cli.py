@@ -13,7 +13,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from halfspace_bloch import cli
+import halfspace_bloch as hb
+from halfspace_bloch import bloch, cli, galerkin
+
+import helpers
 
 IDENTITY_2D = {
     "dimension": 2,
@@ -361,6 +364,8 @@ def test_parser_not_built_at_import():
 
 
 _POT = [{"index": [1, 0], "re": 0.1}]
+# an index beyond int64, after one valid record
+_HUGE_INDEX = [*_POT, {"index": [10**30, 1], "re": 0.1}]
 _ONED = {"dimension": 1, "generators": [[2 * math.pi]]}
 _SECOND_PLANE = {"mode": "2d-second-plane", "k": 1, "member": [0, 1], "cutoff": 6.0}
 
@@ -518,6 +523,35 @@ _SECOND_PLANE = {"mode": "2d-second-plane", "k": 1, "member": [0, 1], "cutoff": 
         ),
         ("classify", {"dimension": 0, "generators": [], "potential": []}, 2, "config error (dimension)"),
         ("fermi", {"dimension": 0, "generators": []}, 2, "config error (dimension)"),
+        ("bloch", {**IDENTITY_2D, "potential": _HUGE_INDEX}, 2, "config error (potential[1])"),
+        ("oracle", {**IDENTITY_2D, "potential": _HUGE_INDEX}, 2, "config error (potential[1])"),
+        ("classify", {**IDENTITY_2D, "potential": _HUGE_INDEX}, 2, "config error (potential[1])"),
+        (
+            "classify",
+            {**IDENTITY_2D, "potential": [{"index": [1, -(2**63) - 1], "re": 0.1}]},
+            2,
+            "config error (potential[0])",
+        ),
+        (
+            "fermi",
+            {**IDENTITY_2D, "params": {"resolution": 10**30}},
+            2,
+            "config error (params.resolution)",
+        ),
+        (
+            "fermi",
+            {**IDENTITY_2D, "params": {"resolution": 10**4 + 1}},
+            2,
+            "config error (params.resolution)",
+        ),
+        ("fermi", {**IDENTITY_2D, "params": {"rho": 1e6}}, 2, "config error (params.rho)"),
+        ("fermi", {**IDENTITY_2D, "params": {"rho": 1e300}}, 2, "config error (params.rho)"),
+        (
+            "fermi",
+            {"dimension": 2, "generators": [[1e8, 0.0], [0.0, 1.0]]},
+            2,
+            "config error (params.rho)",
+        ),
     ],
     ids=[
         "evaluate-at-non-number",
@@ -550,6 +584,15 @@ _SECOND_PLANE = {"mode": "2d-second-plane", "k": 1, "member": [0, 1], "cutoff": 
         "bloch-depth-negative",
         "classify-dimension-zero",
         "fermi-dimension-zero",
+        "bloch-index-beyond-int64",
+        "oracle-index-beyond-int64",
+        "classify-index-beyond-int64",
+        "classify-index-below-int64",
+        "fermi-resolution-huge",
+        "fermi-grid-above-work-bound",
+        "fermi-rho-1e6",
+        "fermi-rho-1e300",
+        "fermi-generator-1e8",
     ],
 )
 def test_contract_exit_codes(tmp_path, capsys, command, config, code, stderr_start):
@@ -584,6 +627,84 @@ def test_multiplicity_oracle_counts_the_constant_harmonic(tmp_path, capsys):
     }
     code, report = run_json(tmp_path, capsys, config, "multiplicity")
     assert (code, report["oracle_multiplicity"]) == (0, 2)
+
+
+_SKEWED_2D = {"dimension": 2, "generators": [[1.0, 0.0], [0.5, 0.9]]}
+_SKEWED_3D = {"dimension": 3, "generators": [[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.5, 1.0]]}
+_TWOD_HARMONICS = [
+    {"index": [1, 0], "re": 0.2},
+    {"index": [1, -2], "re": 0.1, "im": 0.05},
+    {"index": [2, 1], "re": -0.15},
+]
+
+
+def _records(coeffs):
+    return [{"index": list(n), "re": v.real, "im": v.imag} for n, v in coeffs.items()]
+
+
+def _reference_agreement(config):
+    """(cone, agreement): the dict-loop cone, and eigenvector_agreement
+    taken over it with one ``op.position`` lookup per cone node."""
+    basis = hb.LatticeBasis(np.array(config["generators"], dtype=float))
+    q = hb.FourierPotential(
+        basis,
+        {tuple(r["index"]): complex(r.get("re", 0.0), r.get("im", 0.0)) for r in config["potential"]},
+    )
+    params = config["params"]
+    gamma = tuple(params["gamma"])
+    op = galerkin.build(basis, q, config["t"], params["cutoff"])
+    base = op.position(gamma)
+    closed = bloch.closed_form_coeffs(
+        basis, q, gamma, config["t"], depth=max(op.planes) - op.planes[base]
+    )
+    vec = galerkin.eigenvector_backsolve(op, base)
+    cone = helpers.reference_interior_cone(op, gamma)
+    worst = 0.0
+    for dlt in cone:
+        node = tuple(a + b for a, b in zip(gamma, dlt))
+        backsolved = vec.vector[op.position(node)]
+        worst = max(worst, abs(backsolved - closed.coeffs.get(dlt, 0j)))
+    return cone, worst
+
+
+def test_oracle_agreement_equals_dict_loop(tmp_path, capsys):
+    cases = {
+        # gamma on the ball's top plane: the cone is {0}
+        "top-plane": ({**IDENTITY_2D, "potential": _TWOD_HARMONICS}, [4, 0], 4.0, 1),
+        "empty-potential": ({**IDENTITY_2D, "potential": []}, [0, 0], 4.0, 1),
+        "sign-minus": (
+            {**IDENTITY_2D, "potential": _records({(-1, 0): 0.2, (-1, 2): 0.1j, (-2, -1): -0.1})},
+            [1, 0],
+            5.0,
+            None,
+        ),
+        "axis-2": (
+            {**IDENTITY_2D, "potential": _records({(0, 1): 0.2, (1, 1): -0.1, (-2, 1): 0.05j})},
+            [0, -1],
+            5.0,
+            None,
+        ),
+        "1d": (
+            {"dimension": 1, "generators": [[1.0]], "potential": _records({(1,): 0.3, (2,): -0.1j})},
+            [-2],
+            6.0,
+            None,
+        ),
+        "3d": (
+            {**_SKEWED_3D, "potential": _records({(1, 0, 0): 0.2, (1, -1, 1): 0.1, (2, 0, -1): 0.1j})},
+            [0, 0, 0],
+            3.5,
+            None,
+        ),
+        "skewed": ({**_SKEWED_2D, "potential": _TWOD_HARMONICS}, [-1, 1], 5.0, None),
+    }
+    for name, (base, gamma, cutoff, cone_size) in cases.items():
+        config = {**base, "t": [0.13, 0.29, 0.07][: base["dimension"]], "params": {"gamma": gamma, "cutoff": cutoff}}
+        code, report = run_json(tmp_path, capsys, config, "oracle")
+        assert code == 0, name
+        cone, worst = _reference_agreement(config)
+        assert len(cone) == cone_size if cone_size else len(cone) > 3, name
+        assert report["eigenvector_agreement"] == worst, name
 
 
 # -- fuzzed multiplicity configs -------------------------------------------------

@@ -13,6 +13,8 @@ import helpers
 
 BASIS = hb.identity_basis(2)
 T = (0.5, 0.3)
+SKEWED = hb.LatticeBasis(np.array([[1.0, 0.0], [0.5, 0.9]]))
+BASIS3 = hb.identity_basis(3)
 
 
 def test_build_zero_potential_is_diagonal():
@@ -492,6 +494,7 @@ def test_matrix_csv_equals_per_cell_loop():
     small = dataclasses.replace(
         op,
         index_set=op.index_set[:2],
+        indices=op.indices[:2],
         matrix_diagonal=np.diagonal(cells).copy(),
         rows=np.array([1]),
         cols=np.array([0]),
@@ -556,10 +559,112 @@ def test_interior_cone_matches_chain_oracle():
         )
 
 
-# -- the sparse operator against the dense references ----------------------------
+def _ball_gammas(op):
+    """Every index of the ball, plus one just outside it."""
+    outside = tuple(max(n[0] for n in op.index_set) + 1 for _ in range(op.basis.dimension))
+    return [*op.index_set, outside]
 
-SKEWED = hb.LatticeBasis(np.array([[1.0, 0.0], [0.5, 0.9]]))
-BASIS3 = hb.identity_basis(3)
+
+@pytest.mark.parametrize(
+    "basis, k, sign, cutoff",
+    [
+        (hb.identity_basis(1), 1, "+", 5.0),
+        (hb.identity_basis(1), 1, "-", 5.0),
+        (BASIS, 1, "+", 3.5),
+        (BASIS, 2, "-", 3.5),
+        (SKEWED, 1, "-", 3.5),
+        (SKEWED, 2, "+", 3.5),
+        (BASIS3, 3, "+", 2.5),
+        (BASIS3, 1, "-", 2.5),
+    ],
+    ids=["1d-plus", "1d-minus", "identity-k1-plus", "identity-k2-minus",
+         "skewed-k1-minus", "skewed-k2-plus", "3d-k3-plus", "3d-k1-minus"],
+)
+def test_interior_cone_equals_dict_loop(basis, k, sign, cutoff):
+    # gamma on every plane of the ball and outside it, random potentials
+    rng = np.random.default_rng(71 + basis.dimension + k)
+    nontrivial = 0
+    for _ in range(5):
+        q = helpers.random_halfspace_potential(
+            rng, basis, k=k, sign=sign, max_harmonics=3, max_p=3, max_a=2
+        )
+        op = galerkin.build(basis, q, (0.1, 0.2, 0.3)[: basis.dimension], cutoff)
+        for gamma in _ball_gammas(op):
+            cone = galerkin.interior_cone(op, gamma)
+            assert cone == helpers.reference_interior_cone(op, gamma), (q.coeffs, gamma)
+            nontrivial += len(cone) > 1
+    assert nontrivial
+
+
+def test_interior_cone_with_planes_no_step_reaches():
+    # every step rises two planes or more: plane 1 of the cone stays empty
+    q = hb.FourierPotential(BASIS, {(2, 0): 0.1, (3, 1): 0.2, (2, -1): 0.1j})
+    op = galerkin.build(BASIS, q, T, 4.0)
+    assert {d[0] for d in galerkin.interior_cone(op, (-4, 0))} == {0, 2, 3, 4, 5, 6, 7, 8}
+    for gamma in _ball_gammas(op):
+        assert galerkin.interior_cone(op, gamma) == helpers.reference_interior_cone(op, gamma)
+
+
+def test_interior_cone_of_wide_harmonics_stays_small():
+    # the box of offsets is 40 * 10**6 wide; memory follows the reachable set
+    import tracemalloc
+
+    w = 10**6
+    q = hb.FourierPotential(BASIS, {(1, w): 0.1, (1, -w): 0.2j, (1, 0): 0.3})
+    op = galerkin.build(BASIS, q, T, 20.0)
+    tracemalloc.start()
+    try:
+        cone = galerkin.interior_cone(op, (0, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    # (2, 0) has the reachable, out-of-ball predecessor (1, -w)
+    assert cone == helpers.reference_interior_cone(op, (0, 0)) == {(0, 0), (1, 0)}
+    for gamma in [(-19, 0), (5, 3), (20, 0)]:
+        assert galerkin.interior_cone(op, gamma) == helpers.reference_interior_cone(op, gamma)
+
+
+@pytest.mark.parametrize(
+    "basis, coeffs, fallback",
+    [
+        (BASIS, {(1, 2**40): 0.1, (1, 0): 0.2, (2, -1): 0.1j}, False),
+        (BASIS3, {(1, 2**40, 0): 0.1, (1, 0, -(2**40)): 0.2, (1, 0, 0): 0.3, (2, 1, -1): 0.1j}, True),
+        (BASIS, {(1, 2**62): 0.1, (1, 0): 0.2, (1, 1): -0.1}, True),
+    ],
+    ids=["2d-2**40", "3d-2**40", "2d-2**62"],
+)
+def test_interior_cone_of_huge_harmonics_equals_dict_loop(basis, coeffs, fallback):
+    # the box of offsets spans prod(spans) keys; beyond int64 the keys are Python ints
+    q = hb.FourierPotential(basis, coeffs)
+    op = galerkin.build(basis, q, (0.1, 0.2, 0.3)[: basis.dimension], 3.0)
+    top = max(op.planes)
+    spans = [
+        top * (max(0, max(c)) - min(0, min(c))) + 1 for c in zip(*coeffs)
+    ]
+    assert (math.prod(spans) >= 2**63) == fallback
+    for gamma in _ball_gammas(op):
+        assert galerkin.interior_cone(op, gamma) == helpers.reference_interior_cone(op, gamma)
+    assert len(galerkin.interior_cone(op, (0,) * basis.dimension)) > 2
+
+
+def test_interior_cone_needs_class_s():
+    q = hb.FourierPotential(BASIS, {(1, 0): 0.1, (-1, 0): 0.1})
+    op = galerkin.build(BASIS, q, T, 2.0)
+    with pytest.raises(ValueError, match="class S"):
+        galerkin.interior_cone(op, (0, 0))
+
+
+def test_positions_is_a_read_only_view():
+    q = hb.FourierPotential(BASIS, {(1, 0): 0.1})
+    op = galerkin.build(BASIS, q, T, 2.0)
+    assert dict(op.positions) == {n: op.position(n) for n in op.index_set}
+    with pytest.raises(TypeError):
+        op.positions[(0, 0)] = 1
+    assert op.indices.tolist() == [list(n) for n in op.index_set]
+
+
+# -- the sparse operator against the dense references ----------------------------
 
 
 def _dense_reference_cases():
@@ -696,6 +801,7 @@ def _handmade_operator(planes, diagonal, entries):
     return dataclasses.replace(
         op,
         index_set=index_set,
+        indices=np.array(index_set, dtype=np.int64),
         diagonal=np.real(np.asarray(diagonal, dtype=complex)),
         matrix_diagonal=np.asarray(diagonal, dtype=complex),
         rows=np.array([r for r, _ in keys], dtype=np.int64),

@@ -156,6 +156,25 @@ def test_enumerate_ball_equals_reference_loop(name):
         assert all(type(x) is int for n in got for x in n)
 
 
+@pytest.mark.parametrize("name", EXACTNESS_BASES)
+def test_box_size_bounds_the_scanned_box(name):
+    # the integer box enumerate_ball builds, recounted from its generator-coordinate span
+    basis = EXACTNESS_BASES[name]
+    inverse = np.linalg.inv(basis.generators)
+    dual = np.sqrt((inverse**2).sum(axis=0))
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        center = rng.uniform(-3, 3, size=basis.dimension)
+        radius = float(rng.uniform(0, 6))
+        mid = center @ inverse
+        box = math.prod(
+            math.floor(m + radius * h + 1e-9) - math.ceil(m - radius * h - 1e-9) + 1
+            for m, h in zip(mid, dual)
+        )
+        assert len(basis.enumerate_ball(center, radius)) <= box <= basis.box_size(radius)
+    assert basis.box_size(math.inf) == math.inf
+
+
 def test_reduce_quasimomentum_examples():
     assert np.allclose(IDENTITY.reduce_quasimomentum((1.3, -0.7)), [0.3, 0.3])
     assert np.allclose(IDENTITY.reduce_quasimomentum((0.0, 0.0)), [0.0, 0.0])
