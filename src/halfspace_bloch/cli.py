@@ -16,6 +16,7 @@ Outputs are deterministic given the config.
 from __future__ import annotations
 
 import argparse
+import bisect
 import functools
 import json
 import math
@@ -302,6 +303,22 @@ def _require_class_s(q: potential.FourierPotential, use: str) -> None:
         )
 
 
+def _check_index_reach(q: potential.FourierPotential, gamma, steps: int) -> None:
+    """:class:`ConfigError` unless every index a route of ``steps`` steps can
+    reach, gamma plus a sum of that many harmonics, fits in int64.
+
+    Both Bloch routes hold these indices in int64 arrays, where a larger sum
+    would wrap into a wrong offset.
+    """
+    largest = max((abs(x) for n in q.coeffs for x in n), default=0)
+    if steps * largest + max(map(abs, gamma)) > INDEX_MAX:
+        raise ConfigError(
+            f"{steps} steps of a harmonic with an index entry of {largest} from "
+            f"gamma={gamma} leave the int64 range of the coefficient arrays",
+            field="potential",
+        )
+
+
 # -- commands ------------------------------------------------------------------
 
 
@@ -344,6 +361,8 @@ def cmd_bloch(doc: dict) -> tuple[dict, int]:
         )
     order = _param_int(params, "order", 8, minimum=1)
     depth = _param_int(params, "depth", 6, minimum=0)
+    steps = {"series": order, "closed-form": depth}.get(method, max(order, depth))
+    _check_index_reach(pot.q, gamma, steps)
     tail_tol = _param_number(params, "tail_tol", bloch.DEFAULT_TAIL_TOL)
 
     report: dict[str, Any] = {
@@ -530,11 +549,9 @@ def _multiplicity_second_plane(doc: dict, params: dict) -> tuple[dict, int]:
         raise CutoffError(
             f"cutoff {cutoff} ball does not contain member={member}"
         ) from None
-    subset = [
-        n
-        for n, p in zip(op.index_set, op.planes)
-        if p > group.planes[1].n
-    ] + [member]
+    # the planes of a '+' operator ascend: the rows above the member's plane are a tail
+    above = bisect.bisect_right(op.planes, group.planes[1].n)
+    subset = np.vstack([op.indices[above:], member])
     excess = galerkin.jordan_chain_excess(op, group.lam, subset=subset)
     predicted = result.classification is rootfn.Classification.ASSOCIATED
     report = {

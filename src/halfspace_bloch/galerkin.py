@@ -15,6 +15,17 @@ operator keeps the diagonal M_jj = |g + t|^2 + q_0, the off-diagonal
 couplings as (row, col, value) arrays sorted row-major with no zero stored,
 and the rows at which each plane block starts.  Nothing builds the N x N
 matrix; ``op.matrix`` densifies on demand, for the CSV dump and for tests.
+
+Finding rows.  The ball stays an (N, d) int64 array from
+``enumerate_ball`` to the operator: one stable argsort of the signed plane
+index puts the lex-ordered ball in plane-major order, ties lexicographic.
+A batch of indices, the coupling targets n + g1 or a probe's subset, is
+matched to rows at once: each index inside the ball's bounding box gets its
+:func:`coeffset.pack` key, and one ``np.searchsorted`` into the ball's
+sorted keys finds it or misses.  Indices outside the box are rejected
+before packing (a key is one-to-one on the box only), and a harmonic longer
+than the box on some axis is dropped before n + g1 is formed, so no int64
+sum can wrap.  Only ``index_set`` and ``positions`` hold Python tuples.
 The triangularity witness is the first coupling, in row-major order, whose
 row plane is not above its column plane.
 
@@ -148,9 +159,46 @@ class TruncatedOperator:
         return dense
 
     @cached_property
+    def _index_box(self) -> "_IndexBox":
+        # derived from ``indices`` on first use, so an operator made by
+        # ``dataclasses.replace`` never keeps a stale lookup
+        return _IndexBox(self.indices)
+
+    @cached_property
     def _witness(self) -> tuple[IndexVector, IndexVector] | None:
         # built on first use only: the rank probes never need the scan
         return _first_grading_violation(self)
+
+
+class _IndexBox:
+    """Row lookup in an (N, d) int64 array of distinct lattice indices.
+
+    Each index gets its :func:`coeffset.pack` key over the array's bounding
+    box; the keys are sorted once, and a batch of indices is found with one
+    ``np.searchsorted``.  Indices outside the box are rejected before they
+    are packed, since a key is one-to-one on the box only.
+    """
+
+    def __init__(self, indices: np.ndarray):
+        # the box always holds the origin: no special case for an empty array
+        self.lo, self.hi = indices.min(axis=0, initial=0), indices.max(axis=0, initial=0)
+        self.spans = self.hi - self.lo + 1
+        keys = coeffset.pack(indices, self.lo.tolist(), self.spans.tolist())
+        self.rows = np.argsort(keys, kind="stable")
+        # no key in the box is negative: a miss reads -1
+        self.keys = np.append(keys[self.rows], -1)
+
+    def find(self, members: np.ndarray) -> np.ndarray:
+        """The row of each member (rows of an (m, d) integer-valued array), -1 where absent."""
+        inside = np.flatnonzero(np.all((members >= self.lo) & (members <= self.hi), axis=1))
+        keys = coeffset.pack(
+            members[inside].astype(np.int64, copy=False), self.lo.tolist(), self.spans.tolist()
+        )
+        at = np.searchsorted(self.keys[:-1], keys)
+        hit = self.keys[at] == keys
+        rows = np.full(members.shape[0], -1, dtype=np.intp)
+        rows[inside[hit]] = self.rows[at[hit]]
+        return rows
 
 
 def build(
@@ -168,20 +216,23 @@ def build(
     k, sign = (q.k or 1), (q.sign or "+")
     sig = sign_value(sign)
     ball = basis.enumerate_ball(np.zeros(basis.dimension), cutoff)
-    index_set = tuple(sorted(ball, key=lambda n: (sig * n[k - 1], n)))
-    positions = {n: i for i, n in enumerate(index_set)}
+    # plane-major: a stable sort of the lex-ordered ball keeps ties lexicographic
+    order = np.argsort(sig * ball[:, k - 1], kind="stable")
+    indices = ball[order]
+    index_set = tuple(map(tuple, indices.tolist()))
+    positions = dict(zip(index_set, range(len(index_set))))
 
     size = len(index_set)
-    indices = np.array(index_set, dtype=np.int64).reshape(size, basis.dimension)
     diag = eigenvalues(basis, indices, t_arr)
     # q_{g1} couples column n to row n + g1 wherever n + g1 is in the ball;
-    # no two (row, column) pairs repeat
+    # no two (row, column) pairs repeat.  A harmonic longer than the ball's
+    # box on some axis reaches no row, and is dropped before any sum can wrap.
     support, qvals = coeffset.from_mapping(q.coeffs, basis.dimension)
+    box = _IndexBox(indices)
+    reach = np.all((support > -box.spans) & (support < box.spans), axis=1)
+    support, qvals = support[reach], qvals[reach]
     targets = (support[:, None, :] + indices[None, :, :]).reshape(-1, basis.dimension)
-    first, inverse = coeffset.unique_rows(np.concatenate([indices, targets]))
-    position = np.full(first.size, -1)
-    position[inverse[:size]] = np.arange(size)
-    rows = position[inverse[size:]]
+    rows = box.find(targets)
     cols = np.tile(np.arange(size), len(qvals))
     vals = np.repeat(qvals, size)
     inside = rows >= 0
@@ -481,27 +532,61 @@ def geometric_multiplicity(
     return block.shape[0] - rank
 
 
+def _subset_rows(op: TruncatedOperator, subset) -> np.ndarray:
+    """The row of each lattice index in ``subset``, found in one lookup.
+
+    The errors are :meth:`TruncatedOperator.position`'s, for the first member
+    at fault: ``ValueError`` for a non-integer member or a wrong length,
+    ``KeyError`` for a member outside the ball.
+    """
+    d = op.basis.dimension
+    members = np.asarray(subset)
+    if members.size == 0:
+        return np.zeros(0, dtype=np.intp)
+    if members.ndim != 2 or members.shape[1] != d:
+        raise ValueError(f"subset members must be indices of length {d}, got shape {members.shape}")
+    integral = np.ones(members.shape[0], dtype=bool)
+    if members.dtype.kind not in "biu":
+        try:
+            with np.errstate(invalid="ignore"):  # inf % 1 is nan: non-integer
+                integral = np.all(members % 1 == 0, axis=1)
+        except TypeError:  # strings and other non-numbers
+            integral[:] = False
+    rows = np.full(members.shape[0], -1, dtype=np.intp)
+    rows[integral] = op._index_box.find(members[integral])
+    bad = np.flatnonzero(rows < 0)
+    if bad.size:
+        n = members[bad[0]].tolist()
+        if not integral[bad[0]]:
+            raise ValueError(f"non-integer lattice index {tuple(n)!r}")
+        raise KeyError(tuple(int(x) for x in n))
+    return rows
+
+
 def jordan_chain_excess(
     op: TruncatedOperator,
     lam: float,
     rank_tol: float | None = None,
-    subset: Sequence[Sequence[int]] | None = None,
+    subset: Sequence[Sequence[int]] | np.ndarray | None = None,
 ) -> int:
     """Number of Jordan blocks of size >= 2 at lam: dim ker(A^2) - dim ker(A).
 
     Both kernels are taken on the window block B22 and its square, which is
-    the window block of A^2 (module docstring).  With ``subset`` the probe
-    runs on the submatrix over those lattice indices, which must span an
-    invariant subspace (columns may not leak outside; checked exactly).
+    the window block of A^2 (module docstring).  With ``subset`` (index
+    tuples, or the rows of an (m, d) integer array) the probe runs on the
+    submatrix over those lattice indices, which must span an invariant
+    subspace (columns may not leak outside; checked exactly).  The members
+    are found as by :meth:`TruncatedOperator.position`, with its errors; a
+    member listed twice counts once.
     Requires the plane-triangular structure (:class:`TriangularityError`
     otherwise); rank thresholds as in :func:`geometric_multiplicity`.
     """
     _require_triangular(op, "the Jordan probe")
     pos = None
     if subset is not None:
-        pos = sorted(op.position(n) for n in subset)
         member = np.zeros(op.size, dtype=bool)
-        member[pos] = True
+        member[_subset_rows(op, subset)] = True
+        pos = np.flatnonzero(member)
         # no stored coupling may run from a column in the subset to a row outside it
         if np.any(member[op.cols] & ~member[op.rows]):
             raise ValueError("subset does not span an invariant subspace")

@@ -91,8 +91,8 @@ def _check_cutoff(basis: LatticeBasis, rho: float, cutoff: float) -> None:
 
 def _nearest(
     basis: LatticeBasis, ts: np.ndarray, t0: np.ndarray, rho: float, cutoff: float
-) -> tuple[np.ndarray, list[IndexVector], np.ndarray]:
-    """(distance per row of ts, candidate list, index of each row's minimizer).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(distance per row of ts, (m, d) candidate array, row of each row's minimizer).
 
     Candidates are the ball about -t0 that covers the ball of every row;
     the (grid x candidate) array is scored in row chunks of at most
@@ -130,7 +130,7 @@ def distance_to_surface(
     if t.shape != (basis.dimension,):
         raise ValueError(f"t must have length {basis.dimension}")
     dist, candidates, best = _nearest(basis, t[None, :], t, rho, cutoff)
-    return float(dist[0]), candidates[best[0]]
+    return float(dist[0]), tuple(candidates[best[0]].tolist())
 
 
 def sample_surface(
@@ -154,9 +154,12 @@ def sample_surface(
     grids = np.meshgrid(*([axis] * basis.dimension), indexing="ij")
     ts = basis.to_cartesian(np.stack([g.ravel() for g in grids], axis=-1))
     dist, candidates, best = _nearest(basis, ts, np.zeros(basis.dimension), rho, cutoff)
-    kept = np.flatnonzero(dist <= threshold).tolist()
+    kept = np.flatnonzero(dist <= threshold)
     points = tuple(
-        (tuple(ts[i].tolist()), float(dist[i]), candidates[best[i]]) for i in kept
+        (tuple(t), d, tuple(n))
+        for t, d, n in zip(
+            ts[kept].tolist(), dist[kept].tolist(), candidates[best[kept]].tolist()
+        )
     )
     return SurfaceSample(
         rho=rho,

@@ -158,16 +158,16 @@ class LatticeBasis:
 
     # -- enumeration and reduction ---------------------------------------
 
-    def enumerate_ball(
-        self, center: Sequence[float], radius: float
-    ) -> list[IndexVector]:
-        """All indices n with |to_cartesian(n) - center| <= radius, in lex order.
+    def enumerate_ball(self, center: Sequence[float], radius: float) -> np.ndarray:
+        """All indices n with |to_cartesian(n) - center| <= radius, as the rows
+        of an (m, d) int64 array in lex order; (0, d) when the ball is empty.
 
         The integer bounding box comes from the dual coordinates of the
         center, so no candidate is missed regardless of basis skew.  The box
         is built as one array (``indexing="ij"`` rows are already in lex
         order) and filtered in one step; each kept row's norm is bit-equal
         to the scalar ``sqrt(v @ v)`` of ``v = to_cartesian(n) - center``.
+        Callers that report an index turn only that row into a tuple.
         """
         if radius < 0:
             raise ValueError(f"radius must be nonnegative, got {radius}")
@@ -177,13 +177,15 @@ class LatticeBasis:
         mid = c @ self._inverse
         half = radius * self._dual_norms
         axes = [
-            np.arange(math.ceil(m - h - _BOX_PAD), math.floor(m + h + _BOX_PAD) + 1)
+            np.arange(
+                math.ceil(m - h - _BOX_PAD), math.floor(m + h + _BOX_PAD) + 1, dtype=np.int64
+            )
             for m, h in zip(mid, half)
         ]
         box = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         box = box.reshape(-1, self.dimension)
         keep = np.sqrt(squared_norms(self.to_cartesian(box) - c)) <= radius
-        return list(map(tuple, box[keep].tolist()))
+        return box[keep]
 
     def box_size(self, radius: float) -> float:
         """Upper bound on the integer points :meth:`enumerate_ball` scans for a

@@ -110,7 +110,8 @@ def is_simple(
     """
     gamma = as_index(gamma, basis.dimension)
     t, lam = _check_cutoff(basis, gamma, t, cutoff)
-    others = [n for n in basis.enumerate_ball(-t, cutoff) if n != gamma]
+    ball = basis.enumerate_ball(-t, cutoff)
+    others = ball[(ball != gamma).any(axis=1)]
     gaps = np.abs(np.sqrt(eigenvalues(basis, others, t)) - math.sqrt(lam))
     return not (gaps <= tol).any()
 
@@ -137,7 +138,7 @@ def degeneracy_group(
     ball = basis.enumerate_ball(-t, cutoff)
     gaps = np.abs(eigenvalues(basis, ball, t) - lam)
     hit = gaps <= group_tol
-    members = [(n, n[k - 1]) for n, h in zip(ball, hit.tolist()) if h]
+    members = [(n, n[k - 1]) for n in map(tuple, ball[hit].tolist())]
     excluded_gap = float(gaps[~hit].min()) if not hit.all() else math.inf
     if gamma not in [b for b, _ in members]:
         raise CutoffError(

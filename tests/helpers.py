@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 import halfspace_bloch as hb
-from halfspace_bloch import bloch, coeffset, galerkin, lattice, spectrum
+from halfspace_bloch import bloch, galerkin, lattice, spectrum
 from halfspace_bloch.errors import NoEigenvectorError, ResonanceError
 
 # -- geometry oracles ---------------------------------------------------------
@@ -156,7 +156,7 @@ def min_denominator_gap(basis, q, gamma, t, floor: float = 9.0) -> float:
     sig = 1 if sign == "+" else -1
     best = floor
     base = basis.to_cartesian(gamma) + np.asarray(t, float)
-    for n in basis.enumerate_ball(np.zeros(basis.dimension), radius):
+    for n in reference_enumerate_ball(basis, np.zeros(basis.dimension), radius):
         if sig * n[k - 1] < 1:
             continue
         v = base + basis.to_cartesian(n)
@@ -508,25 +508,26 @@ def reference_matrix_csv(op):
 
 
 def reference_build(basis, q, t, cutoff):
-    """(index_set, dense matrix) of the truncated operator, built N x N."""
-    t_arr = np.asarray(t, dtype=float)
+    """(index_set, dense matrix) of the truncated operator, built N x N.
+
+    The ball comes from the per-point loop, the plane-major order from a
+    Python sort, and every coupling target n + g1 is summed in Python ints
+    and looked up in a dict, so no int64 sum can wrap.
+    """
     k, sign = (q.k or 1), (q.sign or "+")
     sig = lattice.sign_value(sign)
-    ball = basis.enumerate_ball(np.zeros(basis.dimension), cutoff)
+    ball = reference_enumerate_ball(basis, np.zeros(basis.dimension), cutoff)
     index_set = tuple(sorted(ball, key=lambda n: (sig * n[k - 1], n)))
+    positions = {n: j for j, n in enumerate(index_set)}
     size = len(index_set)
-    indices = np.array(index_set, dtype=np.int64).reshape(size, basis.dimension)
     matrix = np.zeros((size, size), dtype=complex)
-    matrix[np.diag_indices(size)] = spectrum.eigenvalues(basis, indices, t_arr)
-    support, qvals = coeffset.from_mapping(q.coeffs, basis.dimension)
-    targets = (support[:, None, :] + indices[None, :, :]).reshape(-1, basis.dimension)
-    first, inverse = coeffset.unique_rows(np.concatenate([indices, targets]))
-    position = np.full(first.size, -1)
-    position[inverse[:size]] = np.arange(size)
-    rows = position[inverse[size:]]
-    inside = rows >= 0
-    cols = np.tile(np.arange(size), len(qvals))
-    matrix[rows[inside], cols[inside]] += np.repeat(qvals, size)[inside]
+    for j, n in enumerate(index_set):
+        matrix[j, j] = reference_eigenvalue(basis, n, t)
+    for g1, value in q.coeffs.items():
+        for j, n in enumerate(index_set):
+            row = positions.get(tuple(a + b for a, b in zip(n, g1)))
+            if row is not None:
+                matrix[row, j] += value
     return index_set, matrix
 
 

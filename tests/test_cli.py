@@ -366,6 +366,9 @@ def test_parser_not_built_at_import():
 _POT = [{"index": [1, 0], "re": 0.1}]
 # an index beyond int64, after one valid record
 _HUGE_INDEX = [*_POT, {"index": [10**30, 1], "re": 0.1}]
+# indices inside int64 whose sums over a few steps leave it
+_NEAR_INT64_END = [*_POT, {"index": [1, 2**62], "re": 0.1}]
+_INT64_MAX_INDEX = [*_POT, {"index": [1, 2**63 - 1], "re": 0.1}]
 _ONED = {"dimension": 1, "generators": [[2 * math.pi]]}
 _SECOND_PLANE = {"mode": "2d-second-plane", "k": 1, "member": [0, 1], "cutoff": 6.0}
 
@@ -533,6 +536,31 @@ _SECOND_PLANE = {"mode": "2d-second-plane", "k": 1, "member": [0, 1], "cutoff": 
             "config error (potential[0])",
         ),
         (
+            "bloch",
+            {**IDENTITY_2D, "potential": _NEAR_INT64_END, "params": {"method": "closed-form", "depth": 4}},
+            2,
+            "config error (potential)",
+        ),
+        (
+            "bloch",
+            {**IDENTITY_2D, "potential": _NEAR_INT64_END, "params": {"method": "series", "order": 2}},
+            2,
+            "config error (potential)",
+        ),
+        (
+            "bloch",
+            {**IDENTITY_2D, "potential": _NEAR_INT64_END, "params": {"order": 2, "depth": 1}},
+            2,
+            "config error (potential)",
+        ),
+        ("bloch", {**IDENTITY_2D, "potential": _INT64_MAX_INDEX}, 2, "config error (potential)"),
+        (
+            "bloch",
+            {**IDENTITY_2D, "potential": _POT, "params": {"gamma": [0, 2**63]}},
+            2,
+            "config error (potential)",
+        ),
+        (
             "fermi",
             {**IDENTITY_2D, "params": {"resolution": 10**30}},
             2,
@@ -588,6 +616,11 @@ _SECOND_PLANE = {"mode": "2d-second-plane", "k": 1, "member": [0, 1], "cutoff": 
         "oracle-index-beyond-int64",
         "classify-index-beyond-int64",
         "classify-index-below-int64",
+        "bloch-closed-form-sum-beyond-int64",
+        "bloch-series-sum-beyond-int64",
+        "bloch-both-sum-beyond-int64",
+        "bloch-int64-max-index",
+        "bloch-gamma-beyond-int64",
         "fermi-resolution-huge",
         "fermi-grid-above-work-bound",
         "fermi-rho-1e6",
@@ -603,6 +636,26 @@ def test_contract_exit_codes(tmp_path, capsys, command, config, code, stderr_sta
     assert captured.out == ""
     assert captured.err.startswith(stderr_start)
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+def test_bloch_with_a_2_40_harmonic_is_exact(tmp_path, capsys):
+    # 8 steps of 2**40 stay far inside int64: both routes keep their exact offsets
+    records = [*_POT, {"index": [1, 2**40], "re": 0.1}]
+    t = [0.31, 0.17]
+    config = {**IDENTITY_2D, "potential": records, "t": t, "params": {"order": 8, "depth": 6}}
+    code, report = run_json(tmp_path, capsys, config, "bloch")
+    assert code == 0
+    basis = hb.identity_basis(2)
+    q = hb.FourierPotential(basis, {(1, 0): 0.1 + 0j, (1, 2**40): 0.1 + 0j})
+
+    def entries(route):
+        return {tuple(e["delta"]): complex(e["re"], e["im"]) for e in report[route]["entries"]}
+
+    series, _, _, _ = helpers.reference_series(basis, q, (0, 0), t, 8, bloch.DEFAULT_TAIL_TOL)
+    closed = helpers.reference_closed_form(basis, q, (0, 0), t, 6)
+    assert entries("series") == series
+    assert entries("closed_form") == closed
+    assert any(n[1] == 6 * 2**40 for n in closed)
 
 
 def test_null_numeric_param_means_default(tmp_path, capsys):

@@ -875,3 +875,94 @@ def test_invariant_subset_check_equals_dense_scan():
                     helpers.reference_jordan_chain_excess(op, lam, subset=subset)
                 )
     assert verdicts == {True, False}
+
+
+# -- int64 ends and the one-lookup subset ------------------------------------------
+
+
+def _int64_end_cases():
+    big, top, bottom = 2**62, 2**63 - 1, -(2**63)
+    cases = []
+    for label, coeffs in (
+        ("2**62", {(1, 0): 0.2, (1, big): 0.1j}),
+        ("2**63-1", {(1, 0): 0.2, (1, top): 0.1j}),
+        ("-2**63", {(1, 0): 0.2, (1, bottom): 0.1j}),
+        ("both-ends", {(1, 0): 0.2, (1, top): 0.1j, (2, bottom): -0.3, (top, -1): 0.05}),
+        ("sign-minus", {(-1, 0): 0.2, (-1, top): 0.1j, (bottom, 1): -0.3}),
+    ):
+        cases.append(pytest.param(BASIS, coeffs, 4.0, id=f"2d-{label}"))
+    for label, coeffs in (
+        ("2**62", {(1, 0, 0): 0.2, (1, big, 0): 0.1j}),
+        ("2**63-1", {(1, 0, 0): 0.2, (1, 0, top): 0.1j, (1, -1, bottom): -0.1}),
+    ):
+        cases.append(pytest.param(BASIS3, coeffs, 3.0, id=f"3d-{label}"))
+    return cases
+
+
+@pytest.mark.parametrize("basis, coeffs, cutoff", _int64_end_cases())
+def test_build_with_int64_end_harmonics_equals_dense_build(basis, coeffs, cutoff):
+    # n + g1 wraps in int64 for these harmonics; none may alias into the ball
+    q = hb.FourierPotential(basis, coeffs)
+    t = (0.5, 0.3, 0.2)[: basis.dimension]
+    op = galerkin.build(basis, q, t, cutoff)
+    index_set, dense = helpers.reference_build(basis, q, t, cutoff)
+    assert op.index_set == index_set
+    assert op.indices.dtype == np.int64
+    assert op.indices.tolist() == [list(n) for n in index_set]
+    assert op.matrix.tobytes() == dense.tobytes()
+
+
+def _probe_operator():
+    """A '+' operator with a second-plane member whose Jordan excess is 1."""
+    q = hb.FourierPotential(BASIS, {(1, 0): 0.3, (2, -1): 0.2, (1, -1): 0.4, (2, 1): 0.1j})
+    op = galerkin.build(BASIS, q, (0.0, 0.0), 7.0)
+    member = (0, 1)
+    subset = [n for n, p in zip(op.index_set, op.planes) if p > 0] + [member]
+    return op, subset
+
+
+def test_jordan_subset_as_tuples_or_array():
+    op, subset = _probe_operator()
+    expected = helpers.reference_jordan_chain_excess(op, 1.0, subset=subset)
+    assert expected == 1
+    scrambled = np.random.default_rng(5).permutation(len(subset))
+    for form in (
+        subset,
+        np.array(subset, dtype=np.int64),
+        np.array(subset, dtype=np.int64)[scrambled],
+        [subset[j] for j in scrambled],
+        np.array(subset, dtype=float),
+    ):
+        assert galerkin.jordan_chain_excess(op, 1.0, subset=form) == expected
+    assert galerkin.jordan_chain_excess(op, 1.0, subset=[]) == 0
+    assert galerkin.jordan_chain_excess(op, 1.0, subset=np.zeros((0, 2), np.int64)) == 0
+
+
+def test_jordan_subset_errors_match_position():
+    op, subset = _probe_operator()
+    radius = max(n[1] for n in op.index_set)
+    # (-1, radius + 1) packs, without the box check, onto the key of (0, -radius)
+    for outside in ((9, 9), (-1, radius + 1), (0, 2**70), (1, -(2**63))):
+        with pytest.raises(KeyError) as from_position:
+            op.position(outside)
+        # an int64 array, or an object array for the index beyond int64
+        for form in (subset + [outside], np.array(subset + [outside])):
+            with pytest.raises(KeyError) as got:
+                galerkin.jordan_chain_excess(op, 1.0, subset=form)
+            assert got.value.args == from_position.value.args
+    messages = set()
+    for form in (subset + [(0.5, 1)], np.array(subset + [(0.5, 1)], dtype=float)):
+        with pytest.raises(ValueError, match="non-integer") as got:
+            galerkin.jordan_chain_excess(op, 1.0, subset=form)
+        messages.add(str(got.value))
+    assert len(messages) == 1
+    with pytest.raises(ValueError):
+        op.position((0.5, 1))
+    # the first member at fault decides, as a per-member lookup would
+    with pytest.raises(ValueError, match="non-integer"):
+        galerkin.jordan_chain_excess(op, 1.0, subset=[(0.5, 1), (9, 9)])
+    with pytest.raises(KeyError):
+        galerkin.jordan_chain_excess(op, 1.0, subset=[(9, 9), (0.5, 1)])
+    for wrong_length in ([(0, 1, 0)], np.zeros((2, 3), dtype=np.int64), [(0, 1), (0, 1, 2)]):
+        with pytest.raises(ValueError):
+            galerkin.jordan_chain_excess(op, 1.0, subset=wrong_length)

@@ -168,11 +168,14 @@ def test_one_candidate_set_covers_every_point_ball(monkeypatch):
     rho, resolution = 0.6, 7
     isoenergetic.sample_surface(basis, rho, resolution, threshold=0.05)
     assert len(balls) == 1
+    assert balls[0].dtype == np.int64 and balls[0].shape[1] == basis.dimension
     cutoff = rho + basis.fundamental_diameter() + 1.0
     axis = np.linspace(-0.5, 0.5, resolution)
     for c in itertools.product(axis, repeat=2):
         t = np.asarray(c) @ basis.generators
-        assert set(helpers.reference_enumerate_ball(basis, -t, cutoff)) <= set(balls[0])
+        assert set(helpers.reference_enumerate_ball(basis, -t, cutoff)) <= set(
+            map(tuple, balls[0].tolist())
+        )
 
 
 def test_distance_to_surface_equals_per_point_loop():
@@ -201,6 +204,17 @@ def test_distance_exact_ties_take_lex_first(t, rho, expected):
     got = isoenergetic.distance_to_surface(BASIS, t, rho, cutoff=4.0)
     assert got == expected
     assert got == helpers.reference_distance_to_surface(BASIS, t, rho, 4.0)
+
+
+def test_reported_translates_are_python_int_tuples():
+    sample = isoenergetic.sample_surface(BASIS, 0.6, 9, threshold=0.2)
+    assert sample.points
+    for t, dist, gamma in sample.points:
+        assert type(gamma) is tuple and all(type(x) is int for x in gamma)
+        assert type(t) is tuple and type(dist) is float
+    dist, gamma = isoenergetic.distance_to_surface(BASIS, (0.3, -0.2), 0.6, cutoff=4.0)
+    assert type(dist) is float
+    assert type(gamma) is tuple and all(type(x) is int for x in gamma)
 
 
 def test_guards_reject_small_cutoff_and_negative_rho():

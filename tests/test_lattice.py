@@ -91,24 +91,41 @@ def test_degenerate_basis_rejected():
         hb.LatticeBasis(np.array([[1.0, 0.0], [2.0, 0.0]]))
 
 
+def assert_ball(got, expected, dimension):
+    """``enumerate_ball``'s array holds exactly the expected index tuples, in order."""
+    assert got.dtype == np.int64
+    assert got.shape == (len(expected), dimension)
+    assert got.tolist() == [list(n) for n in expected]
+
+
 def test_enumerate_ball_unit():
-    assert IDENTITY.enumerate_ball((0, 0), 1.0) == [
-        (-1, 0),
-        (0, -1),
-        (0, 0),
-        (0, 1),
-        (1, 0),
-    ]
+    assert_ball(
+        IDENTITY.enumerate_ball((0, 0), 1.0),
+        [
+            (-1, 0),
+            (0, -1),
+            (0, 0),
+            (0, 1),
+            (1, 0),
+        ],
+        2,
+    )
 
 
 def test_enumerate_ball_radius_zero():
-    assert IDENTITY.enumerate_ball((0, 0), 0.0) == [(0, 0)]
+    assert_ball(IDENTITY.enumerate_ball((0, 0), 0.0), [(0, 0)], 2)
+
+
+def test_enumerate_ball_empty():
+    # an integer box with no point, and a box whose points all miss the ball
+    assert_ball(IDENTITY.enumerate_ball((0.5, 0.5), 0.1), [], 2)
+    assert_ball(hb.identity_basis(3).enumerate_ball((0.5, 0.5, 0.5), 0.6), [], 3)
 
 
 def test_enumerate_ball_radius_1_5():
     pts = IDENTITY.enumerate_ball((0, 0), 1.5)
     assert len(pts) == 9
-    assert pts == helpers.ball_scan_oracle(IDENTITY, (0, 0), 1.5)
+    assert_ball(pts, helpers.ball_scan_oracle(IDENTITY, (0, 0), 1.5), 2)
 
 
 def test_enumerate_ball_matches_oracle_random():
@@ -117,8 +134,10 @@ def test_enumerate_ball_matches_oracle_random():
         for _ in range(10):
             center = rng.uniform(-2, 2, size=2)
             radius = rng.uniform(0, 4)
-            assert basis.enumerate_ball(center, radius) == helpers.ball_scan_oracle(
-                basis, center, radius
+            assert_ball(
+                basis.enumerate_ball(center, radius),
+                helpers.ball_scan_oracle(basis, center, radius),
+                2,
             )
 
 
@@ -152,8 +171,7 @@ def test_enumerate_ball_equals_reference_loop(name):
             cases.append((center, math.sqrt(float(v @ v))))
     for center, radius in cases:
         got = basis.enumerate_ball(center, radius)
-        assert got == helpers.reference_enumerate_ball(basis, center, radius)
-        assert all(type(x) is int for n in got for x in n)
+        assert_ball(got, helpers.reference_enumerate_ball(basis, center, radius), d)
 
 
 @pytest.mark.parametrize("name", EXACTNESS_BASES)

@@ -106,6 +106,15 @@ def test_degeneracy_group_unit_circle():
     )
 
 
+def test_group_members_are_python_int_tuples():
+    group = spectrum.degeneracy_group(BASIS, (1, 0), (0.0, 0.0), k=1, cutoff=6.0)
+    assert group.multiplicity == 4
+    for n, p in group.members:
+        assert type(n) is tuple and type(p) is int
+        assert all(type(x) is int for x in n)
+    assert all(type(x) is int for plane in group.planes for n in plane.members for x in n)
+
+
 def test_degeneracy_group_simple_case():
     group = spectrum.degeneracy_group(BASIS, (0, 0), (0.1, 0.2), k=1, cutoff=4.0)
     assert group.multiplicity == 1
