@@ -8,9 +8,16 @@ in one process and prints
     workload index exit sha256
 
 per instance, where the hash covers the instance's stdout, stderr and
-output file.  Two checkouts give the same lines exactly when every command
-exits with the same code and writes the same bytes, so comparing a change
-with its parent is one ``diff``:
+output file.  Two tagged variants follow, so that outputs the timed pools do
+not write are checked as well:
+
+    fermi-json index exit sha256         every fermi instance with --format json
+    coeffs-evaluate_at index exit sha256 every coeffs instance with the
+                                         params.evaluate_at of EVALUATE_AT
+
+Two checkouts give the same lines exactly when every command exits with the
+same code and writes the same bytes, so comparing a change with its parent
+is one ``diff``:
 
     python3 scripts/output_digests.py --src ../parent/src --seed 1 > parent.txt
     python3 scripts/output_digests.py --src src --seed 1 > change.txt
@@ -33,6 +40,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+#: the point of the coeffs-evaluate_at lines, cut to each instance's dimension
+EVALUATE_AT = (0.25, -0.5, 0.75)
+
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -45,21 +55,35 @@ def main() -> None:
     from halfspace_bloch import cli
 
     with tempfile.TemporaryDirectory() as tmp:
-        config, out = Path(tmp) / "config.json", Path(tmp) / "out"
-        for workload in workloads.WORKLOADS:
-            pool = workloads.generate(workload, args.seed, workloads.timed_rounds(workload))
+        config_path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+
+        def digest(command: str, config: dict, *options: str) -> tuple[int, str]:
+            config_path.write_text(json.dumps(config), encoding="utf-8")
+            out.unlink(missing_ok=True)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            argv = [command, "--config", str(config_path), "--out", str(out), *options]
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
+            sha = hashlib.sha256()
+            for part in (stdout.getvalue(), stderr.getvalue()):
+                sha.update(part.encode("utf-8") + b"\0")
+            sha.update(out.read_bytes() if out.exists() else b"<no output file>")
+            return code, sha.hexdigest()
+
+        pools = {
+            workload: workloads.generate(workload, args.seed, workloads.timed_rounds(workload))
+            for workload in workloads.WORKLOADS
+        }
+        for workload, pool in pools.items():
             for index, instance in enumerate(pool):
-                config.write_text(json.dumps(instance.config), encoding="utf-8")
-                out.unlink(missing_ok=True)
-                stdout, stderr = io.StringIO(), io.StringIO()
-                argv = [instance.command, "--config", str(config), "--out", str(out)]
-                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                    code = cli.main(argv)
-                digest = hashlib.sha256()
-                for part in (stdout.getvalue(), stderr.getvalue()):
-                    digest.update(part.encode("utf-8") + b"\0")
-                digest.update(out.read_bytes() if out.exists() else b"<no output file>")
-                print(workload, index, code, digest.hexdigest())
+                print(workload, index, *digest(instance.command, instance.config))
+        for index, instance in enumerate(pools["fermi"]):
+            print("fermi-json", index, *digest(instance.command, instance.config, "--format", "json"))
+        for index, instance in enumerate(pools["coeffs"]):
+            config = instance.config
+            point = list(EVALUATE_AT[: config["dimension"]])
+            config = {**config, "params": {**config["params"], "evaluate_at": point}}
+            print("coeffs-evaluate_at", index, *digest(instance.command, config))
 
 
 if __name__ == "__main__":

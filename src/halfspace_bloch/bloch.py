@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import coeffset
+from . import coeffset, jsonfmt
 from .errors import ResonanceError
 from .lattice import IndexVector, LatticeBasis, as_index, sign_value
 from .potential import FourierPotential
@@ -46,12 +47,14 @@ def denominator_tolerance(lam: float) -> float:
     return DENOM_TOL_SCALE * (1.0 + abs(lam))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlochCoefficients:
     """Fourier coefficients of a Bloch function over offsets from its base index.
 
-    ``coeffs`` maps the offset delta to c(gamma, delta), with c(gamma, 0) = 1
-    exactly and support otherwise restricted to the open half-space planes.
+    ``offsets`` is the ``(m, d)`` int64 array of the offsets delta, sorted
+    lexicographically without repeats, and ``values`` the complex128 array
+    of the c(gamma, delta), row by row; both are read-only.  c(gamma, 0) = 1
+    exactly, and the support otherwise lies in the open half-space planes.
     ``order`` is the series order or plane depth used; ``tail`` the l1 mass
     of the last series term (None for the closed form); ``term_masses`` the
     per-order l1 masses actually observed.
@@ -61,24 +64,49 @@ class BlochCoefficients:
     t: tuple[float, ...]
     k: int
     sign: str
-    coeffs: dict[IndexVector, complex]
+    offsets: np.ndarray
+    values: np.ndarray
     order: int
     lam: float
     tail: float | None = None
     converged: bool = True
     term_masses: tuple[float, ...] = ()
 
+    def __post_init__(self):
+        offsets = np.array(self.offsets, dtype=np.int64).reshape(-1, len(self.gamma))
+        values = np.array(self.values, dtype=complex)
+        if values.shape != (len(offsets),):
+            raise ValueError("offsets and values must have one row per coefficient")
+        offsets.setflags(write=False)
+        values.setflags(write=False)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "values", values)
+
+    @cached_property
+    def coeffs(self) -> dict[IndexVector, complex]:
+        """delta -> c(gamma, delta) as Python ints and complex, in row order.
+
+        Built on first use; the routes, the residual and the JSON report
+        read the arrays.
+        """
+        return coeffset.to_dict(self.offsets, self.values)
+
     def to_json_dict(self) -> dict:
-        entries = [
-            {"delta": list(n), "re": c.real, "im": c.imag}
-            for n, c in sorted(self.coeffs.items())
-        ]
+        """The report of the coefficients.
+
+        ``"entries"`` is a :class:`~halfspace_bloch.jsonfmt.Columns` table,
+        one record ``{"delta": [...], "re": ..., "im": ...}`` per offset in
+        lexicographic order; ``jsonfmt.dumps`` writes it as that list of
+        records, and so does ``json.dumps(..., default=list)``.
+        """
         return {
             "gamma": list(self.gamma),
             "t": list(self.t),
             "lambda": self.lam,
             "order": self.order,
-            "entries": entries,
+            "entries": jsonfmt.Columns(
+                ("delta", "re", "im"), (self.offsets, self.values.real, self.values.imag)
+            ),
         }
 
 
@@ -192,7 +220,8 @@ def bloch_series(
         t=tuple(float(x) for x in t),
         k=k,
         sign=sign,
-        coeffs=coeffset.to_dict(offsets, values),
+        offsets=offsets,
+        values=values,
         order=order,
         lam=lam,
         tail=tail,
@@ -271,7 +300,8 @@ def closed_form_coeffs(
         t=tuple(float(x) for x in t),
         k=k,
         sign=sign,
-        coeffs=coeffset.to_dict(offsets[ranked], values[ranked]),
+        offsets=offsets[ranked],
+        values=values[ranked],
         order=depth,
         lam=lam,
         tail=None,
@@ -306,7 +336,7 @@ def residual(
                 f"pad {pad} is below the one-convolution support growth {growth:.6g}"
             )
     t = np.asarray(psi.t, dtype=float)
-    offsets, values = coeffset.from_mapping(psi.coeffs, basis.dimension)
+    offsets, values = psi.offsets, psi.values
     shift = eigenvalues(basis, offsets + psi.gamma, t) - psi.lam
     re, im = coeffset.product(shift, 0.0, values.real, values.imag)
     conv_offsets, conv = coeffset.convolve(
@@ -333,13 +363,8 @@ def evaluate_function(
     Spot-check use only: sums c(gamma, delta) exp(i <gamma + delta + t, x>)
     over the stored offsets.
     """
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(psi.t, dtype=float)
-    total = 0j
-    for delta, cv in psi.coeffs.items():
-        wave = basis.to_cartesian(tuple(a + b for a, b in zip(psi.gamma, delta))) + t
-        total += cv * np.exp(1j * float(wave @ x))
-    return total
+    waves = basis.to_cartesian(psi.offsets + psi.gamma) + np.asarray(psi.t, dtype=float)
+    return coeffset.fourier_sum(waves, psi.values.tolist(), np.asarray(x, dtype=float))
 
 
 def max_discrepancy(
@@ -354,14 +379,11 @@ def max_discrepancy(
     if a.gamma != b.gamma or a.k != b.k or a.sign != b.sign:
         raise ValueError("coefficient sets describe different Bloch functions")
     limit = min(a.order, b.order) if max_plane is None else max_plane
-    dimension = len(a.gamma)
-    a_offsets, a_values = coeffset.from_mapping(a.coeffs, dimension)
-    b_offsets, b_values = coeffset.from_mapping(b.coeffs, dimension)
-    rows = np.concatenate([a_offsets, b_offsets])
+    rows = np.concatenate([a.offsets, b.offsets])
     first, inverse = coeffset.unique_rows(rows)
     diff = np.zeros(first.size, dtype=complex)
-    diff[inverse[: len(a_values)]] = a_values
-    diff[inverse[len(a_values) :]] -= b_values
+    diff[inverse[: len(a.values)]] = a.values
+    diff[inverse[len(a.values) :]] -= b.values
     keys = rows[first]
     p = sign_value(a.sign) * keys[:, a.k - 1]
     on_planes = ((0 < p) & (p <= limit)) | ~keys.any(axis=1)

@@ -53,6 +53,11 @@ INDEX_MIN, INDEX_MAX = -(2**63), 2**63 - 1
 #: ``_check_fermi_work``); the benchmark's fermi instances stay below 1e5
 FERMI_MAX_WORK = 1e8
 
+#: largest integer box accepted for an oracle or degeneracy-group ball (see
+#: ``_check_ball``); the benchmark's instances stay below 2.4e3 points and the
+#: tests below 3.4e4, and a 1e6 box runs in seconds and well under 1.5 GB
+BALL_MAX_BOX = 1e6
+
 _GUARD_ERRORS = (
     CutoffError,
     DegenerateBasisError,
@@ -319,6 +324,22 @@ def _check_index_reach(q: potential.FourierPotential, gamma, steps: int) -> None
         )
 
 
+def _check_ball(basis: LatticeBasis, radius: float, field: str) -> None:
+    """:class:`ConfigError` when ``enumerate_ball`` would scan more than
+    ``BALL_MAX_BOX`` integer points for a ball of this radius.
+
+    Computed from the radius alone, by ``LatticeBasis.box_size``, before any
+    array is built; ``field`` names the parameter the radius comes from.
+    """
+    box = basis.box_size(radius)
+    if not box <= BALL_MAX_BOX:
+        raise ConfigError(
+            f"'{field}' {radius:.6g} gives a ball whose integer box holds {box:.3g} "
+            f"points, more than {BALL_MAX_BOX:.3g}",
+            field=field,
+        )
+
+
 # -- commands ------------------------------------------------------------------
 
 
@@ -404,6 +425,7 @@ def cmd_oracle(doc: dict, want_matrix: bool = False):
     t = parse_t(doc, basis)
     params = _params(doc)
     cutoff = _param_number(params, "cutoff", 6.0, minimum=0.0)
+    _check_ball(basis, cutoff, "params.cutoff")
     gamma = _param_index(params, "gamma", basis, [0] * basis.dimension)
 
     op = galerkin.build(basis, pot.q, t, cutoff)
@@ -503,6 +525,7 @@ def _multiplicity_oned(doc: dict, params: dict, mode: str) -> tuple[dict, int]:
         cutoff = _param_number(params, "cutoff", None, minimum=0.0)
         if cutoff is None:
             cutoff = float(2 * math.pi * (3 * n + 2))
+        _check_ball(basis, cutoff, "params.cutoff")
         lam = spectrum.eigenvalue(basis, (n,), t)
         op = galerkin.build(basis, pot.q, t, cutoff)
         oracle_mult = galerkin.geometric_multiplicity(op, lam)
@@ -530,6 +553,7 @@ def _multiplicity_second_plane(doc: dict, params: dict) -> tuple[dict, int]:
     group_cutoff = _param_number(
         params, "group_cutoff", 2.0 * (2.0 * math.sqrt(lam_probe)) + 4.0
     )
+    _check_ball(basis, group_cutoff, "params.group_cutoff")
     group = spectrum.degeneracy_group(basis, member, t, k, group_cutoff)
     if len(group.planes) < 2 or member not in group.planes[1].members:
         raise ConfigError(
@@ -542,6 +566,7 @@ def _multiplicity_second_plane(doc: dict, params: dict) -> tuple[dict, int]:
     )
 
     cutoff = _param_number(params, "cutoff", 2.0 * group_cutoff, minimum=0.0)
+    _check_ball(basis, cutoff, "params.cutoff")
     op = galerkin.build(basis, pot.q, t, cutoff)
     try:
         op.position(member)
@@ -604,16 +629,21 @@ def cmd_fermi(doc: dict, as_csv: bool):
     sample = isoenergetic.sample_surface(basis, rho, resolution, threshold)
     if as_csv:
         return sample.to_csv(), EXIT_OK
+    dim = basis.dimension
     report = {
         "command": "fermi",
         "rho": rho,
         "resolution": resolution,
         "threshold": threshold,
         "retained": len(sample.points),
-        "points": [
-            {"t": list(t), "distance": d, "gamma": list(g)}
-            for t, d, g in sample.points
-        ],
+        "points": jsonfmt.Columns(
+            ("t", "distance", "gamma"),
+            (
+                np.array([t for t, _, _ in sample.points], dtype=float).reshape(-1, dim),
+                np.array([d for _, d, _ in sample.points], dtype=float),
+                np.array([g for _, _, g in sample.points], dtype=np.int64).reshape(-1, dim),
+            ),
+        ),
     }
     return report, EXIT_OK
 

@@ -135,3 +135,17 @@ def merge(rows: np.ndarray, re, im) -> tuple[np.ndarray, np.ndarray]:
 def convolve(a_offsets, a_values, b_offsets, b_values):
     """Sparse convolution of two coefficient sets; exact zeros are dropped."""
     return nonzero(*merge(*convolve_rows(a_offsets, a_values, b_offsets, b_values)))
+
+
+def fourier_sum(waves: np.ndarray, values, x: np.ndarray) -> complex:
+    """sum_j values[j] * exp(i <waves[j], x>) over the rows of an (m, d) float array.
+
+    Each phase is a stacked (1, d) @ (d, 1) matmul, bit-equal to the 1-D
+    ``waves[j] @ x``; the terms are the Python complex ``values`` times
+    numpy's scalar ``exp``, added one by one onto 0j in row order.
+    """
+    phases = (waves[:, None, :] @ x[:, None])[:, 0, 0]
+    total = 0j
+    for c, phase in zip(values, phases.tolist()):
+        total += c * np.exp(1j * phase)
+    return total

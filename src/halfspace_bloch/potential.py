@@ -125,21 +125,10 @@ def truncated(
 
 def evaluate(q: FourierPotential, x: Sequence[float]) -> complex:
     """Pointwise value sum_g q_g exp(i<g, x>) of the finite Fourier series."""
-    x = np.asarray(x, dtype=float)
-    total = 0j
-    for n, qv in q.coeffs.items():
-        total += qv * np.exp(1j * float(q.basis.to_cartesian(n) @ x))
-    return total
-
-
-def l1_norm(q: FourierPotential) -> float:
-    """Sum of coefficient moduli."""
-    return q.norm_l1
-
-
-def l2_norm(q: FourierPotential) -> float:
-    """Root sum of squared coefficient moduli."""
-    return q.norm_l2
+    support, _ = coeffset.from_mapping(q.coeffs, q.basis.dimension)
+    return coeffset.fourier_sum(
+        q.basis.to_cartesian(support), q.coeffs.values(), np.asarray(x, dtype=float)
+    )
 
 
 def convolve(

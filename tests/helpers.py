@@ -346,6 +346,24 @@ def reference_max_discrepancy(a, b, max_plane=None):
     return worst
 
 
+def reference_evaluate(q, x):
+    x = np.asarray(x, dtype=float)
+    total = 0j
+    for n, qv in q.coeffs.items():
+        total += qv * np.exp(1j * float(q.basis.to_cartesian(n) @ x))
+    return total
+
+
+def reference_evaluate_function(basis, psi, x):
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(psi.t, dtype=float)
+    total = 0j
+    for delta, cv in psi.coeffs.items():
+        wave = basis.to_cartesian(tuple(a + b for a, b in zip(psi.gamma, delta))) + t
+        total += cv * np.exp(1j * float(wave @ x))
+    return total
+
+
 # -- loop references for the batched lattice layer -----------------------------
 #
 # The per-point loops that ``enumerate_ball``, ``distance_to_surface``,

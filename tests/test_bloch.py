@@ -165,7 +165,8 @@ def test_residual_of_bare_wave_is_potential_norm():
         t=T,
         k=1,
         sign="+",
-        coeffs={(0, 0): 1.0 + 0j},
+        offsets=np.zeros((1, 2), dtype=np.int64),
+        values=np.ones(1, dtype=complex),
         order=0,
         lam=spectrum.eigenvalue(BASIS, (0, 0), T),
     )

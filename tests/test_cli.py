@@ -580,6 +580,42 @@ _SECOND_PLANE = {"mode": "2d-second-plane", "k": 1, "member": [0, 1], "cutoff": 
             2,
             "config error (params.rho)",
         ),
+        (
+            "oracle",
+            {**IDENTITY_2D, "potential": _POT, "params": {"cutoff": 1e5}},
+            2,
+            "config error (params.cutoff)",
+        ),
+        (
+            "multiplicity",
+            {**_ONED, "potential": [{"index": [1], "re": "1/2"}], "params": {"mode": "oracle", "cutoff": 1e8}},
+            2,
+            "config error (params.cutoff)",
+        ),
+        (
+            "multiplicity",
+            {**_ONED, "potential": [{"index": [1], "re": "1/2"}], "params": {"mode": "oracle", "n": 10**8}},
+            2,
+            "config error (params.cutoff)",
+        ),
+        (
+            "multiplicity",
+            {**IDENTITY_2D, "potential": _POT, "params": {**_SECOND_PLANE, "group_cutoff": 1e5}},
+            2,
+            "config error (params.group_cutoff)",
+        ),
+        (
+            "multiplicity",
+            {**IDENTITY_2D, "potential": _POT, "params": {**_SECOND_PLANE, "member": [0, 10**6]}},
+            2,
+            "config error (params.group_cutoff)",
+        ),
+        (
+            "multiplicity",
+            {**IDENTITY_2D, "potential": _POT, "params": {**_SECOND_PLANE, "cutoff": 1e5}},
+            2,
+            "config error (params.cutoff)",
+        ),
     ],
     ids=[
         "evaluate-at-non-number",
@@ -626,6 +662,12 @@ _SECOND_PLANE = {"mode": "2d-second-plane", "k": 1, "member": [0, 1], "cutoff": 
         "fermi-rho-1e6",
         "fermi-rho-1e300",
         "fermi-generator-1e8",
+        "oracle-cutoff-above-ball-bound",
+        "multiplicity-1d-cutoff-above-ball-bound",
+        "multiplicity-1d-default-cutoff-above-ball-bound",
+        "multiplicity-group-cutoff-above-ball-bound",
+        "multiplicity-default-group-cutoff-above-ball-bound",
+        "multiplicity-second-plane-cutoff-above-ball-bound",
     ],
 )
 def test_contract_exit_codes(tmp_path, capsys, command, config, code, stderr_start):

@@ -85,6 +85,13 @@ def test_routes_equal_dict_loops(name):
             potential.convolve(q.coeffs, series.coeffs),
             helpers.reference_convolve(q.coeffs, series.coeffs),
         )
+        x = t + 0.37
+        assert_same(potential.evaluate(q, x), helpers.reference_evaluate(q, x))
+        for got in (series, psi):
+            assert_same(
+                bloch.evaluate_function(basis, got, x),
+                helpers.reference_evaluate_function(basis, got, x),
+            )
     assert resonant < 12  # most instances must run the full routes
 
 

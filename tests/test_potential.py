@@ -55,13 +55,13 @@ def test_evaluate_single_harmonic():
 
 def test_norms():
     q0 = hb.FourierPotential(BASIS, {})
-    assert potential.l1_norm(q0) == 0 and potential.l2_norm(q0) == 0
+    assert q0.norm_l1 == 0 and q0.norm_l2 == 0
     q1 = hb.FourierPotential(BASIS, {(1, 0): 3 + 4j})
-    assert potential.l1_norm(q1) == pytest.approx(5.0)
-    assert potential.l2_norm(q1) == pytest.approx(5.0)
+    assert q1.norm_l1 == pytest.approx(5.0)
+    assert q1.norm_l2 == pytest.approx(5.0)
     q2 = hb.FourierPotential(BASIS, {(1, 0): 1.0, (2, 0): 1.0})
-    assert potential.l1_norm(q2) == pytest.approx(2.0)
-    assert potential.l2_norm(q2) == pytest.approx(math.sqrt(2))
+    assert q2.norm_l1 == pytest.approx(2.0)
+    assert q2.norm_l2 == pytest.approx(math.sqrt(2))
 
 
 def test_zero_coefficients_dropped():
