@@ -8,10 +8,14 @@ in one process and prints
     workload index exit sha256
 
 per instance, where the hash covers the instance's stdout, stderr and
-output file.  Two tagged variants follow, so that outputs the timed pools do
+output file.  Three tagged variants follow, so that outputs the timed pools do
 not write are checked as well:
 
     fermi-json index exit sha256         every fermi instance with --format json
+    fermi-rho0 index exit sha256         every fermi instance with params.rho = 0,
+                                         where every minimizer sits at the
+                                         covering radius, the edge of the
+                                         candidate ball
     coeffs-evaluate_at index exit sha256 every coeffs instance with the
                                          params.evaluate_at of EVALUATE_AT
 
@@ -79,6 +83,9 @@ def main() -> None:
                 print(workload, index, *digest(instance.command, instance.config))
         for index, instance in enumerate(pools["fermi"]):
             print("fermi-json", index, *digest(instance.command, instance.config, "--format", "json"))
+        for index, instance in enumerate(pools["fermi"]):
+            config = {**instance.config, "params": {**instance.config["params"], "rho": 0.0}}
+            print("fermi-rho0", index, *digest(instance.command, config))
         for index, instance in enumerate(pools["coeffs"]):
             config = instance.config
             point = list(EVALUATE_AT[: config["dimension"]])

@@ -596,13 +596,16 @@ def _multiplicity_second_plane(doc: dict, params: dict) -> tuple[dict, int]:
 def _check_fermi_work(basis: LatticeBasis, rho: float, resolution: int) -> None:
     """:class:`ConfigError` when the sampling would exceed ``FERMI_MAX_WORK``.
 
-    The work is the grid points times the integer box that
-    ``enumerate_ball`` scans for the candidate ball of ``sample_surface``;
-    the box holds the ball, so this bounds the candidates scored too.  The
-    ball's radius is the default cutoff rho + D + 1 plus the largest |t| on
-    the grid, at most D/2, where the fundamental-domain diameter D is at most
-    the sum S of the generator lengths; the bound takes rho + 1.5 S + 1.
-    Computed from the parameters alone, before any array is built.
+    The work is the grid points times an integer box that holds the
+    candidate ball of ``sample_surface``, so this bounds the candidates
+    scored too.  The box is that of the ball of radius rho + 1.5 S + 1, S the
+    sum of the generator lengths: the default cutoff rho + D + 1 plus the
+    largest |t| on the grid, at most D/2, with the fundamental-domain
+    diameter D at most S.  ``sample_surface`` now scores the smaller
+    minimizer ball, of radius rho + D/2 + max |t| plus a rounding margin, so
+    the bound still holds; it is deliberately not tightened, so that the
+    accepted inputs stay the same.  Computed from the parameters alone,
+    before any array is built.
     """
     if resolution**basis.dimension > FERMI_MAX_WORK:
         raise ConfigError(
@@ -629,20 +632,14 @@ def cmd_fermi(doc: dict, as_csv: bool):
     sample = isoenergetic.sample_surface(basis, rho, resolution, threshold)
     if as_csv:
         return sample.to_csv(), EXIT_OK
-    dim = basis.dimension
     report = {
         "command": "fermi",
         "rho": rho,
         "resolution": resolution,
         "threshold": threshold,
-        "retained": len(sample.points),
+        "retained": len(sample.distances),
         "points": jsonfmt.Columns(
-            ("t", "distance", "gamma"),
-            (
-                np.array([t for t, _, _ in sample.points], dtype=float).reshape(-1, dim),
-                np.array([d for _, d, _ in sample.points], dtype=float),
-                np.array([g for _, _, g in sample.points], dtype=np.int64).reshape(-1, dim),
-            ),
+            ("t", "distance", "gamma"), (sample.ts, sample.distances, sample.gammas)
         ),
     }
     return report, EXIT_OK

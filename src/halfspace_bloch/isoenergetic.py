@@ -8,25 +8,47 @@ tested on the cloud directly.
 
 The distance of a point t is min over lattice points n of | |n + t| - rho |,
 taken over its own ball |n + t| <= cutoff, with the lexicographically first
-minimizer.  All points of a grid are scored against one candidate set:
+minimizer.  All points of a grid are scored against one candidate set, the
+minimizer ball about -t0:
 
-* **Candidate lemma.**  |n + t| <= cutoff implies |n + t0| <= |n + t| +
-  |t - t0| <= cutoff + |t - t0|, so the ball of radius cutoff + max |t - t0|
-  about -t0 contains the ball of every point.  The grid is scored with
-  t0 = 0, i.e. the ball |n| <= cutoff + max |t|; a single point is the case
-  t0 = t, whose candidate set is its own ball.  Candidates outside a
-  point's own ball are scored as ``inf``; the rest keep their lexicographic
-  order, so ``argmin``, which takes the first minimum, picks the same
-  minimizer as a scan of the point's own ball.
-* **Masked candidates never win.**  Every point x lies within the covering
+* **Every point is near a sphere.**  Every x lies within the covering
   radius of some lattice point, and the covering radius is at most half the
   fundamental-domain diameter D (reduce x into the parallelepiped
   [-1/2, 1/2)^d about a lattice point; the norm is convex, so the largest
   offset is a vertex, |sum +-v_j / 2| <= D/2).  Taking x on the sphere
   |x + t| = rho gives a lattice point with distance at most D/2, inside the
-  point's ball since rho + D/2 < cutoff.  A candidate outside the ball has
-  distance above cutoff - rho >= D, so it can neither win nor tie, and the
-  minimizers sit D/2 inside every radius used, far beyond rounding.
+  point's ball since rho + D/2 < cutoff.
+* **Minimizer-ball lemma.**  So a minimizer of t, and every lattice point
+  that ties with it, has distance at most D/2, i.e. |n + t| <= rho + D/2,
+  and then |n + t0| <= |n + t| + |t - t0| <= rho + D/2 + |t - t0|.  The
+  ball of radius rho + D/2 + max |t - t0| + eps about -t0 therefore holds
+  every point's minimizers and ties.  The grid is scored with t0 = 0; a
+  single point is the case t0 = t.  Candidates outside a point's own cutoff
+  ball are scored as ``inf``; the rest keep their lexicographic order and
+  hold all minimizers and ties of that ball, so ``argmin``, which takes the
+  first minimum, picks the minimizer of a scan of the point's own ball.
+  (A candidate outside the cutoff ball has distance above cutoff - rho >= D,
+  so it could neither win nor tie anyway.)  At rho = 0 the bound is sharp:
+  the corner (1/2, 1/2) of the square lattice lies exactly D/2 from four
+  lattice points, and its lexicographically first minimizer (-1, -1) lies
+  exactly on the sphere of the grid's ball.
+* **Rounding margin.**  The lemma holds for exact norms; the scores, D, the
+  spread max |t - t0| and the enumerated norms are computed ones.  With u
+  the unit roundoff, a computed lattice point x = to_cartesian(n) is off by
+  at most d u K |x| (see :meth:`LatticeBasis.cancellation`); every other
+  sum, dot product and square root is off by at most (d/2 + 3) u times a
+  norm below M = rho + D + max |t - t0| + |t0|.  A computed score, a
+  computed norm, D/2, the spread and the radius's own sum are each off by
+  less than 8 d K u M (K >= d), and the inclusion chain above passes through
+  fewer than eight of them, so eps = 64 d K u M keeps every computed
+  minimizer and tie inside the computed ball.  That is a few hundred units
+  of roundoff relative to M (9e-14 on the square lattice at rho = 1), far
+  below the gap between lattice shells, so it seldom adds a candidate (on
+  none of the fermi benchmark's seed-1 grids, at their rho or at rho = 0).
+  It matters far from the origin: at the deep hole with generator
+  coordinates (10.5, 10.5) of the 0.1-scaled square lattice, all four
+  minimizers are computed 5.6e-17 beyond D/2, and a ball without the margin
+  is empty.
 
 Each |n + t|^2 is the stacked matmul of
 :func:`~halfspace_bloch.lattice.squared_norms`, bit-equal to the scalar
@@ -35,7 +57,9 @@ Each |n + t|^2 is the stacked matmul of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -47,22 +71,54 @@ from .lattice import IndexVector, LatticeBasis, squared_norms
 #: of one chunk whatever the resolution
 _CHUNK_ELEMENTS = 1 << 16
 
+#: u, the largest relative rounding error of one float operation
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class SurfaceSample:
     """Grid points of the fundamental domain near the energy-rho^2 surface.
 
-    ``points`` holds (t, distance, nearest lattice index) for every retained
-    grid point, where distance = min over lattice points g of
-    | |g + t| - rho |.  ``dimension`` names the CSV columns, also when no
-    point is retained.
+    Row i of the arrays is one retained grid point: ``ts`` the (m, d) points
+    t, ``distances`` the m distances min over lattice points g of
+    | |g + t| - rho |, ``gammas`` the (m, d) int64 nearest lattice indices.
+    The arrays are stored read-only.  ``dimension`` names the CSV columns,
+    also when no point is retained.
     """
 
     rho: float
     resolution: int
     threshold: float
     dimension: int
-    points: tuple[tuple[tuple[float, ...], float, IndexVector], ...]
+    ts: np.ndarray
+    distances: np.ndarray
+    gammas: np.ndarray
+
+    def __post_init__(self):
+        ts = np.array(self.ts, dtype=float).reshape(-1, self.dimension)
+        distances = np.array(self.distances, dtype=float).reshape(-1)
+        gammas = np.array(self.gammas, dtype=np.int64).reshape(-1, self.dimension)
+        if not len(ts) == len(distances) == len(gammas):
+            raise ValueError(
+                f"{len(ts)} points, {len(distances)} distances and {len(gammas)} indices"
+            )
+        for name, array in (("ts", ts), ("distances", distances), ("gammas", gammas)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    @cached_property
+    def points(self) -> tuple[tuple[tuple[float, ...], float, IndexVector], ...]:
+        """(t, distance, nearest lattice index) per row, as Python numbers.
+
+        Built on first use; ``to_csv`` and the JSON report read the arrays.
+        """
+        return tuple(
+            zip(
+                map(tuple, self.ts.tolist()),
+                self.distances.tolist(),
+                map(tuple, self.gammas.tolist()),
+            )
+        )
 
     def to_csv(self) -> str:
         """The points as CSV under a header, formatted by one ``%``-template.
@@ -74,8 +130,12 @@ class SurfaceSample:
             f"gamma_{i+1}" for i in range(dim)
         ]
         row = ",".join(["%.17g"] * (dim + 1) + ["%s"] * dim) + "\n"
-        values = [v for t, dist, gamma in self.points for v in (*t, dist, *gamma)]
-        return ",".join(cols) + "\n" + (row * len(self.points)) % tuple(values)
+        # one row of Python numbers per point: t, distance, gamma side by side
+        flat = np.empty((len(self.distances), 2 * dim + 1), dtype=object)
+        flat[:, :dim] = self.ts
+        flat[:, dim] = self.distances
+        flat[:, dim + 1 :] = self.gammas
+        return ",".join(cols) + "\n" + (row * len(flat)) % tuple(flat.ravel().tolist())
 
 
 def _check_cutoff(basis: LatticeBasis, rho: float, cutoff: float) -> None:
@@ -94,13 +154,16 @@ def _nearest(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(distance per row of ts, (m, d) candidate array, row of each row's minimizer).
 
-    Candidates are the ball about -t0 that covers the ball of every row;
-    the (grid x candidate) array is scored in row chunks of at most
-    ``_CHUNK_ELEMENTS`` entries.  See the module docstring for why this
-    gives every row the result of its own ball.
+    Candidates are the minimizer ball about -t0, which holds every row's
+    minimizers and ties; the (grid x candidate) array is scored in row
+    chunks of at most ``_CHUNK_ELEMENTS`` entries.  See the module docstring
+    for why this gives every row the result of its own cutoff ball.
     """
-    reach = cutoff + float(np.sqrt(squared_norms(ts - t0)).max())
-    candidates = basis.enumerate_ball(-t0, reach)
+    spread = float(np.sqrt(squared_norms(ts - t0)).max())
+    diameter = basis.fundamental_diameter()
+    scale = rho + diameter + spread + math.sqrt(float(t0 @ t0))
+    eps = 64 * basis.dimension * basis.cancellation * _UNIT_ROUNDOFF * scale
+    candidates = basis.enumerate_ball(-t0, rho + diameter / 2 + spread + eps)
     points = basis.to_cartesian(candidates)
     rows = max(1, _CHUNK_ELEMENTS // len(candidates))
     dist = np.empty(len(ts))
@@ -155,16 +218,12 @@ def sample_surface(
     ts = basis.to_cartesian(np.stack([g.ravel() for g in grids], axis=-1))
     dist, candidates, best = _nearest(basis, ts, np.zeros(basis.dimension), rho, cutoff)
     kept = np.flatnonzero(dist <= threshold)
-    points = tuple(
-        (tuple(t), d, tuple(n))
-        for t, d, n in zip(
-            ts[kept].tolist(), dist[kept].tolist(), candidates[best[kept]].tolist()
-        )
-    )
     return SurfaceSample(
         rho=rho,
         resolution=resolution,
         threshold=threshold,
         dimension=basis.dimension,
-        points=points,
+        ts=ts[kept],
+        distances=dist[kept],
+        gammas=candidates[best[kept]],
     )

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -78,17 +79,17 @@ def sign_value(sign: str) -> int:
 class LatticeBasis:
     """Generators v_1..v_d of a d-dimensional lattice, rows of a (d, d) array.
 
-    Immutable after construction.  Derived data (inverse coordinates, the
-    orthogonal components h_k and separation constants c(k)) is computed once
-    up front; construction fails with :class:`DegenerateBasisError` when the
-    generators are numerically dependent.
+    Immutable after construction.  The inverse coordinates are computed up
+    front; the rest of the derived data (the orthogonal components h_k, the
+    separation constants c(k) and the fundamental-domain diameter) on first
+    use, once per basis.  Construction fails with
+    :class:`DegenerateBasisError` when the generators are numerically
+    dependent.
     """
 
     generators: np.ndarray
     dimension: int = field(init=False)
     _inverse: np.ndarray = field(init=False, repr=False)
-    _ortho: np.ndarray = field(init=False, repr=False)
-    _sep: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = np.array(self.generators, dtype=float)
@@ -97,22 +98,37 @@ class LatticeBasis:
         d = mat.shape[0]
         svals = np.linalg.svd(mat, compute_uv=False)
         if svals[-1] <= CONDITION_TOL * svals[0]:
+            # all-zero generators have sigma_max = 0: report the ratio as 0
+            ratio = svals[-1] / svals[0] if svals[0] else 0.0
             raise DegenerateBasisError(
-                f"generators are numerically dependent (sigma_min/sigma_max = "
-                f"{svals[-1] / svals[0]:.3e})"
+                f"generators are numerically dependent (sigma_min/sigma_max = {ratio:.3e})"
             )
         mat.setflags(write=False)
-        ortho = np.empty_like(mat)
-        for k in range(d):
-            ortho[k] = _orthogonal_component(mat, k)
-        ortho.setflags(write=False)
         object.__setattr__(self, "generators", mat)
         object.__setattr__(self, "dimension", d)
         object.__setattr__(self, "_inverse", np.linalg.inv(mat))
         # per generator coordinate, the half-width of the box holding a unit ball
         object.__setattr__(self, "_dual_norms", np.sqrt((self._inverse**2).sum(axis=0)))
-        object.__setattr__(self, "_ortho", ortho)
-        object.__setattr__(self, "_sep", np.sqrt(np.einsum("ij,ij->i", ortho, ortho)))
+
+    @cached_property
+    def _ortho(self) -> np.ndarray:
+        ortho = np.empty_like(self.generators)
+        for k in range(self.dimension):
+            ortho[k] = _orthogonal_component(self.generators, k)
+        ortho.setflags(write=False)
+        return ortho
+
+    @cached_property
+    def _sep(self) -> np.ndarray:
+        return np.sqrt(np.einsum("ij,ij->i", self._ortho, self._ortho))
+
+    @cached_property
+    def _diameter(self) -> float:
+        best = 0.0
+        for signs in itertools.product((-1.0, 1.0), repeat=self.dimension):
+            v = np.asarray(signs) @ self.generators
+            best = max(best, math.sqrt(float(v @ v)))
+        return best
 
     # -- coordinates ---------------------------------------------------
 
@@ -150,11 +166,19 @@ class LatticeBasis:
 
     def fundamental_diameter(self) -> float:
         """Diameter of the fundamental domain [-1/2, 1/2)^d in generator coords."""
-        best = 0.0
-        for signs in itertools.product((-1.0, 1.0), repeat=self.dimension):
-            v = np.asarray(signs) @ self.generators
-            best = max(best, math.sqrt(float(v @ v)))
-        return best
+        return self._diameter
+
+    @cached_property
+    def cancellation(self) -> float:
+        """K = sum_j |v_j| |w_j|, w_j the dual vectors (columns of the inverse).
+
+        Bounds the cancellation in :meth:`to_cartesian`: the coefficients of
+        x = sum_j n_j v_j obey |n_j| = |x . w_j| <= |x| |w_j|, so a computed
+        x is off by at most d u sum_j |n_j| |v_j| <= d u K |x|, u the unit
+        roundoff.  K >= d (v_j . w_j = 1), with equality for orthogonal
+        generators.
+        """
+        return float(np.sqrt(squared_norms(self.generators)) @ self._dual_norms)
 
     # -- enumeration and reduction ---------------------------------------
 

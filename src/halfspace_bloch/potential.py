@@ -80,9 +80,8 @@ class FourierPotential:
             object.__setattr__(self, "k", cls[0])
             object.__setattr__(self, "sign", cls[1])
         object.__setattr__(self, "norm_l1", sum(abs(q) for q in canon.values()))
-        object.__setattr__(
-            self, "norm_l2", math.sqrt(sum(abs(q) ** 2 for q in canon.values()))
-        )
+        # hypot scales its arguments: no overflow above 1e154, no underflow below 1e-154
+        object.__setattr__(self, "norm_l2", math.hypot(*(abs(q) for q in canon.values())))
 
     @property
     def classification(self) -> tuple[int, str] | None:

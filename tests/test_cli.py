@@ -616,6 +616,36 @@ _SECOND_PLANE = {"mode": "2d-second-plane", "k": 1, "member": [0, 1], "cutoff": 
             2,
             "config error (params.cutoff)",
         ),
+        # a finite harmonic whose square overflows: the norms of the potential
+        # are finite, and each command reaches its own verdict
+        (
+            "bloch",
+            {**IDENTITY_2D, "potential": [{"index": [-1, 0], "re": 1e300}, *_POT]},
+            2,
+            "config error (potential)",
+        ),
+        (
+            "oracle",
+            {**IDENTITY_2D, "potential": [{"index": [0, 0], "re": 1e300}, *_POT]},
+            2,
+            "config error (potential)",
+        ),
+        (
+            "multiplicity",
+            {
+                **_ONED,
+                "potential": [{"index": [-1], "re": 1e300}, {"index": [1], "re": 0.5}],
+                "params": {"mode": "oracle"},
+            },
+            3,
+            "TriangularityError: ",
+        ),
+        (
+            "multiplicity",
+            {**IDENTITY_2D, "potential": [{"index": [0, 1], "re": 1e300}], "params": _SECOND_PLANE},
+            2,
+            "config error (potential)",
+        ),
     ],
     ids=[
         "evaluate-at-non-number",
@@ -668,6 +698,10 @@ _SECOND_PLANE = {"mode": "2d-second-plane", "k": 1, "member": [0, 1], "cutoff": 
         "multiplicity-group-cutoff-above-ball-bound",
         "multiplicity-default-group-cutoff-above-ball-bound",
         "multiplicity-second-plane-cutoff-above-ball-bound",
+        "bloch-1e300-not-in-s",
+        "oracle-1e300-triangular-not-in-s",
+        "multiplicity-1e300-not-triangular",
+        "multiplicity-1e300-second-plane-wrong-class",
     ],
 )
 def test_contract_exit_codes(tmp_path, capsys, command, config, code, stderr_start):
@@ -678,6 +712,30 @@ def test_contract_exit_codes(tmp_path, capsys, command, config, code, stderr_sta
     assert captured.out == ""
     assert captured.err.startswith(stderr_start)
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_zero_generators_exit_3_without_a_warning(tmp_path, capsys, dimension):
+    # sigma_max = 0: the degeneracy message must not divide 0 by 0
+    config = {"dimension": dimension, "generators": np.zeros((dimension, dimension)).tolist()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, capsys, config, "classify")
+    assert (code, out) == (3, "")
+
+
+@pytest.mark.parametrize("value", [1e300, -1e300, 1e-300])
+def test_classify_finite_extreme_harmonics(tmp_path, capsys, value):
+    # |q|^2 overflows to inf or underflows to 0; the norms do neither
+    config = {**IDENTITY_2D, "potential": [{"index": [1, 0], "re": value}, {"index": [1, 1], "im": value}]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main(["classify", "--config", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {
+        "command": "classify", "support_size": 2, "in_s": True, "k": 1, "sign": "+"
+    }
+    assert captured.err == ""
 
 
 def test_bloch_with_a_2_40_harmonic_is_exact(tmp_path, capsys):
@@ -818,9 +876,13 @@ _TWOD_VALID = {
     "params": {"mode": "2d-second-plane", "k": 1, "member": [0, 1], "cutoff": 8.0},
 }
 _JUNK = st.sampled_from([None, "x", [], {}, True, 1.5])
+#: non-finite numbers, an int beyond float, and the finite extremes, whose
+#: squares overflow to inf or underflow to 0
+_SPECIAL_NUMBER = st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 10**400, 1e300, 1e-300])
 _VALUE = st.one_of(
     st.floats(-2.0, 2.0),
     st.sampled_from([0, -1, "1/3", "-7/4", math.nan, math.inf, 10**400, "1e400", "1/0", "x"]),
+    _SPECIAL_NUMBER,
     _JUNK,
 )
 
@@ -1006,7 +1068,6 @@ _CLASSIFY_VALID = {
     "params": {"truncation_radius": None},
 }
 _FERMI_VALID = {**IDENTITY_2D, "params": {"rho": 0.5, "resolution": 9, "threshold": 0.05}}
-_SPECIAL_NUMBER = st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 10**400])
 
 
 @_FUZZ_SETTINGS

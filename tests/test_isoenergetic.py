@@ -115,9 +115,15 @@ def test_csv_equals_per_point_loop():
     assert any(not s.points for s in samples) and any(s.points for s in samples)
     # signed zeros and a 1-D and a 3-D table, as the dataclass admits them
     samples += [
-        isoenergetic.SurfaceSample(0.5, 2, 0.1, 2, (((-0.0, 0.5), -0.0, (0, -1)),)),
-        isoenergetic.SurfaceSample(0.5, 2, 0.1, 1, (((1e-300,), 0.1, (3,)),)),
-        isoenergetic.SurfaceSample(0.5, 2, 0.1, 3, ()),
+        isoenergetic.SurfaceSample(
+            0.5, 2, 0.1, 2, np.array([[-0.0, 0.5]]), np.array([-0.0]), np.array([[0, -1]])
+        ),
+        isoenergetic.SurfaceSample(
+            0.5, 2, 0.1, 1, np.array([[1e-300]]), np.array([0.1]), np.array([[3]])
+        ),
+        isoenergetic.SurfaceSample(
+            0.5, 2, 0.1, 3, np.empty((0, 3)), np.empty(0), np.empty((0, 3), dtype=np.int64)
+        ),
     ]
     for sample in samples:
         assert sample.to_csv() == helpers.reference_surface_csv(sample)
@@ -169,13 +175,98 @@ def test_one_candidate_set_covers_every_point_ball(monkeypatch):
     isoenergetic.sample_surface(basis, rho, resolution, threshold=0.05)
     assert len(balls) == 1
     assert balls[0].dtype == np.int64 and balls[0].shape[1] == basis.dimension
-    cutoff = rho + basis.fundamental_diameter() + 1.0
+    # the minimizer-ball lemma: every n with |n + t| <= rho + D/2 is a candidate
+    reach = rho + basis.fundamental_diameter() / 2
     axis = np.linspace(-0.5, 0.5, resolution)
     for c in itertools.product(axis, repeat=2):
         t = np.asarray(c) @ basis.generators
-        assert set(helpers.reference_enumerate_ball(basis, -t, cutoff)) <= set(
+        assert set(helpers.reference_enumerate_ball(basis, -t, reach)) <= set(
             map(tuple, balls[0].tolist())
         )
+
+
+# bases of every dimension for the edge of the minimizer-ball lemma; the
+# rectangular ones have deep holes exactly D/2 from 2^d lattice points
+EDGE_BASES = {
+    "1d": hb.LatticeBasis(np.array([[0.7]])),
+    "1d-tenth": hb.identity_basis(1, 0.1),
+    "identity": BASIS,
+    "rectangular": hb.LatticeBasis(np.diag([1.0, 0.3])),
+    "tenth": hb.identity_basis(2, 0.1),
+    "hexagonal": SURFACE_BASES["hexagonal"],
+    "3d": hb.identity_basis(3),
+    "3d-box": hb.LatticeBasis(np.diag([0.3, 1.0, 0.7])),
+    "3d-skewed": hb.LatticeBasis(np.array([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.2, 0.3, 1.1]])),
+}
+
+
+def _odd_resolutions(basis):
+    return (3, 5) if basis.dimension == 3 else (3, 5, 7)
+
+
+@pytest.mark.parametrize("name", EDGE_BASES)
+def test_rho_zero_on_odd_grids_equals_full_balls(name):
+    # at rho = 0 every minimizer sits at the covering radius, at most D/2
+    basis = EDGE_BASES[name]
+    for resolution in _odd_resolutions(basis):
+        sample = isoenergetic.sample_surface(basis, 0.0, resolution, math.inf)
+        assert sample.points == helpers.reference_sample_surface(
+            basis, 0.0, resolution, math.inf
+        )
+
+
+def test_identity_corner_takes_the_minimizer_on_the_ball_edge():
+    # (1/2, 1/2) lies D/2 from (0, 0), (-1, 0), (0, -1) and (-1, -1); the lex
+    # first, (-1, -1), lies exactly rho + D/2 + max |t| from the ball's center
+    for resolution in (3, 5, 21):
+        sample = isoenergetic.sample_surface(BASIS, 0.0, resolution, math.inf)
+        t, dist, gamma = sample.points[-1]
+        assert t == (0.5, 0.5) and gamma == (-1, -1)
+        assert dist == math.sqrt(0.5) == BASIS.fundamental_diameter() / 2
+        assert sample.points[0] == ((-0.5, -0.5), math.sqrt(0.5), (0, 0))
+
+
+@pytest.mark.parametrize("name", EDGE_BASES)
+def test_deep_holes_far_from_the_domain_equal_full_balls(name):
+    # t = sum (k + 1/2) v_j ties 2^d lattice points at D/2 in exact arithmetic;
+    # far from the origin the computed distances carry the rounding of |t|,
+    # which the ball's margin has to absorb
+    basis = EDGE_BASES[name]
+    diameter = basis.fundamental_diameter()
+    for k in (0, 1, 10, 13, 40, 1000):
+        for sign in (1, -1):
+            t = basis.to_cartesian(np.full(basis.dimension, sign * (k + 0.5)))
+            for rho, cutoff in ((0.0, diameter), (0.0, diameter + 0.5), (0.3, 0.3 + diameter)):
+                got = isoenergetic.distance_to_surface(basis, t, rho, cutoff)
+                assert got == helpers.reference_distance_to_surface(basis, t, rho, cutoff)
+
+
+@pytest.mark.parametrize("name", EDGE_BASES)
+def test_cutoff_of_exactly_rho_plus_d_equals_full_balls(name):
+    # the smallest cutoff accepted: the minimizer ball reaches beyond it
+    basis = EDGE_BASES[name]
+    diameter = basis.fundamental_diameter()
+    resolution = 5 if basis.dimension == 3 else 9
+    for rho in (0.0, 0.25, 0.5, 1.3):
+        cutoff = rho + diameter
+        sample = isoenergetic.sample_surface(basis, rho, resolution, math.inf, cutoff=cutoff)
+        assert sample.points == helpers.reference_sample_surface(
+            basis, rho, resolution, math.inf, cutoff
+        )
+
+
+@pytest.mark.parametrize("name", ["1d", "3d", "3d-skewed"])
+def test_one_and_three_dimensional_samples_equal_full_balls(name):
+    basis = EDGE_BASES[name]
+    resolutions = (2, 4, 6) if basis.dimension == 3 else range(2, 30, 3)
+    for i, resolution in enumerate(resolutions):
+        rho = (0.0, 0.45, 0.77, 1.6)[i % 4]
+        threshold = math.inf if i % 2 else 0.1
+        sample = isoenergetic.sample_surface(basis, rho, resolution, threshold)
+        assert sample.points == helpers.reference_sample_surface(
+            basis, rho, resolution, threshold
+        )
+        assert sample.ts.shape == sample.gammas.shape == (len(sample.distances), basis.dimension)
 
 
 def test_distance_to_surface_equals_per_point_loop():

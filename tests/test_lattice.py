@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 
 import numpy as np
@@ -87,8 +89,83 @@ def test_orthogonality_invariant():
 
 
 def test_degenerate_basis_rejected():
-    with pytest.raises(DegenerateBasisError):
-        hb.LatticeBasis(np.array([[1.0, 0.0], [2.0, 0.0]]))
+    # at construction, in every dimension
+    for mat in (
+        [[1.0, 0.0], [2.0, 0.0]],
+        [[0.0]],
+        [[1.0, 0.0], [1.0, 1e-13]],
+        [[1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 0]],
+    ):
+        with pytest.raises(DegenerateBasisError):
+            hb.LatticeBasis(np.array(mat))
+
+
+def _eager_geometry(mat):
+    """(h_k rows, c(k), D) computed as construction computed them up front."""
+    ortho = np.empty_like(mat)
+    for k in range(mat.shape[0]):
+        ortho[k] = lattice._orthogonal_component(mat, k)
+    sep = np.sqrt(np.einsum("ij,ij->i", ortho, ortho))
+    diameter = 0.0
+    for signs in itertools.product((-1.0, 1.0), repeat=mat.shape[0]):
+        v = np.asarray(signs) @ mat
+        diameter = max(diameter, math.sqrt(float(v @ v)))
+    return ortho, sep, diameter
+
+
+GEOMETRY_BASES = {
+    "1d": [[2 * math.pi]],
+    "identity": [[1.0, 0.0], [0.0, 1.0]],
+    "skewed": [[1.0, 0.0], [1.0, 1.0]],
+    "hexagonal": [[1.0, 0.0], [0.5, math.sqrt(3) / 2]],
+    "tall-skew": [[2.0, 0.0], [1.0, 3.0]],
+    "3d-identity": np.eye(3).tolist(),
+    "3d-skewed": [[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.2, 0.3, 1.1]],
+    "3d-random": np.random.default_rng(11).normal(size=(3, 3)).tolist(),
+}
+
+
+@pytest.mark.parametrize("name", GEOMETRY_BASES)
+def test_geometry_on_first_use_equals_up_front_bits(name):
+    mat = np.array(GEOMETRY_BASES[name])
+    basis = hb.LatticeBasis(mat)
+    # nothing of the grading geometry is computed at construction
+    assert not {"_ortho", "_sep", "_diameter"} & set(vars(basis))
+    ortho, sep, diameter = _eager_geometry(basis.generators)
+    d = basis.dimension
+    assert basis.fundamental_diameter() == diameter
+    assert "_diameter" in vars(basis) and "_ortho" not in vars(basis)
+    for k in range(1, d + 1):
+        assert basis.separation_constant(k) == float(sep[k - 1])
+        assert np.array_equal(basis.orthogonal_component(k), ortho[k - 1])
+        assert basis.separation_constant(k) == pytest.approx(
+            helpers.gram_schmidt_separation(mat, k), rel=1e-10
+        )
+    # computed once: later calls return the stored values
+    assert basis._ortho is basis._ortho and basis._sep is basis._sep
+    assert not basis.orthogonal_component(1).flags.writeable
+    assert basis.fundamental_diameter() == diameter
+
+
+def test_cli_commands_never_compute_the_grading_geometry(tmp_path, monkeypatch):
+    from halfspace_bloch import cli
+
+    def refuse(*args):
+        raise AssertionError("grading geometry computed")
+
+    monkeypatch.setattr(lattice, "_orthogonal_component", refuse)
+    identity = {"dimension": 2, "generators": [[1.0, 0.0], [0.0, 1.0]]}
+    potential = [{"index": [1, 0], "re": 0.1}, {"index": [1, 1], "re": 0.05}]
+    configs = {
+        "classify": {**identity, "potential": potential},
+        "bloch": {**identity, "potential": potential, "t": [0.31, 0.17]},
+        "oracle": {**identity, "potential": potential, "t": [0.31, 0.17]},
+        "fermi": {**identity, "params": {"rho": 0.5, "resolution": 9}},
+    }
+    for command, config in configs.items():
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 def assert_ball(got, expected, dimension):

@@ -62,6 +62,15 @@ def test_norms():
     q2 = hb.FourierPotential(BASIS, {(1, 0): 1.0, (2, 0): 1.0})
     assert q2.norm_l1 == pytest.approx(2.0)
     assert q2.norm_l2 == pytest.approx(math.sqrt(2))
+    # |q|^2 overflows above about 1.3e154 and underflows below 1e-162
+    big = hb.FourierPotential(BASIS, {(1, 0): 3e300 + 4e300j, (2, 0): 1e300})
+    assert big.norm_l1 == pytest.approx(6e300)
+    assert big.norm_l2 == pytest.approx(math.sqrt(26) * 1e300)
+    assert hb.FourierPotential(BASIS, {(1, 0): 1e300}).norm_l2 == 1e300
+    tiny = hb.FourierPotential(BASIS, {(1, 0): 1e-300, (1, 1): -1e-300j})
+    assert tiny.norm_l1 == pytest.approx(2e-300)
+    assert tiny.norm_l2 == pytest.approx(math.sqrt(2) * 1e-300)
+    assert hb.FourierPotential(BASIS, {(1, 0): 1e-300}).norm_l2 == 1e-300
 
 
 def test_zero_coefficients_dropped():
