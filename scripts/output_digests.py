@@ -8,7 +8,7 @@ in one process and prints
     workload index exit sha256
 
 per instance, where the hash covers the instance's stdout, stderr and
-output file.  Three tagged variants follow, so that outputs the timed pools do
+output file.  Four tagged variants follow, so that outputs the timed pools do
 not write are checked as well:
 
     fermi-json index exit sha256         every fermi instance with --format json
@@ -18,6 +18,10 @@ not write are checked as well:
                                          candidate ball
     coeffs-evaluate_at index exit sha256 every coeffs instance with the
                                          params.evaluate_at of EVALUATE_AT
+    coeffs-closed-form index exit sha256 every coeffs instance with
+                                         params.method closed-form and
+                                         params.depth equal to its order,
+                                         planes deeper than the pools reach
 
 Two checkouts give the same lines exactly when every command exits with the
 same code and writes the same bytes, so comparing a change with its parent
@@ -91,6 +95,10 @@ def main() -> None:
             point = list(EVALUATE_AT[: config["dimension"]])
             config = {**config, "params": {**config["params"], "evaluate_at": point}}
             print("coeffs-evaluate_at", index, *digest(instance.command, config))
+        for index, instance in enumerate(pools["coeffs"]):
+            params = instance.config["params"]
+            params = {**params, "method": "closed-form", "depth": params["order"]}
+            print("coeffs-closed-form", index, *digest(instance.command, {**instance.config, "params": params}))
 
 
 if __name__ == "__main__":

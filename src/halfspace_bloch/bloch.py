@@ -19,11 +19,28 @@ original dict loops bit for bit.  That is why the kernel never uses numpy's
 complex ``*``, ``/`` or ``abs``: they round some values differently from
 Python's complex arithmetic, so products and quotients are written out in
 real arithmetic and moduli are taken with Python's ``abs``.
+
+The closed form is one plan and one evaluation.  The plan holds the
+structure alone: the target offsets, plane-major and lexicographic within a
+plane, and every (target, harmonic, predecessor) triple in the order the
+dict loop sums them: target plane, first appearance of the harmonic's plane
+in the support, support order, predecessor.  The evaluation makes one
+batched |g+t|^2 call, then per plane one gather, one product, two
+``bincount`` sums, the guard and one divide.  A numerator that is exactly 0
+is dropped and feeds nothing after it.  The default targets are the offsets
+reachable within the depth (:func:`coeffset.reach`).  Given targets must be
+closed under reachable predecessors, as the interior cone is, and then get
+the unrestricted values.  The guard keeps the unrestricted reach either
+way: every reachable offset reached through a kept coefficient, plane by
+plane, lexicographic within a plane.  A target set screens every reachable
+offset at once; a resonant one sends the run through the unrestricted
+recursion, which raises where it would.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -116,15 +133,12 @@ def _require_classified(q: FourierPotential) -> tuple[int, str]:
     return (q.k or 1, q.sign or "+")
 
 
-def _base_wave(dimension: int) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficient set of the bare plane wave: 1 at offset 0."""
-    return np.zeros((1, dimension), dtype=np.int64), np.ones(1, dtype=complex)
-
-
-def _resonance_check(denom: np.ndarray, tol: float) -> int | None:
-    """Position of the first denominator below the guard, or None."""
+def _guard(denom: np.ndarray, tol: float, offsets: np.ndarray, message: str) -> None:
+    """:class:`ResonanceError` at the first denominator below the guard."""
     bad = np.flatnonzero(np.abs(denom) < tol)
-    return int(bad[0]) if bad.size else None
+    if bad.size:
+        index, value = tuple(offsets[bad[0]].tolist()), float(denom[bad[0]])
+        raise ResonanceError(message.format(index, value), index=index, value=value)
 
 
 def _apply(basis, support, qvals, gamma, t, lam, tol, offsets, values):
@@ -132,15 +146,7 @@ def _apply(basis, support, qvals, gamma, t, lam, tol, offsets, values):
     rows, re, im = coeffset.convolve_rows(support, qvals, offsets, values)
     first, inverse = coeffset.unique_rows(rows)
     denom = (lam - eigenvalues(basis, rows[first] + gamma, t))[inverse]
-    at = _resonance_check(denom, tol)
-    if at is not None:
-        target = tuple(rows[at].tolist())
-        value = float(denom[at])
-        raise ResonanceError(
-            f"resonant denominator at offset {target}: {value!r}",
-            index=target,
-            value=value,
-        )
+    _guard(denom, tol, rows, "resonant denominator at offset {}: {!r}")
     re, im = coeffset.divide(re, im, denom)
     return coeffset.nonzero(rows[first], coeffset.accumulate(inverse, re, im, first.size))
 
@@ -193,7 +199,8 @@ def bloch_series(
     tol = denominator_tolerance(lam)
     support, qvals = coeffset.from_mapping(q.coeffs, basis.dimension)
 
-    term = _base_wave(basis.dimension)
+    # the bare plane wave: 1 at offset 0
+    term = np.zeros((1, basis.dimension), dtype=np.int64), np.ones(1, dtype=complex)
     terms = [term]
     masses: list[float] = []
     tail = 0.0
@@ -230,12 +237,94 @@ def bloch_series(
     )
 
 
+#: the closed form's structure on a target set, values aside (see :func:`_plan`)
+_Plan = namedtuple("_Plan", "offsets bounds lex harmonics targets predecessors cuts")
+
+
+def _plan(support: np.ndarray, k: int, sign: str, offsets: np.ndarray, depth: int) -> _Plan:
+    """The plan of the closed form on ``offsets``, plane-major and
+    lexicographic within a plane.
+
+    ``bounds[p]`` is the first row of plane p (then the row count) and
+    ``lex`` lists the rows in lexicographic order.  Triple j carries row
+    ``predecessors[j]`` by support entry ``harmonics[j]`` to the row
+    ``targets[j]`` places into its plane; the triples, found by one batched
+    convolution and one packed-key lookup, run in accumulation order, and
+    ``cuts[p]`` is the first one into plane p.
+    """
+    sig = sign_value(sign)
+    planes = sig * offsets[:, k - 1]
+    edges = np.arange(depth + 2)
+    bounds = np.searchsorted(planes, edges)
+    box = coeffset.IndexBox(offsets)
+    # harmonics by the first appearance of their plane in the support, then
+    # in support order; one longer than the box on some axis links no two
+    # targets and is dropped before a sum can wrap
+    rises = (sig * support[:, k - 1]).tolist()
+    rank = {p1: r for r, p1 in enumerate(dict.fromkeys(rises))}
+    order = np.argsort([rank[p1] for p1 in rises], kind="stable")
+    order = order[box.fits(support)[order]]
+    found = box.find(
+        (offsets[None, :, :] - support[order][:, None, :]).reshape(-1, offsets.shape[1])
+    ).reshape(order.size, len(offsets))
+    # by harmonic, then target: x -> x - g1 keeps the lexicographic order,
+    # so within a target plane and a harmonic the predecessors ascend too
+    step, targets = np.nonzero(found >= 0)
+    by_plane = np.argsort(planes[targets], kind="stable")
+    step, targets = step[by_plane], targets[by_plane]
+    return _Plan(
+        offsets=offsets,
+        bounds=bounds.tolist(),
+        lex=box.rows,
+        harmonics=order[step],
+        targets=targets - bounds[planes[targets]],
+        predecessors=found[step, targets],
+        cuts=np.searchsorted(planes[targets], edges).tolist(),
+    )
+
+
+def _evaluate(plan: _Plan, qvals: np.ndarray, d: np.ndarray, tol: float):
+    """(values, kept) on the plan's targets, kept marking nonzero numerators.
+
+    ``d`` holds d(gamma, delta) per target.  A target is reached when a
+    triple brings it a kept coefficient; the guard stops at the first
+    reached one, plane by plane, whose |d| is below ``tol``.
+    """
+    values = np.zeros(len(plan.offsets), dtype=complex)
+    kept = np.zeros(len(plan.offsets), dtype=bool)
+    values[: plan.bounds[1]], kept[: plan.bounds[1]] = 1.0, True
+    q = qvals[plan.harmonics]
+    q_re, q_im = q.real.copy(), q.imag.copy()
+    # the planes holding a denominator below the guard: only they need the guard
+    alarmed = np.searchsorted(plan.bounds, np.flatnonzero(np.abs(d) < tol), side="right") - 1
+    alarmed = set(alarmed.tolist())
+    for p in range(1, len(plan.bounds) - 1):
+        s, e, lo, hi = plan.bounds[p], plan.bounds[p + 1], plan.cuts[p], plan.cuts[p + 1]
+        local, pred = plan.targets[lo:hi], plan.predecessors[lo:hi]
+        c = values[pred]
+        re, im = coeffset.product(q_re[lo:hi], q_im[lo:hi], c.real, c.imag)
+        re, im = np.bincount(local, re, e - s), np.bincount(local, im, e - s)
+        if p in alarmed:
+            reached = np.zeros(e - s, dtype=bool)
+            reached[local[kept[pred]]] = True
+            _guard(
+                np.where(reached, d[s:e], np.inf), tol, plan.offsets[s:e],
+                "d(gamma, delta) vanished at delta={}: {!r}",
+            )
+        keep = (re != 0) | (im != 0)
+        np.divide(re, d[s:e], out=values.real[s:e], where=keep)
+        np.divide(im, d[s:e], out=values.imag[s:e], where=keep)
+        kept[s:e] = keep
+    return values, kept
+
+
 def closed_form_coeffs(
     basis: LatticeBasis,
     q: FourierPotential,
     gamma: Sequence[int],
     t: Sequence[float],
     depth: int,
+    targets: np.ndarray | None = None,
 ) -> BlochCoefficients:
     """Plane-by-plane solution of the coefficient recursion up to a plane depth.
 
@@ -243,6 +332,9 @@ def closed_form_coeffs(
     the coefficients on planes below p, divided by d(gamma, delta); chains
     never descend, so each plane is determined by the previous ones alone.
     Requires the base eigenvalue to be simple (resonances raise).
+    ``targets``, an (m, d) integer array in plane-major order, lexicographic
+    within a plane, restricts the solution to a set closed under reachable
+    predecessors (module docstring).
     """
     k, sign = _require_classified(q)
     gamma = as_index(gamma, basis.dimension)
@@ -250,58 +342,27 @@ def closed_form_coeffs(
     lam = eigenvalue(basis, gamma, t)
     tol = denominator_tolerance(lam)
     support, qvals = coeffset.from_mapping(q.coeffs, basis.dimension)
-
-    # potential support split by signed plane index, in order of appearance
-    support_planes = (sign_value(sign) * support[:, k - 1]).tolist()
-    by_plane = {
-        p1: np.flatnonzero(np.equal(support_planes, p1))
-        for p1 in dict.fromkeys(support_planes)
-    }
-
-    base = _base_wave(basis.dimension)
-    computed = [base]
-    for p in range(1, depth + 1):
-        blocks = [
-            coeffset.convolve_rows(support[idx], qvals[idx], *computed[p - p1])
-            for p1, idx in by_plane.items()
-            if p1 <= p
-        ]
-        if not blocks:
-            computed.append((base[0][:0], base[1][:0]))
-            continue
-        rows = np.concatenate([b[0] for b in blocks])
-        first, inverse = coeffset.unique_rows(rows)
-        targets = rows[first]
-        numerators = coeffset.accumulate(
-            inverse,
-            np.concatenate([b[1] for b in blocks]),
-            np.concatenate([b[2] for b in blocks]),
-            first.size,
-        )
-        d = lam - eigenvalues(basis, targets + gamma, t)
-        at = _resonance_check(d, tol)
-        if at is not None:
-            dlt = tuple(targets[at].tolist())
-            value = float(d[at])
-            raise ResonanceError(
-                f"d(gamma, delta) vanished at delta={dlt}: {value!r}",
-                index=dlt,
-                value=value,
-            )
-        keep = numerators != 0
-        re, im = coeffset.divide(numerators.real[keep], numerators.imag[keep], d[keep])
-        computed.append((targets[keep], coeffset.join(re, im)))
-
-    offsets = np.concatenate([n for n, _ in computed])
-    values = np.concatenate([v for _, v in computed])
-    ranked, _ = coeffset.unique_rows(offsets)
+    reachable = np.zeros((1, basis.dimension), dtype=np.int64)
+    if q.coeffs:
+        steps = tuple(q.coeffs)
+        walk = coeffset.reach(steps, tuple(sign_value(sign) * g1[k - 1] for g1 in steps), depth)
+        reachable = coeffset.unpack(np.concatenate(walk.layers), walk.lo, walk.spans)
+    if targets is None:
+        targets = reachable
+    elif np.any(np.abs(lam - eigenvalues(basis, reachable[1:] + gamma, t)) < tol):
+        # only the unrestricted recursion knows whether a kept coefficient
+        # reaches the resonance: it raises wherever it would raise
+        closed_form_coeffs(basis, q, gamma, t, depth)
+    plan = _plan(support, k, sign, np.asarray(targets, dtype=np.int64), depth)
+    values, kept = _evaluate(plan, qvals, lam - eigenvalues(basis, plan.offsets + gamma, t), tol)
+    kept = plan.lex[kept[plan.lex]]
     return BlochCoefficients(
         gamma=gamma,
         t=tuple(float(x) for x in t),
         k=k,
         sign=sign,
-        offsets=offsets[ranked],
-        values=values[ranked],
+        offsets=plan.offsets[kept],
+        values=values[kept],
         order=depth,
         lam=lam,
         tail=None,

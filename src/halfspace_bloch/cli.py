@@ -9,7 +9,8 @@ Commands (all take a single JSON config document):
 * ``fermi``         isoenergetic surface sampling
 
 Exit codes: 0 success, 2 config/parse error, 3 mathematical guard tripped
-(resonance, broken triangularity, insufficient cutoff), 4 non-convergence.
+(resonance, broken triangularity, insufficient cutoff), 4 non-convergence or
+a non-finite result.
 Outputs are deterministic given the config.
 """
 
@@ -20,7 +21,6 @@ import bisect
 import functools
 import json
 import math
-import operator
 import sys
 from fractions import Fraction
 from typing import Any, Sequence
@@ -396,26 +396,28 @@ def cmd_bloch(doc: dict) -> tuple[dict, int]:
     }
     code = EXIT_OK
     series = closed = None
-    if method in ("series", "both"):
-        series = bloch.bloch_series(
-            basis, pot.q, gamma, t, max_order=order, tail_tol=tail_tol
-        )
-        report["series"] = series.to_json_dict()
-        report["tail"] = series.tail
-        report["converged"] = series.converged
-        if not series.converged:
-            code = EXIT_NONCONVERGENCE
-    if method in ("closed-form", "both"):
-        closed = bloch.closed_form_coeffs(basis, pot.q, gamma, t, depth=depth)
-        report["closed_form"] = closed.to_json_dict()
-    if method == "both":
-        report["max_discrepancy"] = bloch.max_discrepancy(series, closed)
-    point = params.get("evaluate_at")
-    if point is not None:
-        x = _numbers(point, basis.dimension, "params.evaluate_at")
-        chosen = series if series is not None else closed
-        value = bloch.evaluate_function(basis, chosen, x)
-        report["value_at"] = {"x": x, "re": value.real, "im": value.imag}
+    # an overflow shows in the report as a non-finite value, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method in ("series", "both"):
+            series = bloch.bloch_series(
+                basis, pot.q, gamma, t, max_order=order, tail_tol=tail_tol
+            )
+            report["series"] = series.to_json_dict()
+            report["tail"] = series.tail
+            report["converged"] = series.converged
+            if not series.converged:
+                code = EXIT_NONCONVERGENCE
+        if method in ("closed-form", "both"):
+            closed = bloch.closed_form_coeffs(basis, pot.q, gamma, t, depth=depth)
+            report["closed_form"] = closed.to_json_dict()
+        if method == "both":
+            report["max_discrepancy"] = bloch.max_discrepancy(series, closed)
+        point = params.get("evaluate_at")
+        if point is not None:
+            x = _numbers(point, basis.dimension, "params.evaluate_at")
+            chosen = series if series is not None else closed
+            value = bloch.evaluate_function(basis, chosen, x)
+            report["value_at"] = {"x": x, "re": value.real, "im": value.imag}
     return report, code
 
 
@@ -460,17 +462,22 @@ def cmd_oracle(doc: dict, want_matrix: bool = False):
         raise CutoffError(
             f"cutoff {cutoff} ball does not contain gamma={gamma}"
         ) from None
-    closed = bloch.closed_form_coeffs(
-        basis, pot.q, gamma, t, depth=max(op.planes) - op.planes[base]
-    )
-    vec = galerkin.eigenvector_backsolve(op, base)
-    backsolved, positions, coeffs = vec.vector.tolist(), op.positions, closed.coeffs
-    worst = 0.0
-    for dlt in galerkin.interior_cone(op, gamma):
-        node = tuple(map(operator.add, gamma, dlt))
-        worst = max(worst, abs(backsolved[positions[node]] - coeffs.get(dlt, 0j)))
+    # the closed form only on the cone, before the backsolve: a resonance
+    # surfaces first, as in the unrestricted recursion
+    cone = galerkin.interior_cone(op, gamma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        closed = bloch.closed_form_coeffs(
+            basis, pot.q, gamma, t, depth=max(op.planes) - op.planes[base], targets=cone
+        )
+        vec = galerkin.eigenvector_backsolve(op, base)
+        expected = np.zeros(op.size, dtype=complex)
+        expected[op._index_box.find(closed.offsets + gamma)] = closed.values
+        rows = op._index_box.find(cone + gamma)
+        diff = vec.vector[rows] - expected[rows]
+    moduli = list(map(abs, diff.tolist()))
+    worst = math.nan if any(map(math.isnan, moduli)) else max(moduli, default=0.0)
     report["eigenvector_agreement"] = worst
-    return report, EXIT_OK
+    return report, EXIT_OK if math.isfinite(worst) else EXIT_NONCONVERGENCE
 
 
 def cmd_multiplicity(doc: dict) -> tuple[dict, int]:

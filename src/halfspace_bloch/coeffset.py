@@ -17,7 +17,9 @@ bit for bit, what those loops return:
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import namedtuple
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -55,8 +57,9 @@ def divide(re, im, den):
 
     CPython divides by complex(den, 0.0) and so adds a signed zero to each
     part of the numerator.  For finite values that changes at most the sign
-    of a zero quotient, and both callers erase that sign: one sums the
-    quotients onto 0.0, the other divides sums, which are never -0.0.
+    of a zero quotient, and the series erases that sign by summing its
+    quotients onto 0.0; the closed form takes the same liberty on sums,
+    which are never -0.0.
     """
     return re / den, im / den
 
@@ -77,6 +80,96 @@ def pack(rows: np.ndarray, lo: Sequence[int], spans: Sequence[int]) -> np.ndarra
     for j in range(1, rows.shape[1]):
         key = key * spans[j] + (rows[:, j] - lo[j])
     return key
+
+
+def unpack(keys: np.ndarray, lo: Sequence[int], spans: Sequence[int]) -> np.ndarray:
+    """The (n, d) int64 rows of keys that :func:`pack` gave rows of the box."""
+    cols = []
+    for j in reversed(range(len(spans))):
+        cols.append(keys % spans[j] + lo[j])
+        keys = keys // spans[j]
+    return np.array(cols[::-1], dtype=np.int64).reshape(len(spans), -1).T
+
+
+class IndexBox:
+    """Row lookup in an (N, d) int64 array of distinct lattice indices.
+
+    Each index gets its :func:`pack` key over the array's bounding box; the
+    keys are sorted once (``rows`` lists the indices in lexicographic
+    order), and a batch of indices is found with one ``np.searchsorted``.
+    Indices outside the box are rejected before they are packed, since a
+    key is one-to-one on the box only.
+    """
+
+    def __init__(self, indices: np.ndarray):
+        # the box always holds the origin: no special case for an empty array
+        self.lo, self.hi = indices.min(axis=0, initial=0), indices.max(axis=0, initial=0)
+        # exact: the span of indices near both ends of int64 leaves its range
+        spans = [h - m + 1 for m, h in zip(self.lo.tolist(), self.hi.tolist())]
+        self.spans = np.array(spans, dtype=np.int64 if max(spans) < _KEY_LIMIT else object)
+        keys = pack(indices, self.lo.tolist(), spans)
+        self.rows = np.argsort(keys, kind="stable")
+        # no key in the box is negative: a miss reads -1
+        self.keys = np.append(keys[self.rows], -1)
+
+    def find(self, members: np.ndarray) -> np.ndarray:
+        """The row of each member (rows of an (m, d) integer-valued array), -1 where absent."""
+        inside = np.flatnonzero(np.all((members >= self.lo) & (members <= self.hi), axis=1))
+        keys = pack(
+            members[inside].astype(np.int64, copy=False), self.lo.tolist(), self.spans.tolist()
+        )
+        at = np.searchsorted(self.keys[:-1], keys)
+        hit = self.keys[at] == keys
+        rows = np.full(members.shape[0], -1, dtype=np.intp)
+        rows[inside[hit]] = self.rows[at[hit]]
+        return rows
+
+    def fits(self, steps: np.ndarray) -> np.ndarray:
+        """Which rows of an (s, d) int64 array are shorter than the box on every
+        axis: only they can carry one index of the box to another."""
+        return np.all((steps > -self.spans) & (steps < self.spans), axis=1).astype(bool)
+
+
+#: the packed-key layers of the reachable offsets (see :func:`reach`)
+Reach = namedtuple("Reach", "lo spans shifts layers")
+
+
+@functools.lru_cache(maxsize=4)
+def reach(steps: tuple, rises: tuple, top: int) -> Reach:
+    """The sums of ``steps`` (index tuples) up to plane ``top``, layer by layer.
+
+    Step i rises ``rises[i] >= 1`` planes.  ``layers[p]``, p = 0 .. top,
+    holds the sorted distinct :func:`pack` keys of the sums that rise p
+    planes in all, over the box ``lo``, ``spans``; ``shifts[i]`` is the key
+    change of step i.  Every sum of at most ``top`` steps lies in the box
+    top * min(0, g_j) <= x_j <= top * max(0, g_j) over the steps, where
+    :func:`pack` is linear and one-to-one (exact Python ints when the box is
+    too wide for int64).  So a layer is the union of the layers below it,
+    each shifted by its step with one integer add, sorted and stripped of
+    repeats: work and memory follow the reachable set, never the box.  The
+    last few walks are kept, read-only, so that the interior cone and the
+    closed form of one instance share one.
+    """
+    arr = np.array(steps, dtype=np.int64)
+    lo = [top * min(0, v) for v in arr.min(axis=0).tolist()]
+    hi = [top * max(0, v) for v in arr.max(axis=0).tolist()]
+    spans = [h - m + 1 for m, h in zip(lo, hi)]
+    keys = pack(np.vstack([np.zeros_like(arr[:1]), arr]), lo, spans)
+    origin, shifts = keys[:1], (keys[1:] - keys[0]).tolist()
+    layers = [origin]
+    for p in range(1, top + 1):
+        keys = np.concatenate(
+            [origin[:0], *(layers[p - r] + s for s, r in zip(shifts, rises) if r <= p)]
+        )
+        # a stable argsort, the kernel unique_rows runs already: the sort
+        # kernels each map a few hundred kB of code into the process
+        keys = keys[np.argsort(keys, kind="stable")]
+        distinct = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+        layers.append(keys[distinct])
+    for layer in layers:
+        layer.setflags(write=False)
+    return Reach(tuple(lo), tuple(spans), tuple(shifts), tuple(layers))
 
 
 def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -19,13 +19,11 @@ matrix; ``op.matrix`` densifies on demand, for the CSV dump and for tests.
 Finding rows.  The ball stays an (N, d) int64 array from
 ``enumerate_ball`` to the operator: one stable argsort of the signed plane
 index puts the lex-ordered ball in plane-major order, ties lexicographic.
-A batch of indices, the coupling targets n + g1 or a probe's subset, is
-matched to rows at once: each index inside the ball's bounding box gets its
-:func:`coeffset.pack` key, and one ``np.searchsorted`` into the ball's
-sorted keys finds it or misses.  Indices outside the box are rejected
-before packing (a key is one-to-one on the box only), and a harmonic longer
-than the box on some axis is dropped before n + g1 is formed, so no int64
-sum can wrap.  Only ``index_set`` and ``positions`` hold Python tuples.
+A batch of indices, the coupling targets n + g1, a probe's subset or the
+one index of ``op.position``, is matched to rows at once by
+:class:`coeffset.IndexBox`; a harmonic longer than the ball's box on some
+axis is dropped before n + g1 is formed, so no int64 sum can wrap.  The
+Python tuples of ``index_set`` and ``positions`` are built on first use.
 The triangularity witness is the first coupling, in row-major order, whose
 row plane is not above its column plane.
 
@@ -74,7 +72,7 @@ does.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -98,10 +96,10 @@ DIAG_EQ_SCALE = 1e-9
 class TruncatedOperator:
     """The operator on a plane-major-ordered index ball, in plane-graded sparse form.
 
-    ``index_set`` is ordered by ascending signed plane index along axis k
-    (ties lexicographic), which for sign '+' is ascending plane order; the
-    rows/columns follow that order, and ``indices`` holds the same indices
-    as an (N, d) int64 array.  The matrix M is stored as its diagonal
+    ``indices``, an (N, d) int64 array, is ordered by ascending signed plane
+    index along axis k (ties lexicographic), which for sign '+' is ascending
+    plane order; the rows/columns follow that order, and ``index_set``
+    holds the same indices as Python int tuples.  The matrix M is stored as its diagonal
     ``matrix_diagonal`` (M_jj = |g + t|^2 + q_0; ``diagonal`` holds the free
     values |g + t|^2) and its off-diagonal couplings ``(rows, cols, values)``,
     sorted row-major with no zero stored.  ``plane_bounds`` lists the first
@@ -113,7 +111,6 @@ class TruncatedOperator:
     t: tuple[float, ...]
     k: int
     sign: str
-    index_set: tuple[IndexVector, ...]
     indices: np.ndarray
     diagonal: np.ndarray
     matrix_diagonal: np.ndarray
@@ -122,20 +119,31 @@ class TruncatedOperator:
     values: np.ndarray
     planes: tuple[int, ...]
     plane_bounds: np.ndarray
-    _positions: dict[IndexVector, int] = field(repr=False)
 
     @property
     def size(self) -> int:
-        return len(self.index_set)
+        return len(self.indices)
 
-    @property
+    @cached_property
+    def index_set(self) -> tuple[IndexVector, ...]:
+        """The rows of ``indices`` as Python int tuples, built on first use."""
+        return tuple(map(tuple, self.indices.tolist()))
+
+    @cached_property
     def positions(self) -> Mapping[IndexVector, int]:
         """Read-only map from each index tuple in the ball to its row/column."""
-        return MappingProxyType(self._positions)
+        return MappingProxyType(dict(zip(self.index_set, range(self.size))))
 
     def position(self, n: Sequence[int]) -> int:
         """Row/column position of a lattice index; KeyError when outside."""
-        return self._positions[as_index(n, self.basis.dimension)]
+        index = as_index(n, self.basis.dimension)
+        try:
+            row = int(self._index_box.find(np.array([index], dtype=np.int64))[0])
+        except OverflowError:  # beyond int64, so outside the ball
+            row = -1
+        if row < 0:
+            raise KeyError(index)
+        return row
 
     def eigen_eq_tol(self) -> float:
         """Width within which two diagonal entries M_jj count as equal.
@@ -159,46 +167,15 @@ class TruncatedOperator:
         return dense
 
     @cached_property
-    def _index_box(self) -> "_IndexBox":
+    def _index_box(self) -> coeffset.IndexBox:
         # derived from ``indices`` on first use, so an operator made by
         # ``dataclasses.replace`` never keeps a stale lookup
-        return _IndexBox(self.indices)
+        return coeffset.IndexBox(self.indices)
 
     @cached_property
     def _witness(self) -> tuple[IndexVector, IndexVector] | None:
         # built on first use only: the rank probes never need the scan
         return _first_grading_violation(self)
-
-
-class _IndexBox:
-    """Row lookup in an (N, d) int64 array of distinct lattice indices.
-
-    Each index gets its :func:`coeffset.pack` key over the array's bounding
-    box; the keys are sorted once, and a batch of indices is found with one
-    ``np.searchsorted``.  Indices outside the box are rejected before they
-    are packed, since a key is one-to-one on the box only.
-    """
-
-    def __init__(self, indices: np.ndarray):
-        # the box always holds the origin: no special case for an empty array
-        self.lo, self.hi = indices.min(axis=0, initial=0), indices.max(axis=0, initial=0)
-        self.spans = self.hi - self.lo + 1
-        keys = coeffset.pack(indices, self.lo.tolist(), self.spans.tolist())
-        self.rows = np.argsort(keys, kind="stable")
-        # no key in the box is negative: a miss reads -1
-        self.keys = np.append(keys[self.rows], -1)
-
-    def find(self, members: np.ndarray) -> np.ndarray:
-        """The row of each member (rows of an (m, d) integer-valued array), -1 where absent."""
-        inside = np.flatnonzero(np.all((members >= self.lo) & (members <= self.hi), axis=1))
-        keys = coeffset.pack(
-            members[inside].astype(np.int64, copy=False), self.lo.tolist(), self.spans.tolist()
-        )
-        at = np.searchsorted(self.keys[:-1], keys)
-        hit = self.keys[at] == keys
-        rows = np.full(members.shape[0], -1, dtype=np.intp)
-        rows[inside[hit]] = self.rows[at[hit]]
-        return rows
 
 
 def build(
@@ -219,17 +196,14 @@ def build(
     # plane-major: a stable sort of the lex-ordered ball keeps ties lexicographic
     order = np.argsort(sig * ball[:, k - 1], kind="stable")
     indices = ball[order]
-    index_set = tuple(map(tuple, indices.tolist()))
-    positions = dict(zip(index_set, range(len(index_set))))
-
-    size = len(index_set)
+    size = len(indices)
     diag = eigenvalues(basis, indices, t_arr)
     # q_{g1} couples column n to row n + g1 wherever n + g1 is in the ball;
     # no two (row, column) pairs repeat.  A harmonic longer than the ball's
     # box on some axis reaches no row, and is dropped before any sum can wrap.
     support, qvals = coeffset.from_mapping(q.coeffs, basis.dimension)
-    box = _IndexBox(indices)
-    reach = np.all((support > -box.spans) & (support < box.spans), axis=1)
+    box = coeffset.IndexBox(indices)
+    reach = box.fits(support)
     support, qvals = support[reach], qvals[reach]
     targets = (support[:, None, :] + indices[None, :, :]).reshape(-1, basis.dimension)
     rows = box.find(targets)
@@ -250,13 +224,12 @@ def build(
     bounds = np.append(np.flatnonzero(np.diff(plane_arr, prepend=plane_arr[:1] - 1)), size)
     for arr in (indices, diag, mdiag, rows, cols, vals, bounds):
         arr.setflags(write=False)
-    return TruncatedOperator(
+    op = TruncatedOperator(
         basis=basis,
         q=q,
         t=tuple(float(x) for x in t_arr),
         k=k,
         sign=sign,
-        index_set=index_set,
         indices=indices,
         diagonal=diag,
         matrix_diagonal=mdiag,
@@ -265,8 +238,9 @@ def build(
         values=vals,
         planes=tuple(plane_arr.tolist()),
         plane_bounds=bounds,
-        _positions=positions,
     )
+    op.__dict__["_index_box"] = box  # the lookup of ``indices``, made above
+    return op
 
 
 def _first_grading_violation(op: TruncatedOperator) -> tuple[IndexVector, IndexVector] | None:
@@ -328,13 +302,6 @@ class BacksolveResult:
     vector: np.ndarray
     leading: int
     flagged: tuple[int, ...]
-
-    def coeff_map(self, op: TruncatedOperator) -> dict[IndexVector, complex]:
-        return {
-            n: complex(v)
-            for n, v in zip(op.index_set, self.vector)
-            if v != 0
-        }
 
 
 def _substitution_start(op: TruncatedOperator, i: int):
@@ -607,10 +574,12 @@ def matrix_csv(op: TruncatedOperator) -> str:
     return "".join([row % tuple(r.tolist()) for r in parts])
 
 
-def interior_cone(
-    op: TruncatedOperator, gamma: Sequence[int]
-) -> set[IndexVector]:
+def interior_cone(op: TruncatedOperator, gamma: Sequence[int]) -> np.ndarray:
     """Offsets whose whole chain dependency stays inside the truncation ball.
+
+    Returns the (m, d) int64 array of the offsets delta, in plane-major
+    order (ascending plane counted from gamma, lexicographic within a
+    plane), the origin first; it is empty when gamma is outside the ball.
 
     An offset is fully determined by the truncation only when every chain of
     potential support steps from the base to it passes exclusively through
@@ -634,68 +603,53 @@ def interior_cone(
     read the same reachable predecessors, on earlier planes, where the two
     already agree: delta is determined exactly when none of them is blocked.
     Unwinding the recursion, an offset is blocked exactly when some chain to
-    it leaves the ball, the property stated above.
+    it leaves the ball, the property stated above.  In particular every
+    reachable predecessor of a cone offset is in the cone.
 
-    Packed keys.  Every reachable offset up to the top plane P of the ball
-    (counted from gamma) is a sum of at most P steps, so it lies in the box
-    P * min(0, g1_j) <= delta_j <= P * max(0, g1_j) over the steps, per axis.
-    :func:`coeffset.pack` gives each offset in the box one key, linear and
-    one-to-one there (int64, or exact Python ints when the box is too wide
-    for int64).  Linearity makes the shift of a whole layer by a step one
-    integer add.  Per plane p the layers p - p1, each shifted by its step,
-    are concatenated, sorted and stripped of repeats.  A key is blocked when
-    ``np.searchsorted`` does not find it among the sorted keys of the ball's
-    offsets inside the box, or when it is the shift of a blocked key of a
-    layer below: each layer keeps its blocked keys beside its keys, so the
-    flag travels from the predecessors by the same shifts and one more
-    ``np.searchsorted``.  The unblocked keys of each plane are its part of
-    the cone.  Work and memory follow the reachable set, at most two keys per
-    reachable offset, never the box.
+    Packed keys.  The layers of reachable offsets up to the top plane of the
+    ball come from :func:`coeffset.reach`, as sorted :func:`coeffset.pack`
+    keys.  A key is blocked when ``np.searchsorted`` misses it among the
+    ball's sorted keys inside the walk's box, or when it is the shift of a
+    blocked key of a layer below; the unblocked keys of each plane, in key
+    order, which is lexicographic, are its part of the cone.
 
     Raises ``ValueError`` for a potential outside class S, where steps need
     not rise and the planes give no order.
     """
     gamma = as_index(gamma, op.basis.dimension)
-    if gamma not in op._positions or not op.q.coeffs:
-        return {(0,) * op.basis.dimension} if gamma in op._positions else set()
+    try:
+        op.position(gamma)
+    except KeyError:
+        return np.zeros((0, op.basis.dimension), dtype=np.int64)
+    if not op.q.coeffs:
+        return np.zeros((1, op.basis.dimension), dtype=np.int64)
     if op.q.classification is None:
         raise ValueError("the interior cone needs a potential in class S")
     sig = sign_value(op.sign)
-    top = max(op.planes) - sig * gamma[op.k - 1]
-    steps = np.array(list(op.q.coeffs), dtype=np.int64)
-    lo = [top * min(0, v) for v in steps.min(axis=0).tolist()]
-    hi = [top * max(0, v) for v in steps.max(axis=0).tolist()]
-    spans = [h - m + 1 for m, h in zip(lo, hi)]
+    steps = tuple(op.q.coeffs)
+    rises = tuple(sig * g1[op.k - 1] for g1 in steps)
+    walk = coeffset.reach(steps, rises, max(op.planes) - sig * gamma[op.k - 1])
 
     # the ball's offsets inside the box, in key order
     offsets = op.indices - np.array(gamma, dtype=np.int64)
-    offsets = offsets[np.all((offsets >= lo) & (offsets <= hi), axis=1)]
-    ball = coeffset.pack(offsets, lo, spans)
+    hi = [m + s - 1 for m, s in zip(walk.lo, walk.spans)]
+    offsets = offsets[np.all((offsets >= walk.lo) & (offsets <= hi), axis=1)]
+    ball = coeffset.pack(offsets, walk.lo, walk.spans)
     order = np.argsort(ball, kind="stable")
     offsets, ball = offsets[order], ball[order]
 
-    keys = coeffset.pack(np.vstack([np.zeros_like(steps[:1]), steps]), lo, spans)
-    origin, shifts = keys[:1], (keys[1:] - keys[0]).tolist()
-    rises = (sig * steps[:, op.k - 1]).tolist()
-    # per plane: its reachable keys, sorted, and those of them that are blocked
-    empty = (origin[:0], origin[:0])
-    layers = {0: (origin, origin[:0])}
-    found = [np.searchsorted(ball, origin)]
     padded = np.append(ball, -1)  # no key in the box is negative: a miss reads -1
-    for p in range(1, top + 1):
-        below = [(layers.get(p - rise, empty), shift) for shift, rise in zip(shifts, rises)]
-        # a stable argsort, the kernel coeffset.unique_rows runs already: the
-        # sort kernels each map a few hundred kB of code into the process
-        keys = np.concatenate([reached + shift for (reached, _), shift in below])
-        keys = keys[np.argsort(keys, kind="stable")]
-        distinct = np.ones(keys.size, dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
-        keys = keys[distinct]
+    blocked, found = [], []
+    for p, keys in enumerate(walk.layers):
         at = np.searchsorted(ball, keys)
         unblocked = padded[at] == keys
-        inherited = [stuck + shift for (_, stuck), shift in below if stuck.size]
+        inherited = [
+            blocked[p - rise] + shift
+            for shift, rise in zip(walk.shifts, rises)
+            if rise <= p and blocked[p - rise].size
+        ]
         if inherited:
             unblocked[np.searchsorted(keys, np.concatenate(inherited))] = False
-        layers[p] = keys, keys[~unblocked]
+        blocked.append(keys[~unblocked])
         found.append(at[unblocked])
-    return set(zip(*offsets[np.concatenate(found)].T.tolist()))
+    return offsets[np.concatenate(found)]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import halfspace_bloch as hb
-from halfspace_bloch import bloch, potential, spectrum
+from halfspace_bloch import bloch, galerkin, potential, spectrum
 from halfspace_bloch.errors import ResonanceError
 from halfspace_bloch.lattice import decompose
 
@@ -288,3 +288,36 @@ def test_pad_guard():
     with pytest.raises(ValueError):
         bloch.residual(BASIS, q, psi, pad=1.0)
     assert bloch.residual(BASIS, q, psi, pad=4.0) < 1e-6
+
+
+def test_pt_symmetric_potentials_give_real_coefficients():
+    # real q_g and real gamma + t keep every product, sum and quotient real:
+    # the series, the closed form and its cone restriction have imaginary
+    # parts exactly 0
+    bases = [
+        (BASIS, 4.0),
+        (hb.LatticeBasis(np.array([[1.0, 0.0], [0.6, 0.9]])), 4.0),
+        (hb.LatticeBasis(np.array([[1.0, 0.2, 0.0], [0.3, 1.0, 0.1], [0.0, 0.4, 1.3]])), 2.5),
+    ]
+    rng = np.random.default_rng(2016)
+    sizes = []
+    for i in range(40):
+        basis, cutoff = bases[i % 3]
+        d = basis.dimension
+        k, sign = int(rng.integers(1, d + 1)), "+-"[int(rng.integers(0, 2))]
+        q = helpers.random_halfspace_potential(rng, basis, k=k, sign=sign, max_harmonics=5, max_p=2, max_a=2)
+        q = hb.FourierPotential(basis, {n: 0.4 * v.real for n, v in q.coeffs.items()})
+        assert q.is_pt_symmetric
+        gamma = tuple(int(x) for x in rng.integers(-1, 2, size=d))
+        t = rng.uniform(-0.5, 0.5, size=d)
+        op = galerkin.build(basis, q, t, cutoff)
+        depth = max(op.planes) - op.planes[op.position(gamma)]
+        results = [
+            bloch.bloch_series(basis, q, gamma, t, max_order=6, tail_tol=0.0),
+            bloch.closed_form_coeffs(basis, q, gamma, t, depth),
+            bloch.closed_form_coeffs(basis, q, gamma, t, depth, targets=galerkin.interior_cone(op, gamma)),
+        ]
+        for psi in results:
+            assert np.all(psi.values.imag == 0)
+        sizes.append(min(len(psi.values) for psi in results))
+    assert sum(size > 1 for size in sizes) >= 30

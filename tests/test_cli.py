@@ -860,6 +860,48 @@ def test_oracle_agreement_equals_dict_loop(tmp_path, capsys):
         assert report["eigenvector_agreement"] == worst, name
 
 
+
+def test_oracle_resonance_outside_the_cone_exits_3(tmp_path, capsys):
+    # lam = 1 at gamma = (-1, 0), t = 0: delta = (2, 0) resonates, and its
+    # predecessor (1, 5) lies outside the cutoff-3 ball, so the cone is {0};
+    # the guard still reaches it, as the unrestricted recursion does
+    config = {
+        **IDENTITY_2D,
+        "potential": [{"index": [1, 5], "re": 0.1}, {"index": [1, -5], "re": 0.2}],
+        "t": [0.0, 0.0],
+        "params": {"gamma": [-1, 0], "cutoff": 3.0},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main(["oracle", "--config", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ResonanceError: d(gamma, delta) vanished at delta=(2, 0): 0.0\n"
+
+
+def test_overflowing_routes_exit_4_without_a_warning(tmp_path):
+    # a 1e300 harmonic overflows both routes and the backsolve to inf and NaN
+    config = {
+        **IDENTITY_2D,
+        "potential": [{"index": [1, 0], "re": 1e300}],
+        "t": [0.31, 0.17],
+        "params": {"cutoff": 6},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    reports = {}
+    for command in ("oracle", "bloch"):
+        done = subprocess.run(
+            [sys.executable, "-m", "halfspace_bloch", command, "--config", str(path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert (done.returncode, done.stderr) == (4, ""), command
+        reports[command] = json.loads(done.stdout)
+    assert math.isnan(reports["oracle"]["eigenvector_agreement"])
+    assert math.isnan(reports["bloch"]["tail"])
+
+
 # -- fuzzed multiplicity configs -------------------------------------------------
 
 _ONED_VALID = {

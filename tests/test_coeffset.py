@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import halfspace_bloch as hb
-from halfspace_bloch import bloch, coeffset, potential
+from halfspace_bloch import bloch, coeffset, galerkin, potential
 from halfspace_bloch.errors import ResonanceError
 
 import helpers
@@ -165,3 +165,138 @@ def test_wide_offsets_equal_dict_loops():
         bloch.closed_form_coeffs(basis, q, (0, 0, 0), t, 4).coeffs,
         helpers.reference_closed_form(basis, q, (0, 0, 0), t, 4),
     )
+
+
+# -- the closed form as one plan and one evaluation ----------------------------------
+
+#: (basis, k, sign, ball cutoff) of the plan cases; 3-D on axis 2 with sign '-'
+PLAN_CASES = {
+    "1d": (BASES["1d"], 1, "+", 40.0),
+    "identity": (BASES["identity"], 1, "+", 5.0),
+    "skewed": (BASES["skewed"], 2, "-", 5.0),
+    "3d-k2-minus": (BASES["3d"], 2, "-", 3.0),
+}
+
+
+def restricted(basis, q, gamma, t, cutoff):
+    """(full, restricted, cone): the closed form to the ball's top plane,
+    unrestricted and on the interior cone, as :func:`outcome`s."""
+    op = galerkin.build(basis, q, t, cutoff)
+    cone = galerkin.interior_cone(op, gamma)
+    depth = max(op.planes) - op.planes[op.position(gamma)]
+    full = outcome(bloch.closed_form_coeffs, basis, q, gamma, t, depth)
+    assert_same(full if resonated(full) else full.coeffs,
+                outcome(helpers.reference_closed_form, basis, q, gamma, t, depth))
+    return full, outcome(bloch.closed_form_coeffs, basis, q, gamma, t, depth, cone), cone
+
+
+def assert_restriction(full, part, cone):
+    """The restricted run raises the full run's first hit, or equals it on the cone."""
+    if resonated(full):
+        assert part == full
+        return
+    inside = set(map(tuple, cone.tolist()))
+    assert_same(part.coeffs, {n: v for n, v in full.coeffs.items() if n in inside})
+    assert part.order == full.order
+
+
+@pytest.mark.parametrize("name", PLAN_CASES)
+def test_closed_form_plan_equals_dict_loop(name):
+    generators, k, sign, cutoff = PLAN_CASES[name]
+    basis = hb.LatticeBasis(np.array(generators))
+    d = basis.dimension
+    rng = np.random.default_rng(sum(map(ord, name)) + 101)
+    restricted_cones = 0
+    for i in range(12):
+        q = helpers.random_halfspace_potential(
+            rng, basis, k=k, sign=sign, max_harmonics=2 if d == 1 else 5,
+            max_p=2, max_a=2, coeff_scale=0.3,
+        )
+        gamma = tuple(int(x) for x in rng.integers(-1, 2, size=d))
+        t = rng.uniform(-0.5, 0.5, size=d) if i % 4 else np.zeros(d)
+        for sign_flip in (1, -1):
+            if sign_flip < 0:  # the same harmonics in the opposite half-lattice
+                q = hb.FourierPotential(basis, {tuple(-x for x in n): v for n, v in q.coeffs.items()})
+            for depth in (0, 1, 5 if d < 3 else 4):
+                assert_same(
+                    outcome(lambda *a: bloch.closed_form_coeffs(*a).coeffs, basis, q, gamma, t, depth),
+                    outcome(helpers.reference_closed_form, basis, q, gamma, t, depth),
+                )
+            full, part, cone = restricted(basis, q, gamma, t, cutoff)
+            assert_restriction(full, part, cone)
+            restricted_cones += not resonated(full) and 1 < len(cone) < len(full.offsets)
+    # in 1-D every reachable offset up to the top plane is in the ball
+    assert restricted_cones >= 4 or d == 1
+
+
+def test_closed_form_sums_planes_in_first_appearance_order():
+    # on axis 2 the support, kept in lexicographic order, runs over the
+    # planes 1, 2, 1, 3: every sum takes both plane-1 harmonics first
+    basis = hb.identity_basis(2)
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        coeffs = {n: helpers.random_unit_disc(rng, 0.4) for n in [(-1, 1), (0, 2), (1, 1), (2, 3)]}
+        q = hb.FourierPotential(basis, coeffs)
+        assert q.classification == (2, "+") and [n[1] for n in q.coeffs] == [1, 2, 1, 3]
+        t = rng.uniform(-0.5, 0.5, size=2)
+        assert_same(
+            bloch.closed_form_coeffs(basis, q, (0, 0), t, 8).coeffs,
+            helpers.reference_closed_form(basis, q, (0, 0), t, 8),
+        )
+        assert_restriction(*restricted(basis, q, (0, 0), t, 4.0))
+
+
+def test_closed_form_drops_an_exact_zero_numerator():
+    # t = 0, gamma = 0: the (2, 1) numerator 1 * c(1, 1) + 1 * c(1, 0) + 1.5
+    # = -0.5 - 1 + 1.5 is exactly 0, so (2, 1) is dropped and feeds nothing
+    basis = hb.identity_basis(2)
+    q = hb.FourierPotential(basis, {(1, 0): 1.0, (1, 1): 1.0, (2, 1): 1.5})
+    closed = bloch.closed_form_coeffs(basis, q, (0, 0), (0.0, 0.0), 4)
+    assert (2, 1) not in closed.coeffs and (1, 1) in closed.coeffs
+    assert_same(closed.coeffs, helpers.reference_closed_form(basis, q, (0, 0), (0.0, 0.0), 4))
+    full, part, cone = restricted(basis, q, (0, 0), (0.0, 0.0), 3.0)
+    assert [2, 1] in cone.tolist()
+    assert_restriction(full, part, cone)
+
+
+def test_closed_form_guards_a_target_reached_through_an_underflowed_coefficient():
+    # a = 2.83e-162: the plane-2 numerator a * c(1) is the least subnormal and
+    # its quotient rounds to 0.0; the coefficient is kept, so its successor on
+    # plane 3, where d vanishes, is reached and guarded
+    basis = hb.identity_basis(1)
+    q = hb.FourierPotential(basis, {(1,): 2.829110012464732e-162})
+    closed = bloch.closed_form_coeffs(basis, q, (-1,), (-0.5,), 2)
+    assert closed.coeffs[(2,)] == 0
+    assert_same(closed.coeffs, helpers.reference_closed_form(basis, q, (-1,), (-0.5,), 2))
+    got = outcome(bloch.closed_form_coeffs, basis, q, (-1,), (-0.5,), 4)
+    assert got[:2] == ("resonance", (3,))
+    assert got == outcome(helpers.reference_closed_form, basis, q, (-1,), (-0.5,), 4)
+
+
+def test_restricted_closed_form_raises_the_first_hit_outside_the_cone():
+    # lam = 1 at gamma = (-1, 0), t = 0; delta = (2, 0) resonates, and its
+    # predecessor (1, 5) lies outside the cutoff-3 ball: the cone is {0}
+    basis = hb.identity_basis(2)
+    q = hb.FourierPotential(basis, {(1, 5): 0.1, (1, -5): 0.2})
+    full, part, cone = restricted(basis, q, (-1, 0), (0.0, 0.0), 3.0)
+    assert cone.tolist() == [[0, 0]]
+    assert full == ("resonance", (2, 0), 0.0, "d(gamma, delta) vanished at delta=(2, 0): 0.0")
+    assert_restriction(full, part, cone)
+    # a resonance that no nonzero coefficient reaches does not raise
+    q = hb.FourierPotential(basis, {(1, 5): 1e-200, (1, -5): 1e-200})
+    assert_restriction(*restricted(basis, q, (-1, 0), (0.0, 0.0), 3.0))
+
+
+def test_closed_form_on_harmonics_near_both_int64_ends():
+    # the targets (1, +-2**62) span 2**63 + 1 on axis 2, beyond int64: the
+    # plan's lookup box keeps that span exact and finds both targets
+    basis = hb.identity_basis(2)
+    q = hb.FourierPotential(basis, {(1, 2**62): 0.1, (1, -(2**62)): 0.2, (1, 0): 0.3})
+    t = (0.31, 0.17)
+    closed = bloch.closed_form_coeffs(basis, q, (0, 0), t, 1)
+    assert len(closed.offsets) == 4
+    assert_same(closed.coeffs, helpers.reference_closed_form(basis, q, (0, 0), t, 1))
+    box = coeffset.IndexBox(closed.offsets)
+    assert box.spans.tolist() == [2, 2**63 + 1]
+    assert box.find(closed.offsets).tolist() == [0, 1, 2, 3]
+    assert box.fits(np.array([[1, 2**62], [0, -(2**63)], [2, 0]])).tolist() == [True, True, False]
