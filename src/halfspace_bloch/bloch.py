@@ -26,15 +26,18 @@ plane, and every (target, harmonic, predecessor) triple in the order the
 dict loop sums them: target plane, first appearance of the harmonic's plane
 in the support, support order, predecessor.  The evaluation makes one
 batched |g+t|^2 call, then per plane one gather, one product, two
-``bincount`` sums, the guard and one divide.  A numerator that is exactly 0
-is dropped and feeds nothing after it.  The default targets are the offsets
-reachable within the depth (:func:`coeffset.reach`).  Given targets must be
-closed under reachable predecessors, as the interior cone is, and then get
-the unrestricted values.  The guard keeps the unrestricted reach either
-way: every reachable offset reached through a kept coefficient, plane by
-plane, lexicographic within a plane.  A target set screens every reachable
-offset at once; a resonant one sends the run through the unrestricted
-recursion, which raises where it would.
+``bincount`` sums and one divide, and last one guard over all planes (see
+:func:`_evaluate`).  A numerator that is exactly 0 is dropped and feeds
+nothing after it.  The default targets are the offsets reachable within
+the depth (:func:`coeffset.reach`), less any with an entry beyond int64,
+which no array here holds.  Given targets must be closed under reachable
+predecessors, as the interior cone is, and then get the unrestricted
+values.  The guard keeps the unrestricted reach either way: every
+reachable offset reached through a kept coefficient, plane by plane,
+lexicographic within a plane.  A target set screens every reachable offset
+at once (an offset beyond int64 has a huge |g+t|^2, far from lam); a
+resonant one sends the run through the unrestricted recursion, which
+raises where it would.
 """
 
 from __future__ import annotations
@@ -238,7 +241,7 @@ def bloch_series(
 
 
 #: the closed form's structure on a target set, values aside (see :func:`_plan`)
-_Plan = namedtuple("_Plan", "offsets bounds lex harmonics targets predecessors cuts")
+_Plan = namedtuple("_Plan", "offsets bounds lex harmonics targets local predecessors cuts")
 
 
 def _plan(support: np.ndarray, k: int, sign: str, offsets: np.ndarray, depth: int) -> _Plan:
@@ -247,10 +250,10 @@ def _plan(support: np.ndarray, k: int, sign: str, offsets: np.ndarray, depth: in
 
     ``bounds[p]`` is the first row of plane p (then the row count) and
     ``lex`` lists the rows in lexicographic order.  Triple j carries row
-    ``predecessors[j]`` by support entry ``harmonics[j]`` to the row
-    ``targets[j]`` places into its plane; the triples, found by one batched
-    convolution and one packed-key lookup, run in accumulation order, and
-    ``cuts[p]`` is the first one into plane p.
+    ``predecessors[j]`` by support entry ``harmonics[j]`` to row
+    ``targets[j]``, ``local[j]`` places into its plane; the triples, found
+    by one batched convolution and one packed-key lookup, run in
+    accumulation order, and ``cuts[p]`` is the first one into plane p.
     """
     sig = sign_value(sign)
     planes = sig * offsets[:, k - 1]
@@ -277,7 +280,8 @@ def _plan(support: np.ndarray, k: int, sign: str, offsets: np.ndarray, depth: in
         bounds=bounds.tolist(),
         lex=box.rows,
         harmonics=order[step],
-        targets=targets - bounds[planes[targets]],
+        targets=targets,
+        local=targets - bounds[planes[targets]],
         predecessors=found[step, targets],
         cuts=np.searchsorted(planes[targets], edges).tolist(),
     )
@@ -287,34 +291,33 @@ def _evaluate(plan: _Plan, qvals: np.ndarray, d: np.ndarray, tol: float):
     """(values, kept) on the plan's targets, kept marking nonzero numerators.
 
     ``d`` holds d(gamma, delta) per target.  A target is reached when a
-    triple brings it a kept coefficient; the guard stops at the first
-    reached one, plane by plane, whose |d| is below ``tol``.
+    triple brings it a kept coefficient; the guard raises at the first
+    reached one, in row order, whose |d| is below ``tol``.  Every numerator
+    is divided, but only the kept ones are read: a dropped one is 0 and
+    leaves a zero that adds nothing to the sums after it.  A d below ``tol``
+    divides as inf: the planes before the first hit, which alone decide
+    where it is, are exact, and without a hit every such d belongs to a
+    target whose numerator is 0.
     """
     values = np.zeros(len(plan.offsets), dtype=complex)
     kept = np.zeros(len(plan.offsets), dtype=bool)
     values[: plan.bounds[1]], kept[: plan.bounds[1]] = 1.0, True
     q = qvals[plan.harmonics]
     q_re, q_im = q.real.copy(), q.imag.copy()
-    # the planes holding a denominator below the guard: only they need the guard
-    alarmed = np.searchsorted(plan.bounds, np.flatnonzero(np.abs(d) < tol), side="right") - 1
-    alarmed = set(alarmed.tolist())
+    divisor = np.where(np.abs(d) < tol, np.inf, d)
     for p in range(1, len(plan.bounds) - 1):
         s, e, lo, hi = plan.bounds[p], plan.bounds[p + 1], plan.cuts[p], plan.cuts[p + 1]
-        local, pred = plan.targets[lo:hi], plan.predecessors[lo:hi]
-        c = values[pred]
+        local, c = plan.local[lo:hi], values[plan.predecessors[lo:hi]]
         re, im = coeffset.product(q_re[lo:hi], q_im[lo:hi], c.real, c.imag)
         re, im = np.bincount(local, re, e - s), np.bincount(local, im, e - s)
-        if p in alarmed:
-            reached = np.zeros(e - s, dtype=bool)
-            reached[local[kept[pred]]] = True
-            _guard(
-                np.where(reached, d[s:e], np.inf), tol, plan.offsets[s:e],
-                "d(gamma, delta) vanished at delta={}: {!r}",
-            )
-        keep = (re != 0) | (im != 0)
-        np.divide(re, d[s:e], out=values.real[s:e], where=keep)
-        np.divide(im, d[s:e], out=values.imag[s:e], where=keep)
-        kept[s:e] = keep
+        values.real[s:e], values.imag[s:e] = coeffset.divide(re, im, divisor[s:e])
+        kept[s:e] = (re != 0) | (im != 0)
+    reached = np.zeros(len(plan.offsets), dtype=bool)
+    reached[plan.targets[kept[plan.predecessors]]] = True
+    _guard(
+        np.where(reached, d, np.inf), tol, plan.offsets,
+        "d(gamma, delta) vanished at delta={}: {!r}",
+    )
     return values, kept
 
 
@@ -365,9 +368,6 @@ def closed_form_coeffs(
         values=values[kept],
         order=depth,
         lam=lam,
-        tail=None,
-        converged=True,
-        term_masses=(),
     )
 
 

@@ -22,6 +22,7 @@ import functools
 import json
 import math
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -37,7 +38,7 @@ from .errors import (
     ResonanceError,
     TriangularityError,
 )
-from .lattice import LatticeBasis
+from .lattice import LatticeBasis, in_halfspace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -84,22 +85,15 @@ def _load_json(path: str) -> dict:
     return doc
 
 
-def _require(doc: dict, key: str, kind, field: str):
+def _require(doc: dict, key: str, kind):
+    """The top-level ``doc[key]``, an int (never a bool) or a list."""
     if key not in doc:
-        raise ConfigError(f"missing required field '{field}'", field=field)
+        raise ConfigError(f"missing required field '{key}'", field=key)
     value = doc[key]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"field '{field}' must be a number", field=field)
-        return float(value)
-    if kind is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"field '{field}' must be an integer", field=field)
-        return value
+    if kind is int and (not isinstance(value, int) or isinstance(value, bool)):
+        raise ConfigError(f"field '{key}' must be an integer", field=key)
     if not isinstance(value, kind):
-        raise ConfigError(
-            f"field '{field}' must be of type {kind.__name__}", field=field
-        )
+        raise ConfigError(f"field '{key}' must be of type {kind.__name__}", field=key)
     return value
 
 
@@ -119,10 +113,10 @@ def _numbers(raw, dim: int, field: str) -> list[float]:
 
 
 def parse_basis(doc: dict) -> LatticeBasis:
-    dim = _require(doc, "dimension", int, "dimension")
+    dim = _require(doc, "dimension", int)
     if dim < 1:
         raise ConfigError("'dimension' must be at least 1", field="dimension")
-    gens = _require(doc, "generators", list, "generators")
+    gens = _require(doc, "generators", list)
     if len(gens) != dim:
         raise ConfigError(
             f"'generators' must list {dim} vectors, got {len(gens)}",
@@ -147,18 +141,11 @@ def _parse_exact(value, field: str) -> Fraction:
     raise ConfigError(f"field '{field}' is not a number or rational string", field=field)
 
 
-class ParsedPotential:
-    """Parsed potential: float-world object plus optional exact reduced form.
-
-    ``pi_exact`` is set when any coefficient was given as a rational string;
-    coefficients then mean (re + i*im) * pi^2 with re, im exact rationals,
-    and 1-D criteria run on the exact reduced values.
-    """
-
-    def __init__(self, q: potential.FourierPotential, reduced, pi_exact: bool):
-        self.q = q
-        self.reduced = reduced
-        self.pi_exact = pi_exact
+#: a parsed potential: the float-world ``q`` and, in 1-D, ``reduced``, the
+#: coefficients over pi^2.  ``pi_exact`` is set when any coefficient was given
+#: as a rational string; coefficients then mean (re + i*im) * pi^2 with re, im
+#: exact rationals, and 1-D criteria run on the exact reduced values.
+ParsedPotential = namedtuple("ParsedPotential", "q reduced pi_exact")
 
 
 def parse_potential(doc: dict, basis: LatticeBasis) -> "ParsedPotential":
@@ -215,7 +202,7 @@ def parse_potential(doc: dict, basis: LatticeBasis) -> "ParsedPotential":
         if basis.dimension == 1:
             prev = reduced.get(key[0], 0)
             reduced[key[0]] = prev + red
-    truncation = _param_number(_params(doc), "truncation_radius", None)
+    truncation = _param(_params(doc), "truncation_radius", None)
     try:
         if truncation is not None:
             q = potential.truncated(basis, coeffs, truncation, mode=mode)
@@ -238,49 +225,37 @@ def _params(doc: dict) -> dict:
     return params
 
 
-def _param_number(params: dict, key: str, default, minimum: float | None = None):
-    """``params[key]`` as a finite float; absent or null gives ``default``."""
+def _param(params: dict, key: str, default, minimum=None, maximum=None, kind=float):
+    """``params[key]`` in range, as a finite float or, with ``kind=int``, an
+    int (never a bool); absent or null gives ``default``, checked alike."""
     value = default if params.get(key) is None else params[key]
     if value is None:
         return None
-    if (
+    field = f"params.{key}"
+    if kind is int:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"'{field}' must be an integer", field=field)
+    elif (
         not isinstance(value, (int, float))
         or isinstance(value, bool)
         or not abs(value) <= sys.float_info.max  # NaN, inf, ints beyond float
     ):
-        raise ConfigError(
-            f"'params.{key}' must be a finite number", field=f"params.{key}"
-        )
-    _check_range(key, value, minimum)
-    return float(value)
-
-
-def _param_int(
-    params: dict,
-    key: str,
-    default,
-    minimum: int | None = None,
-    maximum: int | None = None,
-):
-    """``params[key]`` as an int in range; absent or null gives ``default``."""
-    value = default if params.get(key) is None else params[key]
-    if value is None:
-        return None
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"'params.{key}' must be an integer", field=f"params.{key}")
-    _check_range(key, value, minimum, maximum)
-    return value
-
-
-def _check_range(key: str, value, minimum, maximum=None) -> None:
+        raise ConfigError(f"'{field}' must be a finite number", field=field)
     if minimum is not None and value < minimum:
-        raise ConfigError(
-            f"'params.{key}' must be at least {minimum}", field=f"params.{key}"
-        )
+        raise ConfigError(f"'{field}' must be at least {minimum}", field=field)
     if maximum is not None and value > maximum:
-        raise ConfigError(
-            f"'params.{key}' must be at most {maximum}", field=f"params.{key}"
-        )
+        raise ConfigError(f"'{field}' must be at most {maximum}", field=field)
+    return kind(value)
+
+
+def _choice(params: dict, key: str, default: str, options: tuple[str, ...]) -> str:
+    """``params[key]``, one of ``options``; absent gives ``default``."""
+    value = params.get(key, default)
+    if value not in options:
+        field = f"params.{key}"
+        listed = f"{', '.join(options[:-1])}, or {options[-1]}"
+        raise ConfigError(f"'{field}' must be {listed}", field=field)
+    return value
 
 
 def _param_index(params: dict, key: str, basis: LatticeBasis, default) -> tuple[int, ...]:
@@ -351,18 +326,14 @@ def cmd_classify(doc: dict) -> tuple[dict, int]:
     if q.classification is not None:
         report.update({"in_s": True, "k": q.k, "sign": q.sign})
     else:
-        witnesses = []
-        support = q.support()
-        for k in range(1, basis.dimension + 1):
-            kills_plus = next((n for n in support if n[k - 1] < 1), None)
-            kills_minus = next((n for n in support if n[k - 1] > -1), None)
-            witnesses.append(
-                {
-                    "k": k,
-                    "violates_plus": list(kills_plus) if kills_plus else None,
-                    "violates_minus": list(kills_minus) if kills_minus else None,
-                }
-            )
+        def outside(k: int, sign: str):
+            """The first support index outside the open half-lattice (k, sign)."""
+            return next((list(n) for n in q.support() if not in_halfspace(n, k, sign)), None)
+
+        witnesses = [
+            {"k": k, "violates_plus": outside(k, "+"), "violates_minus": outside(k, "-")}
+            for k in range(1, basis.dimension + 1)
+        ]
         report.update({"in_s": False, "witnesses": witnesses})
     return report, EXIT_OK
 
@@ -374,17 +345,12 @@ def cmd_bloch(doc: dict) -> tuple[dict, int]:
     t = parse_t(doc, basis)
     params = _params(doc)
     gamma = _param_index(params, "gamma", basis, [0] * basis.dimension)
-    method = params.get("method", "both")
-    if method not in ("series", "closed-form", "both"):
-        raise ConfigError(
-            "'params.method' must be series, closed-form, or both",
-            field="params.method",
-        )
-    order = _param_int(params, "order", 8, minimum=1)
-    depth = _param_int(params, "depth", 6, minimum=0)
+    method = _choice(params, "method", "both", ("series", "closed-form", "both"))
+    order = _param(params, "order", 8, minimum=1, kind=int)
+    depth = _param(params, "depth", 6, minimum=0, kind=int)
     steps = {"series": order, "closed-form": depth}.get(method, max(order, depth))
     _check_index_reach(pot.q, gamma, steps)
-    tail_tol = _param_number(params, "tail_tol", bloch.DEFAULT_TAIL_TOL)
+    tail_tol = _param(params, "tail_tol", bloch.DEFAULT_TAIL_TOL)
 
     report: dict[str, Any] = {
         "command": "bloch",
@@ -410,6 +376,8 @@ def cmd_bloch(doc: dict) -> tuple[dict, int]:
         if method in ("closed-form", "both"):
             closed = bloch.closed_form_coeffs(basis, pot.q, gamma, t, depth=depth)
             report["closed_form"] = closed.to_json_dict()
+            if not np.isfinite(closed.values).all():
+                code = EXIT_NONCONVERGENCE
         if method == "both":
             report["max_discrepancy"] = bloch.max_discrepancy(series, closed)
         point = params.get("evaluate_at")
@@ -426,7 +394,7 @@ def cmd_oracle(doc: dict, want_matrix: bool = False):
     pot = parse_potential(doc, basis)
     t = parse_t(doc, basis)
     params = _params(doc)
-    cutoff = _param_number(params, "cutoff", 6.0, minimum=0.0)
+    cutoff = _param(params, "cutoff", 6.0, minimum=0.0)
     _check_ball(basis, cutoff, "params.cutoff")
     gamma = _param_index(params, "gamma", basis, [0] * basis.dimension)
 
@@ -482,12 +450,7 @@ def cmd_oracle(doc: dict, want_matrix: bool = False):
 
 def cmd_multiplicity(doc: dict) -> tuple[dict, int]:
     params = _params(doc)
-    mode = params.get("mode", "both")
-    if mode not in ("1d-criterion", "oracle", "both", "2d-second-plane"):
-        raise ConfigError(
-            "'params.mode' must be 1d-criterion, oracle, both, or 2d-second-plane",
-            field="params.mode",
-        )
+    mode = _choice(params, "mode", "both", ("1d-criterion", "oracle", "both", "2d-second-plane"))
     if mode == "2d-second-plane":
         return _multiplicity_second_plane(doc, params)
     return _multiplicity_oned(doc, params, mode)
@@ -505,8 +468,8 @@ def _multiplicity_oned(doc: dict, params: dict, mode: str) -> tuple[dict, int]:
             "the 1-D criterion needs a potential on positive harmonics only",
             field="potential",
         )
-    n = _param_int(params, "n", 1, minimum=1)
-    criterion_tol = _param_number(params, "criterion_tol", rootfn.CRITERION_TOL)
+    n = _param(params, "n", 1, minimum=1, kind=int)
+    criterion_tol = _param(params, "criterion_tol", rootfn.CRITERION_TOL)
 
     report: dict[str, Any] = {
         "command": "multiplicity",
@@ -529,7 +492,7 @@ def _multiplicity_oned(doc: dict, params: dict, mode: str) -> tuple[dict, int]:
         report["predicted_multiplicity"] = 2 if criterion_zero else 1
     if mode in ("oracle", "both"):
         t = parse_t(doc, basis)
-        cutoff = _param_number(params, "cutoff", None, minimum=0.0)
+        cutoff = _param(params, "cutoff", None, minimum=0.0)
         if cutoff is None:
             cutoff = float(2 * math.pi * (3 * n + 2))
         _check_ball(basis, cutoff, "params.cutoff")
@@ -548,16 +511,16 @@ def _multiplicity_second_plane(doc: dict, params: dict) -> tuple[dict, int]:
     basis = parse_basis(doc)
     pot = parse_potential(doc, basis)
     t = parse_t(doc, basis)
-    k = _param_int(params, "k", 1, minimum=1, maximum=basis.dimension)
+    k = _param(params, "k", 1, minimum=1, maximum=basis.dimension, kind=int)
     if pot.q.classification != (k, "+"):
         raise ConfigError(
             f"the second-plane criterion needs a potential classified (k={k}, '+')",
             field="potential",
         )
     member = _param_index(params, "member", basis, None)
-    criterion_tol = _param_number(params, "criterion_tol", rootfn.CRITERION_TOL)
+    criterion_tol = _param(params, "criterion_tol", rootfn.CRITERION_TOL)
     lam_probe = spectrum.eigenvalue(basis, member, t)
-    group_cutoff = _param_number(
+    group_cutoff = _param(
         params, "group_cutoff", 2.0 * (2.0 * math.sqrt(lam_probe)) + 4.0
     )
     _check_ball(basis, group_cutoff, "params.group_cutoff")
@@ -572,7 +535,7 @@ def _multiplicity_second_plane(doc: dict, params: dict) -> tuple[dict, int]:
         basis, pot.q, group, j, t, criterion_tol=criterion_tol
     )
 
-    cutoff = _param_number(params, "cutoff", 2.0 * group_cutoff, minimum=0.0)
+    cutoff = _param(params, "cutoff", 2.0 * group_cutoff, minimum=0.0)
     _check_ball(basis, cutoff, "params.cutoff")
     op = galerkin.build(basis, pot.q, t, cutoff)
     try:
@@ -632,9 +595,9 @@ def _check_fermi_work(basis: LatticeBasis, rho: float, resolution: int) -> None:
 def cmd_fermi(doc: dict, as_csv: bool):
     basis = parse_basis(doc)
     params = _params(doc)
-    rho = _param_number(params, "rho", 0.5, minimum=0.0)
-    resolution = _param_int(params, "resolution", 21, minimum=2)
-    threshold = _param_number(params, "threshold", 0.01, minimum=0.0)
+    rho = _param(params, "rho", 0.5, minimum=0.0)
+    resolution = _param(params, "resolution", 21, minimum=2, kind=int)
+    threshold = _param(params, "threshold", 0.01, minimum=0.0)
     _check_fermi_work(basis, rho, resolution)
     sample = isoenergetic.sample_surface(basis, rho, resolution, threshold)
     if as_csv:

@@ -83,12 +83,17 @@ def pack(rows: np.ndarray, lo: Sequence[int], spans: Sequence[int]) -> np.ndarra
 
 
 def unpack(keys: np.ndarray, lo: Sequence[int], spans: Sequence[int]) -> np.ndarray:
-    """The (n, d) int64 rows of keys that :func:`pack` gave rows of the box."""
+    """The (n, d) int64 rows of keys that :func:`pack` gave rows of the box,
+    in key order, less the rows with an entry beyond int64 (only exact
+    keys, in an object array, can name those)."""
     cols = []
     for j in reversed(range(len(spans))):
         cols.append(keys % spans[j] + lo[j])
         keys = keys // spans[j]
-    return np.array(cols[::-1], dtype=np.int64).reshape(len(spans), -1).T
+    rows = np.array(cols[::-1]).reshape(len(spans), -1).T
+    if rows.dtype == object:
+        rows = rows[np.all((rows >= -_KEY_LIMIT) & (rows < _KEY_LIMIT), axis=1)]
+    return rows.astype(np.int64)
 
 
 class IndexBox:

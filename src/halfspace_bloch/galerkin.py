@@ -224,7 +224,7 @@ def build(
     bounds = np.append(np.flatnonzero(np.diff(plane_arr, prepend=plane_arr[:1] - 1)), size)
     for arr in (indices, diag, mdiag, rows, cols, vals, bounds):
         arr.setflags(write=False)
-    op = TruncatedOperator(
+    return TruncatedOperator(
         basis=basis,
         q=q,
         t=tuple(float(x) for x in t_arr),
@@ -239,8 +239,6 @@ def build(
         planes=tuple(plane_arr.tolist()),
         plane_bounds=bounds,
     )
-    op.__dict__["_index_box"] = box  # the lookup of ``indices``, made above
-    return op
 
 
 def _first_grading_violation(op: TruncatedOperator) -> tuple[IndexVector, IndexVector] | None:

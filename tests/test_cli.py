@@ -885,21 +885,37 @@ def test_overflowing_routes_exit_4_without_a_warning(tmp_path):
         **IDENTITY_2D,
         "potential": [{"index": [1, 0], "re": 1e300}],
         "t": [0.31, 0.17],
-        "params": {"cutoff": 6},
     }
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     reports = {}
-    for command in ("oracle", "bloch"):
+    for command, params in (
+        ("oracle", {"cutoff": 6}),
+        ("bloch", {}),
+        ("bloch", {"method": "closed-form"}),
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**config, "params": params}), encoding="utf-8")
         done = subprocess.run(
             [sys.executable, "-m", "halfspace_bloch", command, "--config", str(path)],
             capture_output=True, text=True, env=env,
         )
-        assert (done.returncode, done.stderr) == (4, ""), command
-        reports[command] = json.loads(done.stdout)
-    assert math.isnan(reports["oracle"]["eigenvector_agreement"])
-    assert math.isnan(reports["bloch"]["tail"])
+        assert (done.returncode, done.stderr) == (4, ""), (command, params)
+        reports[command, params.get("method")] = json.loads(done.stdout)
+    assert math.isnan(reports["oracle", None]["eigenvector_agreement"])
+    assert math.isnan(reports["bloch", None]["tail"])
+    entries = reports["bloch", "closed-form"]["closed_form"]["entries"]
+    assert not all(math.isfinite(e[part]) for e in entries for part in ("re", "im"))
+
+
+def test_oracle_with_sums_beyond_int64_exits_0(tmp_path, capsys):
+    # (1, 2**62) lies outside the ball, and sums of a few such steps leave
+    # int64: the resonance screen passes over them instead of crashing
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**IDENTITY_2D, "potential": _NEAR_INT64_END}), encoding="utf-8")
+    assert cli.main(["oracle", "--config", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["eigenvector_agreement"] < 1e-15
 
 
 # -- fuzzed multiplicity configs -------------------------------------------------

@@ -273,6 +273,21 @@ def test_closed_form_guards_a_target_reached_through_an_underflowed_coefficient(
     assert got == outcome(helpers.reference_closed_form, basis, q, (-1,), (-0.5,), 4)
 
 
+def test_closed_form_passes_a_resonance_that_only_dropped_numerators_reach():
+    # lam = 9 at gamma = (-3, 0), t = 0: delta = (3, 3) resonates, and its one
+    # reachable predecessor (2, 2) has the numerator 1e-200 * c(1, 1), which
+    # underflows to exactly 0: dropped, it reaches nothing, and nothing raises
+    basis = hb.identity_basis(2)
+    q = hb.FourierPotential(basis, {(1, 0): 1e-200, (1, 1): 1e-200})
+    gamma, t = (-3, 0), (0.0, 0.0)
+    assert hb.eigenvalue(basis, gamma, t) == hb.eigenvalue(basis, (0, 3), t)
+    closed = bloch.closed_form_coeffs(basis, q, gamma, t, 4)
+    assert (1, 1) in closed.coeffs and (2, 2) not in closed.coeffs
+    assert_same(closed.coeffs, helpers.reference_closed_form(basis, q, gamma, t, 4))
+    # the cone's screen finds (3, 3) and clears it through the full recursion
+    assert_restriction(*restricted(basis, q, gamma, t, 4.0))
+
+
 def test_restricted_closed_form_raises_the_first_hit_outside_the_cone():
     # lam = 1 at gamma = (-1, 0), t = 0; delta = (2, 0) resonates, and its
     # predecessor (1, 5) lies outside the cutoff-3 ball: the cone is {0}
@@ -300,3 +315,12 @@ def test_closed_form_on_harmonics_near_both_int64_ends():
     assert box.spans.tolist() == [2, 2**63 + 1]
     assert box.find(closed.offsets).tolist() == [0, 1, 2, 3]
     assert box.fits(np.array([[1, 2**62], [0, -(2**63)], [2, 0]])).tolist() == [True, True, False]
+
+
+def test_unpack_leaves_out_sums_beyond_int64():
+    # two or more steps of (1, 2**62) leave int64: the walk holds them as
+    # exact keys, and unpack keeps the rest in plane-major order
+    walk = coeffset.reach(((1, 0), (1, 2**62)), (1, 1), 6)
+    rows = coeffset.unpack(np.concatenate(walk.layers), walk.lo, walk.spans)
+    assert rows.dtype == np.int64
+    assert rows.tolist() == [[0, 0]] + [[p, b * 2**62] for p in range(1, 7) for b in (0, 1)]
