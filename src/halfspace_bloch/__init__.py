@@ -11,7 +11,6 @@ from .potential import FourierPotential, classify, convolve, evaluate
 from .spectrum import EigenGroup, Plane, degeneracy_group, eigenvalue, eigenvalues, is_simple
 from .bloch import (
     BlochCoefficients,
-    apply_A,
     bloch_series,
     closed_form_coeffs,
     evaluate_function,

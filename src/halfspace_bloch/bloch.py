@@ -46,7 +46,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -145,40 +145,19 @@ def _guard(denom: np.ndarray, tol: float, offsets: np.ndarray, message: str) -> 
 
 
 def _apply(basis, support, qvals, gamma, t, lam, tol, offsets, values):
-    """:func:`apply_A` on coefficient arrays; the result is sorted, zeros dropped."""
+    """One application of the gap-weighted convolution to coefficient arrays.
+
+    Sends mass at offset delta to delta + g1 for every support index g1 of
+    the potential, weighted by q_{g1} / (lam - |gamma + delta + g1 + t|^2);
+    raises :class:`ResonanceError` when a target denominator is below
+    ``tol``.  The result is sorted, zeros dropped.
+    """
     rows, re, im = coeffset.convolve_rows(support, qvals, offsets, values)
     first, inverse = coeffset.unique_rows(rows)
     denom = (lam - eigenvalues(basis, rows[first] + gamma, t))[inverse]
     _guard(denom, tol, rows, "resonant denominator at offset {}: {!r}")
     re, im = coeffset.divide(re, im, denom)
     return coeffset.nonzero(rows[first], coeffset.accumulate(inverse, re, im, first.size))
-
-
-def apply_A(
-    basis: LatticeBasis,
-    q: FourierPotential,
-    gamma: Sequence[int],
-    t: Sequence[float],
-    coeffs: Mapping[IndexVector, complex],
-    denom_tol: float | None = None,
-) -> dict[IndexVector, complex]:
-    """One application of the gap-weighted convolution transformation.
-
-    Sends mass at offset delta to delta + g1 for every support index g1 of
-    the potential, weighted by q_{g1} / (lam - |gamma + delta + g1 + t|^2)
-    with lam = |gamma + t|^2.  Raises :class:`ResonanceError` when a target
-    denominator vanishes, which the half-space hypotheses exclude for valid
-    bases (simple eigenvalue, or leading member of its group).
-    """
-    gamma = as_index(gamma, basis.dimension)
-    t = np.asarray(t, dtype=float)
-    lam = eigenvalue(basis, gamma, t)
-    tol = denominator_tolerance(lam) if denom_tol is None else denom_tol
-    support, qvals = coeffset.from_mapping(q.coeffs, basis.dimension)
-    offsets, values = coeffset.from_mapping(coeffs, basis.dimension)
-    return coeffset.to_dict(
-        *_apply(basis, support, qvals, gamma, t, lam, tol, offsets, values)
-    )
 
 
 def bloch_series(

@@ -8,6 +8,8 @@ Commands (all take a single JSON config document):
 * ``multiplicity``  double-eigenvalue criteria vs. rank oracle
 * ``fermi``         isoenergetic surface sampling
 
+Every config input is read by one checker, :func:`_value`, and each command
+reads all of its inputs before its first computation.
 Exit codes: 0 success, 2 config/parse error, 3 mathematical guard tripped
 (resonance, broken triangularity, insufficient cutoff), 4 non-convergence or
 a non-finite result.
@@ -30,13 +32,8 @@ import numpy as np
 
 from . import bloch, galerkin, isoenergetic, jsonfmt, potential, rootfn, spectrum
 from .errors import (
-    ConfigError,
-    CutoffError,
-    DegenerateBasisError,
-    MalformedCoefficientsError,
-    NoEigenvectorError,
-    ResonanceError,
-    TriangularityError,
+    ConfigError, CutoffError, DegenerateBasisError, MalformedCoefficientsError,
+    NoEigenvectorError, ResonanceError, TriangularityError,
 )
 from .lattice import LatticeBasis, in_halfspace
 
@@ -47,7 +44,7 @@ EXIT_NONCONVERGENCE = 4
 
 PI_SQ = math.pi**2
 
-#: potential indices are held in int64 arrays
+#: potential indices and second-plane members are held in int64 arrays
 INDEX_MIN, INDEX_MAX = -(2**63), 2**63 - 1
 
 #: largest fermi work accepted: grid points times candidate box (see
@@ -55,17 +52,18 @@ INDEX_MIN, INDEX_MAX = -(2**63), 2**63 - 1
 FERMI_MAX_WORK = 1e8
 
 #: largest integer box accepted for an oracle or degeneracy-group ball (see
-#: ``_check_ball``); the benchmark's instances stay below 2.4e3 points and the
+#: ``_ball``); the benchmark's instances stay below 2.4e3 points and the
 #: tests below 3.4e4, and a 1e6 box runs in seconds and well under 1.5 GB
 BALL_MAX_BOX = 1e6
 
+#: largest ``n`` of the 1-D criterion, whose recursion takes O(n^2) steps: at
+#: n = 1000 it runs in about 0.1 s on float harmonics and 1.2 s on two rational
+#: ones; the benchmark's instances use n <= 2
+ONED_MAX_N = 1000
+
 _GUARD_ERRORS = (
-    CutoffError,
-    DegenerateBasisError,
-    MalformedCoefficientsError,
-    NoEigenvectorError,
-    ResonanceError,
-    TriangularityError,
+    CutoffError, DegenerateBasisError, MalformedCoefficientsError, NoEigenvectorError,
+    ResonanceError, TriangularityError,
 )
 
 
@@ -78,67 +76,108 @@ def _load_json(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}", field="config") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer beyond int()'s digit limit
         raise ConfigError(f"config is not valid JSON: {exc}", field="config") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object", field="config")
     return doc
 
 
-def _require(doc: dict, key: str, kind):
-    """The top-level ``doc[key]``, an int (never a bool) or a list."""
-    if key not in doc:
-        raise ConfigError(f"missing required field '{key}'", field=key)
-    value = doc[key]
-    if kind is int and (not isinstance(value, int) or isinstance(value, bool)):
-        raise ConfigError(f"field '{key}' must be an integer", field=key)
-    if not isinstance(value, kind):
-        raise ConfigError(f"field '{key}' must be of type {kind.__name__}", field=key)
-    return value
+def _value(value, field: str, kind, dim=None, minimum=None, maximum=None):
+    """``value``, the config input ``field``, checked, or :class:`ConfigError`.
+
+    ``kind`` is ``int`` (never a bool), ``float`` (finite, returned as a
+    float) or a tuple of the allowed choices.  With ``dim`` the value is a
+    list of ``dim`` entries: integers, returned as a lattice index tuple, or
+    finite numbers, returned as a list of floats.  ``minimum`` and
+    ``maximum`` bound a number, or each integer of an index.
+    """
+    if isinstance(kind, tuple):
+        if value not in kind:
+            listed = f"{', '.join(kind[:-1])}, or {kind[-1]}"
+            raise ConfigError(f"'{field}' must be {listed}", field=field)
+        return value
+    if dim is not None:
+        noun = "integers" if kind is int else "numbers"
+        if not isinstance(value, list) or len(value) != dim or kind is int and not all(
+            isinstance(x, int) and not isinstance(x, bool) for x in value
+        ):
+            raise ConfigError(f"'{field}' must be a list of {dim} {noun}", field=field)
+        if kind is int:
+            if minimum is not None and not all(minimum <= x <= maximum for x in value):
+                # the error names the record that holds the index
+                raise ConfigError(
+                    f"'{field}' entries must lie in [{minimum}, {maximum}]",
+                    field=field.removesuffix(".index"),
+                )
+            return tuple(value)
+        try:
+            values = [float(x) for x in value]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"'{field}' contains a non-number", field=field) from exc
+        except OverflowError:  # an integer beyond the float range
+            values = [math.inf]
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"'{field}' contains a non-finite number", field=field)
+        return values
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        not isinstance(value, int) if kind is int
+        else not abs(value) <= sys.float_info.max  # NaN, inf, ints beyond float
+    ):
+        what = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"'{field}' must be {what}", field=field)
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"'{field}' must be at least {minimum}", field=field)
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"'{field}' must be at most {maximum}", field=field)
+    return kind(value)
 
 
-def _numbers(raw, dim: int, field: str) -> list[float]:
-    """A list of ``dim`` finite numbers, or :class:`ConfigError`."""
-    if not isinstance(raw, list) or len(raw) != dim:
-        raise ConfigError(f"'{field}' must be a list of {dim} numbers", field=field)
-    try:
-        values = [float(x) for x in raw]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'{field}' contains a non-number", field=field) from exc
-    except OverflowError as exc:  # an integer beyond the float range
-        raise ConfigError(f"'{field}' contains a non-finite number", field=field) from exc
-    if not all(math.isfinite(x) for x in values):
-        raise ConfigError(f"'{field}' contains a non-finite number", field=field)
-    return values
+def _param(params: dict, key: str, default, kind=float, dim=None, minimum=None, maximum=None):
+    """``params[key]`` read by :func:`_value` as ``params.key``; absent or
+    null gives ``default``, checked alike, and a default of None gives None."""
+    value = default if params.get(key) is None else params[key]
+    return None if value is None else _value(value, f"params.{key}", kind, dim, minimum, maximum)
+
+
+def _ball(params: dict, basis: LatticeBasis, key: str, default: float) -> float:
+    """The ball radius ``params[key]``, a nonnegative float, or :class:`ConfigError`
+    when its integer box (``LatticeBasis.box_size``, from the radius alone,
+    before any array is built) holds more than ``BALL_MAX_BOX`` points."""
+    radius = _param(params, key, default, minimum=0.0)
+    box = basis.box_size(radius)
+    if not box <= BALL_MAX_BOX:
+        raise ConfigError(
+            f"'params.{key}' {radius:.6g} gives a ball whose integer box holds {box:.3g} "
+            f"points, more than {BALL_MAX_BOX:.3g}",
+            field=f"params.{key}",
+        )
+    return radius
 
 
 def parse_basis(doc: dict) -> LatticeBasis:
-    dim = _require(doc, "dimension", int)
-    if dim < 1:
-        raise ConfigError("'dimension' must be at least 1", field="dimension")
-    gens = _require(doc, "generators", list)
+    for key, kind in (("dimension", int), ("generators", list)):  # required, own wording
+        if key not in doc:
+            raise ConfigError(f"missing required field '{key}'", field=key)
+        if not isinstance(doc[key], kind) or isinstance(doc[key], bool):
+            what = "an integer" if kind is int else "of type list"
+            raise ConfigError(f"field '{key}' must be {what}", field=key)
+    dim = _value(doc["dimension"], "dimension", int, minimum=1)
+    gens = doc["generators"]
     if len(gens) != dim:
-        raise ConfigError(
-            f"'generators' must list {dim} vectors, got {len(gens)}",
-            field="generators",
-        )
-    rows = [_numbers(row, dim, f"generators[{i}]") for i, row in enumerate(gens)]
+        message = f"'generators' must list {dim} vectors, got {len(gens)}"
+        raise ConfigError(message, field="generators")
+    rows = [_value(row, f"generators[{i}]", float, dim) for i, row in enumerate(gens)]
     return LatticeBasis(np.array(rows))
 
 
 def _parse_exact(value, field: str) -> Fraction:
-    try:
-        if isinstance(value, str):
-            return Fraction(value)
-        if isinstance(value, bool):
-            raise ValueError("boolean")
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, float):
-            return Fraction(str(value))
+    if not isinstance(value, (str, int, float)):
+        raise ConfigError(f"field '{field}' is not a number or rational string", field=field)
+    try:  # a float by its shortest repr; a bool as "True"/"False", which is no rational
+        return Fraction(str(value))
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"field '{field}' is not a rational: {value!r}", field=field) from exc
-    raise ConfigError(f"field '{field}' is not a number or rational string", field=field)
 
 
 #: a parsed potential: the float-world ``q`` and, in 1-D, ``reduced``, the
@@ -153,8 +192,7 @@ def parse_potential(doc: dict, basis: LatticeBasis) -> "ParsedPotential":
     if not isinstance(raw, list):
         raise ConfigError("'potential' must be a list of records", field="potential")
     pi_exact = any(
-        isinstance(rec, dict) and
-        (isinstance(rec.get("re"), str) or isinstance(rec.get("im"), str))
+        isinstance(rec, dict) and any(isinstance(rec.get(part), str) for part in ("re", "im"))
         for rec in raw
     )
     mode = doc.get("mode", "summable")
@@ -164,19 +202,9 @@ def parse_potential(doc: dict, basis: LatticeBasis) -> "ParsedPotential":
         field = f"potential[{i}]"
         if not isinstance(rec, dict):
             raise ConfigError(f"'{field}' must be an object", field=field)
-        idx = rec.get("index")
-        if not isinstance(idx, list) or len(idx) != basis.dimension or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in idx
-        ):
-            raise ConfigError(
-                f"'{field}.index' must be a list of {basis.dimension} integers",
-                field=f"{field}.index",
-            )
-        if not all(INDEX_MIN <= x <= INDEX_MAX for x in idx):
-            # the coefficient arrays hold indices as int64
-            raise ConfigError(
-                f"'{field}.index' entries must lie in [{INDEX_MIN}, {INDEX_MAX}]", field=field
-            )
+        # the coefficient arrays hold indices as int64
+        index = rec.get("index")
+        key = _value(index, f"{field}.index", int, basis.dimension, INDEX_MIN, INDEX_MAX)
         if pi_exact:
             re = _parse_exact(rec.get("re", 0), f"{field}.re")
             im = _parse_exact(rec.get("im", 0), f"{field}.im")
@@ -190,19 +218,17 @@ def parse_potential(doc: dict, basis: LatticeBasis) -> "ParsedPotential":
                 re = float(rec.get("re", 0.0))
                 im = float(rec.get("im", 0.0))
             except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(
-                    f"'{field}.re'/'{field}.im' must be numbers", field=field
-                ) from exc
+                message = f"'{field}.re'/'{field}.im' must be numbers"
+                raise ConfigError(message, field=field) from exc
             value = complex(re, im)
             red = complex(re, im) / PI_SQ
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise ConfigError(f"'{field}' must have a finite value", field=field)
-        key = tuple(idx)
         coeffs[key] = coeffs.get(key, 0j) + value
         if basis.dimension == 1:
             prev = reduced.get(key[0], 0)
             reduced[key[0]] = prev + red
-    truncation = _param(_params(doc), "truncation_radius", None)
+    truncation = _param(_params(doc), "truncation_radius", None, minimum=0.0)
     try:
         if truncation is not None:
             q = potential.truncated(basis, coeffs, truncation, mode=mode)
@@ -214,8 +240,11 @@ def parse_potential(doc: dict, basis: LatticeBasis) -> "ParsedPotential":
 
 
 def parse_t(doc: dict, basis: LatticeBasis) -> np.ndarray:
-    raw = doc.get("t", [0.0] * basis.dimension)
-    return np.array(_numbers(raw, basis.dimension, "t"))
+    t = _value(doc.get("t", [0.0] * basis.dimension), "t", float, basis.dimension)
+    # |g + t|^2 overflows with it for every g of a ball around 0
+    if not math.isfinite(sum(x * x for x in t)):
+        raise ConfigError("'t' is too large: |t|^2 overflows", field="t")
+    return np.array(t)
 
 
 def _params(doc: dict) -> dict:
@@ -225,93 +254,23 @@ def _params(doc: dict) -> dict:
     return params
 
 
-def _param(params: dict, key: str, default, minimum=None, maximum=None, kind=float):
-    """``params[key]`` in range, as a finite float or, with ``kind=int``, an
-    int (never a bool); absent or null gives ``default``, checked alike."""
-    value = default if params.get(key) is None else params[key]
-    if value is None:
-        return None
-    field = f"params.{key}"
-    if kind is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"'{field}' must be an integer", field=field)
-    elif (
-        not isinstance(value, (int, float))
-        or isinstance(value, bool)
-        or not abs(value) <= sys.float_info.max  # NaN, inf, ints beyond float
-    ):
-        raise ConfigError(f"'{field}' must be a finite number", field=field)
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"'{field}' must be at least {minimum}", field=field)
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"'{field}' must be at most {maximum}", field=field)
-    return kind(value)
-
-
-def _choice(params: dict, key: str, default: str, options: tuple[str, ...]) -> str:
-    """``params[key]``, one of ``options``; absent gives ``default``."""
-    value = params.get(key, default)
-    if value not in options:
-        field = f"params.{key}"
-        listed = f"{', '.join(options[:-1])}, or {options[-1]}"
-        raise ConfigError(f"'{field}' must be {listed}", field=field)
-    return value
-
-
-def _param_index(params: dict, key: str, basis: LatticeBasis, default) -> tuple[int, ...]:
-    """A lattice index: a list of ``basis.dimension`` integers, or :class:`ConfigError`.
-
-    Absent or null gives ``default``.
-    """
-    raw = default if params.get(key) is None else params[key]
-    if not isinstance(raw, list) or len(raw) != basis.dimension or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in raw
-    ):
-        raise ConfigError(
-            f"'params.{key}' must be a list of {basis.dimension} integers",
-            field=f"params.{key}",
-        )
-    return tuple(raw)
-
-
 def _require_class_s(q: potential.FourierPotential, use: str) -> None:
     """:class:`ConfigError` unless q is zero or classified into a half-lattice."""
     if q.classification is None and q.coeffs:
-        raise ConfigError(
-            f"{use} needs a potential in class S (support in one open half-lattice)",
-            field="potential",
-        )
+        message = f"{use} needs a potential in class S (support in one open half-lattice)"
+        raise ConfigError(message, field="potential")
 
 
 def _check_index_reach(q: potential.FourierPotential, gamma, steps: int) -> None:
-    """:class:`ConfigError` unless every index a route of ``steps`` steps can
-    reach, gamma plus a sum of that many harmonics, fits in int64.
-
-    Both Bloch routes hold these indices in int64 arrays, where a larger sum
-    would wrap into a wrong offset.
-    """
+    """:class:`ConfigError` unless gamma plus every sum of ``steps`` harmonics
+    fits in int64: both Bloch routes hold these indices in int64 arrays, where
+    a larger sum would wrap into a wrong offset."""
     largest = max((abs(x) for n in q.coeffs for x in n), default=0)
     if steps * largest + max(map(abs, gamma)) > INDEX_MAX:
         raise ConfigError(
             f"{steps} steps of a harmonic with an index entry of {largest} from "
             f"gamma={gamma} leave the int64 range of the coefficient arrays",
             field="potential",
-        )
-
-
-def _check_ball(basis: LatticeBasis, radius: float, field: str) -> None:
-    """:class:`ConfigError` when ``enumerate_ball`` would scan more than
-    ``BALL_MAX_BOX`` integer points for a ball of this radius.
-
-    Computed from the radius alone, by ``LatticeBasis.box_size``, before any
-    array is built; ``field`` names the parameter the radius comes from.
-    """
-    box = basis.box_size(radius)
-    if not box <= BALL_MAX_BOX:
-        raise ConfigError(
-            f"'{field}' {radius:.6g} gives a ball whose integer box holds {box:.3g} "
-            f"points, more than {BALL_MAX_BOX:.3g}",
-            field=field,
         )
 
 
@@ -326,8 +285,7 @@ def cmd_classify(doc: dict) -> tuple[dict, int]:
     if q.classification is not None:
         report.update({"in_s": True, "k": q.k, "sign": q.sign})
     else:
-        def outside(k: int, sign: str):
-            """The first support index outside the open half-lattice (k, sign)."""
+        def outside(k: int, sign: str):  # the first support index outside (k, sign)
             return next((list(n) for n in q.support() if not in_halfspace(n, k, sign)), None)
 
         witnesses = [
@@ -344,33 +302,29 @@ def cmd_bloch(doc: dict) -> tuple[dict, int]:
     _require_class_s(pot.q, "bloch")
     t = parse_t(doc, basis)
     params = _params(doc)
-    gamma = _param_index(params, "gamma", basis, [0] * basis.dimension)
-    method = _choice(params, "method", "both", ("series", "closed-form", "both"))
-    order = _param(params, "order", 8, minimum=1, kind=int)
-    depth = _param(params, "depth", 6, minimum=0, kind=int)
+    gamma = _param(params, "gamma", [0] * basis.dimension, int, basis.dimension)
+    method = _param(params, "method", "both", ("series", "closed-form", "both"))
+    order = _param(params, "order", 8, int, minimum=1)
+    depth = _param(params, "depth", 6, int, minimum=0)
     steps = {"series": order, "closed-form": depth}.get(method, max(order, depth))
+    tail_tol = _param(params, "tail_tol", bloch.DEFAULT_TAIL_TOL, minimum=0.0)
+    x = _param(params, "evaluate_at", None, float, basis.dimension)
     _check_index_reach(pot.q, gamma, steps)
-    tail_tol = _param(params, "tail_tol", bloch.DEFAULT_TAIL_TOL)
 
     report: dict[str, Any] = {
         "command": "bloch",
         "method": method,
-        "tolerances": {
-            "tail_tol": tail_tol,
-            "denom_tol_scale": bloch.DENOM_TOL_SCALE,
-        },
+        "tolerances": {"tail_tol": tail_tol, "denom_tol_scale": bloch.DENOM_TOL_SCALE},
     }
     code = EXIT_OK
     series = closed = None
     # an overflow shows in the report as a non-finite value, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         if method in ("series", "both"):
-            series = bloch.bloch_series(
-                basis, pot.q, gamma, t, max_order=order, tail_tol=tail_tol
+            series = bloch.bloch_series(basis, pot.q, gamma, t, max_order=order, tail_tol=tail_tol)
+            report.update(
+                series=series.to_json_dict(), tail=series.tail, converged=series.converged
             )
-            report["series"] = series.to_json_dict()
-            report["tail"] = series.tail
-            report["converged"] = series.converged
             if not series.converged:
                 code = EXIT_NONCONVERGENCE
         if method in ("closed-form", "both"):
@@ -380,9 +334,7 @@ def cmd_bloch(doc: dict) -> tuple[dict, int]:
                 code = EXIT_NONCONVERGENCE
         if method == "both":
             report["max_discrepancy"] = bloch.max_discrepancy(series, closed)
-        point = params.get("evaluate_at")
-        if point is not None:
-            x = _numbers(point, basis.dimension, "params.evaluate_at")
+        if x is not None:
             chosen = series if series is not None else closed
             value = bloch.evaluate_function(basis, chosen, x)
             report["value_at"] = {"x": x, "re": value.real, "im": value.imag}
@@ -394,9 +346,8 @@ def cmd_oracle(doc: dict, want_matrix: bool = False):
     pot = parse_potential(doc, basis)
     t = parse_t(doc, basis)
     params = _params(doc)
-    cutoff = _param(params, "cutoff", 6.0, minimum=0.0)
-    _check_ball(basis, cutoff, "params.cutoff")
-    gamma = _param_index(params, "gamma", basis, [0] * basis.dimension)
+    cutoff = _ball(params, basis, "cutoff", 6.0)
+    gamma = _param(params, "gamma", [0] * basis.dimension, int, basis.dimension)
 
     op = galerkin.build(basis, pot.q, t, cutoff)
     if want_matrix:
@@ -407,8 +358,7 @@ def cmd_oracle(doc: dict, want_matrix: bool = False):
         "size": op.size,
         "cutoff": cutoff,
         "tolerances": {
-            "rank_tol_scale": galerkin.RANK_TOL_SCALE,
-            "diag_eq_scale": galerkin.DIAG_EQ_SCALE,
+            "rank_tol_scale": galerkin.RANK_TOL_SCALE, "diag_eq_scale": galerkin.DIAG_EQ_SCALE
         },
     }
     triangular = galerkin.is_plane_triangular(op)
@@ -427,9 +377,7 @@ def cmd_oracle(doc: dict, want_matrix: bool = False):
     try:
         base = op.position(gamma)
     except KeyError:
-        raise CutoffError(
-            f"cutoff {cutoff} ball does not contain gamma={gamma}"
-        ) from None
+        raise CutoffError(f"cutoff {cutoff} ball does not contain gamma={gamma}") from None
     # the closed form only on the cone, before the backsolve: a resonance
     # surfaces first, as in the unrestricted recursion
     cone = galerkin.interior_cone(op, gamma)
@@ -450,39 +398,31 @@ def cmd_oracle(doc: dict, want_matrix: bool = False):
 
 def cmd_multiplicity(doc: dict) -> tuple[dict, int]:
     params = _params(doc)
-    mode = _choice(params, "mode", "both", ("1d-criterion", "oracle", "both", "2d-second-plane"))
+    mode = _param(params, "mode", "both", ("1d-criterion", "oracle", "both", "2d-second-plane"))
     if mode == "2d-second-plane":
         return _multiplicity_second_plane(doc, params)
-    return _multiplicity_oned(doc, params, mode)
-
-
-def _multiplicity_oned(doc: dict, params: dict, mode: str) -> tuple[dict, int]:
     basis = parse_basis(doc)
     if basis.dimension != 1:
-        raise ConfigError(
-            "1-D multiplicity modes require dimension 1", field="dimension"
-        )
+        raise ConfigError("1-D multiplicity modes require dimension 1", field="dimension")
     pot = parse_potential(doc, basis)
-    if mode != "oracle" and any(m <= 0 and v != 0 for m, v in pot.reduced.items()):
-        raise ConfigError(
-            "the 1-D criterion needs a potential on positive harmonics only",
-            field="potential",
-        )
-    n = _param(params, "n", 1, minimum=1, kind=int)
-    criterion_tol = _param(params, "criterion_tol", rootfn.CRITERION_TOL)
+    run_criterion, run_oracle = mode != "oracle", mode != "1d-criterion"
+    if run_criterion and any(m <= 0 and v != 0 for m, v in pot.reduced.items()):
+        message = "the 1-D criterion needs a potential on positive harmonics only"
+        raise ConfigError(message, field="potential")
+    n = _param(params, "n", 1, int, minimum=1, maximum=ONED_MAX_N if run_criterion else INDEX_MAX)
+    criterion_tol = _param(params, "criterion_tol", rootfn.CRITERION_TOL, minimum=0.0)
+    if run_oracle:
+        t = parse_t(doc, basis)
+        cutoff = _ball(params, basis, "cutoff", float(2 * math.pi * (3 * n + 2)))
 
     report: dict[str, Any] = {
         "command": "multiplicity",
         "mode": mode,
         "n": n,
         "pi_exact": pot.pi_exact,
-        "tolerances": {
-            "criterion_tol": criterion_tol,
-            "rank_tol_scale": galerkin.RANK_TOL_SCALE,
-        },
+        "tolerances": {"criterion_tol": criterion_tol, "rank_tol_scale": galerkin.RANK_TOL_SCALE},
     }
-    criterion_zero = oracle_mult = None
-    if mode in ("1d-criterion", "both"):
+    if run_criterion:
         value = rootfn.oned_double_criterion(n, pot.reduced or {})
         cval = complex(value)
         criterion_zero = (value == 0) if pot.pi_exact else (abs(cval) <= criterion_tol)
@@ -490,17 +430,10 @@ def _multiplicity_oned(doc: dict, params: dict, mode: str) -> tuple[dict, int]:
         report["criterion_units"] = "pi^2"
         report["criterion_is_zero"] = criterion_zero
         report["predicted_multiplicity"] = 2 if criterion_zero else 1
-    if mode in ("oracle", "both"):
-        t = parse_t(doc, basis)
-        cutoff = _param(params, "cutoff", None, minimum=0.0)
-        if cutoff is None:
-            cutoff = float(2 * math.pi * (3 * n + 2))
-        _check_ball(basis, cutoff, "params.cutoff")
-        lam = spectrum.eigenvalue(basis, (n,), t)
+    if run_oracle:
         op = galerkin.build(basis, pot.q, t, cutoff)
-        oracle_mult = galerkin.geometric_multiplicity(op, lam)
-        report["oracle_multiplicity"] = oracle_mult
-        report["oracle_cutoff"] = cutoff
+        oracle_mult = galerkin.geometric_multiplicity(op, spectrum.eigenvalue(basis, (n,), t))
+        report.update(oracle_multiplicity=oracle_mult, oracle_cutoff=cutoff)
     if mode == "both":
         consistent = (oracle_mult == 2) == criterion_zero
         report["verdict"] = "consistent" if consistent else "inconsistent"
@@ -511,19 +444,19 @@ def _multiplicity_second_plane(doc: dict, params: dict) -> tuple[dict, int]:
     basis = parse_basis(doc)
     pot = parse_potential(doc, basis)
     t = parse_t(doc, basis)
-    k = _param(params, "k", 1, minimum=1, maximum=basis.dimension, kind=int)
+    k = _param(params, "k", 1, int, minimum=1, maximum=basis.dimension)
     if pot.q.classification != (k, "+"):
-        raise ConfigError(
-            f"the second-plane criterion needs a potential classified (k={k}, '+')",
-            field="potential",
-        )
-    member = _param_index(params, "member", basis, None)
-    criterion_tol = _param(params, "criterion_tol", rootfn.CRITERION_TOL)
-    lam_probe = spectrum.eigenvalue(basis, member, t)
-    group_cutoff = _param(
-        params, "group_cutoff", 2.0 * (2.0 * math.sqrt(lam_probe)) + 4.0
+        message = f"the second-plane criterion needs a potential classified (k={k}, '+')"
+        raise ConfigError(message, field="potential")
+    member = _value(
+        params.get("member"), "params.member", int, basis.dimension, INDEX_MIN, INDEX_MAX
     )
-    _check_ball(basis, group_cutoff, "params.group_cutoff")
+    criterion_tol = _param(params, "criterion_tol", rootfn.CRITERION_TOL, minimum=0.0)
+    # the default radii follow from the member's free eigenvalue
+    lam_probe = spectrum.eigenvalue(basis, member, t)
+    group_cutoff = _ball(params, basis, "group_cutoff", 2.0 * (2.0 * math.sqrt(lam_probe)) + 4.0)
+    cutoff = _ball(params, basis, "cutoff", 2.0 * group_cutoff)
+
     group = spectrum.degeneracy_group(basis, member, t, k, group_cutoff)
     if len(group.planes) < 2 or member not in group.planes[1].members:
         raise ConfigError(
@@ -531,19 +464,12 @@ def _multiplicity_second_plane(doc: dict, params: dict) -> tuple[dict, int]:
             field="params.member",
         )
     j = group.planes[1].members.index(member)
-    result = rootfn.second_plane_solve(
-        basis, pot.q, group, j, t, criterion_tol=criterion_tol
-    )
-
-    cutoff = _param(params, "cutoff", 2.0 * group_cutoff, minimum=0.0)
-    _check_ball(basis, cutoff, "params.cutoff")
+    result = rootfn.second_plane_solve(basis, pot.q, group, j, t, criterion_tol=criterion_tol)
     op = galerkin.build(basis, pot.q, t, cutoff)
     try:
         op.position(member)
     except KeyError:
-        raise CutoffError(
-            f"cutoff {cutoff} ball does not contain member={member}"
-        ) from None
+        raise CutoffError(f"cutoff {cutoff} ball does not contain member={member}") from None
     # the planes of a '+' operator ascend: the rows above the member's plane are a tail
     above = bisect.bisect_right(op.planes, group.planes[1].n)
     subset = np.vstack([op.indices[above:], member])
@@ -555,10 +481,7 @@ def _multiplicity_second_plane(doc: dict, params: dict) -> tuple[dict, int]:
         "report": result.to_json_dict(),
         "jordan_excess": excess,
         "verdict": "consistent" if (excess == 1) == predicted else "inconsistent",
-        "tolerances": {
-            "criterion_tol": criterion_tol,
-            "rank_tol_scale": galerkin.RANK_TOL_SCALE,
-        },
+        "tolerances": {"criterion_tol": criterion_tol, "rank_tol_scale": galerkin.RANK_TOL_SCALE},
     }
     return report, EXIT_OK
 
@@ -566,16 +489,11 @@ def _multiplicity_second_plane(doc: dict, params: dict) -> tuple[dict, int]:
 def _check_fermi_work(basis: LatticeBasis, rho: float, resolution: int) -> None:
     """:class:`ConfigError` when the sampling would exceed ``FERMI_MAX_WORK``.
 
-    The work is the grid points times an integer box that holds the
-    candidate ball of ``sample_surface``, so this bounds the candidates
-    scored too.  The box is that of the ball of radius rho + 1.5 S + 1, S the
-    sum of the generator lengths: the default cutoff rho + D + 1 plus the
-    largest |t| on the grid, at most D/2, with the fundamental-domain
-    diameter D at most S.  ``sample_surface`` now scores the smaller
-    minimizer ball, of radius rho + D/2 + max |t| plus a rounding margin, so
-    the bound still holds; it is deliberately not tightened, so that the
-    accepted inputs stay the same.  Computed from the parameters alone,
-    before any array is built.
+    The work is the grid points times the integer box of the ball of radius
+    rho + 1.5 S + 1, S the sum of the generator lengths, which holds the
+    minimizer ball rho + D/2 + max |t| + eps that ``sample_surface`` scores
+    (the diameter D of the fundamental domain is at most S, and |t| at most
+    D/2).  Computed from the parameters alone, before any array is built.
     """
     if resolution**basis.dimension > FERMI_MAX_WORK:
         raise ConfigError(
@@ -596,17 +514,14 @@ def cmd_fermi(doc: dict, as_csv: bool):
     basis = parse_basis(doc)
     params = _params(doc)
     rho = _param(params, "rho", 0.5, minimum=0.0)
-    resolution = _param(params, "resolution", 21, minimum=2, kind=int)
+    resolution = _param(params, "resolution", 21, int, minimum=2)
     threshold = _param(params, "threshold", 0.01, minimum=0.0)
     _check_fermi_work(basis, rho, resolution)
     sample = isoenergetic.sample_surface(basis, rho, resolution, threshold)
     if as_csv:
         return sample.to_csv(), EXIT_OK
     report = {
-        "command": "fermi",
-        "rho": rho,
-        "resolution": resolution,
-        "threshold": threshold,
+        "command": "fermi", "rho": rho, "resolution": resolution, "threshold": threshold,
         "retained": len(sample.distances),
         "points": jsonfmt.Columns(
             ("t", "distance", "gamma"), (sample.ts, sample.distances, sample.gammas)
@@ -617,14 +532,14 @@ def cmd_fermi(doc: dict, as_csv: bool):
 
 # -- driver ------------------------------------------------------------------
 
-
-def _write_output(payload, out_path: str | None) -> None:
-    text = payload if isinstance(payload, str) else jsonfmt.dumps(payload) + "\n"
-    if out_path is None or out_path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+#: command -> runner of (doc, csv); csv is asked for only of oracle and fermi
+_RUNNERS = {
+    "classify": lambda doc, csv: cmd_classify(doc),
+    "bloch": lambda doc, csv: cmd_bloch(doc),
+    "oracle": lambda doc, csv: cmd_oracle(doc, want_matrix=csv),
+    "multiplicity": lambda doc, csv: cmd_multiplicity(doc),
+    "fermi": lambda doc, csv: cmd_fermi(doc, as_csv=csv),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -632,13 +547,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="halfspace-bloch",
         description="Bloch spectra of periodic operators with half-space potentials",
     )
-    parser.add_argument("command", choices=["classify", "bloch", "oracle", "multiplicity", "fermi"])
+    parser.add_argument("command", choices=list(_RUNNERS))
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument(
-        "--format",
-        choices=["json", "csv"],
-        default=None,
+        "--format", choices=["json", "csv"], default=None,
         help="output format; csv is available for fermi (points) and oracle (matrix dump)",
     )
     return parser
@@ -660,20 +573,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if fmt == "csv" and args.command not in ("fermi", "oracle"):
             raise ConfigError(
-                f"csv output is not defined for command '{args.command}'",
-                field="--format",
+                f"csv output is not defined for command '{args.command}'", field="--format"
             )
-        doc = _load_json(args.config)
-        if args.command == "classify":
-            payload, code = cmd_classify(doc)
-        elif args.command == "bloch":
-            payload, code = cmd_bloch(doc)
-        elif args.command == "oracle":
-            payload, code = cmd_oracle(doc, want_matrix=(fmt == "csv"))
-        elif args.command == "multiplicity":
-            payload, code = cmd_multiplicity(doc)
-        else:
-            payload, code = cmd_fermi(doc, as_csv=(fmt == "csv"))
+        payload, code = _RUNNERS[args.command](_load_json(args.config), fmt == "csv")
     except ConfigError as exc:
         sys.stderr.write(f"config error ({exc.field}): {exc}\n")
         return EXIT_CONFIG
@@ -681,7 +583,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return EXIT_GUARD
 
-    _write_output(payload, args.out)
+    text = payload if isinstance(payload, str) else jsonfmt.dumps(payload) + "\n"
+    if args.out in (None, "-"):
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     return code
 
 

@@ -524,7 +524,9 @@ def _subset_rows(op: TruncatedOperator, subset) -> np.ndarray:
         n = members[bad[0]].tolist()
         if not integral[bad[0]]:
             raise ValueError(f"non-integer lattice index {tuple(n)!r}")
-        raise KeyError(tuple(int(x) for x in n))
+        # the member as given: numpy turns a list holding an int beyond int64
+        # into floats, which would round it
+        raise KeyError(tuple(int(x) for x in subset[bad[0]]))
     return rows
 
 

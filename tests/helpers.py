@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 import halfspace_bloch as hb
-from halfspace_bloch import bloch, galerkin, lattice, spectrum
+from halfspace_bloch import bloch, coeffset, galerkin, lattice, spectrum
 from halfspace_bloch.errors import NoEigenvectorError, ResonanceError
 
 # -- geometry oracles ---------------------------------------------------------
@@ -224,6 +224,23 @@ def oned_oracle_multiplicity(reduced: dict, n: int, cutoff_planes: int | None = 
 # The loops the array kernel in ``coeffset`` replaced, kept literally: the
 # kernel must reproduce them bit for bit (coefficients, tails, term masses,
 # the first resonance hit).
+
+
+def apply_A(basis, q, gamma, t, coeffs, denom_tol=None):
+    """One application of the series transformation A to a coefficient map.
+
+    Not an oracle: it runs the library's own kernel ``bloch._apply``, the
+    step ``bloch_series`` takes, so tests can apply A to a given map;
+    ``reference_apply_A`` is the dict loop it must match.
+    """
+    gamma = lattice.as_index(gamma, basis.dimension)
+    t = np.asarray(t, dtype=float)
+    lam = spectrum.eigenvalue(basis, gamma, t)
+    tol = bloch.denominator_tolerance(lam) if denom_tol is None else denom_tol
+    support, qvals = coeffset.from_mapping(q.coeffs, basis.dimension)
+    offsets, values = coeffset.from_mapping(coeffs, basis.dimension)
+    rows, vals = bloch._apply(basis, support, qvals, gamma, t, lam, tol, offsets, values)
+    return coeffset.to_dict(rows, vals)
 
 
 def reference_apply_A(basis, q, gamma, t, coeffs, denom_tol=None):

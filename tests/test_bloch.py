@@ -20,18 +20,18 @@ def single_harmonic(a=0.1):
 
 def test_apply_a_zero_potential():
     q = hb.FourierPotential(BASIS, {})
-    assert bloch.apply_A(BASIS, q, (0, 0), T, {(0, 0): 1.0}) == {}
+    assert helpers.apply_A(BASIS, q, (0, 0), T, {(0, 0): 1.0}) == {}
 
 
 def test_apply_a_single_harmonic():
     # lam = 0.34, |(1.5, 0.3)|^2 = 2.34: coefficient -A/2
-    out = bloch.apply_A(BASIS, single_harmonic(), (0, 0), T, {(0, 0): 1.0})
+    out = helpers.apply_A(BASIS, single_harmonic(), (0, 0), T, {(0, 0): 1.0})
     assert out == {(1, 0): pytest.approx(-0.05)}
 
 
 def test_apply_a_second_application():
-    first = bloch.apply_A(BASIS, single_harmonic(), (0, 0), T, {(0, 0): 1.0})
-    second = bloch.apply_A(BASIS, single_harmonic(), (0, 0), T, first)
+    first = helpers.apply_A(BASIS, single_harmonic(), (0, 0), T, {(0, 0): 1.0})
+    second = helpers.apply_A(BASIS, single_harmonic(), (0, 0), T, first)
     # |(2.5, 0.3)|^2 = 6.34: (-A/2) * A / (0.34 - 6.34) = A^2 / 12
     assert second == {(2, 0): pytest.approx(0.01 / 12)}
 
@@ -43,7 +43,7 @@ def test_apply_a_resonance_error():
     with pytest.raises(ResonanceError) as err:
         coeffs = {(0, 0): 1.0}
         for _ in range(3):
-            coeffs = bloch.apply_A(BASIS, q, (-1, 0), (0.0, 0.0), coeffs)
+            coeffs = helpers.apply_A(BASIS, q, (-1, 0), (0.0, 0.0), coeffs)
     assert err.value.index == (2, 0)
 
 
@@ -99,9 +99,9 @@ def test_apply_a_is_linear():
     combo = {}
     for key in set(f) | set(g):
         combo[key] = alpha * f.get(key, 0j) + beta * g.get(key, 0j)
-    lhs = bloch.apply_A(BASIS, q, (0, 0), T, combo)
-    af = bloch.apply_A(BASIS, q, (0, 0), T, f)
-    ag = bloch.apply_A(BASIS, q, (0, 0), T, g)
+    lhs = helpers.apply_A(BASIS, q, (0, 0), T, combo)
+    af = helpers.apply_A(BASIS, q, (0, 0), T, f)
+    ag = helpers.apply_A(BASIS, q, (0, 0), T, g)
     rhs = {}
     for key in set(af) | set(ag):
         rhs[key] = alpha * af.get(key, 0j) + beta * ag.get(key, 0j)
@@ -182,7 +182,7 @@ def test_residual_equals_next_term_defect():
             psi = bloch.bloch_series(BASIS, q, gamma, t, max_order=order, tail_tol=0.0)
             term = {(0, 0): 1.0 + 0j}
             for _ in range(order):
-                term = bloch.apply_A(BASIS, q, gamma, t, term)
+                term = helpers.apply_A(BASIS, q, gamma, t, term)
             defect = potential.convolve(q.coeffs, term)
             expected = math.sqrt(sum(abs(v) ** 2 for v in defect.values()))
             assert bloch.residual(BASIS, q, psi) == pytest.approx(

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import halfspace_bloch as hb
-from halfspace_bloch import bloch, cli, galerkin
+from halfspace_bloch import bloch, cli, galerkin, rootfn, spectrum
 
 import helpers
 
@@ -258,6 +258,13 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_integer_beyond_the_digit_limit_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"dimension": ' + "1" * 5000 + ', "generators": []}', encoding="utf-8")
+    assert cli.main(["classify", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error (config): config is not valid JSON: ")
+
+
 def test_missing_config_file(capsys):
     code = cli.main(["classify", "--config", "/nonexistent/conf.json"])
     assert code == 2
@@ -371,37 +378,56 @@ _NEAR_INT64_END = [*_POT, {"index": [1, 2**62], "re": 0.1}]
 _INT64_MAX_INDEX = [*_POT, {"index": [1, 2**63 - 1], "re": 0.1}]
 _ONED = {"dimension": 1, "generators": [[2 * math.pi]]}
 _SECOND_PLANE = {"mode": "2d-second-plane", "k": 1, "member": [0, 1], "cutoff": 6.0}
+_T_OVERFLOWS = "config error (t): 't' is too large: |t|^2 overflows"
 
 
 @pytest.mark.parametrize(
-    "command, config, code, stderr_start",
+    "command, config, code, stderr",
     [
         (
             "bloch",
             {**IDENTITY_2D, "potential": _POT, "params": {"evaluate_at": ["a", 1]}},
             2,
-            "config error (params.evaluate_at)",
+            "config error (params.evaluate_at): 'params.evaluate_at' contains a non-number",
         ),
-        ("bloch", {**IDENTITY_2D, "potential": _POT, "params": [1]}, 2, "config error (params)"),
-        ("oracle", {**IDENTITY_2D, "potential": _POT, "params": []}, 2, "config error (params)"),
-        ("bloch", {**IDENTITY_2D, "potential": _POT, "mode": "bogus"}, 2, "config error (mode)"),
+        (
+            "bloch",
+            {**IDENTITY_2D, "potential": _POT, "params": [1]},
+            2,
+            "config error (params): 'params' must be an object",
+        ),
+        (
+            "oracle",
+            {**IDENTITY_2D, "potential": _POT, "params": []},
+            2,
+            "config error (params): 'params' must be an object",
+        ),
+        (
+            "bloch",
+            {**IDENTITY_2D, "potential": _POT, "mode": "bogus"},
+            2,
+            (
+                "config error (mode): mode must be one of ('summable', 'square-summable'), got "
+                "'bogus'"
+            ),
+        ),
         (
             "classify",
             {"dimension": 1, "generators": [[1.0]], "mode": "square-summable"},
             2,
-            "config error (mode)",
+            "config error (mode): square-summable mode is only admitted for dimensions 2 and 3",
         ),
         (
             "bloch",
             {"dimension": 2, "generators": [[math.nan, 0.0], [0.0, 1.0]], "potential": _POT},
             2,
-            "config error (generators[0])",
+            "config error (generators[0]): 'generators[0]' contains a non-finite number",
         ),
         (
             "oracle",
             {**IDENTITY_2D, "potential": _POT, "params": {"cutoff": -1}},
             2,
-            "config error (params.cutoff)",
+            "config error (params.cutoff): 'params.cutoff' must be at least 0.0",
         ),
         (
             "multiplicity",
@@ -412,76 +438,97 @@ _SECOND_PLANE = {"mode": "2d-second-plane", "k": 1, "member": [0, 1], "cutoff": 
                 "params": {"mode": "oracle", "cutoff": -1},
             },
             2,
-            "config error (params.cutoff)",
+            "config error (params.cutoff): 'params.cutoff' must be at least 0.0",
         ),
-        ("fermi", {**IDENTITY_2D, "params": {"resolution": 1}}, 2, "config error (params.resolution)"),
-        ("fermi", {**IDENTITY_2D, "params": {"rho": -1}}, 2, "config error (params.rho)"),
+        (
+            "fermi",
+            {**IDENTITY_2D, "params": {"resolution": 1}},
+            2,
+            "config error (params.resolution): 'params.resolution' must be at least 2",
+        ),
+        (
+            "fermi",
+            {**IDENTITY_2D, "params": {"rho": -1}},
+            2,
+            "config error (params.rho): 'params.rho' must be at least 0.0",
+        ),
         (
             "fermi",
             {**IDENTITY_2D, "params": {"threshold": -0.01}},
             2,
-            "config error (params.threshold)",
+            "config error (params.threshold): 'params.threshold' must be at least 0.0",
         ),
         (
             "oracle",
             {**IDENTITY_2D, "potential": _POT, "params": {"cutoff": 10**400}},
             2,
-            "config error (params.cutoff)",
+            "config error (params.cutoff): 'params.cutoff' must be a finite number",
         ),
-        ("bloch", {**IDENTITY_2D, "potential": _POT, "t": [10**400, 0]}, 2, "config error (t)"),
+        (
+            "bloch",
+            {**IDENTITY_2D, "potential": _POT, "t": [10**400, 0]},
+            2,
+            "config error (t): 't' contains a non-finite number",
+        ),
         (
             "oracle",
             {**IDENTITY_2D, "potential": _POT, "params": {"cutoff": 2.0, "gamma": [5, 0]}},
             3,
-            "CutoffError: ",
+            "CutoffError: cutoff 2.0 ball does not contain gamma=(5, 0)",
         ),
         (
             "multiplicity",
             {**_ONED, "potential": [{"index": [0], "re": "1/2"}], "params": {"mode": "both"}},
             2,
-            "config error (potential)",
+            (
+                "config error (potential): the 1-D criterion needs a potential on positive "
+                "harmonics only"
+            ),
         ),
         (
             "multiplicity",
             {**IDENTITY_2D, "potential": [{"index": [-1, 0], "re": 0.5}], "params": _SECOND_PLANE},
             2,
-            "config error (potential)",
+            (
+                "config error (potential): the second-plane criterion needs a potential "
+                "classified (k=1, '+')"
+            ),
         ),
         (
             "multiplicity",
             {**IDENTITY_2D, "potential": _POT, "params": {**_SECOND_PLANE, "k": 3}},
             2,
-            "config error (params.k)",
+            "config error (params.k): 'params.k' must be at most 2",
         ),
         (
             "multiplicity",
             {**IDENTITY_2D, "potential": _POT, "params": {**_SECOND_PLANE, "k": 0}},
             2,
-            "config error (params.k)",
+            "config error (params.k): 'params.k' must be at least 1",
         ),
         (
             "multiplicity",
             {**IDENTITY_2D, "potential": _POT, "params": {**_SECOND_PLANE, "member": [0, 1, 0]}},
             2,
-            "config error (params.member)",
+            "config error (params.member): 'params.member' must be a list of 2 integers",
         ),
         (
             "multiplicity",
             {**IDENTITY_2D, "potential": _POT, "params": {**_SECOND_PLANE, "cutoff": 0.5}},
             3,
-            "CutoffError: ",
+            "CutoffError: cutoff 0.5 ball does not contain member=(0, 1)",
         ),
         (
             "multiplicity",
             {**_ONED, "potential": [{"index": [1], "re": "1e400"}], "params": {"mode": "both"}},
             2,
-            "config error (potential[0])",
+            "config error (potential[0]): 'potential[0]' is too large for a float",
         ),
         (
             "multiplicity",
             {**_ONED, "potential": [{"index": [1], "re": math.nan}], "params": {"mode": "oracle"}},
             2,
-            "config error (potential[0])",
+            "config error (potential[0]): 'potential[0]' must have a finite value",
         ),
         (
             "multiplicity",
@@ -491,130 +538,244 @@ _SECOND_PLANE = {"mode": "2d-second-plane", "k": 1, "member": [0, 1], "cutoff": 
                 "params": {"mode": "oracle"},
             },
             3,
-            "TriangularityError: ",
+            (
+                "TriangularityError: the rank probe requires the plane-triangular structure; "
+                "matrix entry at rows (-5,) <- (-4,) breaks the plane grading (potential not in "
+                "class S, or wrong ordering)"
+            ),
         ),
         (
             "bloch",
             {**IDENTITY_2D, "potential": [{"index": [-1, 0], "re": 0.1}, *_POT]},
             2,
-            "config error (potential)",
+            (
+                "config error (potential): bloch needs a potential in class S (support in one "
+                "open half-lattice)"
+            ),
         ),
         (
             # q_0 sits on the diagonal: the matrix is triangular, the potential not in S
             "oracle",
             {**IDENTITY_2D, "potential": [{"index": [0, 0], "re": 0.7}, *_POT]},
             2,
-            "config error (potential)",
+            (
+                "config error (potential): oracle needs a potential in class S (support in one "
+                "open half-lattice)"
+            ),
         ),
         (
             "bloch",
             {**IDENTITY_2D, "potential": _POT, "t": [0.31, 0.17], "params": {"method": "series", "order": 0}},
             2,
-            "config error (params.order)",
+            "config error (params.order): 'params.order' must be at least 1",
         ),
         (
             "bloch",
             {**IDENTITY_2D, "potential": _POT, "t": [0.31, 0.17], "params": {"method": "series", "order": -1}},
             2,
-            "config error (params.order)",
+            "config error (params.order): 'params.order' must be at least 1",
         ),
         (
             "bloch",
             {**IDENTITY_2D, "potential": _POT, "t": [0.31, 0.17], "params": {"depth": -2}},
             2,
-            "config error (params.depth)",
+            "config error (params.depth): 'params.depth' must be at least 0",
         ),
-        ("classify", {"dimension": 0, "generators": [], "potential": []}, 2, "config error (dimension)"),
-        ("fermi", {"dimension": 0, "generators": []}, 2, "config error (dimension)"),
-        ("bloch", {**IDENTITY_2D, "potential": _HUGE_INDEX}, 2, "config error (potential[1])"),
-        ("oracle", {**IDENTITY_2D, "potential": _HUGE_INDEX}, 2, "config error (potential[1])"),
-        ("classify", {**IDENTITY_2D, "potential": _HUGE_INDEX}, 2, "config error (potential[1])"),
+        (
+            "classify",
+            {"dimension": 0, "generators": [], "potential": []},
+            2,
+            "config error (dimension): 'dimension' must be at least 1",
+        ),
+        (
+            "fermi",
+            {"dimension": 0, "generators": []},
+            2,
+            "config error (dimension): 'dimension' must be at least 1",
+        ),
+        (
+            "bloch",
+            {**IDENTITY_2D, "potential": _HUGE_INDEX},
+            2,
+            (
+                "config error (potential[1]): 'potential[1].index' entries must lie in "
+                "[-9223372036854775808, 9223372036854775807]"
+            ),
+        ),
+        (
+            "oracle",
+            {**IDENTITY_2D, "potential": _HUGE_INDEX},
+            2,
+            (
+                "config error (potential[1]): 'potential[1].index' entries must lie in "
+                "[-9223372036854775808, 9223372036854775807]"
+            ),
+        ),
+        (
+            "classify",
+            {**IDENTITY_2D, "potential": _HUGE_INDEX},
+            2,
+            (
+                "config error (potential[1]): 'potential[1].index' entries must lie in "
+                "[-9223372036854775808, 9223372036854775807]"
+            ),
+        ),
         (
             "classify",
             {**IDENTITY_2D, "potential": [{"index": [1, -(2**63) - 1], "re": 0.1}]},
             2,
-            "config error (potential[0])",
+            (
+                "config error (potential[0]): 'potential[0].index' entries must lie in "
+                "[-9223372036854775808, 9223372036854775807]"
+            ),
         ),
         (
             "bloch",
             {**IDENTITY_2D, "potential": _NEAR_INT64_END, "params": {"method": "closed-form", "depth": 4}},
             2,
-            "config error (potential)",
+            (
+                "config error (potential): 4 steps of a harmonic with an index entry of "
+                "4611686018427387904 from gamma=(0, 0) leave the int64 range of the coefficient "
+                "arrays"
+            ),
         ),
         (
             "bloch",
             {**IDENTITY_2D, "potential": _NEAR_INT64_END, "params": {"method": "series", "order": 2}},
             2,
-            "config error (potential)",
+            (
+                "config error (potential): 2 steps of a harmonic with an index entry of "
+                "4611686018427387904 from gamma=(0, 0) leave the int64 range of the coefficient "
+                "arrays"
+            ),
         ),
         (
             "bloch",
             {**IDENTITY_2D, "potential": _NEAR_INT64_END, "params": {"order": 2, "depth": 1}},
             2,
-            "config error (potential)",
+            (
+                "config error (potential): 2 steps of a harmonic with an index entry of "
+                "4611686018427387904 from gamma=(0, 0) leave the int64 range of the coefficient "
+                "arrays"
+            ),
         ),
-        ("bloch", {**IDENTITY_2D, "potential": _INT64_MAX_INDEX}, 2, "config error (potential)"),
+        (
+            "bloch",
+            {**IDENTITY_2D, "potential": _INT64_MAX_INDEX},
+            2,
+            (
+                "config error (potential): 8 steps of a harmonic with an index entry of "
+                "9223372036854775807 from gamma=(0, 0) leave the int64 range of the coefficient "
+                "arrays"
+            ),
+        ),
         (
             "bloch",
             {**IDENTITY_2D, "potential": _POT, "params": {"gamma": [0, 2**63]}},
             2,
-            "config error (potential)",
+            (
+                "config error (potential): 8 steps of a harmonic with an index entry of 1 from "
+                "gamma=(0, 9223372036854775808) leave the int64 range of the coefficient arrays"
+            ),
         ),
         (
             "fermi",
             {**IDENTITY_2D, "params": {"resolution": 10**30}},
             2,
-            "config error (params.resolution)",
+            (
+                "config error (params.resolution): 'params.resolution' "
+                "1000000000000000000000000000000 gives more than 1e+08 grid points"
+            ),
         ),
         (
             "fermi",
             {**IDENTITY_2D, "params": {"resolution": 10**4 + 1}},
             2,
-            "config error (params.resolution)",
+            (
+                "config error (params.resolution): 'params.resolution' 10001 gives more than "
+                "1e+08 grid points"
+            ),
         ),
-        ("fermi", {**IDENTITY_2D, "params": {"rho": 1e6}}, 2, "config error (params.rho)"),
-        ("fermi", {**IDENTITY_2D, "params": {"rho": 1e300}}, 2, "config error (params.rho)"),
+        (
+            "fermi",
+            {**IDENTITY_2D, "params": {"rho": 1e6}},
+            2,
+            (
+                "config error (params.rho): fermi would score 1.76e+15 grid-point/candidate "
+                "pairs, more than 1e+08; lower params.rho or params.resolution"
+            ),
+        ),
+        (
+            "fermi",
+            {**IDENTITY_2D, "params": {"rho": 1e300}},
+            2,
+            (
+                "config error (params.rho): fermi would score inf grid-point/candidate pairs, "
+                "more than 1e+08; lower params.rho or params.resolution"
+            ),
+        ),
         (
             "fermi",
             {"dimension": 2, "generators": [[1e8, 0.0], [0.0, 1.0]]},
             2,
-            "config error (params.rho)",
+            (
+                "config error (params.rho): fermi would score 5.29e+11 grid-point/candidate "
+                "pairs, more than 1e+08; lower params.rho or params.resolution"
+            ),
         ),
         (
             "oracle",
             {**IDENTITY_2D, "potential": _POT, "params": {"cutoff": 1e5}},
             2,
-            "config error (params.cutoff)",
+            (
+                "config error (params.cutoff): 'params.cutoff' 100000 gives a ball whose integer "
+                "box holds 4e+10 points, more than 1e+06"
+            ),
         ),
         (
             "multiplicity",
             {**_ONED, "potential": [{"index": [1], "re": "1/2"}], "params": {"mode": "oracle", "cutoff": 1e8}},
             2,
-            "config error (params.cutoff)",
+            (
+                "config error (params.cutoff): 'params.cutoff' 1e+08 gives a ball whose integer "
+                "box holds 3.18e+07 points, more than 1e+06"
+            ),
         ),
         (
             "multiplicity",
             {**_ONED, "potential": [{"index": [1], "re": "1/2"}], "params": {"mode": "oracle", "n": 10**8}},
             2,
-            "config error (params.cutoff)",
+            (
+                "config error (params.cutoff): 'params.cutoff' 1.88496e+09 gives a ball whose "
+                "integer box holds 6e+08 points, more than 1e+06"
+            ),
         ),
         (
             "multiplicity",
             {**IDENTITY_2D, "potential": _POT, "params": {**_SECOND_PLANE, "group_cutoff": 1e5}},
             2,
-            "config error (params.group_cutoff)",
+            (
+                "config error (params.group_cutoff): 'params.group_cutoff' 100000 gives a ball "
+                "whose integer box holds 4e+10 points, more than 1e+06"
+            ),
         ),
         (
             "multiplicity",
             {**IDENTITY_2D, "potential": _POT, "params": {**_SECOND_PLANE, "member": [0, 10**6]}},
             2,
-            "config error (params.group_cutoff)",
+            (
+                "config error (params.group_cutoff): 'params.group_cutoff' 4e+06 gives a ball "
+                "whose integer box holds 6.4e+13 points, more than 1e+06"
+            ),
         ),
         (
             "multiplicity",
             {**IDENTITY_2D, "potential": _POT, "params": {**_SECOND_PLANE, "cutoff": 1e5}},
             2,
-            "config error (params.cutoff)",
+            (
+                "config error (params.cutoff): 'params.cutoff' 100000 gives a ball whose integer "
+                "box holds 4e+10 points, more than 1e+06"
+            ),
         ),
         # a finite harmonic whose square overflows: the norms of the potential
         # are finite, and each command reaches its own verdict
@@ -622,13 +783,19 @@ _SECOND_PLANE = {"mode": "2d-second-plane", "k": 1, "member": [0, 1], "cutoff": 
             "bloch",
             {**IDENTITY_2D, "potential": [{"index": [-1, 0], "re": 1e300}, *_POT]},
             2,
-            "config error (potential)",
+            (
+                "config error (potential): bloch needs a potential in class S (support in one "
+                "open half-lattice)"
+            ),
         ),
         (
             "oracle",
             {**IDENTITY_2D, "potential": [{"index": [0, 0], "re": 1e300}, *_POT]},
             2,
-            "config error (potential)",
+            (
+                "config error (potential): oracle needs a potential in class S (support in one "
+                "open half-lattice)"
+            ),
         ),
         (
             "multiplicity",
@@ -638,13 +805,89 @@ _SECOND_PLANE = {"mode": "2d-second-plane", "k": 1, "member": [0, 1], "cutoff": 
                 "params": {"mode": "oracle"},
             },
             3,
-            "TriangularityError: ",
+            (
+                "TriangularityError: the rank probe requires the plane-triangular structure; "
+                "matrix entry at rows (-5,) <- (-4,) breaks the plane grading (potential not in "
+                "class S, or wrong ordering)"
+            ),
         ),
         (
             "multiplicity",
             {**IDENTITY_2D, "potential": [{"index": [0, 1], "re": 1e300}], "params": _SECOND_PLANE},
             2,
-            "config error (potential)",
+            (
+                "config error (potential): the second-plane criterion needs a potential "
+                "classified (k=1, '+')"
+            ),
+        ),
+        # n is bounded before the criterion runs; beyond int64 in oracle mode
+        (
+            "multiplicity",
+            {**_ONED, "potential": [{"index": [1], "re": "1/2"}], "params": {"mode": "both", "n": 2**70}},
+            2,
+            "config error (params.n): 'params.n' must be at most 1000",
+        ),
+        (
+            "multiplicity",
+            {**_ONED, "potential": [{"index": [1], "re": 0.5}], "params": {"mode": "1d-criterion", "n": 1001}},
+            2,
+            "config error (params.n): 'params.n' must be at most 1000",
+        ),
+        (
+            "multiplicity",
+            {**_ONED, "potential": [{"index": [1], "re": "1/2"}], "params": {"mode": "oracle", "n": 10**400}},
+            2,
+            "config error (params.n): 'params.n' must be at most 9223372036854775807",
+        ),
+        # finite t whose |t|^2 overflows
+        ("oracle", {**IDENTITY_2D, "potential": _POT, "t": [1e300, 0]}, 2, _T_OVERFLOWS),
+        ("bloch", {**IDENTITY_2D, "potential": _POT, "t": [1e300, 0]}, 2, _T_OVERFLOWS),
+        (
+            "multiplicity",
+            {**IDENTITY_2D, "potential": _POT, "t": [0, 2e154], "params": _SECOND_PLANE},
+            2,
+            _T_OVERFLOWS,
+        ),
+        # tolerances and radii are at least 0
+        (
+            "classify",
+            {**IDENTITY_2D, "potential": _POT, "params": {"truncation_radius": -1}},
+            2,
+            "config error (params.truncation_radius): 'params.truncation_radius' must be at least 0.0",
+        ),
+        (
+            "bloch",
+            {**IDENTITY_2D, "potential": _POT, "params": {"tail_tol": -1}},
+            2,
+            "config error (params.tail_tol): 'params.tail_tol' must be at least 0.0",
+        ),
+        (
+            "multiplicity",
+            {**_ONED, "potential": [{"index": [1], "re": "1/2"}], "params": {"criterion_tol": -1}},
+            2,
+            "config error (params.criterion_tol): 'params.criterion_tol' must be at least 0.0",
+        ),
+        (
+            "multiplicity",
+            {**IDENTITY_2D, "potential": _POT, "params": {**_SECOND_PLANE, "criterion_tol": -1e-9}},
+            2,
+            "config error (params.criterion_tol): 'params.criterion_tol' must be at least 0.0",
+        ),
+        (
+            "multiplicity",
+            {**IDENTITY_2D, "potential": _POT, "params": {**_SECOND_PLANE, "group_cutoff": -1}},
+            2,
+            "config error (params.group_cutoff): 'params.group_cutoff' must be at least 0.0",
+        ),
+        # a member beyond int64 has no row in the index arrays
+        (
+            "multiplicity",
+            {**IDENTITY_2D, "potential": _POT, "params": {**_SECOND_PLANE, "member": [0, 10**400]}},
+            2,
+            (
+                "config error (params.member): 'params.member' entries must lie in "
+                "[-9223372036854775808, 9223372036854775807]"
+            ),
         ),
     ],
     ids=[
@@ -702,16 +945,27 @@ _SECOND_PLANE = {"mode": "2d-second-plane", "k": 1, "member": [0, 1], "cutoff": 
         "oracle-1e300-triangular-not-in-s",
         "multiplicity-1e300-not-triangular",
         "multiplicity-1e300-second-plane-wrong-class",
+        "multiplicity-both-n-above-bound",
+        "multiplicity-1d-criterion-n-above-bound",
+        "multiplicity-oracle-n-beyond-int64",
+        "oracle-t-square-overflows",
+        "bloch-t-square-overflows",
+        "multiplicity-second-plane-t-square-overflows",
+        "classify-negative-truncation-radius",
+        "bloch-negative-tail-tol",
+        "multiplicity-1d-negative-criterion-tol",
+        "multiplicity-second-plane-negative-criterion-tol",
+        "multiplicity-negative-group-cutoff",
+        "multiplicity-member-beyond-int64",
     ],
 )
-def test_contract_exit_codes(tmp_path, capsys, command, config, code, stderr_start):
+def test_contract_exit_codes(tmp_path, capsys, command, config, code, stderr):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     assert cli.main([command, "--config", str(path)]) == code
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(stderr_start)
-    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert captured.err == stderr + "\n"
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])
@@ -768,6 +1022,55 @@ def test_null_numeric_param_means_default(tmp_path, capsys):
     absent = run(tmp_path, capsys, config, "oracle")
     assert run(tmp_path, capsys, {**config, "params": {"gamma": None}}, "oracle") == absent
     assert absent[0] == 0
+
+
+def test_null_choice_param_means_default(tmp_path, capsys):
+    # one rule for every params field: null reads as absent
+    config = {**IDENTITY_2D, "potential": _POT, "t": [0.31, 0.17]}
+    absent = run(tmp_path, capsys, config, "bloch")
+    assert absent[0] == 0
+    assert run(tmp_path, capsys, {**config, "params": {"method": None}}, "bloch") == absent
+    config = {**_ONED, "potential": [{"index": [1], "re": "1/2"}]}
+    absent = run(tmp_path, capsys, config, "multiplicity")
+    assert absent[0] == 0
+    assert run(tmp_path, capsys, {**config, "params": {"mode": None}}, "multiplicity") == absent
+
+
+@pytest.mark.parametrize(
+    "command, config, first_work, field",
+    [
+        (
+            "bloch",
+            {**IDENTITY_2D, "potential": _POT, "params": {"evaluate_at": [0.1, "x"]}},
+            (bloch, "bloch_series"),
+            "params.evaluate_at",
+        ),
+        (
+            "multiplicity",
+            {**_ONED, "potential": [{"index": [1], "re": "1/2"}], "params": {"cutoff": 1e8}},
+            (rootfn, "oned_double_criterion"),
+            "params.cutoff",
+        ),
+        (
+            "multiplicity",
+            {**IDENTITY_2D, "potential": _POT, "params": {**_SECOND_PLANE, "cutoff": 1e5}},
+            (spectrum, "degeneracy_group"),
+            "params.cutoff",
+        ),
+    ],
+    ids=["bloch-evaluate-at", "multiplicity-both-cutoff", "second-plane-cutoff"],
+)
+def test_inputs_are_read_before_any_work(
+    tmp_path, capsys, monkeypatch, command, config, first_work, field
+):
+    def fail(*args, **kwargs):
+        raise AssertionError("ran before the inputs were read")
+
+    monkeypatch.setattr(*first_work, fail)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error ({field}): ")
 
 
 def test_multiplicity_oracle_counts_the_constant_harmonic(tmp_path, capsys):

@@ -971,3 +971,14 @@ def test_jordan_subset_errors_match_position():
     for wrong_length in ([(0, 1, 0)], np.zeros((2, 3), dtype=np.int64), [(0, 1), (0, 1, 2)]):
         with pytest.raises(ValueError):
             galerkin.jordan_chain_excess(op, 1.0, subset=wrong_length)
+
+
+def test_jordan_subset_reports_a_member_beyond_int64_as_given():
+    # numpy makes this list a float64 array, where 2**63 + 1 rounds to 2**63
+    op, _ = _probe_operator()
+    big = (0, 2**63 + 1)
+    with pytest.raises(KeyError) as from_position:
+        op.position(big)
+    with pytest.raises(KeyError) as got:
+        galerkin.jordan_chain_excess(op, 1.0, subset=[(0, 0), big])
+    assert got.value.args == from_position.value.args == (big,)
