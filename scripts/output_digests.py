@@ -8,7 +8,7 @@ in one process and prints
     workload index exit sha256
 
 per instance, where the hash covers the instance's stdout, stderr and
-output file.  Four tagged variants follow, so that outputs the timed pools do
+output file.  Five tagged variants follow, so that outputs the timed pools do
 not write are checked as well:
 
     fermi-json index exit sha256         every fermi instance with --format json
@@ -22,6 +22,13 @@ not write are checked as well:
                                          params.method closed-form and
                                          params.depth equal to its order,
                                          planes deeper than the pools reach
+    coeffs-series-unconverged index exit sha256
+                                         every coeffs instance with
+                                         params.method series, params.order
+                                         16 and params.tail_tol 0: each runs
+                                         every order, past where the pools
+                                         stop, and exits 4 with the full
+                                         report
 
 Two checkouts give the same lines exactly when every command exits with the
 same code and writes the same bytes, so comparing a change with its parent
@@ -99,6 +106,9 @@ def main() -> None:
             params = instance.config["params"]
             params = {**params, "method": "closed-form", "depth": params["order"]}
             print("coeffs-closed-form", index, *digest(instance.command, {**instance.config, "params": params}))
+        for index, instance in enumerate(pools["coeffs"]):
+            params = {**instance.config["params"], "method": "series", "order": 16, "tail_tol": 0.0}
+            print("coeffs-series-unconverged", index, *digest(instance.command, {**instance.config, "params": params}))
 
 
 if __name__ == "__main__":

@@ -20,6 +20,14 @@ complex ``*``, ``/`` or ``abs``: they round some values differently from
 Python's complex arithmetic, so products and quotients are written out in
 real arithmetic and moduli are taken with Python's ``abs``.
 
+The series holds its terms as sorted packed keys in one box, fixed from
+``max_order`` the way :func:`coeffset.reach` fixes its box, and builds one
+order at a time: per order one broadcast add of the harmonics' key shifts,
+one stable sort with a neighbour mask for the distinct targets, one
+``searchsorted`` to place the candidates, and one ``unpack`` and one
+batched |g+t|^2 call on the targets alone.  Nothing past the order where
+the series stops is built.
+
 The closed form is one plan and one evaluation.  The plan holds the
 structure alone: the target offsets, plane-major and lexicographic within a
 plane, and every (target, harmonic, predecessor) triple in the order the
@@ -136,28 +144,17 @@ def _require_classified(q: FourierPotential) -> tuple[int, str]:
     return (q.k or 1, q.sign or "+")
 
 
-def _guard(denom: np.ndarray, tol: float, offsets: np.ndarray, message: str) -> None:
-    """:class:`ResonanceError` at the first denominator below the guard."""
-    bad = np.flatnonzero(np.abs(denom) < tol)
-    if bad.size:
-        index, value = tuple(offsets[bad[0]].tolist()), float(denom[bad[0]])
-        raise ResonanceError(message.format(index, value), index=index, value=value)
+def _guard(gap: np.ndarray, tol: float, offsets: np.ndarray, message: str, at=None) -> None:
+    """:class:`ResonanceError` at the first gap below the guard.
 
-
-def _apply(basis, support, qvals, gamma, t, lam, tol, offsets, values):
-    """One application of the gap-weighted convolution to coefficient arrays.
-
-    Sends mass at offset delta to delta + g1 for every support index g1 of
-    the potential, weighted by q_{g1} / (lam - |gamma + delta + g1 + t|^2);
-    raises :class:`ResonanceError` when a target denominator is below
-    ``tol``.  The result is sorted, zeros dropped.
+    ``gap[i]`` belongs to row i of ``offsets``; with ``at`` the gaps are
+    read in the order of ``gap[at]``.
     """
-    rows, re, im = coeffset.convolve_rows(support, qvals, offsets, values)
-    first, inverse = coeffset.unique_rows(rows)
-    denom = (lam - eigenvalues(basis, rows[first] + gamma, t))[inverse]
-    _guard(denom, tol, rows, "resonant denominator at offset {}: {!r}")
-    re, im = coeffset.divide(re, im, denom)
-    return coeffset.nonzero(rows[first], coeffset.accumulate(inverse, re, im, first.size))
+    bad = np.abs(gap) < tol
+    if bad.any():
+        row = np.flatnonzero(bad)[0] if at is None else at[np.flatnonzero(bad[at])[0]]
+        index, value = tuple(offsets[row].tolist()), float(gap[row])
+        raise ResonanceError(message.format(index, value), index=index, value=value)
 
 
 def bloch_series(
@@ -172,7 +169,15 @@ def bloch_series(
 
     Stops when the l1 mass of the newest term drops below ``tail_tol`` or at
     ``max_order``; the achieved tail and convergence flag are recorded on
-    the result rather than raised, so callers can decide.
+    the result rather than raised, so callers can decide.  Raises
+    ``ValueError`` at the first order that reaches an offset with an entry
+    beyond int64.
+
+    One application of A sends the term's mass at delta to delta + g1 for
+    every harmonic g1 (harmonic outer, predecessor inner: the order the sums
+    are taken in), weighted by q_{g1} / (lam - |gamma + delta + g1 + t|^2),
+    and drops exact zeros; :class:`ResonanceError` names the first
+    candidate, in that order, whose denominator is below the guard.
     """
     k, sign = _require_classified(q)
     gamma = as_index(gamma, basis.dimension)
@@ -180,18 +185,30 @@ def bloch_series(
     lam = eigenvalue(basis, gamma, t)
     tol = denominator_tolerance(lam)
     support, qvals = coeffset.from_mapping(q.coeffs, basis.dimension)
+    q_re, q_im = qvals.real[:, None], qvals.imag[:, None]
+    lo, spans, keys, shifts = coeffset.sum_box(support, max(max_order, 0))
+    shifts = shifts[:, None]
 
     # the bare plane wave: 1 at offset 0
-    term = np.zeros((1, basis.dimension), dtype=np.int64), np.ones(1, dtype=complex)
-    terms = [term]
+    values = np.ones(1, dtype=complex)
+    terms = [(keys, values)]
     masses: list[float] = []
     tail = 0.0
     order = 0
     for order in range(1, max_order + 1):
-        term = _apply(basis, support, qvals, gamma, t, lam, tol, *term)
-        tail = sum(map(abs, term[1].tolist()))
+        candidates = (keys + shifts).ravel()
+        targets, at = coeffset.group(candidates)
+        rows = coeffset.unpack(targets, lo, spans)
+        if len(rows) < len(targets):
+            raise ValueError(f"series order {order} reaches an offset beyond int64")
+        gap = lam - eigenvalues(basis, rows + gamma, t)
+        _guard(gap, tol, rows, "resonant denominator at offset {}: {!r}", at)
+        re, im = coeffset.product(q_re, q_im, values.real, values.imag)
+        re, im = coeffset.divide(re.ravel(), im.ravel(), gap[at])
+        keys, values = coeffset.nonzero(targets, coeffset.accumulate(at, re, im, targets.size))
+        tail = sum(map(abs, values.tolist()))
         masses.append(tail)
-        terms.append(term)
+        terms.append((keys, values))
         if tail < tail_tol:
             break
     if not q.coeffs:
@@ -199,17 +216,16 @@ def bloch_series(
 
     # the base entry sums to exactly 1 + 0j: no term reaches plane 0
     values = np.concatenate([v for _, v in terms])
-    offsets, values = coeffset.nonzero(
-        *coeffset.merge(
-            np.concatenate([n for n, _ in terms]), values.real, values.imag
-        )
+    targets, at = coeffset.group(np.concatenate([n for n, _ in terms]))
+    keys, values = coeffset.nonzero(
+        targets, coeffset.accumulate(at, values.real, values.imag, targets.size)
     )
     return BlochCoefficients(
         gamma=gamma,
         t=tuple(float(x) for x in t),
         k=k,
         sign=sign,
-        offsets=offsets,
+        offsets=coeffset.unpack(keys, lo, spans),
         values=values,
         order=order,
         lam=lam,

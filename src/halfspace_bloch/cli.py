@@ -61,6 +61,11 @@ BALL_MAX_BOX = 1e6
 #: ones; the benchmark's instances use n <= 2
 ONED_MAX_N = 1000
 
+#: largest n^2 * h, h the nonzero harmonics on 1..2n, of the pi-exact 1-D
+#: criterion, whose time tracks it: 1 s at n = 1000 with two rational
+#: harmonics, 2.6 s at n = 707 with four, 37 s at n = 300 with 600
+ONED_MAX_WORK = 2e6
+
 _GUARD_ERRORS = (
     CutoffError, DegenerateBasisError, MalformedCoefficientsError, NoEigenvectorError,
     ResonanceError, TriangularityError,
@@ -371,7 +376,7 @@ def cmd_oracle(doc: dict, want_matrix: bool = False):
     _require_class_s(pot.q, "oracle")
 
     spectrum_values = galerkin.truncated_spectrum(op)
-    free_values = tuple(sorted(spectrum.eigenvalues(basis, op.indices, t).tolist()))
+    free_values = tuple(sorted(op.diagonal.tolist()))
     report["spectrum_match"] = spectrum_values == free_values
 
     try:
@@ -411,6 +416,14 @@ def cmd_multiplicity(doc: dict) -> tuple[dict, int]:
         raise ConfigError(message, field="potential")
     n = _param(params, "n", 1, int, minimum=1, maximum=ONED_MAX_N if run_criterion else INDEX_MAX)
     criterion_tol = _param(params, "criterion_tol", rootfn.CRITERION_TOL, minimum=0.0)
+    if run_criterion and pot.pi_exact:
+        harmonics = sum(1 for m, v in pot.reduced.items() if m <= 2 * n and v != 0)
+        if n * n * harmonics > ONED_MAX_WORK:
+            raise ConfigError(
+                f"the pi-exact 1-D criterion at n={n} over {harmonics} harmonics needs "
+                f"n^2 * harmonics = {n * n * harmonics:.3g}, more than {ONED_MAX_WORK:.3g}",
+                field="potential",
+            )
     if run_oracle:
         t = parse_t(doc, basis)
         cutoff = _ball(params, basis, "cutoff", float(2 * math.pi * (3 * n + 2)))

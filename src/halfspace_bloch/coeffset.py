@@ -87,13 +87,13 @@ def unpack(keys: np.ndarray, lo: Sequence[int], spans: Sequence[int]) -> np.ndar
     in key order, less the rows with an entry beyond int64 (only exact
     keys, in an object array, can name those)."""
     cols = []
-    for j in reversed(range(len(spans))):
+    for j in range(len(spans) - 1, 0, -1):
         cols.append(keys % spans[j] + lo[j])
         keys = keys // spans[j]
-    rows = np.array(cols[::-1]).reshape(len(spans), -1).T
+    rows = np.stack([keys + lo[0], *cols[::-1]], axis=1)
     if rows.dtype == object:
         rows = rows[np.all((rows >= -_KEY_LIMIT) & (rows < _KEY_LIMIT), axis=1)]
-    return rows.astype(np.int64)
+    return rows.astype(np.int64, copy=False)
 
 
 class IndexBox:
@@ -135,6 +135,39 @@ class IndexBox:
         return np.all((steps > -self.spans) & (steps < self.spans), axis=1).astype(bool)
 
 
+def sum_box(steps: np.ndarray, top: int):
+    """(lo, spans, origin, shifts) of the box that holds every sum of at most
+    ``top`` rows of the (s, d) int64 array ``steps``.
+
+    The box is top * min(0, g_j) <= x_j <= top * max(0, g_j) over the rows;
+    ``origin`` is the one-entry array of the :func:`pack` key of 0 and
+    ``shifts[i]`` the key change of row i.  :func:`pack` is linear and
+    one-to-one on the box, so a sum's key is the origin's plus its rows'
+    shifts (exact Python ints when the box is too wide for int64).
+    """
+    lo = [top * v for v in steps.min(axis=0, initial=0).tolist()]
+    hi = [top * v for v in steps.max(axis=0, initial=0).tolist()]
+    spans = [h - m + 1 for m, h in zip(lo, hi)]
+    keys = pack(np.vstack([np.zeros((1, steps.shape[1]), dtype=np.int64), steps]), lo, spans)
+    return lo, spans, keys[:1], keys[1:] - keys[0]
+
+
+def distinct(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of a 1-D key array: one stable sort and a
+    neighbour mask.  The stable sort merges the sorted runs of its input,
+    so keys laid out as a few shifted copies of sorted layers sort fast."""
+    keys = np.sort(keys, kind="stable")
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
+def group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(targets, at): the :func:`distinct` keys and the place of each key among them."""
+    targets = distinct(keys)
+    return targets, np.searchsorted(targets, keys)
+
+
 #: the packed-key layers of the reachable offsets (see :func:`reach`)
 Reach = namedtuple("Reach", "lo spans shifts layers")
 
@@ -145,36 +178,25 @@ def reach(steps: tuple, rises: tuple, top: int) -> Reach:
 
     Step i rises ``rises[i] >= 1`` planes.  ``layers[p]``, p = 0 .. top,
     holds the sorted distinct :func:`pack` keys of the sums that rise p
-    planes in all, over the box ``lo``, ``spans``; ``shifts[i]`` is the key
-    change of step i.  Every sum of at most ``top`` steps lies in the box
-    top * min(0, g_j) <= x_j <= top * max(0, g_j) over the steps, where
-    :func:`pack` is linear and one-to-one (exact Python ints when the box is
-    too wide for int64).  So a layer is the union of the layers below it,
-    each shifted by its step with one integer add, sorted and stripped of
-    repeats: work and memory follow the reachable set, never the box.  The
-    last few walks are kept, read-only, so that the interior cone and the
-    closed form of one instance share one.
+    planes in all, over the box ``lo``, ``spans`` of :func:`sum_box`;
+    ``shifts[i]`` is the key change of step i.  So a layer is the union of
+    the layers below it, each shifted by its steps with one broadcast add
+    per distinct rise, sorted and stripped of repeats: work and memory
+    follow the reachable set, never the box.  The last few walks are kept,
+    read-only, so that the interior cone and the closed form of one
+    instance share one.
     """
-    arr = np.array(steps, dtype=np.int64)
-    lo = [top * min(0, v) for v in arr.min(axis=0).tolist()]
-    hi = [top * max(0, v) for v in arr.max(axis=0).tolist()]
-    spans = [h - m + 1 for m, h in zip(lo, hi)]
-    keys = pack(np.vstack([np.zeros_like(arr[:1]), arr]), lo, spans)
-    origin, shifts = keys[:1], (keys[1:] - keys[0]).tolist()
+    lo, spans, origin, shifts = sum_box(np.array(steps, dtype=np.int64), top)
+    rises = np.array(rises)
+    by_rise = [(r, shifts[rises == r][:, None]) for r in dict.fromkeys(rises.tolist())]
     layers = [origin]
     for p in range(1, top + 1):
-        keys = np.concatenate(
-            [origin[:0], *(layers[p - r] + s for s, r in zip(shifts, rises) if r <= p)]
-        )
-        # a stable argsort, the kernel unique_rows runs already: the sort
-        # kernels each map a few hundred kB of code into the process
-        keys = keys[np.argsort(keys, kind="stable")]
-        distinct = np.ones(keys.size, dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
-        layers.append(keys[distinct])
+        layers.append(distinct(np.concatenate(
+            [origin[:0], *((layers[p - r] + s).ravel() for r, s in by_rise if r <= p)]
+        )))
     for layer in layers:
         layer.setflags(write=False)
-    return Reach(tuple(lo), tuple(spans), tuple(shifts), tuple(layers))
+    return Reach(tuple(lo), tuple(spans), tuple(shifts.tolist()), tuple(layers))
 
 
 def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -224,15 +246,11 @@ def nonzero(offsets: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nda
     return offsets[keep], values[keep]
 
 
-def merge(rows: np.ndarray, re, im) -> tuple[np.ndarray, np.ndarray]:
-    """Sum the weights of equal rows: a sorted coefficient set, zeros kept."""
-    first, inverse = unique_rows(rows)
-    return rows[first], accumulate(inverse, re, im, first.size)
-
-
 def convolve(a_offsets, a_values, b_offsets, b_values):
     """Sparse convolution of two coefficient sets; exact zeros are dropped."""
-    return nonzero(*merge(*convolve_rows(a_offsets, a_values, b_offsets, b_values)))
+    rows, re, im = convolve_rows(a_offsets, a_values, b_offsets, b_values)
+    first, inverse = unique_rows(rows)
+    return nonzero(rows[first], accumulate(inverse, re, im, first.size))
 
 
 def fourier_sum(waves: np.ndarray, values, x: np.ndarray) -> complex:

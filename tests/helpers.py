@@ -229,9 +229,13 @@ def oned_oracle_multiplicity(reduced: dict, n: int, cutoff_planes: int | None = 
 def apply_A(basis, q, gamma, t, coeffs, denom_tol=None):
     """One application of the series transformation A to a coefficient map.
 
-    Not an oracle: it runs the library's own kernel ``bloch._apply``, the
-    step ``bloch_series`` takes, so tests can apply A to a given map;
-    ``reference_apply_A`` is the dict loop it must match.
+    Not an oracle: a row kernel on the library's ``coeffset`` primitives and
+    guard, so tests can apply A to a map in any order;
+    ``reference_apply_A`` is the dict loop it must match.  Sends mass at
+    offset delta to delta + g1 for every support index g1 of the potential,
+    weighted by q_{g1} / (lam - |gamma + delta + g1 + t|^2); raises
+    :class:`ResonanceError` at the first target denominator below the
+    tolerance.  The result is sorted, zeros dropped.
     """
     gamma = lattice.as_index(gamma, basis.dimension)
     t = np.asarray(t, dtype=float)
@@ -239,8 +243,13 @@ def apply_A(basis, q, gamma, t, coeffs, denom_tol=None):
     tol = bloch.denominator_tolerance(lam) if denom_tol is None else denom_tol
     support, qvals = coeffset.from_mapping(q.coeffs, basis.dimension)
     offsets, values = coeffset.from_mapping(coeffs, basis.dimension)
-    rows, vals = bloch._apply(basis, support, qvals, gamma, t, lam, tol, offsets, values)
-    return coeffset.to_dict(rows, vals)
+    rows, re, im = coeffset.convolve_rows(support, qvals, offsets, values)
+    first, inverse = coeffset.unique_rows(rows)
+    denom = (lam - spectrum.eigenvalues(basis, rows[first] + gamma, t))[inverse]
+    bloch._guard(denom, tol, rows, "resonant denominator at offset {}: {!r}")
+    re, im = coeffset.divide(re, im, denom)
+    out = coeffset.nonzero(rows[first], coeffset.accumulate(inverse, re, im, first.size))
+    return coeffset.to_dict(*out)
 
 
 def reference_apply_A(basis, q, gamma, t, coeffs, denom_tol=None):

@@ -53,6 +53,14 @@ def test_series_zero_potential():
     assert out.tail == 0.0 and out.converged
 
 
+@pytest.mark.parametrize("max_order", [0, -1, -3])
+def test_series_without_orders_is_the_bare_wave(max_order):
+    q = hb.FourierPotential(BASIS, {(1, 0): 0.1, (1, -2): 0.2, (2, 1): 0.05})
+    out = bloch.bloch_series(BASIS, q, (0, 0), T, max_order=max_order)
+    assert out.coeffs == {(0, 0): 1.0}
+    assert (out.order, out.term_masses) == (0, ())
+
+
 def test_series_single_harmonic_values():
     out = bloch.bloch_series(BASIS, single_harmonic(), (0, 0), T, max_order=12)
     assert out.coeffs[(0, 0)] == 1.0

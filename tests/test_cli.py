@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -966,6 +967,28 @@ def test_contract_exit_codes(tmp_path, capsys, command, config, code, stderr):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == stderr + "\n"
+
+
+def test_pi_exact_criterion_work_is_bounded(tmp_path, capsys):
+    # 600 rational harmonics at n = 300 ran the Fraction recursion for 37 s;
+    # the work bound turns them away before its first step
+    path = tmp_path / "config.json"
+    potential = [{"index": [m], "re": "3/10"} for m in range(1, 601)]
+    config = {**_ONED, "potential": potential, "params": {"mode": "1d-criterion", "n": 300}}
+    path.write_text(json.dumps(config), encoding="utf-8")
+    started = time.perf_counter()
+    assert cli.main(["multiplicity", "--config", str(path)]) == 2
+    assert time.perf_counter() - started < 1.0
+    assert capsys.readouterr().err == (
+        "config error (potential): the pi-exact 1-D criterion at n=300 over 600 harmonics "
+        "needs n^2 * harmonics = 5.4e+07, more than 2e+06\n"
+    )
+    # n = 1000 with two rational harmonics sits at the bound and still runs
+    potential = [{"index": [1], "re": "1/2"}, {"index": [2], "re": "-3/10"}]
+    config = {**_ONED, "potential": potential, "params": {"mode": "1d-criterion", "n": 1000}}
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main(["multiplicity", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["pi_exact"] is True
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])

@@ -324,3 +324,18 @@ def test_unpack_leaves_out_sums_beyond_int64():
     rows = coeffset.unpack(np.concatenate(walk.layers), walk.lo, walk.spans)
     assert rows.dtype == np.int64
     assert rows.tolist() == [[0, 0]] + [[p, b * 2**62] for p in range(1, 7) for b in (0, 1)]
+
+
+def test_series_raises_at_the_order_that_leaves_int64():
+    # order 2 reaches (2, 2**63): the box of max_order 3 holds it as an
+    # exact key, and the series names the order instead of wrapping it into
+    # the offset (2, -2**63)
+    basis = hb.identity_basis(2)
+    q = hb.FourierPotential(basis, {(1, 0): 0.1, (1, 2**62): 0.1})
+    t = (0.31, 0.17)
+    with pytest.raises(ValueError, match="series order 2 reaches an offset beyond int64"):
+        bloch.bloch_series(basis, q, (0, 0), t, max_order=3)
+    # order 1 stays in int64 and, on the same exact-key box, equals the dict loop
+    got = bloch.bloch_series(basis, q, (0, 0), t, max_order=1)
+    ref = helpers.reference_series(basis, q, (0, 0), t, 1, bloch.DEFAULT_TAIL_TOL)
+    assert_same((got.coeffs, got.order, got.tail, got.term_masses), ref)

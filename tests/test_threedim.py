@@ -1,6 +1,7 @@
 """Dimension-generic checks in d = 3: nothing in the core code is 2-D-specific."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -41,6 +42,21 @@ def test_series_closed_form_agree_3d():
     closed = bloch.closed_form_coeffs(BASIS3, q, (0, 0, 0), T3, depth=5)
     assert bloch.max_discrepancy(series, closed, max_plane=5) < 1e-10
     assert bloch.residual(BASIS3, q, series) < 1e-8
+
+
+def test_series_builds_nothing_past_its_stopping_order():
+    # the series stops at order 7; a max_order of 10_000 only sizes its key
+    # box, and a walk of every order up to it would blow the floor
+    q = potential3()
+    started = time.perf_counter()
+    far = bloch.bloch_series(BASIS3, q, (0, 0, 0), T3, max_order=10_000)
+    elapsed = time.perf_counter() - started
+    near = bloch.bloch_series(BASIS3, q, (0, 0, 0), T3, max_order=40)
+    assert far.converged and far.order == near.order < 40
+    assert far.offsets.tolist() == near.offsets.tolist()
+    assert repr(far.values.tolist()) == repr(near.values.tolist())
+    assert (far.tail, far.term_masses) == (near.tail, near.term_masses)
+    assert elapsed < 2.0
 
 
 def test_degeneracy_group_3d_unit_sphere():
