@@ -8,7 +8,7 @@ in one process and prints
     workload index exit sha256
 
 per instance, where the hash covers the instance's stdout, stderr and
-output file.  Five tagged variants follow, so that outputs the timed pools do
+output file.  Six tagged variants follow, so that outputs the timed pools do
 not write are checked as well:
 
     fermi-json index exit sha256         every fermi instance with --format json
@@ -29,6 +29,13 @@ not write are checked as well:
                                          every order, past where the pools
                                          stop, and exits 4 with the full
                                          report
+    multiplicity-deep index exit sha256  every 2-D multiplicity instance with
+                                         params.member moved onto plane 0 of
+                                         the lam = 9 and the lam = 16 group
+                                         ([0, 3s] and [0, 4s], transposed for
+                                         k = 2) and without params.cutoff:
+                                         second-plane systems 3 and 4 planes
+                                         deep, at the default radii
 
 Two checkouts give the same lines exactly when every command exits with the
 same code and writes the same bytes, so comparing a change with its parent
@@ -109,6 +116,15 @@ def main() -> None:
         for index, instance in enumerate(pools["coeffs"]):
             params = {**instance.config["params"], "method": "series", "order": 16, "tail_tol": 0.0}
             print("coeffs-series-unconverged", index, *digest(instance.command, {**instance.config, "params": params}))
+        for index, instance in enumerate(pools["multiplicity"]):
+            params = dict(instance.config["params"])
+            if params["mode"] != "2d-second-plane":
+                continue
+            del params["cutoff"]
+            k, s = params["k"], params["member"][2 - params["k"]]
+            for m in (3, 4):
+                params["member"] = [0, m * s] if k == 1 else [m * s, 0]
+                print("multiplicity-deep", index, *digest(instance.command, {**instance.config, "params": params}))
 
 
 if __name__ == "__main__":

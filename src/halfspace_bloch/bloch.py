@@ -236,7 +236,7 @@ def bloch_series(
 
 
 #: the closed form's structure on a target set, values aside (see :func:`_plan`)
-_Plan = namedtuple("_Plan", "offsets bounds lex harmonics targets local predecessors cuts")
+_Plan = namedtuple("_Plan", "offsets bounds box harmonics targets local predecessors cuts")
 
 
 def _plan(support: np.ndarray, k: int, sign: str, offsets: np.ndarray, depth: int) -> _Plan:
@@ -244,7 +244,8 @@ def _plan(support: np.ndarray, k: int, sign: str, offsets: np.ndarray, depth: in
     lexicographic within a plane.
 
     ``bounds[p]`` is the first row of plane p (then the row count) and
-    ``lex`` lists the rows in lexicographic order.  Triple j carries row
+    ``box`` the :class:`coeffset.IndexBox` of the offsets, whose ``rows``
+    list them in lexicographic order.  Triple j carries row
     ``predecessors[j]`` by support entry ``harmonics[j]`` to row
     ``targets[j]``, ``local[j]`` places into its plane; the triples, found
     by one batched convolution and one packed-key lookup, run in
@@ -273,7 +274,7 @@ def _plan(support: np.ndarray, k: int, sign: str, offsets: np.ndarray, depth: in
     return _Plan(
         offsets=offsets,
         bounds=bounds.tolist(),
-        lex=box.rows,
+        box=box,
         harmonics=order[step],
         targets=targets,
         local=targets - bounds[planes[targets]],
@@ -316,6 +317,17 @@ def _evaluate(plan: _Plan, qvals: np.ndarray, d: np.ndarray, tol: float):
     return values, kept
 
 
+def _reachable(q: FourierPotential, k: int, sign: str, depth: int) -> np.ndarray:
+    """The offsets reachable within ``depth`` planes, plane-major and
+    lexicographic within a plane, less any with an entry beyond int64: the
+    :func:`coeffset.reach` walk as an (m, d) array, 0 in its first row."""
+    if not q.coeffs:
+        return np.zeros((1, q.basis.dimension), dtype=np.int64)
+    steps = tuple(q.coeffs)
+    walk = coeffset.reach(steps, tuple(sign_value(sign) * g1[k - 1] for g1 in steps), depth)
+    return coeffset.unpack(np.concatenate(walk.layers), walk.lo, walk.spans)
+
+
 def closed_form_coeffs(
     basis: LatticeBasis,
     q: FourierPotential,
@@ -340,11 +352,7 @@ def closed_form_coeffs(
     lam = eigenvalue(basis, gamma, t)
     tol = denominator_tolerance(lam)
     support, qvals = coeffset.from_mapping(q.coeffs, basis.dimension)
-    reachable = np.zeros((1, basis.dimension), dtype=np.int64)
-    if q.coeffs:
-        steps = tuple(q.coeffs)
-        walk = coeffset.reach(steps, tuple(sign_value(sign) * g1[k - 1] for g1 in steps), depth)
-        reachable = coeffset.unpack(np.concatenate(walk.layers), walk.lo, walk.spans)
+    reachable = _reachable(q, k, sign, depth)
     if targets is None:
         targets = reachable
     elif np.any(np.abs(lam - eigenvalues(basis, reachable[1:] + gamma, t)) < tol):
@@ -353,7 +361,7 @@ def closed_form_coeffs(
         closed_form_coeffs(basis, q, gamma, t, depth)
     plan = _plan(support, k, sign, np.asarray(targets, dtype=np.int64), depth)
     values, kept = _evaluate(plan, qvals, lam - eigenvalues(basis, plan.offsets + gamma, t), tol)
-    kept = plan.lex[kept[plan.lex]]
+    kept = plan.box.rows[kept[plan.box.rows]]
     return BlochCoefficients(
         gamma=gamma,
         t=tuple(float(x) for x in t),

@@ -477,7 +477,7 @@ def _multiplicity_second_plane(doc: dict, params: dict) -> tuple[dict, int]:
             field="params.member",
         )
     j = group.planes[1].members.index(member)
-    result = rootfn.second_plane_solve(basis, pot.q, group, j, t, criterion_tol=criterion_tol)
+    result = rootfn.second_plane_solve(basis, pot.q, group, j, criterion_tol=criterion_tol)
     op = galerkin.build(basis, pot.q, t, cutoff)
     try:
         op.position(member)

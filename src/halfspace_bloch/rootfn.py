@@ -5,7 +5,11 @@ second-plane member solves a finite triangular system plane by plane; the
 rows belonging to the leading (first-plane) members cannot be solved and
 instead yield one scalar per leading member.  The root function is an
 eigenfunction exactly when all those scalars vanish; otherwise it is a
-first associated function.
+first associated function.  That system is the closed form's recursion
+from the member (:mod:`bloch`): one plan over the offsets reachable within
+the planes up to the leading plane, and one evaluation of it with
+d = lam - |member + delta + t|^2, in which the leading members' rows divide
+by 1, so that their values are the criterion's numerators.
 
 The one-dimensional periodic problem (period 1, potential supported on
 positive harmonics) admits the fully explicit version: coefficients c_p of
@@ -21,15 +25,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .errors import MalformedCoefficientsError, ResonanceError
-from .lattice import IndexVector, LatticeBasis, decompose
+from . import bloch, coeffset
+from .errors import MalformedCoefficientsError
+from .lattice import IndexVector, LatticeBasis
 from .potential import FourierPotential
-from .spectrum import EigenGroup, eigenvalue
-from .bloch import denominator_tolerance
+from .spectrum import EigenGroup, eigenvalues
 
 #: absolute size below which a criterion value counts as zero
 CRITERION_TOL = 1e-10
@@ -84,15 +88,16 @@ def second_plane_solve(
     q: FourierPotential,
     group: EigenGroup,
     j: int,
-    t: Sequence[float],
     criterion_tol: float = CRITERION_TOL,
 ) -> RootFunctionReport:
     """Solve the second-plane system for member j and evaluate the criterion.
 
-    ``j`` indexes the second plane's member list (0-based).  The system is
-    solved for planes n_2+1 .. n_1; left factors vanishing away from the
-    group indicate a collision the grouping missed and raise
-    :class:`ResonanceError`.
+    ``j`` indexes the second plane's member list (0-based); the system is
+    the one at ``group.t``.  It is the closed form's plan from the member
+    over the n_1 - n_2 planes up to the leading plane, evaluated with
+    d = lam - |member + delta + t|^2 (module docstring).  Left factors
+    vanishing away from the leading members indicate a collision the
+    grouping missed and raise :class:`ResonanceError`.
     """
     if len(group.planes) < 2:
         raise ValueError("group has a single plane: no second-plane members")
@@ -100,68 +105,33 @@ def second_plane_solve(
         raise ValueError(
             f"potential must be classified (k={group.k}, '+') to match the group"
         )
-    k = group.k
-    t = np.asarray(t, dtype=float)
-    lam = group.lam
-    tol = denominator_tolerance(lam)
-
-    n1 = group.planes[0].n
-    n2 = group.planes[1].n
-    member = group.planes[1].members[j]
-    delta = decompose(member, k)[0]
-    leading_a = tuple(decompose(b, k)[0] for b in group.planes[0].members)
-    group_set = set(group.member_indices())
-
-    # potential split as q_{u + m v_k}: plane m -> {u: coefficient}
-    q_planes: dict[int, dict[IndexVector, complex]] = {}
-    for g1, qv in q.coeffs.items():
-        a, m = decompose(g1, k)
-        q_planes.setdefault(m, {})[a] = qv
-
-    def index_at(a: IndexVector, n: int) -> IndexVector:
-        return a[: k - 1] + (n,) + a[k:]
-
-    # c[(a, n)] over planes n2+1 .. n1; the base carries weight 1 at (delta, n2)
-    coeffs: dict[tuple[IndexVector, int], complex] = {}
-
-    def numerator(a: IndexVector, n: int) -> complex:
-        base_jump = q_planes.get(n - n2, {})
-        total = base_jump.get(tuple(x - y for x, y in zip(a, delta)), 0j)
-        for m in range(1, n - n2):
-            plane = q_planes.get(m)
-            if not plane:
-                continue
-            for u, qv in plane.items():
-                prev = coeffs.get((tuple(x - y for x, y in zip(a, u)), n - m))
-                if prev is not None:
-                    total += prev * qv
-        return total
-
-    reach: set[IndexVector] = {delta}
-    for n in range(n2 + 1, n1 + 1):
-        reach = {
-            tuple(x + y for x, y in zip(a, u))
-            for a in reach
-            for m, plane in q_planes.items()
-            for u in plane
-        } | reach
-        for a in sorted(reach):
-            num = numerator(a, n)
-            point = index_at(a, n)
-            left = lam - eigenvalue(basis, point, t)
-            if abs(left) < tol:
-                if point in group_set:
-                    continue  # criterion rows handled below
-                raise ResonanceError(
-                    f"left factor vanished at non-group index {point}; the "
-                    "grouping cutoff missed a collision",
-                    index=point,
-                    value=left,
-                )
-            if num != 0:
-                coeffs[(a, n)] = num / left
-
-    criterion = tuple(numerator(a_i, n1) for a_i in leading_a)
+    members = group.planes[1].members
+    if not 0 <= j < len(members):
+        raise IndexError(f"j={j} is not a second-plane member (0..{len(members) - 1})")
+    k, member = group.k, members[j]
+    depth = group.planes[0].n - group.planes[1].n
+    support, qvals = coeffset.from_mapping(q.coeffs, basis.dimension)
+    plan = bloch._plan(support, k, "+", bloch._reachable(q, k, "+", depth), depth)
+    points = plan.offsets + member
+    d = group.lam - eigenvalues(basis, points, group.t)
+    tol = bloch.denominator_tolerance(group.lam)
+    # the leading members' rows divide by 1: their values are the numerators
+    leading = plan.box.find(np.array(group.planes[0].members) - member)
+    lead_rows = leading[leading >= 0]
+    d[lead_rows] = 1.0
+    bloch._guard(
+        d[plan.bounds[1]:], tol, points[plan.bounds[1]:],
+        "left factor vanished at non-group index {}; the grouping cutoff missed a collision",
+    )
+    values, kept = bloch._evaluate(plan, qvals, d, tol)
+    criterion = tuple(values[i].item() if i >= 0 else 0j for i in leading.tolist())
+    # c(a, n) on the kept rows above the base, less the leading members
+    kept[: plan.bounds[1]] = False
+    kept[lead_rows] = False
+    n = points[kept, k - 1].tolist()
+    a = points[kept]
+    a[:, k - 1] = 0
+    coeffs = dict(zip(zip(map(tuple, a.tolist()), n), values[kept].tolist()))
     all_zero = all(abs(c) <= criterion_tol for c in criterion)
     return RootFunctionReport(
         group=group,

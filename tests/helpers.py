@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 import halfspace_bloch as hb
-from halfspace_bloch import bloch, coeffset, galerkin, lattice, spectrum
+from halfspace_bloch import bloch, coeffset, galerkin, lattice, rootfn, spectrum
 from halfspace_bloch.errors import NoEigenvectorError, ResonanceError
 
 # -- geometry oracles ---------------------------------------------------------
@@ -337,6 +337,97 @@ def reference_closed_form(basis, q, gamma, t, depth):
     for p in range(1, depth + 1):
         coeffs.update(computed[p])
     return dict(sorted(coeffs.items()))
+
+
+def reference_second_plane_solve(basis, q, group, j, criterion_tol=rootfn.CRITERION_TOL):
+    """The second-plane system by the dict loop over (a, n), at ``group.t``.
+
+    The base carries weight 1 at the member; each plane n_2+1 .. n_1 is the
+    potential convolution of the planes below, divided by its left factor,
+    with the group's rows skipped; the criterion is the numerator at each
+    leading member.
+    """
+    if len(group.planes) < 2:
+        raise ValueError("group has a single plane: no second-plane members")
+    if q.classification is None or q.sign != "+" or q.k != group.k:
+        raise ValueError(
+            f"potential must be classified (k={group.k}, '+') to match the group"
+        )
+    k = group.k
+    t = np.asarray(group.t, dtype=float)
+    lam = group.lam
+    tol = bloch.denominator_tolerance(lam)
+
+    n1 = group.planes[0].n
+    n2 = group.planes[1].n
+    member = group.planes[1].members[j]
+    delta = lattice.decompose(member, k)[0]
+    leading_a = tuple(lattice.decompose(b, k)[0] for b in group.planes[0].members)
+    group_set = set(group.member_indices())
+
+    # potential split as q_{u + m v_k}: plane m -> {u: coefficient}
+    q_planes = {}
+    for g1, qv in q.coeffs.items():
+        a, m = lattice.decompose(g1, k)
+        q_planes.setdefault(m, {})[a] = qv
+
+    def index_at(a, n):
+        return a[: k - 1] + (n,) + a[k:]
+
+    # c[(a, n)] over planes n2+1 .. n1; the base carries weight 1 at (delta, n2)
+    coeffs = {}
+
+    def numerator(a, n):
+        base_jump = q_planes.get(n - n2, {})
+        total = base_jump.get(tuple(x - y for x, y in zip(a, delta)), 0j)
+        for m in range(1, n - n2):
+            plane = q_planes.get(m)
+            if not plane:
+                continue
+            for u, qv in plane.items():
+                prev = coeffs.get((tuple(x - y for x, y in zip(a, u)), n - m))
+                if prev is not None:
+                    total += prev * qv
+        return total
+
+    reach = {delta}
+    for n in range(n2 + 1, n1 + 1):
+        reach = {
+            tuple(x + y for x, y in zip(a, u))
+            for a in reach
+            for m, plane in q_planes.items()
+            for u in plane
+        } | reach
+        for a in sorted(reach):
+            num = numerator(a, n)
+            point = index_at(a, n)
+            left = lam - spectrum.eigenvalue(basis, point, t)
+            if abs(left) < tol:
+                if point in group_set:
+                    continue  # criterion rows handled below
+                raise ResonanceError(
+                    f"left factor vanished at non-group index {point}; the "
+                    "grouping cutoff missed a collision",
+                    index=point,
+                    value=left,
+                )
+            if num != 0:
+                coeffs[(a, n)] = num / left
+
+    criterion = tuple(numerator(a_i, n1) for a_i in leading_a)
+    all_zero = all(abs(c) <= criterion_tol for c in criterion)
+    return rootfn.RootFunctionReport(
+        group=group,
+        plane=2,
+        member=member,
+        coefficients=coeffs,
+        criterion_values=criterion,
+        classification=(
+            rootfn.Classification.EIGENFUNCTION if all_zero else rootfn.Classification.ASSOCIATED
+        ),
+        associated_bound=None if all_zero else 1,
+        criterion_tol=criterion_tol,
+    )
 
 
 def reference_convolve(a, b):

@@ -191,7 +191,7 @@ def test_criterion_7_second_plane_criterion_vs_jordan_probe():
             op = galerkin.build(IDENTITY, q, (0.0, 0.0), 6.0)
             for member in group.planes[1].members:
                 j = group.planes[1].members.index(member)
-                rep = rootfn.second_plane_solve(IDENTITY, q, group, j, (0.0, 0.0))
+                rep = rootfn.second_plane_solve(IDENTITY, q, group, j)
                 subset = [
                     n for n, p in zip(op.index_set, op.planes) if p >= 1
                 ] + [member]

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,7 +8,7 @@ import pytest
 
 import halfspace_bloch as hb
 from halfspace_bloch import bloch, galerkin, rootfn, spectrum
-from halfspace_bloch.errors import MalformedCoefficientsError
+from halfspace_bloch.errors import MalformedCoefficientsError, ResonanceError
 
 import helpers
 
@@ -27,11 +29,11 @@ def test_second_plane_criterion_is_single_coefficient():
     )
     j_plus = group.planes[1].members.index((0, 1))
     j_minus = group.planes[1].members.index((0, -1))
-    rep = rootfn.second_plane_solve(BASIS, q, group, j_plus, T0)
+    rep = rootfn.second_plane_solve(BASIS, q, group, j_plus)
     assert rep.criterion_values == (pytest.approx(0.3 + 0j),)
     assert rep.classification is rootfn.Classification.ASSOCIATED
     assert rep.associated_bound == 1
-    rep2 = rootfn.second_plane_solve(BASIS, q, group, j_minus, T0)
+    rep2 = rootfn.second_plane_solve(BASIS, q, group, j_minus)
     assert rep2.criterion_values == (0j,)
     assert rep2.classification is rootfn.Classification.EIGENFUNCTION
 
@@ -40,7 +42,7 @@ def test_second_plane_eigenfunction_when_coupling_absent():
     group = unit_circle_group()
     q = hb.FourierPotential(BASIS, {(1, 0): 0.4, (2, -2): 0.2})
     j = group.planes[1].members.index((0, 1))
-    rep = rootfn.second_plane_solve(BASIS, q, group, j, T0)
+    rep = rootfn.second_plane_solve(BASIS, q, group, j)
     assert rep.classification is rootfn.Classification.EIGENFUNCTION
 
 
@@ -56,7 +58,7 @@ def test_second_plane_jordan_probe_agreement():
         op = galerkin.build(BASIS, q, T0, 6.0)
         for member in group.planes[1].members:
             j = group.planes[1].members.index(member)
-            rep = rootfn.second_plane_solve(BASIS, q, group, j, T0)
+            rep = rootfn.second_plane_solve(BASIS, q, group, j)
             subset = [
                 n for n, p in zip(op.index_set, op.planes) if p >= 1
             ] + [member]
@@ -74,7 +76,7 @@ def test_second_plane_deeper_group_has_chain_terms():
     q = hb.FourierPotential(BASIS, {(1, -1): a, (1, -3): 0.0, (2, -2): b})
     member = (0, 2)
     j = group.planes[1].members.index(member)
-    rep = rootfn.second_plane_solve(BASIS, q, group, j, T0)
+    rep = rootfn.second_plane_solve(BASIS, q, group, j)
     # hand evaluation: c((1,-1)+(0,2)=(1,1) at plane 1) = q_{(1,-1)} / (4 - |(1,1)|^2)
     # criterion = q_{(2,-2)} + q_{(1,-1)} * c((1,1))
     c11 = a / (4.0 - 2.0)
@@ -92,7 +94,7 @@ def test_second_plane_coefficients_match_backsolve():
     q = hb.FourierPotential(BASIS, {(1, -1): a, (2, -2): -a * a / 2.0})
     member = (0, 2)
     j = group.planes[1].members.index(member)
-    rep = rootfn.second_plane_solve(BASIS, q, group, j, T0)
+    rep = rootfn.second_plane_solve(BASIS, q, group, j)
     assert rep.classification is rootfn.Classification.EIGENFUNCTION
 
     op = galerkin.build(BASIS, q, T0, 6.0)
@@ -104,7 +106,7 @@ def test_second_plane_coefficients_match_backsolve():
 
     # detuned: the backsolve is blocked exactly at the leading member row
     q_bad = hb.FourierPotential(BASIS, {(1, -1): a, (2, -2): 0.1})
-    rep_bad = rootfn.second_plane_solve(BASIS, q_bad, group, j, T0)
+    rep_bad = rootfn.second_plane_solve(BASIS, q_bad, group, j)
     assert rep_bad.classification is rootfn.Classification.ASSOCIATED
     op_bad = galerkin.build(BASIS, q_bad, T0, 6.0)
     import pytest as _pytest
@@ -122,7 +124,7 @@ def test_second_plane_requires_matching_classification():
     group = unit_circle_group()
     q = hb.FourierPotential(BASIS, {(0, -2): 1.0})  # classified (2, '-')
     with pytest.raises(ValueError):
-        rootfn.second_plane_solve(BASIS, q, group, 0, T0)
+        rootfn.second_plane_solve(BASIS, q, group, 0)
 
 
 def test_oned_coefficient_examples():
@@ -240,8 +242,75 @@ def test_leading_plane_root_functions_are_eigenfunctions():
 def test_report_serialization():
     group = unit_circle_group()
     q = hb.FourierPotential(BASIS, {(1, -1): 0.3})
-    rep = rootfn.second_plane_solve(BASIS, q, group, 1, T0)
+    rep = rootfn.second_plane_solve(BASIS, q, group, 1)
     doc = rep.to_json_dict()
     assert doc["classification"] == "associated"
     assert doc["associated_bound"] == 1
     assert doc["criterion_values"][0]["re"] == pytest.approx(0.3)
+
+
+def test_second_plane_rejects_out_of_range_member():
+    group = unit_circle_group()
+    q = hb.FourierPotential(BASIS, {(1, -1): 0.3})
+    for j in (-1, len(group.planes[1].members)):
+        with pytest.raises(IndexError):
+            rootfn.second_plane_solve(BASIS, q, group, j)
+
+
+def test_second_plane_missed_collision_raises():
+    # lam = 2 at t = 0 without (1, 1): from the member (-1, 1) the harmonic
+    # (1, 0) reaches (1, 1) on the leading plane, where the left factor is 0
+    group = spectrum.degeneracy_group(BASIS, (1, 1), T0, k=1, cutoff=8.0)
+    members = tuple(m for m in group.members if m[0] != (1, 1))
+    planes = (
+        dataclasses.replace(group.planes[0], members=((1, -1),)),
+        *group.planes[1:],
+    )
+    group = dataclasses.replace(group, members=members, planes=planes)
+    q = hb.FourierPotential(BASIS, {(1, 0): 0.3, (1, 1): 0.2})
+    j = group.planes[1].members.index((-1, 1))
+    with pytest.raises(ResonanceError, match=r"non-group index \(1, 1\); the grouping") as err:
+        rootfn.second_plane_solve(BASIS, q, group, j)
+    assert err.value.index == (1, 1)
+    assert err.value.value == 0.0
+
+
+def _groups_by_depth(basis, t, depths):
+    """One group per plane depth n_1 - n_2, from a scan of small indices."""
+    found = {}
+    for gamma in itertools.product(range(-4, 5), repeat=2):
+        for k in (1, 2):
+            lam = spectrum.eigenvalue(basis, gamma, t)
+            group = spectrum.degeneracy_group(basis, gamma, t, k, 4.0 * math.sqrt(lam) + 4.0)
+            if len(group.planes) > 1:
+                found.setdefault(group.planes[0].n - group.planes[1].n, group)
+    return [found[d] for d in depths]
+
+
+@pytest.mark.parametrize(
+    "generators", ([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.5, 0.9]]), ids=("identity", "skewed")
+)
+@pytest.mark.parametrize(
+    "half, depths", ((None, (1, 2, 3, 4, 6)), ((0, 1), range(1, 7))), ids=("t0", "half-lattice-t")
+)
+def test_second_plane_matches_dict_loop_reference(generators, half, depths):
+    # at t = 0 and at t = half a lattice vector every level pairs with its
+    # reflection, so groups with two planes exist; no depth-5 group is this
+    # small at t = 0
+    basis = hb.LatticeBasis(np.array(generators))
+    t = (0.0, 0.0) if half is None else tuple(0.5 * basis.to_cartesian(half))
+    rng = np.random.default_rng(73)
+    for group in _groups_by_depth(basis, t, depths):
+        for _ in range(3):
+            q = helpers.random_halfspace_potential(rng, basis, k=group.k, max_harmonics=10)
+            while q.classification != (group.k, "+"):  # k = 2 may also fit k = 1
+                q = helpers.random_halfspace_potential(rng, basis, k=group.k, max_harmonics=10)
+            for j in range(len(group.planes[1].members)):
+                rep = rootfn.second_plane_solve(basis, q, group, j)
+                ref = helpers.reference_second_plane_solve(basis, q, group, j)
+                assert rep.classification is ref.classification
+                assert rep.criterion_values == pytest.approx(
+                    ref.criterion_values, rel=1e-12, abs=1e-15
+                )
+                assert list(rep.coefficients) == list(ref.coefficients)
+                assert rep.coefficients == pytest.approx(ref.coefficients, rel=1e-12, abs=1e-15)
