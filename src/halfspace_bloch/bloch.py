@@ -60,7 +60,7 @@ import numpy as np
 
 from . import coeffset, jsonfmt
 from .errors import ResonanceError
-from .lattice import IndexVector, LatticeBasis, as_index, sign_value
+from .lattice import IndexVector, LatticeBasis, as_index, sign_value, squared_norms
 from .potential import FourierPotential
 from .spectrum import eigenvalue, eigenvalues
 
@@ -185,9 +185,7 @@ def bloch_series(
     lam = eigenvalue(basis, gamma, t)
     tol = denominator_tolerance(lam)
     support, qvals = coeffset.from_mapping(q.coeffs, basis.dimension)
-    q_re, q_im = qvals.real[:, None], qvals.imag[:, None]
     lo, spans, keys, shifts = coeffset.sum_box(support, max(max_order, 0))
-    shifts = shifts[:, None]
 
     # the bare plane wave: 1 at offset 0
     values = np.ones(1, dtype=complex)
@@ -196,15 +194,13 @@ def bloch_series(
     tail = 0.0
     order = 0
     for order in range(1, max_order + 1):
-        candidates = (keys + shifts).ravel()
-        targets, at = coeffset.group(candidates)
+        targets, at, re, im = coeffset.convolve(shifts, qvals, keys, values)
         rows = coeffset.unpack(targets, lo, spans)
         if len(rows) < len(targets):
             raise ValueError(f"series order {order} reaches an offset beyond int64")
         gap = lam - eigenvalues(basis, rows + gamma, t)
         _guard(gap, tol, rows, "resonant denominator at offset {}: {!r}", at)
-        re, im = coeffset.product(q_re, q_im, values.real, values.imag)
-        re, im = coeffset.divide(re.ravel(), im.ravel(), gap[at])
+        re, im = coeffset.divide(re, im, gap[at])
         keys, values = coeffset.nonzero(targets, coeffset.accumulate(at, re, im, targets.size))
         tail = sum(map(abs, values.tolist()))
         masses.append(tail)
@@ -254,22 +250,22 @@ def _plan(support: np.ndarray, k: int, sign: str, offsets: np.ndarray, depth: in
     sig = sign_value(sign)
     planes = sig * offsets[:, k - 1]
     edges = np.arange(depth + 2)
-    bounds = np.searchsorted(planes, edges)
+    bounds = planes.searchsorted(edges)
     box = coeffset.IndexBox(offsets)
     # harmonics by the first appearance of their plane in the support, then
     # in support order; one longer than the box on some axis links no two
     # targets and is dropped before a sum can wrap
     rises = (sig * support[:, k - 1]).tolist()
     rank = {p1: r for r, p1 in enumerate(dict.fromkeys(rises))}
-    order = np.argsort([rank[p1] for p1 in rises], kind="stable")
+    order = np.array([rank[p1] for p1 in rises]).argsort(kind="stable")
     order = order[box.fits(support)[order]]
     found = box.find(
         (offsets[None, :, :] - support[order][:, None, :]).reshape(-1, offsets.shape[1])
     ).reshape(order.size, len(offsets))
     # by harmonic, then target: x -> x - g1 keeps the lexicographic order,
     # so within a target plane and a harmonic the predecessors ascend too
-    step, targets = np.nonzero(found >= 0)
-    by_plane = np.argsort(planes[targets], kind="stable")
+    step, targets = (found >= 0).nonzero()
+    by_plane = planes[targets].argsort(kind="stable")
     step, targets = step[by_plane], targets[by_plane]
     return _Plan(
         offsets=offsets,
@@ -279,7 +275,7 @@ def _plan(support: np.ndarray, k: int, sign: str, offsets: np.ndarray, depth: in
         targets=targets,
         local=targets - bounds[planes[targets]],
         predecessors=found[step, targets],
-        cuts=np.searchsorted(planes[targets], edges).tolist(),
+        cuts=planes[targets].searchsorted(edges).tolist(),
     )
 
 
@@ -387,35 +383,28 @@ def residual(
     ``pad``, when given, must cover that one-convolution growth; it exists
     so callers can assert their truncation intent.
     """
+    support, qvals = coeffset.from_mapping(q.coeffs, basis.dimension)
     if pad is not None:
-        growth = max(
-            (
-                math.sqrt(float(basis.to_cartesian(n) @ basis.to_cartesian(n)))
-                for n in q.coeffs
-            ),
-            default=0.0,
-        )
+        growth = float(np.sqrt(squared_norms(basis.to_cartesian(support))).max(initial=0.0))
         if pad < growth:
             raise ValueError(
                 f"pad {pad} is below the one-convolution support growth {growth:.6g}"
             )
     t = np.asarray(psi.t, dtype=float)
     offsets, values = psi.offsets, psi.values
+    n = len(values)
+    _, _, keys, shifts = coeffset.sum_box(support, 1, base=offsets)
+    # a zero step first puts psi's own rows at at[:n]; its products are not read
+    targets, at, re, im = coeffset.convolve(
+        np.insert(shifts, 0, 0), np.insert(qvals, 0, 0), keys, values
+    )
+    defect = coeffset.accumulate(at[n:], re[n:], im[n:], targets.size)
     shift = eigenvalues(basis, offsets + psi.gamma, t) - psi.lam
-    re, im = coeffset.product(shift, 0.0, values.real, values.imag)
-    conv_offsets, conv = coeffset.convolve(
-        *coeffset.from_mapping(q.coeffs, basis.dimension), offsets, values
-    )
-    rows = np.concatenate([offsets, conv_offsets])
-    first, inverse = coeffset.unique_rows(rows)
-    defect = coeffset.accumulate(
-        inverse,
-        np.concatenate([re, conv.real]),
-        np.concatenate([im, conv.imag]),
-        first.size,
-    )
+    defect[at[:n]] += coeffset.join(*coeffset.product(shift, 0.0, values.real, values.imag))
     # summed in order of first appearance: psi's offsets, then the new ones
-    defect = defect[np.argsort(first)]
+    new = np.ones(targets.size, dtype=bool)
+    new[at[:n]] = False
+    defect = defect[np.concatenate([at[:n], np.flatnonzero(new)])]
     return math.sqrt(sum(abs(v) ** 2 for v in defect.tolist()))
 
 
@@ -440,15 +429,18 @@ def max_discrepancy(
     planes up to its depth, so the comparison is restricted to planes up to
     the smaller ``order`` (or to ``max_plane`` when given).
     """
-    if a.gamma != b.gamma or a.k != b.k or a.sign != b.sign:
+    if a.gamma != b.gamma or a.t != b.t or a.k != b.k or a.sign != b.sign:
         raise ValueError("coefficient sets describe different Bloch functions")
     limit = min(a.order, b.order) if max_plane is None else max_plane
-    rows = np.concatenate([a.offsets, b.offsets])
-    first, inverse = coeffset.unique_rows(rows)
-    diff = np.zeros(first.size, dtype=complex)
-    diff[inverse[: len(a.values)]] = a.values
-    diff[inverse[len(a.values) :]] -= b.values
-    keys = rows[first]
-    p = sign_value(a.sign) * keys[:, a.k - 1]
-    on_planes = ((0 < p) & (p <= limit)) | ~keys.any(axis=1)
+    n = len(a.values)
+    lo, spans, keys, _ = coeffset.sum_box(
+        a.offsets[:0], 0, base=np.concatenate([a.offsets, b.offsets])
+    )
+    targets, at = coeffset.group(keys)
+    diff = np.zeros(targets.size, dtype=complex)
+    diff[at[:n]] = a.values
+    diff[at[n:]] -= b.values
+    rows = coeffset.unpack(targets, lo, spans)
+    p = sign_value(a.sign) * rows[:, a.k - 1]
+    on_planes = ((0 < p) & (p <= limit)) | ~rows.any(axis=1)
     return max(map(abs, diff[on_planes].tolist()), default=0.0)

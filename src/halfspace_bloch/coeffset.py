@@ -13,6 +13,11 @@ bit for bit, what those loops return:
   liberty taken).  numpy's complex ``*`` and ``/`` round some results
   differently in the last place, and so does its complex ``abs``; callers
   take moduli with Python's ``abs``.
+
+Every merge of offsets (the series, :func:`reach`, the residual, the
+discrepancy and :func:`convolve`) is one :func:`group` of :func:`pack` keys
+over one :func:`sum_box`: the box of a base set plus sums of steps, in
+which a row moves by a step with one integer add.
 """
 
 from __future__ import annotations
@@ -92,7 +97,7 @@ def unpack(keys: np.ndarray, lo: Sequence[int], spans: Sequence[int]) -> np.ndar
         keys = keys // spans[j]
     rows = np.stack([keys + lo[0], *cols[::-1]], axis=1)
     if rows.dtype == object:
-        rows = rows[np.all((rows >= -_KEY_LIMIT) & (rows < _KEY_LIMIT), axis=1)]
+        rows = rows[((rows >= -_KEY_LIMIT) & (rows < _KEY_LIMIT)).all(axis=1)]
     return rows.astype(np.int64, copy=False)
 
 
@@ -113,17 +118,17 @@ class IndexBox:
         spans = [h - m + 1 for m, h in zip(self.lo.tolist(), self.hi.tolist())]
         self.spans = np.array(spans, dtype=np.int64 if max(spans) < _KEY_LIMIT else object)
         keys = pack(indices, self.lo.tolist(), spans)
-        self.rows = np.argsort(keys, kind="stable")
+        self.rows = keys.argsort(kind="stable")
         # no key in the box is negative: a miss reads -1
         self.keys = np.append(keys[self.rows], -1)
 
     def find(self, members: np.ndarray) -> np.ndarray:
         """The row of each member (rows of an (m, d) integer-valued array), -1 where absent."""
-        inside = np.flatnonzero(np.all((members >= self.lo) & (members <= self.hi), axis=1))
+        inside = np.flatnonzero(((members >= self.lo) & (members <= self.hi)).all(axis=1))
         keys = pack(
             members[inside].astype(np.int64, copy=False), self.lo.tolist(), self.spans.tolist()
         )
-        at = np.searchsorted(self.keys[:-1], keys)
+        at = self.keys[:-1].searchsorted(keys)
         hit = self.keys[at] == keys
         rows = np.full(members.shape[0], -1, dtype=np.intp)
         rows[inside[hit]] = self.rows[at[hit]]
@@ -132,24 +137,31 @@ class IndexBox:
     def fits(self, steps: np.ndarray) -> np.ndarray:
         """Which rows of an (s, d) int64 array are shorter than the box on every
         axis: only they can carry one index of the box to another."""
-        return np.all((steps > -self.spans) & (steps < self.spans), axis=1).astype(bool)
+        return ((steps > -self.spans) & (steps < self.spans)).all(axis=1).astype(bool)
 
 
-def sum_box(steps: np.ndarray, top: int):
-    """(lo, spans, origin, shifts) of the box that holds every sum of at most
-    ``top`` rows of the (s, d) int64 array ``steps``.
+def sum_box(steps: np.ndarray, top: int, base: np.ndarray | None = None):
+    """(lo, spans, keys, shifts) of the box that holds every row of the (b, d)
+    int64 array ``base`` plus any sum of at most ``top`` rows of the (s, d)
+    int64 array ``steps``.
 
-    The box is top * min(0, g_j) <= x_j <= top * max(0, g_j) over the rows;
-    ``origin`` is the one-entry array of the :func:`pack` key of 0 and
-    ``shifts[i]`` the key change of row i.  :func:`pack` is linear and
-    one-to-one on the box, so a sum's key is the origin's plus its rows'
-    shifts (exact Python ints when the box is too wide for int64).
+    The box is min(0, b_j) + top * min(0, g_j) <= x_j <= max(0, b_j) +
+    top * max(0, g_j) over the rows; ``keys`` are the :func:`pack` keys of
+    the base rows (by default the origin alone) and ``shifts[i]`` the key
+    change of step i.  :func:`pack` is linear and one-to-one on the box, so
+    a sum's key is its base row's plus its steps' shifts (exact Python ints
+    when the box is too wide for int64).
     """
-    lo = [top * v for v in steps.min(axis=0, initial=0).tolist()]
-    hi = [top * v for v in steps.max(axis=0, initial=0).tolist()]
+    d = steps.shape[1]
+    if base is None:
+        base = np.zeros((1, d), dtype=np.int64)
+    low, high = base.min(axis=0, initial=0).tolist(), base.max(axis=0, initial=0).tolist()
+    lo = [b + top * g for b, g in zip(low, steps.min(axis=0, initial=0).tolist())]
+    hi = [b + top * g for b, g in zip(high, steps.max(axis=0, initial=0).tolist())]
     spans = [h - m + 1 for m, h in zip(lo, hi)]
-    keys = pack(np.vstack([np.zeros((1, steps.shape[1]), dtype=np.int64), steps]), lo, spans)
-    return lo, spans, keys[:1], keys[1:] - keys[0]
+    keys = pack(np.vstack([base, np.zeros((1, d), dtype=np.int64), steps]), lo, spans)
+    n = base.shape[0]
+    return lo, spans, keys[:n], keys[n + 1 :] - keys[n]
 
 
 def distinct(keys: np.ndarray) -> np.ndarray:
@@ -165,7 +177,23 @@ def distinct(keys: np.ndarray) -> np.ndarray:
 def group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(targets, at): the :func:`distinct` keys and the place of each key among them."""
     targets = distinct(keys)
-    return targets, np.searchsorted(targets, keys)
+    return targets, targets.searchsorted(keys)
+
+
+def convolve(shifts: np.ndarray, q: np.ndarray, keys: np.ndarray, values: np.ndarray):
+    """(targets, at, re, im) of the sparse convolution of the steps with key
+    changes ``shifts`` and weights ``q`` with the rows ``keys``, ``values``
+    (keys and shifts of one :func:`sum_box`).
+
+    Candidate i * len(keys) + j, harmonic outer and row inner, is
+    ``keys[j] + shifts[i]`` with weight ``q[i] * values[j]`` in ``re``,
+    ``im``; :func:`group` gives the distinct ``targets`` and the place
+    ``at`` of each candidate among them, so :func:`accumulate` over ``at``
+    sums the products in loop order.
+    """
+    targets, at = group((keys + shifts[:, None]).ravel())
+    re, im = product(q.real[:, None], q.imag[:, None], values.real, values.imag)
+    return targets, at, re.ravel(), im.ravel()
 
 
 #: the packed-key layers of the reachable offsets (see :func:`reach`)
@@ -199,25 +227,6 @@ def reach(steps: tuple, rises: tuple, top: int) -> Reach:
     return Reach(tuple(lo), tuple(spans), tuple(shifts.tolist()), tuple(layers))
 
 
-def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, inverse) for the distinct rows of an (n, d) int64 array.
-
-    ``rows[first]`` are the distinct rows in lexicographic order, each at its
-    first occurrence, and ``inverse`` maps every row to its rank among them.
-    Rows are merged through one :func:`pack` key each, with the box spanned
-    by ``rows``.
-    """
-    if rows.shape[0] == 0:
-        empty = np.zeros(0, dtype=np.intp)
-        return empty, empty
-    lo = rows.min(axis=0).tolist()
-    spans = [h - m + 1 for m, h in zip(lo, rows.max(axis=0).tolist())]
-    _, first, inverse = np.unique(
-        pack(rows, lo, spans), return_index=True, return_inverse=True
-    )
-    return first, inverse
-
-
 def accumulate(inverse: np.ndarray, re, im, size: int) -> np.ndarray:
     """Complex sums of the weights grouped by ``inverse``, in row order."""
     return join(
@@ -226,31 +235,10 @@ def accumulate(inverse: np.ndarray, re, im, size: int) -> np.ndarray:
     )
 
 
-def convolve_rows(a_offsets, a_values, b_offsets, b_values):
-    """(rows, re, im) of a_i + b_j and a_i * b_j, with i outer and j inner."""
-    rows = (a_offsets[:, None, :] + b_offsets[None, :, :]).reshape(
-        -1, a_offsets.shape[1]
-    )
-    re, im = product(
-        a_values.real[:, None],
-        a_values.imag[:, None],
-        b_values.real[None, :],
-        b_values.imag[None, :],
-    )
-    return rows, re.reshape(-1), im.reshape(-1)
-
-
 def nonzero(offsets: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The set without its exact-zero entries."""
     keep = values != 0
     return offsets[keep], values[keep]
-
-
-def convolve(a_offsets, a_values, b_offsets, b_values):
-    """Sparse convolution of two coefficient sets; exact zeros are dropped."""
-    rows, re, im = convolve_rows(a_offsets, a_values, b_offsets, b_values)
-    first, inverse = unique_rows(rows)
-    return nonzero(rows[first], accumulate(inverse, re, im, first.size))
 
 
 def fourier_sum(waves: np.ndarray, values, x: np.ndarray) -> complex:

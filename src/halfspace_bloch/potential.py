@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import coeffset
-from .lattice import IndexVector, LatticeBasis, as_index, in_halfspace
+from .lattice import IndexVector, LatticeBasis, as_index, in_halfspace, squared_norms
 
 MODES = ("summable", "square-summable")
 
@@ -114,12 +114,10 @@ def truncated(
     mode: str = "square-summable",
 ) -> FourierPotential:
     """Drop coefficients outside a cartesian ball and record the radius."""
-    kept = {
-        n: q
-        for n, q in coeffs.items()
-        if math.sqrt(float(basis.to_cartesian(n) @ basis.to_cartesian(n))) <= radius
-    }
-    return FourierPotential(basis, dict(kept), mode=mode, truncation_radius=radius)
+    indices = list(coeffs)
+    norms = np.sqrt(squared_norms(basis.to_cartesian(indices))).tolist() if indices else []
+    kept = {n: q for (n, q), norm in zip(coeffs.items(), norms) if norm <= radius}
+    return FourierPotential(basis, kept, mode=mode, truncation_radius=radius)
 
 
 def evaluate(q: FourierPotential, x: Sequence[float]) -> complex:
@@ -133,12 +131,20 @@ def evaluate(q: FourierPotential, x: Sequence[float]) -> complex:
 def convolve(
     a: Mapping[IndexVector, complex], b: Mapping[IndexVector, complex]
 ) -> dict[IndexVector, complex]:
-    """Sparse convolution of two coefficient maps; exact zeros are dropped."""
+    """Sparse convolution of two coefficient maps; exact zeros are dropped.
+
+    Raises ``ValueError`` when a sum of indices leaves int64.
+    """
     if not a or not b:
         return {}
     dimension = len(next(iter(a)))
+    steps, q = coeffset.from_mapping(a, dimension)
+    rows, values = coeffset.from_mapping(b, dimension)
+    lo, spans, keys, shifts = coeffset.sum_box(steps, 1, base=rows)
+    targets, at, re, im = coeffset.convolve(shifts, q, keys, values)
+    offsets = coeffset.unpack(targets, lo, spans)
+    if len(offsets) < len(targets):
+        raise ValueError("convolution reaches an index beyond int64")
     return coeffset.to_dict(
-        *coeffset.convolve(
-            *coeffset.from_mapping(a, dimension), *coeffset.from_mapping(b, dimension)
-        )
+        *coeffset.nonzero(offsets, coeffset.accumulate(at, re, im, targets.size))
     )

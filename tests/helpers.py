@@ -243,12 +243,13 @@ def apply_A(basis, q, gamma, t, coeffs, denom_tol=None):
     tol = bloch.denominator_tolerance(lam) if denom_tol is None else denom_tol
     support, qvals = coeffset.from_mapping(q.coeffs, basis.dimension)
     offsets, values = coeffset.from_mapping(coeffs, basis.dimension)
-    rows, re, im = coeffset.convolve_rows(support, qvals, offsets, values)
-    first, inverse = coeffset.unique_rows(rows)
-    denom = (lam - spectrum.eigenvalues(basis, rows[first] + gamma, t))[inverse]
-    bloch._guard(denom, tol, rows, "resonant denominator at offset {}: {!r}")
-    re, im = coeffset.divide(re, im, denom)
-    out = coeffset.nonzero(rows[first], coeffset.accumulate(inverse, re, im, first.size))
+    lo, spans, keys, shifts = coeffset.sum_box(support, 1, base=offsets)
+    targets, at, re, im = coeffset.convolve(shifts, qvals, keys, values)
+    rows = coeffset.unpack(targets, lo, spans)
+    gap = lam - spectrum.eigenvalues(basis, rows + gamma, t)
+    bloch._guard(gap, tol, rows, "resonant denominator at offset {}: {!r}", at)
+    re, im = coeffset.divide(re, im, gap[at])
+    out = coeffset.nonzero(rows, coeffset.accumulate(at, re, im, targets.size))
     return coeffset.to_dict(*out)
 
 

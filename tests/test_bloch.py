@@ -290,6 +290,16 @@ def test_pointwise_quasiperiodicity():
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
+def test_max_discrepancy_rejects_another_quasimomentum():
+    q = single_harmonic()
+    series = bloch.bloch_series(BASIS, q, (0, 0), (0.1, 0.2), max_order=6)
+    closed = bloch.closed_form_coeffs(BASIS, q, (0, 0), (0.3, 0.2), 6)
+    with pytest.raises(ValueError, match="different Bloch functions"):
+        bloch.max_discrepancy(series, closed)
+    same = bloch.closed_form_coeffs(BASIS, q, (0, 0), (0.1, 0.2), 6)
+    assert bloch.max_discrepancy(series, same) < 1e-10
+
+
 def test_pad_guard():
     q = hb.FourierPotential(BASIS, {(3, 0): 0.1})
     psi = bloch.bloch_series(BASIS, q, (0, 0), T, max_order=4)

@@ -135,20 +135,24 @@ def test_resonance_index_is_the_first_hit():
 WIDE = 10**9
 
 
-def test_unique_rows_packed_and_wide_paths():
+def test_group_on_base_box_packed_and_wide_paths():
     rng = np.random.default_rng(11)
     narrow = rng.integers(-3, 4, size=(200, 3))
     # column spans of 2e9 + 1: their product leaves int64
     wide = narrow * np.array([1, WIDE // 3, WIDE // 3])
     spans = [int(c.max()) - int(c.min()) + 1 for c in wide.T]
     assert math.prod(spans) >= 2**63
-    for rows in (narrow, wide):
-        first, inverse = coeffset.unique_rows(rows)
+    for rows, dtype in ((narrow, np.int64), (wide, object)):
+        lo, spans, keys, _ = coeffset.sum_box(rows[:0], 0, base=rows)
+        assert keys.dtype == dtype
+        targets, at = coeffset.group(keys)
         distinct = sorted(set(map(tuple, rows.tolist())))
-        assert [tuple(r) for r in rows[first].tolist()] == distinct
-        assert np.array_equal(rows[first][inverse], rows)
+        merged = coeffset.unpack(targets, lo, spans)
+        assert [tuple(r) for r in merged.tolist()] == distinct
+        assert np.array_equal(merged[at], rows)
+        first = [at.tolist().index(i) for i in range(targets.size)]
         assert all(
-            tuple(rows[f]) not in map(tuple, rows[:f].tolist()) for f in first.tolist()
+            tuple(rows[f]) not in map(tuple, rows[:f].tolist()) for f in first
         )
 
 
@@ -161,9 +165,15 @@ def test_wide_offsets_equal_dict_loops():
     series = bloch.bloch_series(basis, q, (0, 0, 0), t, max_order=4, tail_tol=0.0)
     ref = helpers.reference_series(basis, q, (0, 0, 0), t, 4, 0.0)
     assert_same((series.coeffs, series.order, series.tail, series.term_masses), ref)
+    psi = bloch.closed_form_coeffs(basis, q, (0, 0, 0), t, 4)
+    assert_same(psi.coeffs, helpers.reference_closed_form(basis, q, (0, 0, 0), t, 4))
+    # the merges run on object keys: every box here is wider than int64
+    for got in (series, psi):
+        assert_same(bloch.residual(basis, q, got), helpers.reference_residual(basis, q, got))
+    assert_same(bloch.max_discrepancy(series, psi), helpers.reference_max_discrepancy(series, psi))
     assert_same(
-        bloch.closed_form_coeffs(basis, q, (0, 0, 0), t, 4).coeffs,
-        helpers.reference_closed_form(basis, q, (0, 0, 0), t, 4),
+        potential.convolve(q.coeffs, series.coeffs),
+        helpers.reference_convolve(q.coeffs, series.coeffs),
     )
 
 

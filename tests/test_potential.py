@@ -105,6 +105,32 @@ def test_convolve_matches_direct_sum():
     assert out == {k: v for k, v in expected.items() if v != 0}
 
 
+def test_convolve_raises_beyond_int64():
+    # (2**62, 0) + (2**62, 1) = (2**63, 1): no int64 holds it
+    with pytest.raises(ValueError, match="beyond int64"):
+        hb.convolve({(2**62, 0): 1.0}, {(2**62, 1): 1.0})
+    with pytest.raises(ValueError, match="beyond int64"):
+        hb.convolve({(-(2**62), 0): 1.0}, {(-(2**62) - 1, 1): 1.0})
+    # the sums at both ends of int64 stay
+    assert hb.convolve({(2**62, 0): 1.0}, {(2**62 - 1, 1): 2.0}) == {(2**63 - 1, 1): 2 + 0j}
+    assert hb.convolve({(-(2**62), 0): 1.0}, {(-(2**62), 1): 2.0}) == {(-(2**63), 1): 2 + 0j}
+
+
+def test_truncated_keeps_what_the_per_index_norm_keeps():
+    rng = np.random.default_rng(3)
+    for _ in range(60):
+        d = int(rng.integers(1, 4))
+        basis = hb.LatticeBasis(np.eye(d) + rng.uniform(-0.4, 0.4, size=(d, d)))
+        coeffs = {tuple(int(x) for x in rng.integers(-4, 5, size=d)): 1.0 for _ in range(12)}
+        norms = {
+            n: math.sqrt(float(basis.to_cartesian(n) @ basis.to_cartesian(n))) for n in coeffs
+        }
+        # a radius equal to one index's norm: the boundary is decided bit for bit
+        radius = sorted(norms.values())[len(norms) // 2]
+        kept = potential.truncated(basis, coeffs, radius=radius, mode="summable")
+        assert kept.support() == tuple(sorted(n for n in coeffs if norms[n] <= radius))
+
+
 def test_square_summable_mode_dimension_guard():
     hb.FourierPotential(BASIS, {(1, 0): 1.0}, mode="square-summable")
     with pytest.raises(ValueError):
