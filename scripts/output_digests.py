@@ -8,7 +8,7 @@ in one process and prints
     workload index exit sha256
 
 per instance, where the hash covers the instance's stdout, stderr and
-output file.  Six tagged variants follow, so that outputs the timed pools do
+output file.  Seven tagged variants follow, so that outputs the timed pools do
 not write are checked as well:
 
     fermi-json index exit sha256         every fermi instance with --format json
@@ -36,6 +36,11 @@ not write are checked as well:
                                          k = 2) and without params.cutoff:
                                          second-plane systems 3 and 4 planes
                                          deep, at the default radii
+    oracle-csv index exit sha256         every oracle instance with
+                                         params.cutoff 6 and --format csv:
+                                         the whole matrix, so every stored
+                                         coupling, where the timed reports
+                                         read only the interior cone's rows
 
 Two checkouts give the same lines exactly when every command exits with the
 same code and writes the same bytes, so comparing a change with its parent
@@ -125,6 +130,10 @@ def main() -> None:
             for m in (3, 4):
                 params["member"] = [0, m * s] if k == 1 else [m * s, 0]
                 print("multiplicity-deep", index, *digest(instance.command, {**instance.config, "params": params}))
+        for index, instance in enumerate(pools["oracle"]):
+            params = {**instance.config["params"], "cutoff": 6.0}
+            config = {**instance.config, "params": params}
+            print("oracle-csv", index, *digest(instance.command, config, "--format", "csv"))
 
 
 if __name__ == "__main__":

@@ -392,8 +392,8 @@ def cmd_oracle(doc: dict, want_matrix: bool = False):
         )
         vec = galerkin.eigenvector_backsolve(op, base)
         expected = np.zeros(op.size, dtype=complex)
-        expected[op._index_box.find(closed.offsets + gamma)] = closed.values
-        rows = op._index_box.find(cone + gamma)
+        expected[op.find(closed.offsets + gamma)] = closed.values
+        rows = op.find(cone + gamma)
         diff = vec.vector[rows] - expected[rows]
     moduli = list(map(abs, diff.tolist()))
     worst = math.nan if any(map(math.isnan, moduli)) else max(moduli, default=0.0)
@@ -445,6 +445,11 @@ def cmd_multiplicity(doc: dict) -> tuple[dict, int]:
         report["predicted_multiplicity"] = 2 if criterion_zero else 1
     if run_oracle:
         op = galerkin.build(basis, pot.q, t, cutoff)
+        # the ball is symmetric: it holds -n exactly when it holds n
+        try:
+            op.position((n,))
+        except KeyError:
+            raise CutoffError(f"cutoff {cutoff} ball does not contain n={n}") from None
         oracle_mult = galerkin.geometric_multiplicity(op, spectrum.eigenvalue(basis, (n,), t))
         report.update(oracle_multiplicity=oracle_mult, oracle_cutoff=cutoff)
     if mode == "both":

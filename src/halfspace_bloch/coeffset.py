@@ -17,7 +17,9 @@ bit for bit, what those loops return:
 Every merge of offsets (the series, :func:`reach`, the residual, the
 discrepancy and :func:`convolve`) is one :func:`group` of :func:`pack` keys
 over one :func:`sum_box`: the box of a base set plus sums of steps, in
-which a row moves by a step with one integer add.
+which a row moves by a step with one integer add.  The oracle finds its
+couplings the same way, in the ball's box grown by one step, through an
+:class:`IndexBox` built from keys already sorted.
 """
 
 from __future__ import annotations
@@ -104,34 +106,57 @@ def unpack(keys: np.ndarray, lo: Sequence[int], spans: Sequence[int]) -> np.ndar
 class IndexBox:
     """Row lookup in an (N, d) int64 array of distinct lattice indices.
 
-    Each index gets its :func:`pack` key over the array's bounding box; the
-    keys are sorted once (``rows`` lists the indices in lexicographic
-    order), and a batch of indices is found with one ``np.searchsorted``.
-    Indices outside the box are rejected before they are packed, since a
-    key is one-to-one on the box only.
+    Each index gets its :func:`pack` key over a box that holds them all; the
+    keys are kept sorted (``rows`` lists the rows in key order, which is the
+    lexicographic order of their indices), and a batch of indices is found
+    with one ``np.searchsorted``.  Indices outside the box are rejected
+    before they are packed, since a key is one-to-one on the box only.
     """
 
     def __init__(self, indices: np.ndarray):
+        """The lookup over the bounding box of ``indices`` and the origin,
+        its keys sorted by one argsort."""
         # the box always holds the origin: no special case for an empty array
-        self.lo, self.hi = indices.min(axis=0, initial=0), indices.max(axis=0, initial=0)
+        lo, hi = indices.min(axis=0, initial=0).tolist(), indices.max(axis=0, initial=0).tolist()
         # exact: the span of indices near both ends of int64 leaves its range
-        spans = [h - m + 1 for m, h in zip(self.lo.tolist(), self.hi.tolist())]
+        spans = [h - m + 1 for m, h in zip(lo, hi)]
+        keys = pack(indices, lo, spans)
+        rows = keys.argsort(kind="stable")
+        self._fill(lo, spans, keys[rows], rows)
+
+    @classmethod
+    def from_sorted(
+        cls, lo: Sequence[int], spans: Sequence[int], keys: np.ndarray, rows: np.ndarray
+    ) -> IndexBox:
+        """The lookup over the box ``lo``, ``spans`` from parts already at hand:
+        ``keys`` ascending, the :func:`pack` keys of the indices, and
+        ``rows[i]`` the row of the index with key ``keys[i]``."""
+        box = cls.__new__(cls)
+        box._fill(lo, spans, keys, rows)
+        return box
+
+    def _fill(self, lo, spans, keys, rows) -> None:
+        self.lo = np.array(lo, dtype=np.int64)
+        self.hi = np.array([m + s - 1 for m, s in zip(lo, spans)], dtype=np.int64)
         self.spans = np.array(spans, dtype=np.int64 if max(spans) < _KEY_LIMIT else object)
-        keys = pack(indices, self.lo.tolist(), spans)
-        self.rows = keys.argsort(kind="stable")
+        self.rows = rows
         # no key in the box is negative: a miss reads -1
-        self.keys = np.append(keys[self.rows], -1)
+        self.keys = np.append(keys, -1)
 
     def find(self, members: np.ndarray) -> np.ndarray:
         """The row of each member (rows of an (m, d) integer-valued array), -1 where absent."""
         inside = np.flatnonzero(((members >= self.lo) & (members <= self.hi)).all(axis=1))
-        keys = pack(
-            members[inside].astype(np.int64, copy=False), self.lo.tolist(), self.spans.tolist()
-        )
+        rows = np.full(members.shape[0], -1, dtype=np.intp)
+        members = members[inside].astype(np.int64, copy=False)
+        rows[inside] = self.find_keys(pack(members, self.lo.tolist(), self.spans.tolist()))
+        return rows
+
+    def find_keys(self, keys: np.ndarray) -> np.ndarray:
+        """The row of each :func:`pack` key of the box (an array of any shape), -1 where absent."""
         at = self.keys[:-1].searchsorted(keys)
         hit = self.keys[at] == keys
-        rows = np.full(members.shape[0], -1, dtype=np.intp)
-        rows[inside[hit]] = self.rows[at[hit]]
+        rows = np.full(keys.shape, -1, dtype=np.intp)
+        rows[hit] = self.rows[at[hit]]
         return rows
 
     def fits(self, steps: np.ndarray) -> np.ndarray:

@@ -19,13 +19,19 @@ matrix; ``op.matrix`` densifies on demand, for the CSV dump and for tests.
 Finding rows.  The ball stays an (N, d) int64 array from
 ``enumerate_ball`` to the operator: one stable argsort of the signed plane
 index puts the lex-ordered ball in plane-major order, ties lexicographic.
-A batch of indices, the coupling targets n + g1, a probe's subset or the
-one index of ``op.position``, is matched to rows at once by
-:class:`coeffset.IndexBox`; a harmonic longer than the ball's box on some
-axis is dropped before n + g1 is formed, so no int64 sum can wrap.  The
-Python tuples of ``index_set`` and ``positions`` are built on first use.
-The triangularity witness is the first coupling, in row-major order, whose
-row plane is not above its column plane.
+Its rows get :func:`coeffset.pack` keys over the ball's box grown by one
+step of every harmonic that fits that box (``coeffset.sum_box`` with the
+box's two corners as base), packed from the lex-ordered ball, so they come
+out ascending and need no sort.  A harmonic as long as the ball's box on
+some axis links no two rows and is dropped first, so every coupling target
+n + g1 lies in the grown box: its key is key(n) + shift(g1), with no wrap
+and no alias.  One broadcast add of the shifts and one ``searchsorted``
+into the ball's keys then find every coupling, and the same
+:class:`coeffset.IndexBox` stays on the operator as its one lookup, for
+:meth:`TruncatedOperator.find`, ``position``, the probes' subsets and the
+interior cone.  The Python tuples of ``index_set`` and ``positions`` are
+built on first use.  The triangularity witness is the first coupling, in
+row-major order, whose row plane is not above its column plane.
 
 Forward substitution by plane.  On a plane-triangular matrix the diagonal
 block of a plane is diagonal (no coupling within a plane) and every
@@ -103,7 +109,9 @@ class TruncatedOperator:
     ``matrix_diagonal`` (M_jj = |g + t|^2 + q_0; ``diagonal`` holds the free
     values |g + t|^2) and its off-diagonal couplings ``(rows, cols, values)``,
     sorted row-major with no zero stored.  ``plane_bounds`` lists the first
-    row of each plane block, then ``size``.  Immutable after build.
+    row of each plane block, then ``size``.  :meth:`find` and
+    :meth:`position` read one packed-key lookup of the rows, the one
+    ``build`` found the couplings with.  Immutable after build.
     """
 
     basis: LatticeBasis
@@ -134,11 +142,16 @@ class TruncatedOperator:
         """Read-only map from each index tuple in the ball to its row/column."""
         return MappingProxyType(dict(zip(self.index_set, range(self.size))))
 
+    def find(self, indices) -> np.ndarray:
+        """The row of each lattice index, the rows of an (m, d) integer-valued
+        array (or a list of index tuples); -1 where the index is outside the ball."""
+        return self._lookup.find(np.asarray(indices))
+
     def position(self, n: Sequence[int]) -> int:
         """Row/column position of a lattice index; KeyError when outside."""
         index = as_index(n, self.basis.dimension)
         try:
-            row = int(self._index_box.find(np.array([index], dtype=np.int64))[0])
+            row = int(self.find(np.array([index], dtype=np.int64))[0])
         except OverflowError:  # beyond int64, so outside the ball
             row = -1
         if row < 0:
@@ -167,9 +180,10 @@ class TruncatedOperator:
         return dense
 
     @cached_property
-    def _index_box(self) -> coeffset.IndexBox:
-        # derived from ``indices`` on first use, so an operator made by
-        # ``dataclasses.replace`` never keeps a stale lookup
+    def _lookup(self) -> coeffset.IndexBox:
+        # ``build`` fills this cache with the lookup it built the couplings
+        # with; an operator made by ``dataclasses.replace`` starts without it
+        # and derives one from its own ``indices``, never a stale one
         return coeffset.IndexBox(self.indices)
 
     @cached_property
@@ -199,32 +213,42 @@ def build(
     size = len(indices)
     diag = eigenvalues(basis, indices, t_arr)
     # q_{g1} couples column n to row n + g1 wherever n + g1 is in the ball;
-    # no two (row, column) pairs repeat.  A harmonic longer than the ball's
+    # no two (row, column) pairs repeat.  A harmonic as long as the ball's
     # box on some axis reaches no row, and is dropped before any sum can wrap.
     support, qvals = coeffset.from_mapping(q.coeffs, basis.dimension)
-    box = coeffset.IndexBox(indices)
-    reach = box.fits(support)
-    support, qvals = support[reach], qvals[reach]
-    targets = (support[:, None, :] + indices[None, :, :]).reshape(-1, basis.dimension)
-    rows = box.find(targets)
-    cols = np.tile(np.arange(size), len(qvals))
-    vals = np.repeat(qvals, size)
-    inside = rows >= 0
-    rows, cols, vals = rows[inside], cols[inside], vals[inside]
+    # column by column: numpy reduces the short rows of an (N, d) array slowly
+    corners = np.array([[col.min(initial=0), col.max(initial=0)] for col in ball.T]).T
+    span = corners[1] - corners[0] + 1
+    fits = ((support > -span) & (support < span)).all(axis=1)
+    support, qvals = support[fits], qvals[fits]
+    lo, spans, _, shifts = coeffset.sum_box(support, 1, base=corners)
+    # the lex-ordered ball packs to ascending keys
+    keys = coeffset.pack(ball, lo, spans)
+    row_of = np.empty(size, dtype=np.intp)
+    row_of[order] = np.arange(size)
+    lookup = coeffset.IndexBox.from_sorted(lo, spans, keys, row_of)
     # the constant harmonic q_0 lands on the diagonal; every other entry is
     # stored as 0j + q, the value a scatter-add onto a zero matrix would hold
     # (no zero among them: the potential keeps no zero coefficient)
-    on_diag = rows == cols
+    zero = ~support.any(axis=1)
     mdiag = diag.astype(complex)
-    mdiag[rows[on_diag]] += vals[on_diag]
-    rows, cols, vals = rows[~on_diag], cols[~on_diag], vals[~on_diag] + 0j
-    order = np.lexsort((cols, rows))
+    if zero.any():
+        mdiag += qvals[zero][0]
+    # harmonic outer, column inner; the shifted keys of the lex-ordered ball
+    # ascend, which speeds the search, and the columns are then put in
+    # plane-major order.  Each harmonic's rows then ascend with its columns,
+    # since n -> n + g1 keeps the plane-major order.
+    found = lookup.find_keys(keys + shifts[~zero, None])[:, order]
+    hit = np.flatnonzero(found >= 0)
+    harmonic, cols = np.divmod(hit, size)
+    rows, vals = found.ravel()[hit], qvals[~zero][harmonic] + 0j
+    order = np.argsort(rows * size + cols, kind="stable")
     rows, cols, vals = rows[order], cols[order], vals[order]
     plane_arr = sig * indices[:, k - 1]
     bounds = np.append(np.flatnonzero(np.diff(plane_arr, prepend=plane_arr[:1] - 1)), size)
     for arr in (indices, diag, mdiag, rows, cols, vals, bounds):
         arr.setflags(write=False)
-    return TruncatedOperator(
+    op = TruncatedOperator(
         basis=basis,
         q=q,
         t=tuple(float(x) for x in t_arr),
@@ -239,6 +263,8 @@ def build(
         planes=tuple(plane_arr.tolist()),
         plane_bounds=bounds,
     )
+    op.__dict__["_lookup"] = lookup
+    return op
 
 
 def _first_grading_violation(op: TruncatedOperator) -> tuple[IndexVector, IndexVector] | None:
@@ -518,7 +544,7 @@ def _subset_rows(op: TruncatedOperator, subset) -> np.ndarray:
         except TypeError:  # strings and other non-numbers
             integral[:] = False
     rows = np.full(members.shape[0], -1, dtype=np.intp)
-    rows[integral] = op._index_box.find(members[integral])
+    rows[integral] = op.find(members[integral])
     bad = np.flatnonzero(rows < 0)
     if bad.size:
         n = members[bad[0]].tolist()
@@ -608,10 +634,12 @@ def interior_cone(op: TruncatedOperator, gamma: Sequence[int]) -> np.ndarray:
 
     Packed keys.  The layers of reachable offsets up to the top plane of the
     ball come from :func:`coeffset.reach`, as sorted :func:`coeffset.pack`
-    keys.  A key is blocked when ``np.searchsorted`` misses it among the
-    ball's sorted keys inside the walk's box, or when it is the shift of a
-    blocked key of a layer below; the unblocked keys of each plane, in key
-    order, which is lexicographic, are its part of the cone.
+    keys.  The ball's offsets from gamma are packed in the walk's box in
+    the lexicographic order the operator's lookup lists them in, so their
+    keys come out sorted, with no argsort.  A key is blocked when
+    ``np.searchsorted`` misses it among those keys, or when it is the shift
+    of a blocked key of a layer below; the unblocked keys of each plane, in
+    key order, which is lexicographic, are its part of the cone.
 
     Raises ``ValueError`` for a potential outside class S, where steps need
     not rise and the planes give no order.
@@ -630,13 +658,11 @@ def interior_cone(op: TruncatedOperator, gamma: Sequence[int]) -> np.ndarray:
     rises = tuple(sig * g1[op.k - 1] for g1 in steps)
     walk = coeffset.reach(steps, rises, max(op.planes) - sig * gamma[op.k - 1])
 
-    # the ball's offsets inside the box, in key order
-    offsets = op.indices - np.array(gamma, dtype=np.int64)
+    # the ball's offsets inside the walk's box, in lexicographic order, so in key order
+    offsets = op.indices[op._lookup.rows] - np.array(gamma, dtype=np.int64)
     hi = [m + s - 1 for m, s in zip(walk.lo, walk.spans)]
     offsets = offsets[np.all((offsets >= walk.lo) & (offsets <= hi), axis=1)]
     ball = coeffset.pack(offsets, walk.lo, walk.spans)
-    order = np.argsort(ball, kind="stable")
-    offsets, ball = offsets[order], ball[order]
 
     padded = np.append(ball, -1)  # no key in the box is negative: a miss reads -1
     blocked, found = [], []

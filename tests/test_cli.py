@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import halfspace_bloch as hb
-from halfspace_bloch import bloch, cli, galerkin, rootfn, spectrum
+from halfspace_bloch import bloch, cli, coeffset, galerkin, rootfn, spectrum
 
 import helpers
 
@@ -170,6 +170,32 @@ def test_oracle_matrix_dump_csv(tmp_path, capsys):
     rows = out.strip().splitlines()
     assert len(rows) == 5  # ball of radius 1.2 on Z^2
     assert all(len(r.split(",")) == 5 for r in rows)
+
+
+def test_oracle_builds_one_lookup_over_the_ball(tmp_path, capsys, monkeypatch):
+    # the operator's lookup finds gamma, the cone and the closed form's rows;
+    # the only other lookup is the closed-form plan's, over the cone
+    sizes = []
+
+    class Counting(coeffset.IndexBox):
+        def __init__(self, indices):
+            sizes.append(len(indices))
+            super().__init__(indices)
+
+        @classmethod
+        def from_sorted(cls, lo, spans, keys, rows):
+            sizes.append(len(rows))
+            return super().from_sorted(lo, spans, keys, rows)
+
+    monkeypatch.setattr(coeffset, "IndexBox", Counting)
+    potential = [{"index": [1, 0], "re": 0.3}, {"index": [1, 1], "re": 0.2}, {"index": [2, -1], "im": 0.1}]
+    config = {**IDENTITY_2D, "potential": potential, "t": [0.31, 0.17], "params": {"cutoff": 6.0}}
+    code, doc = run_json(tmp_path, capsys, config, "oracle")
+    assert code == 0
+    made = list(sizes)
+    q = hb.FourierPotential(hb.identity_basis(2), {(1, 0): 0.3, (1, 1): 0.2, (2, -1): 0.1j})
+    cone = galerkin.interior_cone(galerkin.build(hb.identity_basis(2), q, (0.31, 0.17), 6.0), (0, 0))
+    assert made == [doc["size"], len(cone)]
 
 
 def test_multiplicity_tuned_family_consistent(tmp_path, capsys):
@@ -890,6 +916,19 @@ _T_OVERFLOWS = "config error (t): 't' is too large: |t|^2 overflows"
                 "[-9223372036854775808, 9223372036854775807]"
             ),
         ),
+        *(
+            (
+                "multiplicity",
+                {
+                    **_ONED,
+                    "potential": [{"index": [2], "re": "1/2"}],
+                    "params": {"mode": mode, "n": 1, "cutoff": 6.0},
+                },
+                3,
+                "CutoffError: cutoff 6.0 ball does not contain n=1",
+            )
+            for mode in ("oracle", "both")
+        ),
     ],
     ids=[
         "evaluate-at-non-number",
@@ -958,6 +997,8 @@ _T_OVERFLOWS = "config error (t): 't' is too large: |t|^2 overflows"
         "multiplicity-second-plane-negative-criterion-tol",
         "multiplicity-negative-group-cutoff",
         "multiplicity-member-beyond-int64",
+        "multiplicity-oracle-ball-misses-n",
+        "multiplicity-both-ball-misses-n",
     ],
 )
 def test_contract_exit_codes(tmp_path, capsys, command, config, code, stderr):

@@ -982,3 +982,80 @@ def test_jordan_subset_reports_a_member_beyond_int64_as_given():
     with pytest.raises(KeyError) as got:
         galerkin.jordan_chain_excess(op, 1.0, subset=[(0, 0), big])
     assert got.value.args == from_position.value.args == (big,)
+
+
+# -- the grown key box and the operator's one lookup ---------------------------------
+
+
+_GROWN_BOX_CASES = (
+    (BASIS, T, 4.0),
+    (SKEWED, (0.31, 0.17), 4.0),
+    (BASIS3, (0.3, 0.15, 0.05), 2.5),
+)
+
+
+def _equals_reference_build(basis, q, t, cutoff):
+    """The operator, after checking it byte for byte against the dense build."""
+    op = galerkin.build(basis, q, t, cutoff)
+    index_set, dense = helpers.reference_build(basis, q, t, cutoff)
+    assert op.index_set == index_set
+    assert op.matrix.tobytes() == dense.tobytes()
+    assert op.matrix_diagonal.tobytes() == np.diagonal(dense).tobytes()
+    return op
+
+
+def test_build_keeps_a_harmonic_one_shorter_than_the_ball_box_and_drops_a_box_long_one():
+    for basis, t, cutoff in _GROWN_BOX_CASES:
+        ball = basis.enumerate_ball(np.zeros(basis.dimension), cutoff)
+        spans = (ball.max(axis=0) - ball.min(axis=0) + 1).tolist()
+        # twice the lex-last row n couples -n to n: span - 1 long on axis 1
+        kept, dropped = {tuple((2 * ball[-1]).tolist()): 0.5}, {(spans[0], *[0] * (len(spans) - 1)): 0.75}
+        for j in range(1, len(spans)):
+            for length, bucket, value in ((spans[j] - 1, kept, 0.125), (spans[j], dropped, 0.375)):
+                for sign in (1, -1):
+                    g = [1] + [0] * (len(spans) - 1)
+                    g[j] = sign * length
+                    bucket[tuple(g)] = sign * (value + 1j * j)
+        op = _equals_reference_build(basis, hb.FourierPotential(basis, {**kept, **dropped}), t, cutoff)
+        assert 0.5 in op.values.tolist()
+        assert not set(dropped.values()) & set(op.values.tolist())
+
+
+def test_build_with_a_zero_harmonic_and_on_a_one_point_ball():
+    rng = np.random.default_rng(29)
+    for basis, t, cutoff in _GROWN_BOX_CASES:
+        zero = (0,) * basis.dimension
+        # one shorter than the ball's box on axis 2: it couples across it
+        top = basis.enumerate_ball(np.zeros(basis.dimension), cutoff)[:, 1].max()
+        wide = (1, 2 * int(top), *[0] * (basis.dimension - 2))
+        q = helpers.random_halfspace_potential(rng, basis, 1, "+", max_harmonics=4)
+        q = hb.FourierPotential(basis, {zero: 0.7 - 0.2j, wide: 0.3, **q.coeffs})
+        op = _equals_reference_build(basis, q, t, cutoff)
+        assert op.matrix_diagonal.tolist() == (op.diagonal + (0.7 - 0.2j)).tolist()
+        point = _equals_reference_build(basis, q, t, 0.0)
+        assert point.index_set == (zero,) and point.values.size == 0
+        assert point.matrix_diagonal.tolist() == [spectrum.eigenvalue(basis, zero, t) + (0.7 - 0.2j)]
+
+
+def test_indices_of_the_grown_box_outside_the_ball_are_missing():
+    coeffs = {(1, 0): 0.3, (2, -3): 0.2, (1, 3): 0.1j}
+    op = _equals_reference_build(BASIS, hb.FourierPotential(BASIS, coeffs), T, 3.0)
+    # the ball's box is [-3, 3]^2; the harmonics grow it to [-3, 5] x [-6, 6]
+    for outside in ((4, 0), (5, -6), (-3, 6), (3, 3), (0, -6)):
+        assert op.find([outside]).tolist() == [-1]
+        with pytest.raises(KeyError) as from_position:
+            op.position(outside)
+        with pytest.raises(KeyError) as from_subset:
+            galerkin.jordan_chain_excess(op, 1.0, subset=[(0, 0), outside])
+        assert from_position.value.args == from_subset.value.args == (outside,)
+    assert op.find(op.indices).tolist() == list(range(op.size))
+
+
+def test_replaced_indices_are_found_afresh():
+    op = galerkin.build(BASIS, hb.FourierPotential(BASIS, {(1, 0): 0.3}), T, 2.0)
+    moved = dataclasses.replace(op, indices=op.indices[::-1] + 10)
+    assert moved.find(moved.indices).tolist() == list(range(op.size))
+    assert moved.find(op.indices).tolist() == [-1] * op.size
+    assert moved.position((12, 10)) == 0 and op.position((2, 0)) == op.size - 1
+    with pytest.raises(KeyError):
+        moved.position((0, 0))
