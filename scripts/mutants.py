@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""Run the tier-1 suite against one-line mutants of the package and print the survivors.
+
+Copies ``src/`` and ``tests/`` to a temporary directory, checks that the
+unchanged copy passes, then applies each mutant of ``MUTANTS`` to the copy
+on its own and runs
+
+    PYTHONPATH=src python -m pytest -q -x --continue-on-collection-errors
+
+there.  A mutant is killed when the run fails (its first failing test is
+printed) and survives when it passes.  The list holds every named
+tolerance moved by a factor of 100 each way, and three faults in the
+shared coefficient kernel.  Nothing is written in the repository.
+
+    python3 scripts/mutants.py
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path("src") / "halfspace_bloch"
+
+#: (name, file in the package, the line as it stands, the mutated line)
+MUTANTS = (
+    ("DENOM_TOL_SCALE*100", "spectrum.py", "DENOM_TOL_SCALE = 1e-12", "DENOM_TOL_SCALE = 1e-10"),
+    ("DENOM_TOL_SCALE/100", "spectrum.py", "DENOM_TOL_SCALE = 1e-12", "DENOM_TOL_SCALE = 1e-14"),
+    ("DIAG_EQ_SCALE*100", "galerkin.py", "DIAG_EQ_SCALE = 1e-9", "DIAG_EQ_SCALE = 1e-7"),
+    ("DIAG_EQ_SCALE/100", "galerkin.py", "DIAG_EQ_SCALE = 1e-9", "DIAG_EQ_SCALE = 1e-11"),
+    ("RANK_TOL_SCALE*100", "galerkin.py", "RANK_TOL_SCALE = 1e-9", "RANK_TOL_SCALE = 1e-7"),
+    ("RANK_TOL_SCALE/100", "galerkin.py", "RANK_TOL_SCALE = 1e-9", "RANK_TOL_SCALE = 1e-11"),
+    ("CRITERION_TOL*100", "rootfn.py", "CRITERION_TOL = 1e-10", "CRITERION_TOL = 1e-8"),
+    ("CRITERION_TOL/100", "rootfn.py", "CRITERION_TOL = 1e-10", "CRITERION_TOL = 1e-12"),
+    (
+        "product-sign",
+        "coeffset.py",
+        "    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re",
+        "    return a_re * b_re + a_im * b_im, a_re * b_im + a_im * b_re",
+    ),
+    (
+        "reach-one-layer-fewer",
+        "coeffset.py",
+        "    for p in range(1, top + 1):",
+        "    for p in range(1, top):",
+    ),
+    (
+        "distinct-keeps-repeats",
+        "coeffset.py",
+        "    np.not_equal(keys[1:], keys[:-1], out=first[1:])",
+        "    np.greater_equal(keys[1:], keys[:-1], out=first[1:])",
+    ),
+)
+
+#: per run; a mutant that makes the suite hang counts as killed
+TIMEOUT_S = 900
+
+
+def run_suite(work: Path) -> tuple[bool, str]:
+    """(passed, first failing test or the reason) of one tier-1 run in ``work``."""
+    env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
+    command = [
+        sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+        "--continue-on-collection-errors",
+    ]
+    try:
+        done = subprocess.run(
+            command, cwd=work, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
+        )
+    except subprocess.TimeoutExpired:
+        return False, f"timeout after {TIMEOUT_S} s"
+    if done.returncode == 0:
+        return True, done.stdout.strip().splitlines()[-1]
+    failed = [line for line in done.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
+    return False, failed[0] if failed else f"exit {done.returncode}"
+
+
+def main() -> int:
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
+    survivors = []
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(
+                ROOT / part, work / part, ignore=shutil.ignore_patterns("__pycache__")
+            )
+        passed, detail = run_suite(work)
+        print(f"unmutated: {detail}", flush=True)
+        if not passed:
+            print("the unmutated copy fails; no mutant is meaningful", file=sys.stderr)
+            return 1
+        for name, file, line, mutated in MUTANTS:
+            path = work / PACKAGE / file
+            source = path.read_text(encoding="utf-8")
+            if source.count(line) != 1:
+                raise SystemExit(f"{name}: {file} does not hold the line {line.strip()!r} once")
+            path.write_text(source.replace(line, mutated), encoding="utf-8")
+            try:
+                passed, detail = run_suite(work)
+            finally:
+                path.write_text(source, encoding="utf-8")
+            print(f"{name}: {'SURVIVED' if passed else 'killed by ' + detail}", flush=True)
+            if passed:
+                survivors.append(name)
+    print(f"survivors ({len(survivors)} of {len(MUTANTS)}): {', '.join(survivors) or 'none'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

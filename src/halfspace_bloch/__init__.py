@@ -8,7 +8,7 @@ everything downstream of a constructed object is safe to use concurrently.
 
 from .lattice import IndexVector, LatticeBasis, decompose, identity_basis, in_halfspace
 from .potential import FourierPotential, classify, convolve, evaluate
-from .spectrum import EigenGroup, Plane, degeneracy_group, eigenvalue, eigenvalues, is_simple
+from .spectrum import EigenGroup, Plane, degeneracy_group, eigenvalue, eigenvalues
 from .bloch import (
     BlochCoefficients,
     bloch_series,

@@ -9,7 +9,8 @@ check each other:
   dividing by d(g, delta) = |g+t|^2 - |g+delta+t|^2 once per target index.
 
 Both produce coefficient maps supported on the base index 0 and the strict
-half-space planes only, normalized to 1 at the base plane wave.
+half-space planes only, normalized to 1 at the base plane wave.  Every
+guard asks whether a denominator collides with lam (:func:`spectrum.collides`).
 
 Both routes, the residual and the discrepancy run on the array-backed
 coefficient sets of :mod:`coeffset`: whole offset arrays are convolved with
@@ -62,17 +63,10 @@ from . import coeffset, jsonfmt
 from .errors import ResonanceError
 from .lattice import IndexVector, LatticeBasis, as_index, sign_value, squared_norms
 from .potential import FourierPotential
-from .spectrum import eigenvalue, eigenvalues
-
-#: scale of the guard below which a denominator counts as resonant
-DENOM_TOL_SCALE = 1e-12
+from .spectrum import collides, eigenvalue, eigenvalues
 
 DEFAULT_MAX_ORDER = 12
 DEFAULT_TAIL_TOL = 1e-12
-
-
-def denominator_tolerance(lam: float) -> float:
-    return DENOM_TOL_SCALE * (1.0 + abs(lam))
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,13 +138,14 @@ def _require_classified(q: FourierPotential) -> tuple[int, str]:
     return (q.k or 1, q.sign or "+")
 
 
-def _guard(gap: np.ndarray, tol: float, offsets: np.ndarray, message: str, at=None) -> None:
-    """:class:`ResonanceError` at the first gap below the guard.
+def _guard(gap: np.ndarray, lam: float, offsets: np.ndarray, message: str, at=None) -> None:
+    """:class:`ResonanceError` at the first gap to lam that collides
+    (:func:`spectrum.collides`).
 
     ``gap[i]`` belongs to row i of ``offsets``; with ``at`` the gaps are
     read in the order of ``gap[at]``.
     """
-    bad = np.abs(gap) < tol
+    bad = collides(gap, lam)
     if bad.any():
         row = np.flatnonzero(bad)[0] if at is None else at[np.flatnonzero(bad[at])[0]]
         index, value = tuple(offsets[row].tolist()), float(gap[row])
@@ -183,7 +178,6 @@ def bloch_series(
     gamma = as_index(gamma, basis.dimension)
     t = np.asarray(t, dtype=float)
     lam = eigenvalue(basis, gamma, t)
-    tol = denominator_tolerance(lam)
     support, qvals = coeffset.from_mapping(q.coeffs, basis.dimension)
     lo, spans, keys, shifts = coeffset.sum_box(support, max(max_order, 0))
 
@@ -199,7 +193,7 @@ def bloch_series(
         if len(rows) < len(targets):
             raise ValueError(f"series order {order} reaches an offset beyond int64")
         gap = lam - eigenvalues(basis, rows + gamma, t)
-        _guard(gap, tol, rows, "resonant denominator at offset {}: {!r}", at)
+        _guard(gap, lam, rows, "resonant denominator at offset {}: {!r}", at)
         re, im = coeffset.divide(re, im, gap[at])
         keys, values = coeffset.nonzero(targets, coeffset.accumulate(at, re, im, targets.size))
         tail = sum(map(abs, values.tolist()))
@@ -279,24 +273,24 @@ def _plan(support: np.ndarray, k: int, sign: str, offsets: np.ndarray, depth: in
     )
 
 
-def _evaluate(plan: _Plan, qvals: np.ndarray, d: np.ndarray, tol: float):
+def _evaluate(plan: _Plan, qvals: np.ndarray, d: np.ndarray, lam: float):
     """(values, kept) on the plan's targets, kept marking nonzero numerators.
 
-    ``d`` holds d(gamma, delta) per target.  A target is reached when a
-    triple brings it a kept coefficient; the guard raises at the first
-    reached one, in row order, whose |d| is below ``tol``.  Every numerator
-    is divided, but only the kept ones are read: a dropped one is 0 and
-    leaves a zero that adds nothing to the sums after it.  A d below ``tol``
-    divides as inf: the planes before the first hit, which alone decide
-    where it is, are exact, and without a hit every such d belongs to a
-    target whose numerator is 0.
+    ``d`` holds d(gamma, delta) per target, gaps to the level ``lam``.  A
+    target is reached when a triple brings it a kept coefficient; the guard
+    raises at the first reached one, in row order, whose d collides.  Every
+    numerator is divided, but only the kept ones are read: a dropped one is
+    0 and leaves a zero that adds nothing to the sums after it.  A d that
+    collides divides as inf: the planes before the first hit, which alone
+    decide where it is, are exact, and without a hit every such d belongs
+    to a target whose numerator is 0.
     """
     values = np.zeros(len(plan.offsets), dtype=complex)
     kept = np.zeros(len(plan.offsets), dtype=bool)
     values[: plan.bounds[1]], kept[: plan.bounds[1]] = 1.0, True
     q = qvals[plan.harmonics]
     q_re, q_im = q.real.copy(), q.imag.copy()
-    divisor = np.where(np.abs(d) < tol, np.inf, d)
+    divisor = np.where(collides(d, lam), np.inf, d)
     for p in range(1, len(plan.bounds) - 1):
         s, e, lo, hi = plan.bounds[p], plan.bounds[p + 1], plan.cuts[p], plan.cuts[p + 1]
         local, c = plan.local[lo:hi], values[plan.predecessors[lo:hi]]
@@ -307,7 +301,7 @@ def _evaluate(plan: _Plan, qvals: np.ndarray, d: np.ndarray, tol: float):
     reached = np.zeros(len(plan.offsets), dtype=bool)
     reached[plan.targets[kept[plan.predecessors]]] = True
     _guard(
-        np.where(reached, d, np.inf), tol, plan.offsets,
+        np.where(reached, d, np.inf), lam, plan.offsets,
         "d(gamma, delta) vanished at delta={}: {!r}",
     )
     return values, kept
@@ -346,17 +340,16 @@ def closed_form_coeffs(
     gamma = as_index(gamma, basis.dimension)
     t = np.asarray(t, dtype=float)
     lam = eigenvalue(basis, gamma, t)
-    tol = denominator_tolerance(lam)
     support, qvals = coeffset.from_mapping(q.coeffs, basis.dimension)
     reachable = _reachable(q, k, sign, depth)
     if targets is None:
         targets = reachable
-    elif np.any(np.abs(lam - eigenvalues(basis, reachable[1:] + gamma, t)) < tol):
+    elif collides(lam - eigenvalues(basis, reachable[1:] + gamma, t), lam).any():
         # only the unrestricted recursion knows whether a kept coefficient
         # reaches the resonance: it raises wherever it would raise
         closed_form_coeffs(basis, q, gamma, t, depth)
     plan = _plan(support, k, sign, np.asarray(targets, dtype=np.int64), depth)
-    values, kept = _evaluate(plan, qvals, lam - eigenvalues(basis, plan.offsets + gamma, t), tol)
+    values, kept = _evaluate(plan, qvals, lam - eigenvalues(basis, plan.offsets + gamma, t), lam)
     kept = plan.box.rows[kept[plan.box.rows]]
     return BlochCoefficients(
         gamma=gamma,

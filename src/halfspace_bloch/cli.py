@@ -319,7 +319,7 @@ def cmd_bloch(doc: dict) -> tuple[dict, int]:
     report: dict[str, Any] = {
         "command": "bloch",
         "method": method,
-        "tolerances": {"tail_tol": tail_tol, "denom_tol_scale": bloch.DENOM_TOL_SCALE},
+        "tolerances": {"tail_tol": tail_tol, "denom_tol_scale": spectrum.DENOM_TOL_SCALE},
     }
     code = EXIT_OK
     series = closed = None
@@ -363,7 +363,8 @@ def cmd_oracle(doc: dict, want_matrix: bool = False):
         "size": op.size,
         "cutoff": cutoff,
         "tolerances": {
-            "rank_tol_scale": galerkin.RANK_TOL_SCALE, "diag_eq_scale": galerkin.DIAG_EQ_SCALE
+            "rank_tol_scale": galerkin.RANK_TOL_SCALE, "diag_eq_scale": galerkin.DIAG_EQ_SCALE,
+            "denom_tol_scale": spectrum.DENOM_TOL_SCALE,
         },
     }
     triangular = galerkin.is_plane_triangular(op)
@@ -499,7 +500,10 @@ def _multiplicity_second_plane(doc: dict, params: dict) -> tuple[dict, int]:
         "report": result.to_json_dict(),
         "jordan_excess": excess,
         "verdict": "consistent" if (excess == 1) == predicted else "inconsistent",
-        "tolerances": {"criterion_tol": criterion_tol, "rank_tol_scale": galerkin.RANK_TOL_SCALE},
+        "tolerances": {
+            "criterion_tol": criterion_tol, "rank_tol_scale": galerkin.RANK_TOL_SCALE,
+            "denom_tol_scale": spectrum.DENOM_TOL_SCALE,
+        },
     }
     return report, EXIT_OK
 

@@ -95,9 +95,10 @@ def second_plane_solve(
     ``j`` indexes the second plane's member list (0-based); the system is
     the one at ``group.t``.  It is the closed form's plan from the member
     over the n_1 - n_2 planes up to the leading plane, evaluated with
-    d = lam - |member + delta + t|^2 (module docstring).  Left factors
-    vanishing away from the leading members indicate a collision the
-    grouping missed and raise :class:`ResonanceError`.
+    d = lam - |member + delta + t|^2 (module docstring).  A left factor
+    that collides with lam (:func:`spectrum.collides`, the group's own
+    predicate) away from the leading members marks a colliding point that
+    the group lacks and raises :class:`ResonanceError`.
     """
     if len(group.planes) < 2:
         raise ValueError("group has a single plane: no second-plane members")
@@ -114,16 +115,15 @@ def second_plane_solve(
     plan = bloch._plan(support, k, "+", bloch._reachable(q, k, "+", depth), depth)
     points = plan.offsets + member
     d = group.lam - eigenvalues(basis, points, group.t)
-    tol = bloch.denominator_tolerance(group.lam)
     # the leading members' rows divide by 1: their values are the numerators
     leading = plan.box.find(np.array(group.planes[0].members) - member)
     lead_rows = leading[leading >= 0]
     d[lead_rows] = 1.0
     bloch._guard(
-        d[plan.bounds[1]:], tol, points[plan.bounds[1]:],
+        d[plan.bounds[1]:], group.lam, points[plan.bounds[1]:],
         "left factor vanished at non-group index {}; the grouping cutoff missed a collision",
     )
-    values, kept = bloch._evaluate(plan, qvals, d, tol)
+    values, kept = bloch._evaluate(plan, qvals, d, group.lam)
     criterion = tuple(values[i].item() if i >= 0 else 0j for i in leading.tolist())
     # c(a, n) on the kept rows above the base, less the leading members
     kept[: plan.bounds[1]] = False

@@ -1,4 +1,4 @@
-"""Free Bloch eigenvalues |g + t|^2, simplicity tests, and degeneracy groups.
+"""Free Bloch eigenvalues |g + t|^2, the collision tolerance, and degeneracy groups.
 
 For a quasimomentum t the free operator has the plane waves as eigenvectors
 with eigenvalues |g + t|^2 over lattice points g.  A degeneracy group
@@ -6,10 +6,28 @@ collects every lattice point whose eigenvalue collides with a given one and
 organizes the members by their axis-k plane: members are sorted by
 descending plane index p, the leading count s is the number sharing the top
 plane, and the plane partition drives the root-function analysis.
+
+Collisions.  Every multiplicity and resonance question here asks whether
+two free levels coincide, and :func:`collides` alone answers it: a gap to
+the level lam collides when |gap| < tol(lam) = DENOM_TOL_SCALE (1 + |lam|).
+Group membership, the resonance guards and the target screen of
+:mod:`bloch` and the second-plane guard of :mod:`rootfn` all ask it, on the
+same batched |g + t|^2 rows, so a guard rejects exactly the points that the
+group of lam holds when its ball reaches them.  The width separates
+
+* the roundoff it absorbs: a computed |n + t|^2 is off by about
+  d u K |n + t|^2 (u = 2^-53, K = :attr:`LatticeBasis.cancellation`), so an
+  exact collision at lam computes as a gap of at most about 6 d u K lam,
+  below tol(lam) while d K < 1.5e3 (the identity basis has d K = d^2);
+* from the smallest true gap it must not hide: with the identity basis and
+  t of denominator q, distinct levels differ by a multiple of 1/q^2, above
+  tol(lam) for q up to about 1e6 / sqrt(1 + lam).  Closer levels, which t
+  can make arbitrarily close, count as colliding.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -19,11 +37,18 @@ import numpy as np
 from .errors import CutoffError
 from .lattice import IndexVector, LatticeBasis, as_index, squared_norms
 
-#: default gap (in |g+t| units) below which two levels count as colliding
-SIMPLE_GAP_TOL = 1e-6
+#: scale of the collision tolerance (module docstring)
+DENOM_TOL_SCALE = 1e-12
 
-#: default width (in eigenvalue units) of the collision equivalence
-GROUP_TOL = 1e-9
+
+def denominator_tolerance(lam: float) -> float:
+    """Width below which a gap to the level lam counts as a collision."""
+    return DENOM_TOL_SCALE * (1.0 + abs(lam))
+
+
+def collides(gap, lam: float) -> np.ndarray:
+    """Mask of the gaps to the level lam that are collisions: |gap| < tol(lam)."""
+    return np.abs(gap) < denominator_tolerance(lam)
 
 
 def eigenvalue(basis: LatticeBasis, gamma: Sequence[int], t: Sequence[float]) -> float:
@@ -96,39 +121,15 @@ def _check_cutoff(basis, gamma, t, cutoff):
     return t, lam
 
 
-def is_simple(
-    basis: LatticeBasis,
-    gamma: Sequence[int],
-    t: Sequence[float],
-    cutoff: float,
-    tol: float = SIMPLE_GAP_TOL,
-) -> bool:
-    """True iff no other lattice point comes within tol of |g + t|.
-
-    The candidate scan runs over the ball |x + t| <= cutoff, which contains
-    every possible collision once the cutoff precondition holds.
-    """
-    gamma = as_index(gamma, basis.dimension)
-    t, lam = _check_cutoff(basis, gamma, t, cutoff)
-    ball = basis.enumerate_ball(-t, cutoff)
-    others = ball[(ball != gamma).any(axis=1)]
-    gaps = np.abs(np.sqrt(eigenvalues(basis, others, t)) - math.sqrt(lam))
-    return not (gaps <= tol).any()
-
-
 def degeneracy_group(
-    basis: LatticeBasis,
-    gamma: Sequence[int],
-    t: Sequence[float],
-    k: int,
-    cutoff: float,
-    group_tol: float = GROUP_TOL,
+    basis: LatticeBasis, gamma: Sequence[int], t: Sequence[float], k: int, cutoff: float
 ) -> EigenGroup:
     """Collect all collisions of |gamma + t|^2 and organize them by axis-k plane.
 
-    Output is canonical: member order depends only on the set of collisions,
-    never on enumeration order.  A simple eigenvalue yields a one-member
-    group.
+    The members are the points of the ball |x + t| <= cutoff whose level
+    :func:`collides` with lam = |gamma + t|^2.  Output is canonical: member
+    order depends only on the set of collisions, never on enumeration
+    order.  A simple eigenvalue yields a one-member group.
     """
     gamma = as_index(gamma, basis.dimension)
     if not 1 <= k <= basis.dimension:
@@ -137,7 +138,7 @@ def degeneracy_group(
 
     ball = basis.enumerate_ball(-t, cutoff)
     gaps = np.abs(eigenvalues(basis, ball, t) - lam)
-    hit = gaps <= group_tol
+    hit = collides(gaps, lam)
     members = [(n, n[k - 1]) for n in map(tuple, ball[hit].tolist())]
     excluded_gap = float(gaps[~hit].min()) if not hit.all() else math.inf
     if gamma not in [b for b, _ in members]:
@@ -146,18 +147,13 @@ def degeneracy_group(
         )
 
     members.sort(key=lambda item: (-item[1], item[0]))
-    top_p = members[0][1]
-    s = sum(1 for _, p in members if p == top_p)
-
-    planes: list[Plane] = []
-    for _, p in members:
-        if not planes or planes[-1].n != p:
-            planes.append(Plane(p, tuple(b for b, pb in members if pb == p)))
-
+    planes = [
+        Plane(p, tuple(b for b, _ in run)) for p, run in itertools.groupby(members, lambda m: m[1])
+    ]
     return EigenGroup(
         lam=lam,
         members=tuple(members),
-        s=s,
+        s=len(planes[0].members),
         planes=tuple(planes),
         k=k,
         t=tuple(float(x) for x in t),

@@ -226,7 +226,7 @@ def oned_oracle_multiplicity(reduced: dict, n: int, cutoff_planes: int | None = 
 # the first resonance hit).
 
 
-def apply_A(basis, q, gamma, t, coeffs, denom_tol=None):
+def apply_A(basis, q, gamma, t, coeffs):
     """One application of the series transformation A to a coefficient map.
 
     Not an oracle: a row kernel on the library's ``coeffset`` primitives and
@@ -234,30 +234,29 @@ def apply_A(basis, q, gamma, t, coeffs, denom_tol=None):
     ``reference_apply_A`` is the dict loop it must match.  Sends mass at
     offset delta to delta + g1 for every support index g1 of the potential,
     weighted by q_{g1} / (lam - |gamma + delta + g1 + t|^2); raises
-    :class:`ResonanceError` at the first target denominator below the
-    tolerance.  The result is sorted, zeros dropped.
+    :class:`ResonanceError` at the first target denominator that collides
+    with lam.  The result is sorted, zeros dropped.
     """
     gamma = lattice.as_index(gamma, basis.dimension)
     t = np.asarray(t, dtype=float)
     lam = spectrum.eigenvalue(basis, gamma, t)
-    tol = bloch.denominator_tolerance(lam) if denom_tol is None else denom_tol
     support, qvals = coeffset.from_mapping(q.coeffs, basis.dimension)
     offsets, values = coeffset.from_mapping(coeffs, basis.dimension)
     lo, spans, keys, shifts = coeffset.sum_box(support, 1, base=offsets)
     targets, at, re, im = coeffset.convolve(shifts, qvals, keys, values)
     rows = coeffset.unpack(targets, lo, spans)
     gap = lam - spectrum.eigenvalues(basis, rows + gamma, t)
-    bloch._guard(gap, tol, rows, "resonant denominator at offset {}: {!r}", at)
+    bloch._guard(gap, lam, rows, "resonant denominator at offset {}: {!r}", at)
     re, im = coeffset.divide(re, im, gap[at])
     out = coeffset.nonzero(rows, coeffset.accumulate(at, re, im, targets.size))
     return coeffset.to_dict(*out)
 
 
-def reference_apply_A(basis, q, gamma, t, coeffs, denom_tol=None):
+def reference_apply_A(basis, q, gamma, t, coeffs):
     gamma = tuple(gamma)
     t = np.asarray(t, dtype=float)
     lam = spectrum.eigenvalue(basis, gamma, t)
-    tol = bloch.denominator_tolerance(lam) if denom_tol is None else denom_tol
+    tol = spectrum.denominator_tolerance(lam)
     out = {}
     for g1, qv in q.coeffs.items():
         for delta, cv in coeffs.items():
@@ -304,7 +303,7 @@ def reference_closed_form(basis, q, gamma, t, depth):
     sig = 1 if q.sign == "+" else -1
     t = np.asarray(t, dtype=float)
     lam = spectrum.eigenvalue(basis, gamma, t)
-    tol = bloch.denominator_tolerance(lam)
+    tol = spectrum.denominator_tolerance(lam)
     zero = (0,) * basis.dimension
     by_plane = {}
     for g1, qv in q.coeffs.items():
@@ -357,7 +356,7 @@ def reference_second_plane_solve(basis, q, group, j, criterion_tol=rootfn.CRITER
     k = group.k
     t = np.asarray(group.t, dtype=float)
     lam = group.lam
-    tol = bloch.denominator_tolerance(lam)
+    tol = spectrum.denominator_tolerance(lam)
 
     n1 = group.planes[0].n
     n2 = group.planes[1].n
@@ -485,7 +484,7 @@ def reference_evaluate_function(basis, psi, x):
 # -- loop references for the batched lattice layer -----------------------------
 #
 # The per-point loops that ``enumerate_ball``, ``distance_to_surface``,
-# ``sample_surface``, ``is_simple`` and ``degeneracy_group`` replaced, kept
+# ``sample_surface`` and ``degeneracy_group`` replaced, kept
 # literally with the original ``n @ generators`` coordinates: the batched code
 # must reproduce them bit for bit, ties and boundary points included.
 
@@ -542,27 +541,16 @@ def reference_sample_surface(basis, rho, resolution, threshold, cutoff=None):
     return tuple(points)
 
 
-def reference_is_simple(basis, gamma, t, cutoff, tol=spectrum.SIMPLE_GAP_TOL):
-    gamma = tuple(gamma)
-    t = np.asarray(t, dtype=float)
-    r = math.sqrt(reference_eigenvalue(basis, gamma, t))
-    for n in reference_enumerate_ball(basis, -t, cutoff):
-        if n == gamma:
-            continue
-        if abs(math.sqrt(reference_eigenvalue(basis, n, t)) - r) <= tol:
-            return False
-    return True
-
-
-def reference_group_scan(basis, gamma, t, k, cutoff, group_tol=spectrum.GROUP_TOL):
+def reference_group_scan(basis, gamma, t, k, cutoff):
     """(members in canonical order, excluded_gap) of the degeneracy-group loop."""
     t = np.asarray(t, dtype=float)
     lam = reference_eigenvalue(basis, gamma, t)
+    tol = spectrum.denominator_tolerance(lam)
     members = []
     excluded_gap = math.inf
     for n in reference_enumerate_ball(basis, -t, cutoff):
         gap = abs(reference_eigenvalue(basis, n, t) - lam)
-        if gap <= group_tol:
+        if gap < tol:
             members.append((n, n[k - 1]))
         else:
             excluded_gap = min(excluded_gap, gap)

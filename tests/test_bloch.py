@@ -124,6 +124,37 @@ def test_closed_form_resonance_error():
         bloch.closed_form_coeffs(BASIS, q, (-1, 0), (0.0, 0.0), depth=3)
 
 
+@pytest.mark.parametrize("factor", (0.01, 0.1, 10.0, 100.0))
+@pytest.mark.parametrize("m", (0, 30, 300))
+def test_collision_tolerance_boundary(m, factor):
+    # t_1 = -1/2 + e/2 puts (0, m) and (1, m) e apart, so the denominator at
+    # offset (1, 0) is -e; the width 1e-12 (1 + lam) is written out, not read
+    # from the package, so that moving it fails here
+    lam = 0.25 + m * m
+    e = factor * 1e-12 * (1.0 + lam)
+    t = (-0.5 + e / 2, 0.0)
+    q = hb.FourierPotential(BASIS, {(1, 0): 0.3})
+    cutoff = 4.0 * math.sqrt(lam) + 1.0
+    group = spectrum.degeneracy_group(BASIS, (0, m), t, k=1, cutoff=cutoff)
+    routes = (
+        lambda: bloch.bloch_series(BASIS, q, (0, m), t, max_order=3),
+        lambda: bloch.closed_form_coeffs(BASIS, q, (0, m), t, depth=3),
+    )
+    if factor < 1:
+        assert (1, m) in group.member_indices()
+        for route in routes:
+            with pytest.raises(ResonanceError) as err:
+                route()
+            assert err.value.index == (1, 0)
+            assert err.value.value == pytest.approx(-e, rel=0.1)
+    else:
+        assert (1, m) not in group.member_indices()
+        assert group.excluded_gap == pytest.approx(e, rel=0.1)
+        for route in routes:
+            psi = route()
+            assert psi.coeffs[(1, 0)] == pytest.approx(-0.3 / e, rel=0.1)
+
+
 def test_series_closed_form_agreement_random():
     rng = np.random.default_rng(23)
     for _ in range(12):

@@ -263,6 +263,31 @@ def test_multiplicity_second_plane_family(tmp_path, capsys):
         assert doc["verdict"] == "consistent"
 
 
+def test_collision_scale_is_echoed_where_it_applies(tmp_path, capsys):
+    # the closed form on the cone, and the second-plane group and guard, use it
+    oracle = {**IDENTITY_2D, "potential": [], "t": [0.5, 0.3], "params": {"cutoff": 3.0}}
+    second_plane = {
+        **IDENTITY_2D,
+        "potential": [{"index": [1, -1], "re": 0.3}, {"index": [1, 0], "re": 0.25}],
+        "t": [0.0, 0.0],
+        "params": {"mode": "2d-second-plane", "k": 1, "member": [0, 1]},
+    }
+    oned = {**_ONED, "potential": [{"index": [1], "re": "1/2"}], "params": {"mode": "both"}}
+    # the echo is checked against the constants in use; their values are
+    # pinned by behaviour (test_collision_tolerance_boundary and others)
+    rank, diag, denom = galerkin.RANK_TOL_SCALE, galerkin.DIAG_EQ_SCALE, spectrum.DENOM_TOL_SCALE
+    criterion = {"criterion_tol": rootfn.CRITERION_TOL, "rank_tol_scale": rank}
+    expected = (
+        ("oracle", oracle, {"rank_tol_scale": rank, "diag_eq_scale": diag, "denom_tol_scale": denom}),
+        ("multiplicity", second_plane, {**criterion, "denom_tol_scale": denom}),
+        ("multiplicity", oned, criterion),
+    )
+    for command, config, tolerances in expected:
+        code, doc = run_json(tmp_path, capsys, config, command)
+        assert code == 0
+        assert doc["tolerances"] == tolerances
+
+
 def test_bloch_pointwise_spot_check(tmp_path, capsys):
     config = {
         **IDENTITY_2D,
@@ -929,6 +954,28 @@ _T_OVERFLOWS = "config error (t): 't' is too large: |t|^2 overflows"
             )
             for mode in ("oracle", "both")
         ),
+        # (-110, 1) is 5e-9 from lam ~ 1.2e4, inside the collision width: the
+        # group holds it and the top plane is 110, so (110, -1) is on no
+        # second plane (an absolute 1e-9 group once left it to the
+        # second-plane guard, which exited 3 on a "missed collision")
+        (
+            "multiplicity",
+            {
+                **IDENTITY_2D,
+                "t": [1.1363636363636364e-11, 0.0],
+                "potential": [
+                    {"index": [-110, 1], "re": 0.3}, {"index": [1, 1], "re": 0.2}
+                ],
+                "params": {
+                    "mode": "2d-second-plane", "k": 2, "member": [110, -1], "cutoff": 112.0
+                },
+            },
+            2,
+            (
+                "config error (params.member): 'params.member' is not on the second plane "
+                "of its degeneracy group"
+            ),
+        ),
     ],
     ids=[
         "evaluate-at-non-number",
@@ -999,6 +1046,7 @@ _T_OVERFLOWS = "config error (t): 't' is too large: |t|^2 overflows"
         "multiplicity-member-beyond-int64",
         "multiplicity-oracle-ball-misses-n",
         "multiplicity-both-ball-misses-n",
+        "multiplicity-second-plane-collision-inside-width",
     ],
 )
 def test_contract_exit_codes(tmp_path, capsys, command, config, code, stderr):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -60,33 +61,42 @@ def test_simplicity_and_groups_equal_loop_scan(generators):
         if trial % 2:
             t = helpers.random_rational_t(rng, basis)
         cutoff = 4.0 * math.sqrt(spectrum.eigenvalue(basis, gamma, t)) + 1.5
-        for tol in (spectrum.SIMPLE_GAP_TOL, 0.3):
-            assert spectrum.is_simple(
-                basis, gamma, t, cutoff, tol
-            ) == helpers.reference_is_simple(basis, gamma, t, cutoff, tol)
-        for group_tol in (spectrum.GROUP_TOL, 0.5):
-            k = 1 + trial % d
-            group = spectrum.degeneracy_group(basis, gamma, t, k, cutoff, group_tol)
-            members, gap = helpers.reference_group_scan(basis, gamma, t, k, cutoff, group_tol)
-            assert group.members == members
-            assert group.excluded_gap == gap and type(group.excluded_gap) is float
+        k = 1 + trial % d
+        group = spectrum.degeneracy_group(basis, gamma, t, k, cutoff)
+        members, gap = helpers.reference_group_scan(basis, gamma, t, k, cutoff)
+        assert group.members == members
+        assert group.excluded_gap == gap and type(group.excluded_gap) is float
+
+
+def _simple(gamma, t, cutoff):
+    return spectrum.degeneracy_group(BASIS, gamma, t, 1, cutoff).multiplicity == 1
 
 
 def test_is_simple_collision_at_origin():
-    assert not spectrum.is_simple(BASIS, (1, 0), (0.0, 0.0), cutoff=6.0)
+    assert not _simple((1, 0), (0.0, 0.0), cutoff=6.0)
 
 
 def test_is_simple_generic_t():
-    assert spectrum.is_simple(BASIS, (0, 0), (0.1, 0.2), cutoff=4.0)
+    assert _simple((0, 0), (0.1, 0.2), cutoff=4.0)
 
 
 def test_is_simple_half_integer_t():
-    assert not spectrum.is_simple(BASIS, (0, 0), (0.5, 0.0), cutoff=4.0)
+    assert not _simple((0, 0), (0.5, 0.0), cutoff=4.0)
 
 
 def test_is_simple_cutoff_guard():
     with pytest.raises(CutoffError):
-        spectrum.is_simple(BASIS, (3, 0), (0.1, 0.2), cutoff=1.0)
+        _simple((3, 0), (0.1, 0.2), cutoff=1.0)
+
+
+def test_group_holds_a_collision_wider_than_1e9():
+    # (326, -1) and (-326, 1) are 1304 t_1 = 5e-8 apart at lam ~ 1.06e5:
+    # below the collision width 1.06e-7, above the former absolute 1e-9,
+    # at which the second-plane guard took (-326, 1) for a missed collision
+    t = (5e-8 / 1304, 0.0)
+    cutoff = 4.0 * math.sqrt(spectrum.eigenvalue(BASIS, (326, -1), t)) + 1.0
+    group = spectrum.degeneracy_group(BASIS, (326, -1), t, k=2, cutoff=cutoff)
+    assert (-326, 1) in group.member_indices()
 
 
 def test_degeneracy_group_unit_circle():
@@ -158,11 +168,19 @@ def test_axis_choice_changes_planes():
 
 
 def test_is_simple_iff_single_member():
+    # t has denominators <= 9, so distinct levels differ by at least 1/72^2:
+    # the exact rational scan decides simplicity
     rng = np.random.default_rng(5)
     for _ in range(20):
         gamma = (int(rng.integers(-2, 3)), int(rng.integers(-2, 3)))
         t = helpers.random_rational_t(rng, BASIS)
         cutoff = 4.0 * (math.sqrt(spectrum.eigenvalue(BASIS, gamma, t)) + 1.0)
-        simple = spectrum.is_simple(BASIS, gamma, t, cutoff=cutoff)
+        exact = [Fraction(x).limit_denominator(9) for x in t.tolist()]
+        levels = [
+            sum((a + b) ** 2 for a, b in zip(n, exact))
+            for n in map(tuple, BASIS.enumerate_ball(-t, cutoff).tolist())
+        ]
+        lam = sum((a + b) ** 2 for a, b in zip(gamma, exact))
+        simple = levels.count(lam) == 1
         group = spectrum.degeneracy_group(BASIS, gamma, t, k=1, cutoff=cutoff)
         assert simple == (group.multiplicity == 1)
