@@ -9,8 +9,8 @@ on its own and runs
 
 there.  A mutant is killed when the run fails (its first failing test is
 printed) and survives when it passes.  The list holds every named
-tolerance moved by a factor of 100 each way, and three faults in the
-shared coefficient kernel.  Nothing is written in the repository.
+tolerance moved by a factor of 100 each way, three faults in the shared
+coefficient kernel and one in the interior cone.  Nothing is written in the repository.
 
     python3 scripts/mutants.py
 """
@@ -49,6 +49,12 @@ MUTANTS = (
         "coeffset.py",
         "    for p in range(1, top + 1):",
         "    for p in range(1, top):",
+    ),
+    (
+        "cone-drops-predecessors",
+        "galerkin.py",
+        "        blocked[plan.targets[lo:hi][blocked[plan.predecessors[lo:hi]]]] = True",
+        "        pass",
     ),
     (
         "distinct-keeps-repeats",

@@ -8,7 +8,7 @@ in one process and prints
     workload index exit sha256
 
 per instance, where the hash covers the instance's stdout, stderr and
-output file.  Seven tagged variants follow, so that outputs the timed pools do
+output file.  Eight tagged variants follow, so that outputs the timed pools do
 not write are checked as well:
 
     fermi-json index exit sha256         every fermi instance with --format json
@@ -41,6 +41,12 @@ not write are checked as well:
                                          the whole matrix, so every stored
                                          coupling, where the timed reports
                                          read only the interior cone's rows
+    oracle-t0 index exit sha256          every oracle instance with t = 0 and
+                                         params.gamma (1, 0, ...): at t = 0
+                                         the lattice's symmetry puts other
+                                         points at lam, and many instances
+                                         exit 3 on a closed-form resonance
+                                         (87 of 203 on seed 1)
 
 Two checkouts give the same lines exactly when every command exits with the
 same code and writes the same bytes, so comparing a change with its parent
@@ -134,6 +140,11 @@ def main() -> None:
             params = {**instance.config["params"], "cutoff": 6.0}
             config = {**instance.config, "params": params}
             print("oracle-csv", index, *digest(instance.command, config, "--format", "csv"))
+        for index, instance in enumerate(pools["oracle"]):
+            d = instance.config["dimension"]
+            params = {**instance.config["params"], "gamma": [1] + [0] * (d - 1)}
+            config = {**instance.config, "t": [0.0] * d, "params": params}
+            print("oracle-t0", index, *digest(instance.command, config))
 
 
 if __name__ == "__main__":

@@ -29,30 +29,24 @@ one stable sort with a neighbour mask for the distinct targets, one
 batched |g+t|^2 call on the targets alone.  Nothing past the order where
 the series stops is built.
 
-The closed form is one plan and one evaluation.  The plan holds the
-structure alone: the target offsets, plane-major and lexicographic within a
-plane, and every (target, harmonic, predecessor) triple in the order the
-dict loop sums them: target plane, first appearance of the harmonic's plane
-in the support, support order, predecessor.  The evaluation makes one
-batched |g+t|^2 call, then per plane one gather, one product, two
-``bincount`` sums and one divide, and last one guard over all planes (see
+The closed form is one plan and one evaluation.  The plan
+(:func:`coeffset.plan`) holds the structure alone and depends on the
+support, the axis and the depth, never on gamma or t: the offsets
+reachable within the depth, plane-major and lexicographic within a plane,
+less any with an entry beyond int64, which no array here holds, and every
+(target, harmonic, predecessor) triple in the order the dict loop sums
+them: target plane, first appearance of the harmonic's plane in the
+support, support order, predecessor.  The evaluation makes one batched
+|g+t|^2 call, then per plane one gather, one product, two ``bincount``
+sums and one divide, and last one guard over all planes, every reachable
+offset reached through a kept coefficient, in row order (see
 :func:`_evaluate`).  A numerator that is exactly 0 is dropped and feeds
-nothing after it.  The default targets are the offsets reachable within
-the depth (:func:`coeffset.reach`), less any with an entry beyond int64,
-which no array here holds.  Given targets must be closed under reachable
-predecessors, as the interior cone is, and then get the unrestricted
-values.  The guard keeps the unrestricted reach either way: every
-reachable offset reached through a kept coefficient, plane by plane,
-lexicographic within a plane.  A target set screens every reachable offset
-at once (an offset beyond int64 has a huge |g+t|^2, far from lam); a
-resonant one sends the run through the unrestricted recursion, which
-raises where it would.
+nothing after it.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -225,65 +219,17 @@ def bloch_series(
     )
 
 
-#: the closed form's structure on a target set, values aside (see :func:`_plan`)
-_Plan = namedtuple("_Plan", "offsets bounds box harmonics targets local predecessors cuts")
+def _evaluate(plan: coeffset.Plan, qvals: np.ndarray, d: np.ndarray, lam: float):
+    """(values, kept) on the plan's offsets, kept marking nonzero numerators.
 
-
-def _plan(support: np.ndarray, k: int, sign: str, offsets: np.ndarray, depth: int) -> _Plan:
-    """The plan of the closed form on ``offsets``, plane-major and
-    lexicographic within a plane.
-
-    ``bounds[p]`` is the first row of plane p (then the row count) and
-    ``box`` the :class:`coeffset.IndexBox` of the offsets, whose ``rows``
-    list them in lexicographic order.  Triple j carries row
-    ``predecessors[j]`` by support entry ``harmonics[j]`` to row
-    ``targets[j]``, ``local[j]`` places into its plane; the triples, found
-    by one batched convolution and one packed-key lookup, run in
-    accumulation order, and ``cuts[p]`` is the first one into plane p.
-    """
-    sig = sign_value(sign)
-    planes = sig * offsets[:, k - 1]
-    edges = np.arange(depth + 2)
-    bounds = planes.searchsorted(edges)
-    box = coeffset.IndexBox(offsets)
-    # harmonics by the first appearance of their plane in the support, then
-    # in support order; one longer than the box on some axis links no two
-    # targets and is dropped before a sum can wrap
-    rises = (sig * support[:, k - 1]).tolist()
-    rank = {p1: r for r, p1 in enumerate(dict.fromkeys(rises))}
-    order = np.array([rank[p1] for p1 in rises]).argsort(kind="stable")
-    order = order[box.fits(support)[order]]
-    found = box.find(
-        (offsets[None, :, :] - support[order][:, None, :]).reshape(-1, offsets.shape[1])
-    ).reshape(order.size, len(offsets))
-    # by harmonic, then target: x -> x - g1 keeps the lexicographic order,
-    # so within a target plane and a harmonic the predecessors ascend too
-    step, targets = (found >= 0).nonzero()
-    by_plane = planes[targets].argsort(kind="stable")
-    step, targets = step[by_plane], targets[by_plane]
-    return _Plan(
-        offsets=offsets,
-        bounds=bounds.tolist(),
-        box=box,
-        harmonics=order[step],
-        targets=targets,
-        local=targets - bounds[planes[targets]],
-        predecessors=found[step, targets],
-        cuts=planes[targets].searchsorted(edges).tolist(),
-    )
-
-
-def _evaluate(plan: _Plan, qvals: np.ndarray, d: np.ndarray, lam: float):
-    """(values, kept) on the plan's targets, kept marking nonzero numerators.
-
-    ``d`` holds d(gamma, delta) per target, gaps to the level ``lam``.  A
-    target is reached when a triple brings it a kept coefficient; the guard
+    ``d`` holds d(gamma, delta) per offset, gaps to the level ``lam``.  An
+    offset is reached when a triple brings it a kept coefficient; the guard
     raises at the first reached one, in row order, whose d collides.  Every
     numerator is divided, but only the kept ones are read: a dropped one is
     0 and leaves a zero that adds nothing to the sums after it.  A d that
     collides divides as inf: the planes before the first hit, which alone
     decide where it is, are exact, and without a hit every such d belongs
-    to a target whose numerator is 0.
+    to an offset whose numerator is 0.
     """
     values = np.zeros(len(plan.offsets), dtype=complex)
     kept = np.zeros(len(plan.offsets), dtype=bool)
@@ -307,57 +253,36 @@ def _evaluate(plan: _Plan, qvals: np.ndarray, d: np.ndarray, lam: float):
     return values, kept
 
 
-def _reachable(q: FourierPotential, k: int, sign: str, depth: int) -> np.ndarray:
-    """The offsets reachable within ``depth`` planes, plane-major and
-    lexicographic within a plane, less any with an entry beyond int64: the
-    :func:`coeffset.reach` walk as an (m, d) array, 0 in its first row."""
-    if not q.coeffs:
-        return np.zeros((1, q.basis.dimension), dtype=np.int64)
-    steps = tuple(q.coeffs)
-    walk = coeffset.reach(steps, tuple(sign_value(sign) * g1[k - 1] for g1 in steps), depth)
-    return coeffset.unpack(np.concatenate(walk.layers), walk.lo, walk.spans)
-
-
 def closed_form_coeffs(
     basis: LatticeBasis,
     q: FourierPotential,
     gamma: Sequence[int],
     t: Sequence[float],
     depth: int,
-    targets: np.ndarray | None = None,
 ) -> BlochCoefficients:
     """Plane-by-plane solution of the coefficient recursion up to a plane depth.
 
     The coefficient at an offset on plane p is the potential-convolution of
     the coefficients on planes below p, divided by d(gamma, delta); chains
     never descend, so each plane is determined by the previous ones alone.
-    Requires the base eigenvalue to be simple (resonances raise).
-    ``targets``, an (m, d) integer array in plane-major order, lexicographic
-    within a plane, restricts the solution to a set closed under reachable
-    predecessors (module docstring).
+    Requires the base eigenvalue to be simple (resonances raise).  It is
+    :func:`coeffset.plan` and :func:`_evaluate` (module docstring).
     """
     k, sign = _require_classified(q)
     gamma = as_index(gamma, basis.dimension)
     t = np.asarray(t, dtype=float)
     lam = eigenvalue(basis, gamma, t)
-    support, qvals = coeffset.from_mapping(q.coeffs, basis.dimension)
-    reachable = _reachable(q, k, sign, depth)
-    if targets is None:
-        targets = reachable
-    elif collides(lam - eigenvalues(basis, reachable[1:] + gamma, t), lam).any():
-        # only the unrestricted recursion knows whether a kept coefficient
-        # reaches the resonance: it raises wherever it would raise
-        closed_form_coeffs(basis, q, gamma, t, depth)
-    plan = _plan(support, k, sign, np.asarray(targets, dtype=np.int64), depth)
+    plan = q.plan(depth)
+    qvals = np.array(list(q.coeffs.values()), dtype=complex)
     values, kept = _evaluate(plan, qvals, lam - eigenvalues(basis, plan.offsets + gamma, t), lam)
-    kept = plan.box.rows[kept[plan.box.rows]]
+    rows = plan.box.rows[kept[plan.box.rows]]
     return BlochCoefficients(
         gamma=gamma,
         t=tuple(float(x) for x in t),
         k=k,
         sign=sign,
-        offsets=plan.offsets[kept],
-        values=values[kept],
+        offsets=plan.offsets[rows],
+        values=values[rows],
         order=depth,
         lam=lam,
     )

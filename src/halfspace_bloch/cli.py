@@ -384,16 +384,17 @@ def cmd_oracle(doc: dict, want_matrix: bool = False):
         base = op.position(gamma)
     except KeyError:
         raise CutoffError(f"cutoff {cutoff} ball does not contain gamma={gamma}") from None
-    # the closed form only on the cone, before the backsolve: a resonance
-    # surfaces first, as in the unrestricted recursion
+    # the cone and the closed form read one plan; the closed form runs
+    # before the backsolve, so that a resonance surfaces first
     cone = galerkin.interior_cone(op, gamma)
     with np.errstate(over="ignore", invalid="ignore"):
         closed = bloch.closed_form_coeffs(
-            basis, pot.q, gamma, t, depth=max(op.planes) - op.planes[base], targets=cone
+            basis, pot.q, gamma, t, depth=max(op.planes) - op.planes[base]
         )
         vec = galerkin.eigenvector_backsolve(op, base)
         expected = np.zeros(op.size, dtype=complex)
-        expected[op.find(closed.offsets + gamma)] = closed.values
+        found = op.find(closed.offsets + gamma)
+        expected[found[found >= 0]] = closed.values[found >= 0]
         rows = op.find(cone + gamma)
         diff = vec.vector[rows] - expected[rows]
     moduli = list(map(abs, diff.tolist()))

@@ -20,6 +20,12 @@ over one :func:`sum_box`: the box of a base set plus sums of steps, in
 which a row moves by a step with one integer add.  The oracle finds its
 couplings the same way, in the ball's box grown by one step, through an
 :class:`IndexBox` built from keys already sorted.
+
+:func:`plan` turns one :func:`reach` walk into the structure of the
+closed form's plane-by-plane recursion.  It depends on the support, the
+rises and the depth alone, so one serves every (gamma, t), and it holds
+the only cache here: the closed form, the second-plane solve and the
+interior cone of one instance read one plan.
 """
 
 from __future__ import annotations
@@ -93,14 +99,21 @@ def unpack(keys: np.ndarray, lo: Sequence[int], spans: Sequence[int]) -> np.ndar
     """The (n, d) int64 rows of keys that :func:`pack` gave rows of the box,
     in key order, less the rows with an entry beyond int64 (only exact
     keys, in an object array, can name those)."""
+    return _unpack(keys, lo, spans)[0]
+
+
+def _unpack(keys: np.ndarray, lo: Sequence[int], spans: Sequence[int]):
+    """(rows, inside): :func:`unpack`'s rows, and which keys they are."""
     cols = []
     for j in range(len(spans) - 1, 0, -1):
         cols.append(keys % spans[j] + lo[j])
         keys = keys // spans[j]
     rows = np.stack([keys + lo[0], *cols[::-1]], axis=1)
+    inside = np.ones(len(rows), dtype=bool)
     if rows.dtype == object:
-        rows = rows[((rows >= -_KEY_LIMIT) & (rows < _KEY_LIMIT)).all(axis=1)]
-    return rows.astype(np.int64, copy=False)
+        inside = ((rows >= -_KEY_LIMIT) & (rows < _KEY_LIMIT)).all(axis=1)
+        rows = rows[inside]
+    return rows.astype(np.int64, copy=False), inside
 
 
 class IndexBox:
@@ -136,8 +149,11 @@ class IndexBox:
         return box
 
     def _fill(self, lo, spans, keys, rows) -> None:
-        self.lo = np.array(lo, dtype=np.int64)
-        self.hi = np.array([m + s - 1 for m, s in zip(lo, spans)], dtype=np.int64)
+        # keys are packed from the exact corner; the bounds that reject a
+        # member are cut to int64, where every member lies
+        self.corner = tuple(lo)
+        self.lo = np.array([max(m, -_KEY_LIMIT) for m in lo], dtype=np.int64)
+        self.hi = np.array([min(m + s, _KEY_LIMIT) - 1 for m, s in zip(lo, spans)], dtype=np.int64)
         self.spans = np.array(spans, dtype=np.int64 if max(spans) < _KEY_LIMIT else object)
         self.rows = rows
         # no key in the box is negative: a miss reads -1
@@ -148,7 +164,7 @@ class IndexBox:
         inside = np.flatnonzero(((members >= self.lo) & (members <= self.hi)).all(axis=1))
         rows = np.full(members.shape[0], -1, dtype=np.intp)
         members = members[inside].astype(np.int64, copy=False)
-        rows[inside] = self.find_keys(pack(members, self.lo.tolist(), self.spans.tolist()))
+        rows[inside] = self.find_keys(pack(members, self.corner, self.spans.tolist()))
         return rows
 
     def find_keys(self, keys: np.ndarray) -> np.ndarray:
@@ -158,11 +174,6 @@ class IndexBox:
         rows = np.full(keys.shape, -1, dtype=np.intp)
         rows[hit] = self.rows[at[hit]]
         return rows
-
-    def fits(self, steps: np.ndarray) -> np.ndarray:
-        """Which rows of an (s, d) int64 array are shorter than the box on every
-        axis: only they can carry one index of the box to another."""
-        return ((steps > -self.spans) & (steps < self.spans)).all(axis=1).astype(bool)
 
 
 def sum_box(steps: np.ndarray, top: int, base: np.ndarray | None = None):
@@ -225,7 +236,6 @@ def convolve(shifts: np.ndarray, q: np.ndarray, keys: np.ndarray, values: np.nda
 Reach = namedtuple("Reach", "lo spans shifts layers")
 
 
-@functools.lru_cache(maxsize=4)
 def reach(steps: tuple, rises: tuple, top: int) -> Reach:
     """The sums of ``steps`` (index tuples) up to plane ``top``, layer by layer.
 
@@ -235,9 +245,7 @@ def reach(steps: tuple, rises: tuple, top: int) -> Reach:
     ``shifts[i]`` is the key change of step i.  So a layer is the union of
     the layers below it, each shifted by its steps with one broadcast add
     per distinct rise, sorted and stripped of repeats: work and memory
-    follow the reachable set, never the box.  The last few walks are kept,
-    read-only, so that the interior cone and the closed form of one
-    instance share one.
+    follow the reachable set, never the box.
     """
     lo, spans, origin, shifts = sum_box(np.array(steps, dtype=np.int64), top)
     rises = np.array(rises)
@@ -247,9 +255,77 @@ def reach(steps: tuple, rises: tuple, top: int) -> Reach:
         layers.append(distinct(np.concatenate(
             [origin[:0], *((layers[p - r] + s).ravel() for r, s in by_rise if r <= p)]
         )))
-    for layer in layers:
-        layer.setflags(write=False)
     return Reach(tuple(lo), tuple(spans), tuple(shifts.tolist()), tuple(layers))
+
+
+#: the closed form's structure, values aside (see :func:`plan`)
+Plan = namedtuple("Plan", "offsets bounds box harmonics targets local predecessors cuts")
+
+
+@functools.lru_cache(maxsize=4)
+def plan(steps: tuple, rises: tuple, depth: int) -> Plan:
+    """The structure of the plane-by-plane recursion over the :func:`reach`
+    walk of ``steps`` to plane ``depth``, ``rises[i]`` the plane of step i
+    (so a sum's plane is a function of the sum).
+
+    ``offsets`` holds the reachable offsets, plane-major and lexicographic
+    within a plane, the origin first, less any with an entry beyond int64,
+    which no array here holds.  ``bounds[p]`` is the first row of plane p
+    (then the row count), read from the walk's layers, and ``box`` the
+    :class:`IndexBox` of the offsets on the walk's box and keys, whose
+    ``rows`` list them in lexicographic order.  Triple j carries row
+    ``predecessors[j]`` by step ``harmonics[j]`` to row ``targets[j]``,
+    ``local[j]`` places into its plane.  The triples run in the order the
+    dict loop sums them: target plane, first appearance of the step's rise
+    in ``steps``, step order, predecessor; ``cuts[p]`` is the first one into
+    plane p.  A triple from or to an offset beyond int64 is left out.
+
+    The plan depends on the support, the axis and the depth alone, so one
+    serves every (gamma, t): the last few are kept, read-only, and the
+    interior cone and the closed form of one instance share one.
+    """
+    walk = reach(steps, rises, depth)
+    keys = np.concatenate(walk.layers)
+    offsets, inside = _unpack(keys, walk.lo, walk.spans)
+    keys = keys[inside]
+    # the kept rows before the first of each layer
+    bounds = np.flatnonzero(inside).searchsorted(np.cumsum([0, *map(len, walk.layers)]))
+    planes = np.repeat(np.arange(depth + 1), np.diff(bounds))
+    # distinct planes hold distinct sums, so no key repeats, and the stable
+    # sort merges the sorted layers
+    by_key = keys.argsort(kind="stable")
+    box = IndexBox.from_sorted(walk.lo, walk.spans, keys[by_key], by_key)
+    # by step, then predecessor: a step keeps the lexicographic order, so
+    # within a target plane and a step the targets ascend too; every sum of
+    # a predecessor and its step is in the walk, and only one beyond int64
+    # is missing from the box
+    rank = {r: i for i, r in enumerate(dict.fromkeys(rises))}
+    order = [i for _, i in sorted((rank[r], i) for i, r in enumerate(rises) if r <= depth)]
+    counts = [bounds[depth + 1 - rises[i]] for i in order]
+    rows = np.arange(len(keys))
+    found = box.find_keys(np.concatenate(
+        [keys[:0], *(keys[:n] + walk.shifts[i] for i, n in zip(order, counts))]
+    ))
+    hit = np.flatnonzero(found >= 0)
+    by_plane = hit[planes[found[hit]].argsort(kind="stable")]
+    targets = found[by_plane]
+    predecessors = np.concatenate([rows[:0], *(rows[:n] for n in counts)])[by_plane]
+    harmonics = np.repeat(np.array(order, dtype=np.intp), counts)[by_plane]
+    target_planes = planes[targets]
+    local = targets - bounds[target_planes]
+    for arr in (offsets, harmonics, targets, local, predecessors,
+                box.lo, box.hi, box.spans, box.keys, box.rows):
+        arr.setflags(write=False)
+    return Plan(
+        offsets=offsets,
+        bounds=tuple(bounds.tolist()),
+        box=box,
+        harmonics=harmonics,
+        targets=targets,
+        local=local,
+        predecessors=predecessors,
+        cuts=tuple(target_planes.searchsorted(np.arange(depth + 2)).tolist()),
+    )
 
 
 def accumulate(inverse: np.ndarray, re, im, size: int) -> np.ndarray:

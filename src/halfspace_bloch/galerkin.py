@@ -632,14 +632,21 @@ def interior_cone(op: TruncatedOperator, gamma: Sequence[int]) -> np.ndarray:
     it leaves the ball, the property stated above.  In particular every
     reachable predecessor of a cone offset is in the cone.
 
-    Packed keys.  The layers of reachable offsets up to the top plane of the
-    ball come from :func:`coeffset.reach`, as sorted :func:`coeffset.pack`
-    keys.  The ball's offsets from gamma are packed in the walk's box in
-    the lexicographic order the operator's lookup lists them in, so their
-    keys come out sorted, with no argsort.  A key is blocked when
-    ``np.searchsorted`` misses it among those keys, or when it is the shift
-    of a blocked key of a layer below; the unblocked keys of each plane, in
-    key order, which is lexicographic, are its part of the cone.
+    The plan.  The reachable offsets and their (target, predecessor) pairs
+    are the closed form's :func:`coeffset.plan`, the same cached one the
+    closed form of the instance reads, plane-major.  An offset is blocked
+    when gamma + delta is not a row of the operator (a sum that wraps in
+    int64 lands far outside the ball, as the true one does), or when a pair
+    brings it a blocked predecessor; the pairs into a plane come from
+    earlier planes, so one pass over the planes settles them in order.
+
+    The plan leaves out the sums beyond int64 and every pair that touches
+    one, yet they decide no ball offset.  Fewer pairs never block more.  A
+    chain that leaves the ball still blocks its end in the plan: without a
+    sum beyond int64 it lies in the plan.  Otherwise take its last such
+    sum; the sum after it is in int64 and either outside the ball, and the
+    rest of the chain, in int64, blocks the end, or a ball offset on a
+    lower plane with such a chain, blocked by induction on the plane.
 
     Raises ``ValueError`` for a potential outside class S, where steps need
     not rise and the planes give no order.
@@ -649,33 +656,11 @@ def interior_cone(op: TruncatedOperator, gamma: Sequence[int]) -> np.ndarray:
         op.position(gamma)
     except KeyError:
         return np.zeros((0, op.basis.dimension), dtype=np.int64)
-    if not op.q.coeffs:
-        return np.zeros((1, op.basis.dimension), dtype=np.int64)
     if op.q.classification is None:
         raise ValueError("the interior cone needs a potential in class S")
-    sig = sign_value(op.sign)
-    steps = tuple(op.q.coeffs)
-    rises = tuple(sig * g1[op.k - 1] for g1 in steps)
-    walk = coeffset.reach(steps, rises, max(op.planes) - sig * gamma[op.k - 1])
-
-    # the ball's offsets inside the walk's box, in lexicographic order, so in key order
-    offsets = op.indices[op._lookup.rows] - np.array(gamma, dtype=np.int64)
-    hi = [m + s - 1 for m, s in zip(walk.lo, walk.spans)]
-    offsets = offsets[np.all((offsets >= walk.lo) & (offsets <= hi), axis=1)]
-    ball = coeffset.pack(offsets, walk.lo, walk.spans)
-
-    padded = np.append(ball, -1)  # no key in the box is negative: a miss reads -1
-    blocked, found = [], []
-    for p, keys in enumerate(walk.layers):
-        at = np.searchsorted(ball, keys)
-        unblocked = padded[at] == keys
-        inherited = [
-            blocked[p - rise] + shift
-            for shift, rise in zip(walk.shifts, rises)
-            if rise <= p and blocked[p - rise].size
-        ]
-        if inherited:
-            unblocked[np.searchsorted(keys, np.concatenate(inherited))] = False
-        blocked.append(keys[~unblocked])
-        found.append(at[unblocked])
-    return offsets[np.concatenate(found)]
+    plan = op.q.plan(max(op.planes) - sign_value(op.sign) * gamma[op.k - 1])
+    blocked = op.find(plan.offsets + np.array(gamma, dtype=np.int64)) < 0
+    for p in range(1, len(plan.bounds) - 1):
+        lo, hi = plan.cuts[p], plan.cuts[p + 1]
+        blocked[plan.targets[lo:hi][blocked[plan.predecessors[lo:hi]]]] = True
+    return plan.offsets[~blocked]

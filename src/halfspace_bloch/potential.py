@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import coeffset
-from .lattice import IndexVector, LatticeBasis, as_index, in_halfspace, squared_norms
+from .lattice import IndexVector, LatticeBasis, as_index, in_halfspace, sign_value, squared_norms
 
 MODES = ("summable", "square-summable")
 
@@ -105,6 +105,14 @@ class FourierPotential:
 
     def __len__(self) -> int:
         return len(self.coeffs)
+
+    def plan(self, depth: int) -> coeffset.Plan:
+        """The closed form's :func:`coeffset.plan` of the support on the
+        classification axis to plane ``depth``; the zero potential's one
+        step of 0 rises past the depth, so its plan holds the origin alone."""
+        steps = tuple(self.coeffs) or ((0,) * self.basis.dimension,)
+        rises = tuple(sign_value(self.sign) * g1[self.k - 1] for g1 in self.coeffs)
+        return coeffset.plan(steps, rises or (depth + 1,), depth)
 
 
 def truncated(

@@ -29,7 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import bloch, coeffset
+from . import bloch
 from .errors import MalformedCoefficientsError
 from .lattice import IndexVector, LatticeBasis
 from .potential import FourierPotential
@@ -111,8 +111,8 @@ def second_plane_solve(
         raise IndexError(f"j={j} is not a second-plane member (0..{len(members) - 1})")
     k, member = group.k, members[j]
     depth = group.planes[0].n - group.planes[1].n
-    support, qvals = coeffset.from_mapping(q.coeffs, basis.dimension)
-    plan = bloch._plan(support, k, "+", bloch._reachable(q, k, "+", depth), depth)
+    plan = q.plan(depth)
+    qvals = np.array(list(q.coeffs.values()), dtype=complex)
     points = plan.offsets + member
     d = group.lam - eigenvalues(basis, points, group.t)
     # the leading members' rows divide by 1: their values are the numerators
@@ -121,7 +121,7 @@ def second_plane_solve(
     d[lead_rows] = 1.0
     bloch._guard(
         d[plan.bounds[1]:], group.lam, points[plan.bounds[1]:],
-        "left factor vanished at non-group index {}; the grouping cutoff missed a collision",
+        "left factor vanished at non-group index {}; the group lacks this colliding point",
     )
     values, kept = bloch._evaluate(plan, qvals, d, group.lam)
     criterion = tuple(values[i].item() if i >= 0 else 0j for i in leading.tolist())

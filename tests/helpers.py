@@ -407,7 +407,7 @@ def reference_second_plane_solve(basis, q, group, j, criterion_tol=rootfn.CRITER
                     continue  # criterion rows handled below
                 raise ResonanceError(
                     f"left factor vanished at non-group index {point}; the "
-                    "grouping cutoff missed a collision",
+                    "group lacks this colliding point",
                     index=point,
                     value=left,
                 )

@@ -174,7 +174,8 @@ def test_oracle_matrix_dump_csv(tmp_path, capsys):
 
 def test_oracle_builds_one_lookup_over_the_ball(tmp_path, capsys, monkeypatch):
     # the operator's lookup finds gamma, the cone and the closed form's rows;
-    # the only other lookup is the closed-form plan's, over the cone
+    # the only other lookup is the plan's, over the reachable offsets, which
+    # the cone and the closed form share
     sizes = []
 
     class Counting(coeffset.IndexBox):
@@ -188,14 +189,15 @@ def test_oracle_builds_one_lookup_over_the_ball(tmp_path, capsys, monkeypatch):
             return super().from_sorted(lo, spans, keys, rows)
 
     monkeypatch.setattr(coeffset, "IndexBox", Counting)
+    coeffset.plan.cache_clear()
     potential = [{"index": [1, 0], "re": 0.3}, {"index": [1, 1], "re": 0.2}, {"index": [2, -1], "im": 0.1}]
     config = {**IDENTITY_2D, "potential": potential, "t": [0.31, 0.17], "params": {"cutoff": 6.0}}
     code, doc = run_json(tmp_path, capsys, config, "oracle")
     assert code == 0
     made = list(sizes)
     q = hb.FourierPotential(hb.identity_basis(2), {(1, 0): 0.3, (1, 1): 0.2, (2, -1): 0.1j})
-    cone = galerkin.interior_cone(galerkin.build(hb.identity_basis(2), q, (0.31, 0.17), 6.0), (0, 0))
-    assert made == [doc["size"], len(cone)]
+    op = galerkin.build(hb.identity_basis(2), q, (0.31, 0.17), 6.0)
+    assert made == [doc["size"], len(q.plan(max(op.planes)).offsets)]
 
 
 def test_multiplicity_tuned_family_consistent(tmp_path, capsys):
@@ -1276,6 +1278,28 @@ def test_oracle_agreement_equals_dict_loop(tmp_path, capsys):
 
 
 
+def test_oracle_writes_no_closed_form_value_outside_the_ball(tmp_path, capsys):
+    # the closed form reaches (3, 3), outside the cutoff-3 ball, and the
+    # operator's last row, (3, 0), is in the cone: a value written at the
+    # row -1 that op.find gives an outside offset would land there
+    potential = {(1, 0): 0.3, (1, 1): -0.2j}
+    config = {
+        **IDENTITY_2D,
+        "potential": _records(potential),
+        "t": [0.13, 0.29],
+        "params": {"gamma": [0, 0], "cutoff": 3.0},
+    }
+    code, report = run_json(tmp_path, capsys, config, "oracle")
+    assert code == 0
+    q = hb.FourierPotential(hb.identity_basis(2), potential)
+    op = galerkin.build(hb.identity_basis(2), q, config["t"], 3.0)
+    closed = bloch.closed_form_coeffs(hb.identity_basis(2), q, (0, 0), config["t"], max(op.planes))
+    assert (op.find(closed.offsets) < 0).any()
+    assert op.index_set[-1] in set(map(tuple, galerkin.interior_cone(op, (0, 0)).tolist()))
+    cone, worst = _reference_agreement(config)
+    assert report["eigenvector_agreement"] == worst < 1e-15
+
+
 def test_oracle_resonance_outside_the_cone_exits_3(tmp_path, capsys):
     # lam = 1 at gamma = (-1, 0), t = 0: delta = (2, 0) resonates, and its
     # predecessor (1, 5) lies outside the cutoff-3 ball, so the cone is {0};
@@ -1324,7 +1348,7 @@ def test_overflowing_routes_exit_4_without_a_warning(tmp_path):
 
 def test_oracle_with_sums_beyond_int64_exits_0(tmp_path, capsys):
     # (1, 2**62) lies outside the ball, and sums of a few such steps leave
-    # int64: the resonance screen passes over them instead of crashing
+    # int64: the plan leaves them out instead of crashing
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**IDENTITY_2D, "potential": _NEAR_INT64_END}), encoding="utf-8")
     assert cli.main(["oracle", "--config", str(path)]) == 0

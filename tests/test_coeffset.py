@@ -188,26 +188,15 @@ PLAN_CASES = {
 }
 
 
-def restricted(basis, q, gamma, t, cutoff):
-    """(full, restricted, cone): the closed form to the ball's top plane,
-    unrestricted and on the interior cone, as :func:`outcome`s."""
+def top_plane(basis, q, gamma, t, cutoff):
+    """The closed form to the top plane of the cutoff ball, as an
+    :func:`outcome`, after checking it against the dict loop."""
     op = galerkin.build(basis, q, t, cutoff)
-    cone = galerkin.interior_cone(op, gamma)
     depth = max(op.planes) - op.planes[op.position(gamma)]
     full = outcome(bloch.closed_form_coeffs, basis, q, gamma, t, depth)
     assert_same(full if resonated(full) else full.coeffs,
                 outcome(helpers.reference_closed_form, basis, q, gamma, t, depth))
-    return full, outcome(bloch.closed_form_coeffs, basis, q, gamma, t, depth, cone), cone
-
-
-def assert_restriction(full, part, cone):
-    """The restricted run raises the full run's first hit, or equals it on the cone."""
-    if resonated(full):
-        assert part == full
-        return
-    inside = set(map(tuple, cone.tolist()))
-    assert_same(part.coeffs, {n: v for n, v in full.coeffs.items() if n in inside})
-    assert part.order == full.order
+    return full
 
 
 @pytest.mark.parametrize("name", PLAN_CASES)
@@ -216,7 +205,6 @@ def test_closed_form_plan_equals_dict_loop(name):
     basis = hb.LatticeBasis(np.array(generators))
     d = basis.dimension
     rng = np.random.default_rng(sum(map(ord, name)) + 101)
-    restricted_cones = 0
     for i in range(12):
         q = helpers.random_halfspace_potential(
             rng, basis, k=k, sign=sign, max_harmonics=2 if d == 1 else 5,
@@ -232,11 +220,7 @@ def test_closed_form_plan_equals_dict_loop(name):
                     outcome(lambda *a: bloch.closed_form_coeffs(*a).coeffs, basis, q, gamma, t, depth),
                     outcome(helpers.reference_closed_form, basis, q, gamma, t, depth),
                 )
-            full, part, cone = restricted(basis, q, gamma, t, cutoff)
-            assert_restriction(full, part, cone)
-            restricted_cones += not resonated(full) and 1 < len(cone) < len(full.offsets)
-    # in 1-D every reachable offset up to the top plane is in the ball
-    assert restricted_cones >= 4 or d == 1
+            top_plane(basis, q, gamma, t, cutoff)
 
 
 def test_closed_form_sums_planes_in_first_appearance_order():
@@ -253,7 +237,7 @@ def test_closed_form_sums_planes_in_first_appearance_order():
             bloch.closed_form_coeffs(basis, q, (0, 0), t, 8).coeffs,
             helpers.reference_closed_form(basis, q, (0, 0), t, 8),
         )
-        assert_restriction(*restricted(basis, q, (0, 0), t, 4.0))
+        top_plane(basis, q, (0, 0), t, 4.0)
 
 
 def test_closed_form_drops_an_exact_zero_numerator():
@@ -264,9 +248,7 @@ def test_closed_form_drops_an_exact_zero_numerator():
     closed = bloch.closed_form_coeffs(basis, q, (0, 0), (0.0, 0.0), 4)
     assert (2, 1) not in closed.coeffs and (1, 1) in closed.coeffs
     assert_same(closed.coeffs, helpers.reference_closed_form(basis, q, (0, 0), (0.0, 0.0), 4))
-    full, part, cone = restricted(basis, q, (0, 0), (0.0, 0.0), 3.0)
-    assert [2, 1] in cone.tolist()
-    assert_restriction(full, part, cone)
+    top_plane(basis, q, (0, 0), (0.0, 0.0), 3.0)
 
 
 def test_closed_form_guards_a_target_reached_through_an_underflowed_coefficient():
@@ -294,22 +276,21 @@ def test_closed_form_passes_a_resonance_that_only_dropped_numerators_reach():
     closed = bloch.closed_form_coeffs(basis, q, gamma, t, 4)
     assert (1, 1) in closed.coeffs and (2, 2) not in closed.coeffs
     assert_same(closed.coeffs, helpers.reference_closed_form(basis, q, gamma, t, 4))
-    # the cone's screen finds (3, 3) and clears it through the full recursion
-    assert_restriction(*restricted(basis, q, gamma, t, 4.0))
+    top_plane(basis, q, gamma, t, 4.0)
 
 
-def test_restricted_closed_form_raises_the_first_hit_outside_the_cone():
+def test_closed_form_raises_the_first_hit_outside_the_cone():
     # lam = 1 at gamma = (-1, 0), t = 0; delta = (2, 0) resonates, and its
     # predecessor (1, 5) lies outside the cutoff-3 ball: the cone is {0}
     basis = hb.identity_basis(2)
     q = hb.FourierPotential(basis, {(1, 5): 0.1, (1, -5): 0.2})
-    full, part, cone = restricted(basis, q, (-1, 0), (0.0, 0.0), 3.0)
-    assert cone.tolist() == [[0, 0]]
+    op = galerkin.build(basis, q, (0.0, 0.0), 3.0)
+    assert galerkin.interior_cone(op, (-1, 0)).tolist() == [[0, 0]]
+    full = top_plane(basis, q, (-1, 0), (0.0, 0.0), 3.0)
     assert full == ("resonance", (2, 0), 0.0, "d(gamma, delta) vanished at delta=(2, 0): 0.0")
-    assert_restriction(full, part, cone)
-    # a resonance that no nonzero coefficient reaches does not raise
+    # the numerator at (2, 0) underflows to 0, but the kept (1, +-5) reach it
     q = hb.FourierPotential(basis, {(1, 5): 1e-200, (1, -5): 1e-200})
-    assert_restriction(*restricted(basis, q, (-1, 0), (0.0, 0.0), 3.0))
+    assert top_plane(basis, q, (-1, 0), (0.0, 0.0), 3.0) == full
 
 
 def test_closed_form_on_harmonics_near_both_int64_ends():
@@ -324,7 +305,6 @@ def test_closed_form_on_harmonics_near_both_int64_ends():
     box = coeffset.IndexBox(closed.offsets)
     assert box.spans.tolist() == [2, 2**63 + 1]
     assert box.find(closed.offsets).tolist() == [0, 1, 2, 3]
-    assert box.fits(np.array([[1, 2**62], [0, -(2**63)], [2, 0]])).tolist() == [True, True, False]
 
 
 def test_unpack_leaves_out_sums_beyond_int64():

@@ -265,6 +265,25 @@ def test_untuned_oned_blocked_backsolve():
     assert err.value.position == op.position((1,))
 
 
+def test_backsolve_splits_diagonal_entries_at_the_eq_tolerance():
+    # t = (-1/2 + e/2, 0) puts M_jj at (0, 0) and at (1, 0) e apart, and
+    # (1, 0) couples to (0, 0); the width comes from the literal 1e-9, so a
+    # moved DIAG_EQ_SCALE moves the boundary and not the test
+    q = hb.FourierPotential(BASIS, {(1, 0): 0.3})
+
+    def backsolve(e):
+        op = galerkin.build(BASIS, q, (-0.5 + e / 2, 0.0), 3.0)
+        return galerkin.eigenvector_backsolve(op, op.position((0, 0))), op
+
+    op = galerkin.build(BASIS, q, (-0.5, 0.0), 3.0)
+    tol = 1e-9 * (1.0 + float(np.max(np.abs(op.matrix_diagonal))))
+    with pytest.raises(NoEigenvectorError) as err:
+        backsolve(tol / 10)
+    assert err.value.position == op.position((1, 0))
+    result, op = backsolve(10 * tol)
+    assert result.vector[op.position((1, 0))] != 0
+
+
 def test_geometric_multiplicity_free_operator():
     q = hb.FourierPotential(BASIS, {})
     op = galerkin.build(BASIS, q, (0.0, 0.0), 2.5)

@@ -269,7 +269,8 @@ def test_second_plane_missed_collision_raises():
     group = dataclasses.replace(group, members=members, planes=planes)
     q = hb.FourierPotential(BASIS, {(1, 0): 0.3, (1, 1): 0.2})
     j = group.planes[1].members.index((-1, 1))
-    with pytest.raises(ResonanceError, match=r"non-group index \(1, 1\); the grouping") as err:
+    message = r"non-group index \(1, 1\); the group lacks this colliding point"
+    with pytest.raises(ResonanceError, match=message) as err:
         rootfn.second_plane_solve(BASIS, q, group, j)
     assert err.value.index == (1, 1)
     assert err.value.value == 0.0
