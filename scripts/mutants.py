@@ -10,7 +10,9 @@ on its own and runs
 there.  A mutant is killed when the run fails (its first failing test is
 printed) and survives when it passes.  The list holds every named
 tolerance moved by a factor of 100 each way, three faults in the shared
-coefficient kernel and one in the interior cone.  Nothing is written in the repository.
+coefficient kernel, one in the interior cone, one in each propagation of
+the rank probes' core and the rank threshold without its floor 1 + |lam|.
+Nothing is written in the repository.
 
     python3 scripts/mutants.py
 """
@@ -55,6 +57,24 @@ MUTANTS = (
         "galerkin.py",
         "        blocked[plan.targets[lo:hi][blocked[plan.predecessors[lo:hi]]]] = True",
         "        pass",
+    ),
+    (
+        "core-drops-forward-pass",
+        "galerkin.py",
+        "        reached[rows[reached[cols]]] = True",
+        "        pass",
+    ),
+    (
+        "core-drops-backward-pass",
+        "galerkin.py",
+        "        reaches[cols[reaches[rows]]] = True",
+        "        pass",
+    ),
+    (
+        "rank-floor-dropped",
+        "galerkin.py",
+        "        rank_tol = RANK_TOL_SCALE * max(top, 1.0 + abs(lam))",
+        "        rank_tol = RANK_TOL_SCALE * top",
     ),
     (
         "distinct-keeps-repeats",

@@ -129,7 +129,7 @@ class BlochCoefficients:
 def _require_classified(q: FourierPotential) -> tuple[int, str]:
     if q.classification is None and q.coeffs:
         raise ValueError("potential is not classifiable into a half-lattice")
-    return (q.k or 1, q.sign or "+")
+    return q.k, q.sign
 
 
 def _guard(gap: np.ndarray, lam: float, offsets: np.ndarray, message: str, at=None) -> None:

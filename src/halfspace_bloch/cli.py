@@ -377,7 +377,7 @@ def cmd_oracle(doc: dict, want_matrix: bool = False):
     _require_class_s(pot.q, "oracle")
 
     spectrum_values = galerkin.truncated_spectrum(op)
-    free_values = tuple(sorted(op.diagonal.tolist()))
+    free_values = tuple(np.sort(op.diagonal, kind="stable").tolist())
     report["spectrum_match"] = spectrum_values == free_values
 
     try:

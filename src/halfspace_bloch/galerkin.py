@@ -68,11 +68,42 @@ only the blocks outside the window to be invertible, so widening the window
 by further planes is always safe: an entry just inside the tolerance can
 never lose kernel.  An explicit absolute rank threshold r widens it to
 every gap at or below max(r, sqrt(r)) as well, so that no diagonal entry of
-A or of A^2 that the threshold would call zero is left outside.  The lemma holds as well for the submatrix over an
-invariant subset of indices, which keeps the plane-major order.  The probes
-therefore take their SVDs on B22 alone, and their default threshold scales
-with the norm of B22, which does not grow with the cutoff as the norm of A
-does.
+A or of A^2 that the threshold would call zero is left outside.  The lemma
+holds as well for the submatrix over an invariant subset of indices, which
+keeps the plane-major order.
+
+Rank probes on the core.  The same argument cuts finer than planes.  Read
+each stored coupling A_rc as a step c -> r, and call the rows with a gap
+within the tolerance near.  Let U be the rows no path of steps reaches from
+a near row, L the rows reached from one that reach none, and C, the core,
+the rest: the rows on a path from a near row to a near row, the near rows
+included.  No step leaves C or L for U (its end would be reached), and none
+leaves L for C (its start would reach a near row through it), so in the
+order U, C, L, each kept plane-major inside,
+
+    A = [[A_UU, 0, 0], [A_CU, A_CC, 0], [A_LU, A_LC, A_LL]].
+
+U and L hold no near row, so A_UU and A_LL are triangular with every
+diagonal entry beyond the tolerance, and the lemma gives dim ker A =
+dim ker A_CC and dim ker A^2 = dim ker A_CC^2.  The plane window is the
+special case where U and L are whole planes.  Every step climbs a plane,
+so a path from a near row to a near row stays in the window and takes at
+most p_hi - p_lo steps: two boolean propagations over the window's
+couplings, forward from the near rows and backward to them, that many
+rounds each, find C.  The probes take their SVDs on A_CC alone (a few rows
+where the window holds tens to hundreds).
+
+The default threshold is RANK_TOL_SCALE max(sigma_max(B), 1 + |lam|), B the
+probed block, A_CC or its square.  It does not grow with the cutoff: every
+core row is at most p_hi - p_lo steps from a near row, so the core stays
+bounded as the cutoff grows.  The
+window's norm does not grow in 1-D either, but in 2-D and 3-D its planes
+span the whole ball and its norm grows like cutoff^2, which put a window
+threshold above true singular values at the default radii.  The floor
+1 + |lam| is the scale of a gap's roundoff: a core of colliding
+rows with no coupling between them is diagonal, with gaps at roundoff,
+and its own norm would call them nonzero.  An explicit ``rank_tol`` is
+an absolute threshold.
 """
 
 from __future__ import annotations
@@ -91,7 +122,7 @@ from .lattice import IndexVector, LatticeBasis, as_index, sign_value
 from .potential import FourierPotential
 from .spectrum import eigenvalues
 
-#: rank threshold relative to the spectral norm of the probed window block
+#: rank threshold relative to max(spectral norm of the probed core block, 1 + |lam|)
 RANK_TOL_SCALE = 1e-9
 
 #: relative width for treating two diagonal entries as the same eigenvalue
@@ -311,7 +342,7 @@ def truncated_spectrum(op: TruncatedOperator) -> tuple[float, ...]:
     :class:`TriangularityError` (with a witness entry) when it is not.
     """
     _require_triangular(op, "reading the spectrum off the diagonal")
-    return tuple(sorted(op.matrix_diagonal.real.tolist()))
+    return tuple(np.sort(op.matrix_diagonal.real, kind="stable").tolist())
 
 
 @dataclass(frozen=True)
@@ -442,76 +473,86 @@ def first_associated_backsolve(
     )
 
 
-def _numerical_rank(mat: np.ndarray, rank_tol: float | None) -> tuple[int, np.ndarray, float]:
+def _numerical_rank(
+    mat: np.ndarray, rank_tol: float | None, lam: complex
+) -> tuple[int, np.ndarray, float]:
     svals = np.linalg.svd(mat, compute_uv=False)
-    threshold = rank_tol if rank_tol is not None else RANK_TOL_SCALE * (
-        float(svals[0]) if svals.size else 0.0
-    )
-    return int(np.sum(svals > threshold)), svals, threshold
+    if rank_tol is None:
+        top = float(svals[0]) if svals.size else 0.0
+        rank_tol = RANK_TOL_SCALE * max(top, 1.0 + abs(lam))
+    return int(np.sum(svals > rank_tol)), svals, rank_tol
 
 
-def _window_block(
+def _core_block(
     op: TruncatedOperator,
-    lam: float,
+    lam: complex,
     positions: Sequence[int] | None = None,
     rank_tol: float | None = None,
 ) -> np.ndarray:
-    """The window block B22 of M - lam I: rows and columns on the planes
-    p_lo .. p_hi that hold a diagonal entry of M near lam.
+    """The core block of M - lam I: rows and columns that a stored coupling
+    path links from a row whose diagonal entry is near lam, and to one.
 
     Near means a gap |M_jj - lam| within ``op.eigen_eq_tol()``, or, with an
     explicit ``rank_tol``, within ``max(rank_tol, sqrt(rank_tol))`` when that
-    is larger (module docstring).
+    is larger; the near rows belong to the core (module docstring).
     ``positions`` (ascending) restricts everything to a subset, whose order
     the block keeps; the block is 0 x 0 when no diagonal entry is near lam.
     """
     pos = np.arange(op.size) if positions is None else np.asarray(positions, dtype=int)
-    planes = np.asarray(op.planes, dtype=int)[pos]
     tol = op.eigen_eq_tol()
     if rank_tol is not None:
         tol = max(tol, rank_tol, float(np.sqrt(rank_tol)))
-    near = np.abs(op.matrix_diagonal[pos] - lam) <= tol
-    if near.any():
-        p_lo, p_hi = planes[near].min(), planes[near].max()
-        pos = pos[(planes >= p_lo) & (planes <= p_hi)]
-    else:
-        pos = pos[:0]
-    return _dense_block(op, pos) - lam * np.eye(pos.size)
-
-
-def _dense_block(op: TruncatedOperator, pos: np.ndarray) -> np.ndarray:
-    """``op.matrix[np.ix_(pos, pos)]`` for ascending positions, from the stored entries."""
-    block = np.zeros((pos.size, pos.size), dtype=complex)
-    if not pos.size:
-        return block
-    block[np.diag_indices(pos.size)] = op.matrix_diagonal[pos]
+    near = np.flatnonzero(np.abs(op.matrix_diagonal[pos] - lam) <= tol)
+    if not near.size:
+        return np.zeros((0, 0), dtype=complex)
+    # the window: the rows of pos on the plane blocks first .. last of the near rows
+    bounds = op.plane_bounds
+    first, last = (np.searchsorted(bounds, pos[near[[0, -1]]], side="right") - 1).tolist()
+    lo, hi = np.searchsorted(pos, bounds[[first, last + 1]])
+    window = pos[lo:hi]
     local = np.full(op.size, -1)
-    local[pos] = np.arange(pos.size)
-    lo, hi = np.searchsorted(op.rows, (pos[0], pos[-1] + 1))
-    rows, cols = local[op.rows[lo:hi]], local[op.cols[lo:hi]]
+    local[window] = np.arange(window.size)
+    start, stop = np.searchsorted(op.rows, (window[0], window[-1] + 1))
+    rows, cols = local[op.rows[start:stop]], local[op.cols[start:stop]]
     inside = (rows >= 0) & (cols >= 0)
-    block[rows[inside], cols[inside]] = op.values[lo:hi][inside]
+    rows, cols, values = rows[inside], cols[inside], op.values[start:stop][inside]
+    # every coupling climbs a plane block, so no path in the window is longer
+    # than last - first couplings
+    reached = np.zeros(window.size, dtype=bool)
+    reached[near - lo] = True
+    reaches = reached.copy()
+    for _ in range(last - first):
+        reached[rows[reached[cols]]] = True
+        reaches[cols[reaches[rows]]] = True
+    core = reached & reaches
+    local = np.cumsum(core) - 1
+    size = int(local[-1]) + 1
+    inside = core[rows] & core[cols]
+    block = np.zeros((size, size), dtype=complex)
+    block[np.diag_indices(size)] = op.matrix_diagonal[window[core]] - lam
+    block[local[rows[inside]], local[cols[inside]]] = values[inside]
     return block
 
 
 def geometric_multiplicity(
     op: TruncatedOperator, lam: float, rank_tol: float | None = None
 ) -> int:
-    """dim ker(M - lam I) of the truncation, as dim ker of its window block B22.
+    """dim ker(M - lam I) of the truncation, as dim ker of its core block A_CC.
 
-    The block is ranked by SVD (see the module docstring for why the window
+    The block is ranked by SVD (see the module docstring for why the core
     suffices).  The default threshold is ``RANK_TOL_SCALE`` (1e-9) times the
-    largest singular value of the window block, which does not grow with the
-    cutoff.  An explicit ``rank_tol`` is an absolute threshold; it ranks the
-    window block, which then also takes in every plane with a diagonal gap
-    at or below ``max(rank_tol, sqrt(rank_tol))``.  A warning is issued when some singular value
-    of the block sits within a factor 10 of the threshold, since the rank
-    decision is then borderline.  Requires the plane-triangular structure
-    (:class:`TriangularityError` otherwise).
+    larger of the core block's largest singular value and 1 + |lam|; neither
+    grows with the cutoff.  An explicit ``rank_tol`` is an absolute
+    threshold; it ranks the core block, whose near rows then also take in
+    every diagonal gap at or below ``max(rank_tol, sqrt(rank_tol))``.  A
+    warning is issued when some singular value of the block sits within a
+    factor 10 of the threshold, since the rank decision is then borderline.
+    Requires the plane-triangular structure (:class:`TriangularityError`
+    otherwise).
     """
     _require_triangular(op, "the rank probe")
-    block = _window_block(op, lam, rank_tol=rank_tol)
-    rank, svals, threshold = _numerical_rank(block, rank_tol)
+    block = _core_block(op, lam, rank_tol=rank_tol)
+    rank, svals, threshold = _numerical_rank(block, rank_tol, lam)
     if threshold > 0 and np.any(
         (svals >= threshold / 10) & (svals <= threshold * 10)
     ):
@@ -564,8 +605,8 @@ def jordan_chain_excess(
 ) -> int:
     """Number of Jordan blocks of size >= 2 at lam: dim ker(A^2) - dim ker(A).
 
-    Both kernels are taken on the window block B22 and its square, which is
-    the window block of A^2 (module docstring).  With ``subset`` (index
+    Both kernels are taken on the core block A_CC and its square, the block
+    of A^2 on the same rows (module docstring).  With ``subset`` (index
     tuples, or the rows of an (m, d) integer array) the probe runs on the
     submatrix over those lattice indices, which must span an invariant
     subspace (columns may not leak outside; checked exactly).  The members
@@ -583,9 +624,9 @@ def jordan_chain_excess(
         # no stored coupling may run from a column in the subset to a row outside it
         if np.any(member[op.cols] & ~member[op.rows]):
             raise ValueError("subset does not span an invariant subspace")
-    a = _window_block(op, lam, pos, rank_tol)
-    rank1, _, _ = _numerical_rank(a, rank_tol)
-    rank2, _, _ = _numerical_rank(a @ a, rank_tol)
+    a = _core_block(op, lam, pos, rank_tol)
+    rank1, _, _ = _numerical_rank(a, rank_tol, lam)
+    rank2, _, _ = _numerical_rank(a @ a, rank_tol, lam)
     return rank1 - rank2
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -558,11 +559,12 @@ def reference_group_scan(basis, gamma, t, k, cutoff):
     return tuple(members), excluded_gap
 
 
-# -- dense references for the window rank probes -------------------------------
+# -- dense references for the core rank probes ---------------------------------
 #
-# The probes as they were before they moved to the plane window: one SVD of
-# the whole M - lam (and of its square), threshold 1e-9 times its spectral
-# norm.  The window probes must give the same integers.
+# The probes as they were before they moved to the plane window and then to
+# its core: one SVD of the whole M - lam (and of its square), threshold 1e-9
+# times its spectral norm.  The core probes must give the same integers on
+# operators whose singular values sit far from both thresholds.
 
 
 def _dense_rank(a, rank_tol):
@@ -625,9 +627,9 @@ def reference_matrix_csv(op):
 # -- dense references for the sparse operator -----------------------------------
 #
 # The N x N build, the row-by-row np.dot substitution loops and the dense
-# window slice that the plane-graded sparse operator replaced.  The sparse
-# operator must densify to the same bits, flag the same rows, fail at the same
-# row, and give the same window blocks; the backsolved vectors may differ in
+# core slice, found by a loop over the nonzeros.  The sparse operator must
+# densify to the same bits, flag the same rows, fail at the same row, and give
+# the same core blocks; the backsolved vectors may differ in
 # the last digits, since the sums run in another order than np.dot's.
 
 
@@ -703,20 +705,37 @@ def reference_first_associated_backsolve(op, i, eigvec):
     return result, (0j if c is None else c)
 
 
-def reference_window_block(op, lam, positions=None, rank_tol=None):
-    """The window block as a slice of the dense matrix."""
-    pos = np.arange(op.size) if positions is None else np.asarray(positions, dtype=int)
-    planes = np.asarray(op.planes, dtype=int)[pos]
+def reference_core_block(op, lam, positions=None, rank_tol=None):
+    """The core block as a slice of the dense matrix.
+
+    The core is found without planes: over the dense slice's nonzero
+    off-diagonal entries (r, c), read as steps c -> r, a Python loop collects
+    the rows reached from a near row and the rows that reach one, and keeps
+    the rows in both sets.
+    """
+    pos = list(range(op.size)) if positions is None else [int(j) for j in positions]
+    dense = op.matrix[np.ix_(pos, pos)]
     tol = op.eigen_eq_tol()
     if rank_tol is not None:
-        tol = max(tol, rank_tol, float(np.sqrt(rank_tol)))
-    near = np.abs(np.diagonal(op.matrix)[pos] - lam) <= tol
-    if near.any():
-        p_lo, p_hi = planes[near].min(), planes[near].max()
-        pos = pos[(planes >= p_lo) & (planes <= p_hi)]
-    else:
-        pos = pos[:0]
-    return op.matrix[np.ix_(pos, pos)] - lam * np.eye(pos.size)
+        tol = max(tol, rank_tol, math.sqrt(rank_tol))
+    near = {i for i in range(len(pos)) if abs(dense[i, i] - lam) <= tol}
+    succ, pred = defaultdict(list), defaultdict(list)
+    for r, c in zip(*np.nonzero(dense)):
+        if r != c:
+            succ[int(c)].append(int(r))
+            pred[int(r)].append(int(c))
+
+    def closure(step):
+        found, todo = set(near), list(near)
+        while todo:
+            for j in step[todo.pop()]:
+                if j not in found:
+                    found.add(j)
+                    todo.append(j)
+        return found
+
+    rows = [pos[i] for i in sorted(closure(succ) & closure(pred))]
+    return op.matrix[np.ix_(rows, rows)] - lam * np.eye(len(rows))
 
 
 def reference_subset_leaks(op, subset):

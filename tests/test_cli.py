@@ -265,6 +265,28 @@ def test_multiplicity_second_plane_family(tmp_path, capsys):
         assert doc["verdict"] == "consistent"
 
 
+def test_multiplicity_second_plane_deep_chain_at_default_radii(tmp_path, capsys):
+    # the lam = 16 group, four planes deep, at the default cutoff 40: the
+    # member's plane window holds 317 rows, and a threshold scaled by its
+    # norm (about 1.5e3) hid the chain's singular value (about 6e-7); the
+    # core has 5 rows and the threshold 1e-9 (1 + lam)
+    config = {
+        **IDENTITY_2D,
+        "potential": [
+            {"index": [-1, 1], "re": -0.4483164252893054, "im": 0.38250424044606496},
+            {"index": [1, 1], "re": -0.1071064805214123, "im": -0.03870932422110718},
+            {"index": [-1, 2], "re": -0.46747933102334643, "im": -0.35231500396920595},
+        ],
+        "t": [0.0, 0.0],
+        "params": {"mode": "2d-second-plane", "k": 2, "member": [-4, 0]},
+    }
+    code, doc = run_json(tmp_path, capsys, config, "multiplicity")
+    assert code == 0
+    assert doc["report"]["classification"] == "associated"
+    assert doc["jordan_excess"] == 1
+    assert doc["verdict"] == "consistent"
+
+
 def test_collision_scale_is_echoed_where_it_applies(tmp_path, capsys):
     # the closed form on the cone, and the second-plane group and guard, use it
     oracle = {**IDENTITY_2D, "potential": [], "t": [0.5, 0.3], "params": {"cutoff": 3.0}}

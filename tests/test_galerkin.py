@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -325,7 +326,7 @@ def test_jordan_chain_excess_invariant_subset_guard():
         galerkin.jordan_chain_excess(op, 1.0, subset=[(0, 1), (-1, 0)])
 
 
-# -- window rank probes against the dense references -----------------------------
+# -- core rank probes against the dense references -------------------------------
 
 @pytest.mark.parametrize("n", (1, 2))
 def test_rank_probes_equal_dense_reference_oned(n):
@@ -389,11 +390,11 @@ def test_rank_probes_equal_dense_reference_second_plane(lam, k):
     assert answers == {0, 1}
 
 
-def test_free_operator_window_spans_three_planes():
+def test_free_operator_core_is_the_colliding_rows():
+    # the window spans the planes -1 .. 1, but with no coupling the core is
+    # the four rows |n| = 1 alone, each with gap 0
     op = galerkin.build(BASIS, hb.FourierPotential(BASIS, {}), (0.0, 0.0), 2.5)
-    rows = [i for i, p in enumerate(op.planes) if -1 <= p <= 1]
-    expected = op.matrix[np.ix_(rows, rows)] - np.eye(len(rows))
-    assert np.array_equal(galerkin._window_block(op, 1.0), expected)
+    assert np.array_equal(galerkin._core_block(op, 1.0), np.zeros((4, 4)))
     assert galerkin.geometric_multiplicity(op, 1.0) == 4
     assert helpers.reference_geometric_multiplicity(op, 1.0) == 4
     assert galerkin.jordan_chain_excess(op, 1.0) == 0
@@ -420,7 +421,7 @@ def test_rank_probes_off_the_diagonal_have_empty_window():
     q = hb.FourierPotential(BASIS, {(1, 0): 0.3, (1, 1): 0.2j})
     op = galerkin.build(BASIS, q, T, 3.0)
     lam = 0.5 * (op.diagonal[0] + op.diagonal[1]) + 0.123
-    assert galerkin._window_block(op, lam).shape == (0, 0)
+    assert galerkin._core_block(op, lam).shape == (0, 0)
     assert galerkin.geometric_multiplicity(op, lam) == 0
     assert helpers.reference_geometric_multiplicity(op, lam) == 0
     assert galerkin.jordan_chain_excess(op, lam) == 0
@@ -462,8 +463,8 @@ def test_rank_threshold_independent_of_cutoff(monkeypatch):
     thresholds = []
     rank = galerkin._numerical_rank
 
-    def recording_rank(mat, rank_tol):
-        result = rank(mat, rank_tol)
+    def recording_rank(mat, rank_tol, lam):
+        result = rank(mat, rank_tol, lam)
         thresholds.append(result[2])
         return result
 
@@ -476,9 +477,72 @@ def test_rank_threshold_independent_of_cutoff(monkeypatch):
 
 def test_explicit_rank_tol_is_absolute_and_borderline_warns():
     op = galerkin.build(BASIS, hb.FourierPotential(BASIS, {}), (0.0, 0.0), 2.5)
-    # window gaps |n|^2 - 1 are 0 (four times), 1 (five times) and 3 or 4
+    # gaps |n|^2 - 1 are -1 (once), 0 (four times) and 1 (four times) within 1.5
     with pytest.warns(UserWarning, match="borderline rank decision"):
         assert galerkin.geometric_multiplicity(op, 1.0, rank_tol=1.5) == 9
+
+
+def test_rank_threshold_boundary_on_the_oned_core():
+    # basis 2 pi, n = 1, lam = 4 pi^2: the core is the rows -1, 0, 1, with
+    # A = [[0, 0, 0], [q_1, -4 pi^2, 0], [q_2, q_1, 0]].  The product of its two
+    # nonzero singular values is the minor |q_1^2 + 4 pi^2 q_2|, 0 at the
+    # tuned q_2, so q_2 = tuned + delta puts sigma_2 at 4 pi^2 |delta| / sigma_1.
+    # The width comes from the literal 1e-9, so a moved RANK_TOL_SCALE moves
+    # the boundary and not the test.
+    basis = helpers.oned_basis()
+    lam = 4 * math.pi**2
+    q_1 = 0.5 * math.pi**2
+    tuned = -(q_1**2) / lam
+
+    def core_probes(q_2):
+        q = hb.FourierPotential(basis, {(1,): q_1, (2,): q_2})
+        op = galerkin.build(basis, q, (0.0,), 2 * math.pi * 5)
+        core = helpers.reference_core_block(op, lam)
+        assert core.shape == (3, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # borderline at 1/10 and 10
+            probes = galerkin.geometric_multiplicity(op, lam), galerkin.jordan_chain_excess(op, lam)
+        return probes, np.linalg.svd(core, compute_uv=False)
+
+    sigma_1 = core_probes(tuned)[1][0]
+    threshold = 1e-9 * max(sigma_1, 1.0 + lam)
+    for factor, expected in ((0.01, (2, 0)), (0.1, (2, 0)), (10, (1, 1)), (100, (1, 1))):
+        probes, svals = core_probes(tuned + factor * threshold * sigma_1 / lam)
+        assert svals[1] == pytest.approx(factor * threshold, rel=1e-3)
+        assert probes == expected
+
+
+def test_coupling_free_core_at_roundoff_gaps_keeps_its_kernel():
+    # q_0 = 1e-12 moves the four rows |n| = 1 off lam = 1 by a gap of
+    # roundoff size, and nothing couples them: the core is 1e-12 times the
+    # 4 x 4 identity.  Ranked against its own norm it would have no kernel;
+    # the floor 1 + |lam| of the threshold calls the gaps zero.
+    op = galerkin.build(BASIS, hb.FourierPotential(BASIS, {(0, 0): 1e-12}), (0.0, 0.0), 2.5)
+    block = galerkin._core_block(op, 1.0)
+    assert block.shape == (4, 4)
+    assert np.abs(np.diagonal(block) - 1e-12).max() < 1e-15
+    assert galerkin.geometric_multiplicity(op, 1.0) == 4
+    assert helpers.reference_geometric_multiplicity(op, 1.0) == 4
+    assert galerkin.jordan_chain_excess(op, 1.0) == 0
+    assert helpers.reference_jordan_chain_excess(op, 1.0) == 0
+
+
+def test_second_plane_core_keeps_the_far_rows_between_the_group_planes():
+    # lam = 2: the member (-1, -1) is on the group's second plane, (1, +-1)
+    # on its top plane, and no harmonic links the two planes directly.  Only
+    # the plane-0 rows (0, -1) and (0, 1), gaps -1, lie on a path between
+    # them, and the chain to (1, -1) through (0, -1) blocks the member's
+    # eigenvector: one Jordan block, which a core of the near rows alone misses.
+    q = hb.FourierPotential(BASIS, {(1, 0): 0.3, (1, 2): 0.2})
+    op = galerkin.build(BASIS, q, (0.0, 0.0), 4.0)
+    subset = [n for n, p in zip(op.index_set, op.planes) if p > -1] + [(-1, -1)]
+    pos = np.sort(op.find(subset))
+    block = galerkin._core_block(op, 2.0, pos)
+    assert block.tobytes() == helpers.reference_core_block(op, 2.0, pos).tobytes()
+    # plane-major: the member, (0, -1), (0, 1), (1, -1), (1, 1)
+    assert np.diagonal(block).tolist() == [0, -1, -1, 0, 0]
+    assert galerkin.jordan_chain_excess(op, 2.0, subset=subset) == 1
+    assert helpers.reference_jordan_chain_excess(op, 2.0, subset=subset) == 1
 
 
 def test_rank_probes_require_triangularity():
@@ -858,7 +922,7 @@ def test_chain_constant_enters_only_the_rows_after_it():
     assert err.value.position == 4
 
 
-def test_window_blocks_equal_dense_slices():
+def test_core_blocks_equal_dense_slices():
     rng = np.random.default_rng(89)
     checked = 0
     for op in _degenerate_operators():
@@ -867,8 +931,8 @@ def test_window_blocks_equal_dense_slices():
         for lam in [*values[::3], values[0].real + 0.123]:
             for pos in positions:
                 for rank_tol in (None, 1e-3, 2.5):
-                    block = galerkin._window_block(op, lam, pos, rank_tol)
-                    expected = helpers.reference_window_block(op, lam, pos, rank_tol)
+                    block = galerkin._core_block(op, lam, pos, rank_tol)
+                    expected = helpers.reference_core_block(op, lam, pos, rank_tol)
                     assert block.shape == expected.shape
                     assert block.tobytes() == expected.tobytes()
                     checked += block.size > 0
