@@ -9,9 +9,10 @@ on its own and runs
 
 there.  A mutant is killed when the run fails (its first failing test is
 printed) and survives when it passes.  The list holds every named
-tolerance moved by a factor of 100 each way, three faults in the shared
-coefficient kernel, one in the interior cone, one in each propagation of
-the rank probes' core and the rank threshold without its floor 1 + |lam|.
+tolerance moved by a factor of 100 each way, two faults in the shared
+coefficient kernel, two in the closed-form plan's walk and one in its
+evaluation's kept mask, one in the interior cone, one in each propagation
+of the rank probes' core and the rank threshold without its floor 1 + |lam|.
 Nothing is written in the repository.
 
     python3 scripts/mutants.py
@@ -47,10 +48,22 @@ MUTANTS = (
         "    return a_re * b_re + a_im * b_im, a_re * b_im + a_im * b_re",
     ),
     (
-        "reach-one-layer-fewer",
+        "plan-walk-one-plane-fewer",
         "coeffset.py",
-        "    for p in range(1, top + 1):",
-        "    for p in range(1, top):",
+        "    for p in range(1, depth + 1):",
+        "    for p in range(1, depth):",
+    ),
+    (
+        "plan-predecessors-one-block-on",
+        "coeffset.py",
+        "        starts[source] - (np.cumsum(counts) - counts), counts",
+        "        starts[source] - np.cumsum(counts), counts",
+    ),
+    (
+        "kept-needs-both-parts",
+        "bloch.py",
+        "    kept = (num_re != 0) | (num_im != 0)",
+        "    kept = (num_re != 0) & (num_im != 0)",
     ),
     (
         "cone-drops-predecessors",

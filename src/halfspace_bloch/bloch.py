@@ -19,15 +19,17 @@ batched |g+t|^2 per distinct target.  The results equal those of the
 original dict loops bit for bit.  That is why the kernel never uses numpy's
 complex ``*``, ``/`` or ``abs``: they round some values differently from
 Python's complex arithmetic, so products and quotients are written out in
-real arithmetic and moduli are taken with Python's ``abs``.
+real arithmetic.  The series' term masses take their moduli as
+:func:`coeffset.moduli` (``np.hypot`` of the parts, equal to Python's
+``abs``, and inf where ``abs`` would overflow) and add them left to right.
 
 The series holds its terms as sorted packed keys in one box, fixed from
-``max_order`` the way :func:`coeffset.reach` fixes its box, and builds one
-order at a time: per order one broadcast add of the harmonics' key shifts,
-one stable sort with a neighbour mask for the distinct targets, one
-``searchsorted`` to place the candidates, and one ``unpack`` and one
-batched |g+t|^2 call on the targets alone.  Nothing past the order where
-the series stops is built.
+``max_order`` the way :func:`coeffset.plan` fixes its walk's box, and
+builds one order at a time: per order one broadcast add of the
+harmonics' key shifts, one stable sort with a neighbour mask for the
+distinct targets, one ``searchsorted`` to place the candidates, and one
+``unpack`` and one batched |g+t|^2 call on the targets alone.  Nothing
+past the order where the series stops is built.
 
 The closed form is one plan and one evaluation.  The plan
 (:func:`coeffset.plan`) holds the structure alone and depends on the
@@ -36,12 +38,13 @@ reachable within the depth, plane-major and lexicographic within a plane,
 less any with an entry beyond int64, which no array here holds, and every
 (target, harmonic, predecessor) triple in the order the dict loop sums
 them: target plane, first appearance of the harmonic's plane in the
-support, support order, predecessor.  The evaluation makes one batched
-|g+t|^2 call, then per plane one gather, one product, two ``bincount``
-sums and one divide, and last one guard over all planes, every reachable
-offset reached through a kept coefficient, in row order (see
-:func:`_evaluate`).  A numerator that is exactly 0 is dropped and feeds
-nothing after it.
+support, support order, predecessor.  One walk over the planes lays out
+both.  The evaluation makes one batched |g+t|^2 call, then per plane one
+gather, one product, two ``bincount`` sums and one divide, on real and
+imaginary parts held in separate arrays; last it reads which numerators
+are kept and runs one guard over all planes, every reachable offset
+reached through a kept coefficient, in row order (see :func:`_evaluate`).
+A numerator that is exactly 0 is dropped and feeds nothing after it.
 """
 
 from __future__ import annotations
@@ -190,7 +193,7 @@ def bloch_series(
         _guard(gap, lam, rows, "resonant denominator at offset {}: {!r}", at)
         re, im = coeffset.divide(re, im, gap[at])
         keys, values = coeffset.nonzero(targets, coeffset.accumulate(at, re, im, targets.size))
-        tail = sum(map(abs, values.tolist()))
+        tail = coeffset.l1_norm(values)
         masses.append(tail)
         terms.append((keys, values))
         if tail < tail_tol:
@@ -229,28 +232,32 @@ def _evaluate(plan: coeffset.Plan, qvals: np.ndarray, d: np.ndarray, lam: float)
     0 and leaves a zero that adds nothing to the sums after it.  A d that
     collides divides as inf: the planes before the first hit, which alone
     decide where it is, are exact, and without a hit every such d belongs
-    to an offset whose numerator is 0.
+    to an offset whose numerator is 0.  Values and numerators are held as
+    real and imaginary parts, the base plane's numerators 1, and ``kept``
+    is read off the numerators once all planes are done.
     """
-    values = np.zeros(len(plan.offsets), dtype=complex)
-    kept = np.zeros(len(plan.offsets), dtype=bool)
-    values[: plan.bounds[1]], kept[: plan.bounds[1]] = 1.0, True
+    n = len(plan.offsets)
+    value_re, value_im, num_re, num_im = np.zeros((4, n))
+    value_re[: plan.bounds[1]] = num_re[: plan.bounds[1]] = 1.0
     q = qvals[plan.harmonics]
     q_re, q_im = q.real.copy(), q.imag.copy()
     divisor = np.where(collides(d, lam), np.inf, d)
-    for p in range(1, len(plan.bounds) - 1):
-        s, e, lo, hi = plan.bounds[p], plan.bounds[p + 1], plan.cuts[p], plan.cuts[p + 1]
-        local, c = plan.local[lo:hi], values[plan.predecessors[lo:hi]]
-        re, im = coeffset.product(q_re[lo:hi], q_im[lo:hi], c.real, c.imag)
-        re, im = np.bincount(local, re, e - s), np.bincount(local, im, e - s)
-        values.real[s:e], values.imag[s:e] = coeffset.divide(re, im, divisor[s:e])
-        kept[s:e] = (re != 0) | (im != 0)
-    reached = np.zeros(len(plan.offsets), dtype=bool)
-    reached[plan.targets[kept[plan.predecessors]]] = True
+    bounds, cuts, local, predecessors = plan.bounds, plan.cuts, plan.local, plan.predecessors
+    for p in range(1, len(bounds) - 1):
+        s, e, lo, hi = bounds[p], bounds[p + 1], cuts[p], cuts[p + 1]
+        at = predecessors[lo:hi]
+        re, im = coeffset.product(q_re[lo:hi], q_im[lo:hi], value_re[at], value_im[at])
+        num_re[s:e] = np.bincount(local[lo:hi], re, e - s)
+        num_im[s:e] = np.bincount(local[lo:hi], im, e - s)
+        value_re[s:e], value_im[s:e] = coeffset.divide(num_re[s:e], num_im[s:e], divisor[s:e])
+    kept = (num_re != 0) | (num_im != 0)
+    reached = np.zeros(n, dtype=bool)
+    reached[plan.targets[kept[predecessors]]] = True
     _guard(
         np.where(reached, d, np.inf), lam, plan.offsets,
         "d(gamma, delta) vanished at delta={}: {!r}",
     )
-    return values, kept
+    return coeffset.join(value_re, value_im), kept
 
 
 def closed_form_coeffs(

@@ -11,21 +11,22 @@ bit for bit, what those loops return:
 * complex products and quotients by a real are written out in real
   arithmetic, as CPython computes them (see :func:`divide` for the one
   liberty taken).  numpy's complex ``*`` and ``/`` round some results
-  differently in the last place, and so does its complex ``abs``; callers
-  take moduli with Python's ``abs``.
+  differently in the last place, and so does its complex ``abs``; moduli
+  are :func:`moduli`, ``np.hypot`` of the parts, which equals Python's
+  ``abs`` wherever that returns.
 
-Every merge of offsets (the series, :func:`reach`, the residual, the
-discrepancy and :func:`convolve`) is one :func:`group` of :func:`pack` keys
-over one :func:`sum_box`: the box of a base set plus sums of steps, in
-which a row moves by a step with one integer add.  The oracle finds its
-couplings the same way, in the ball's box grown by one step, through an
-:class:`IndexBox` built from keys already sorted.
+Every merge of offsets (the series, the walk of :func:`plan`, the
+residual, the discrepancy and :func:`convolve`) is one :func:`group` of
+:func:`pack` keys over one :func:`sum_box`: the box of a base set plus
+sums of steps, in which a row moves by a step with one integer add.  The
+oracle finds its couplings the same way, in the ball's box grown by one
+step, through an :class:`IndexBox` built from keys already sorted.
 
-:func:`plan` turns one :func:`reach` walk into the structure of the
-closed form's plane-by-plane recursion.  It depends on the support, the
-rises and the depth alone, so one serves every (gamma, t), and it holds
-the only cache here: the closed form, the second-plane solve and the
-interior cone of one instance read one plan.
+:func:`plan` builds the structure of the closed form's plane-by-plane
+recursion in one walk over the reachable planes.  It depends on the
+support, the rises and the depth alone, so one serves every (gamma, t),
+and it holds the only cache here: the closed form, the second-plane solve
+and the interior cone of one instance read one plan.
 """
 
 from __future__ import annotations
@@ -75,6 +76,24 @@ def divide(re, im, den):
     which are never -0.0.
     """
     return re / den, im / den
+
+
+def moduli(values: np.ndarray) -> np.ndarray:
+    """|v| per entry of a complex array: Python's complex ``abs`` bit for
+    bit, except that a modulus beyond the float range is inf, where ``abs``
+    raises ``OverflowError``."""
+    with np.errstate(over="ignore"):
+        return np.hypot(values.real, values.imag)
+
+
+def l1_norm(values: np.ndarray) -> float:
+    """The sum of the :func:`moduli`, added left to right onto 0 as Python
+    3.11's ``sum`` adds floats, inf past the float range; the int 0 when
+    there are none."""
+    if not values.size:
+        return 0
+    with np.errstate(over="ignore"):
+        return np.add.accumulate(moduli(values))[-1].item()
 
 
 def pack(rows: np.ndarray, lo: Sequence[int], spans: Sequence[int]) -> np.ndarray:
@@ -232,87 +251,89 @@ def convolve(shifts: np.ndarray, q: np.ndarray, keys: np.ndarray, values: np.nda
     return targets, at, re.ravel(), im.ravel()
 
 
-#: the packed-key layers of the reachable offsets (see :func:`reach`)
-Reach = namedtuple("Reach", "lo spans shifts layers")
-
-
-def reach(steps: tuple, rises: tuple, top: int) -> Reach:
-    """The sums of ``steps`` (index tuples) up to plane ``top``, layer by layer.
-
-    Step i rises ``rises[i] >= 1`` planes.  ``layers[p]``, p = 0 .. top,
-    holds the sorted distinct :func:`pack` keys of the sums that rise p
-    planes in all, over the box ``lo``, ``spans`` of :func:`sum_box`;
-    ``shifts[i]`` is the key change of step i.  So a layer is the union of
-    the layers below it, each shifted by its steps with one broadcast add
-    per distinct rise, sorted and stripped of repeats: work and memory
-    follow the reachable set, never the box.
-    """
-    lo, spans, origin, shifts = sum_box(np.array(steps, dtype=np.int64), top)
-    rises = np.array(rises)
-    by_rise = [(r, shifts[rises == r][:, None]) for r in dict.fromkeys(rises.tolist())]
-    layers = [origin]
-    for p in range(1, top + 1):
-        layers.append(distinct(np.concatenate(
-            [origin[:0], *((layers[p - r] + s).ravel() for r, s in by_rise if r <= p)]
-        )))
-    return Reach(tuple(lo), tuple(spans), tuple(shifts.tolist()), tuple(layers))
-
-
 #: the closed form's structure, values aside (see :func:`plan`)
 Plan = namedtuple("Plan", "offsets bounds box harmonics targets local predecessors cuts")
 
 
 @functools.lru_cache(maxsize=4)
 def plan(steps: tuple, rises: tuple, depth: int) -> Plan:
-    """The structure of the plane-by-plane recursion over the :func:`reach`
-    walk of ``steps`` to plane ``depth``, ``rises[i]`` the plane of step i
-    (so a sum's plane is a function of the sum).
+    """The structure of the plane-by-plane recursion over the sums of
+    ``steps`` (index tuples) to plane ``depth``, step i rising
+    ``rises[i] >= 1`` planes (so a sum's plane is a function of the sum).
 
     ``offsets`` holds the reachable offsets, plane-major and lexicographic
     within a plane, the origin first, less any with an entry beyond int64,
     which no array here holds.  ``bounds[p]`` is the first row of plane p
-    (then the row count), read from the walk's layers, and ``box`` the
-    :class:`IndexBox` of the offsets on the walk's box and keys, whose
-    ``rows`` list them in lexicographic order.  Triple j carries row
-    ``predecessors[j]`` by step ``harmonics[j]`` to row ``targets[j]``,
-    ``local[j]`` places into its plane.  The triples run in the order the
-    dict loop sums them: target plane, first appearance of the step's rise
-    in ``steps``, step order, predecessor; ``cuts[p]`` is the first one into
-    plane p.  A triple from or to an offset beyond int64 is left out.
+    (then the row count), and ``box`` the :class:`IndexBox` of the offsets
+    on the walk's box and keys, whose ``rows`` list them in lexicographic
+    order.  Triple j carries row ``predecessors[j]`` by step
+    ``harmonics[j]`` to row ``targets[j]``, ``local[j]`` places into its
+    plane.  The triples run in the order the dict loop sums them: target
+    plane, first appearance of the step's rise in ``steps``, step order,
+    predecessor; ``cuts[p]`` is the first one into plane p.  A triple from
+    or to an offset beyond int64 is left out.
+
+    One walk builds it.  Plane p holds the sorted distinct :func:`pack`
+    keys, over the box of :func:`sum_box`, of the planes p - r shifted by
+    their steps of rise r: one broadcast add per distinct rise, in the
+    triples' order, so the candidates of plane p are its triples, and the
+    one :func:`group` that makes the plane places each of them in it.
+    Work and memory follow the reachable set, never the box.  Which row
+    and step each triple starts from follows from the planes' sizes.
 
     The plan depends on the support, the axis and the depth alone, so one
     serves every (gamma, t): the last few are kept, read-only, and the
     interior cone and the closed form of one instance share one.
     """
-    walk = reach(steps, rises, depth)
-    keys = np.concatenate(walk.layers)
-    offsets, inside = _unpack(keys, walk.lo, walk.spans)
-    keys = keys[inside]
-    # the kept rows before the first of each layer
-    bounds = np.flatnonzero(inside).searchsorted(np.cumsum([0, *map(len, walk.layers)]))
-    planes = np.repeat(np.arange(depth + 1), np.diff(bounds))
+    lo, spans, origin, shifts = sum_box(np.array(steps, dtype=np.int64), depth)
+    # the steps within the depth by rise, the rises in order of first
+    # appearance and the steps of one rise in support order
+    by_rise = {r: [] for r in rises if r <= depth}
+    for i, r in enumerate(rises):
+        if r <= depth:
+            by_rise[r].append(i)
+    moves = [(r, shifts[i][:, None]) for r, i in by_rise.items()]
+    layers, local = [origin], [np.zeros(0, dtype=np.intp)]
+    for p in range(1, depth + 1):
+        keys, at = group(np.concatenate(
+            [origin[:0], *((layers[p - r] + s).ravel() for r, s in moves if r <= p)]
+        ))
+        layers.append(keys)
+        local.append(at)
+    # block (p, j) of the triples carries every row of plane p - rise[j] by
+    # step order[j]: plane-major, as the walk laid them out
+    order = [i for ids in by_rise.values() for i in ids]
+    rise = np.array([rises[i] for i in order], dtype=np.int64)
+    plane, j = np.nonzero(np.arange(1, depth + 1)[:, None] >= rise)
+    plane += 1
+    source = plane - rise[j]
+    sizes = np.array(list(map(len, layers)))
+    starts = np.cumsum(sizes) - sizes
+    counts = sizes[source]
+    harmonics = np.repeat(np.array(order, dtype=np.intp)[j], counts)
+    target_planes = np.repeat(plane, counts)
+    predecessors = np.arange(counts.sum()) + np.repeat(
+        starts[source] - (np.cumsum(counts) - counts), counts
+    )
+    local = np.concatenate(local)
+    targets = starts[target_planes] + local
+
+    keys = np.concatenate(layers)
+    offsets, inside = _unpack(keys, lo, spans)
+    # the kept rows before the first of each plane
+    bounds = np.flatnonzero(inside).searchsorted(np.append(starts, len(keys)))
+    if not inside.all():
+        # drop the triples that touch a sum beyond int64, renumber the rest
+        kept = inside[predecessors] & inside[targets]
+        renumber = np.cumsum(inside) - 1
+        harmonics, target_planes = harmonics[kept], target_planes[kept]
+        predecessors, targets = renumber[predecessors[kept]], renumber[targets[kept]]
+        local = targets - bounds[target_planes]
+        keys = keys[inside]
     # distinct planes hold distinct sums, so no key repeats, and the stable
-    # sort merges the sorted layers
+    # sort merges the sorted planes
     by_key = keys.argsort(kind="stable")
-    box = IndexBox.from_sorted(walk.lo, walk.spans, keys[by_key], by_key)
-    # by step, then predecessor: a step keeps the lexicographic order, so
-    # within a target plane and a step the targets ascend too; every sum of
-    # a predecessor and its step is in the walk, and only one beyond int64
-    # is missing from the box
-    rank = {r: i for i, r in enumerate(dict.fromkeys(rises))}
-    order = [i for _, i in sorted((rank[r], i) for i, r in enumerate(rises) if r <= depth)]
-    counts = [bounds[depth + 1 - rises[i]] for i in order]
-    rows = np.arange(len(keys))
-    found = box.find_keys(np.concatenate(
-        [keys[:0], *(keys[:n] + walk.shifts[i] for i, n in zip(order, counts))]
-    ))
-    hit = np.flatnonzero(found >= 0)
-    by_plane = hit[planes[found[hit]].argsort(kind="stable")]
-    targets = found[by_plane]
-    predecessors = np.concatenate([rows[:0], *(rows[:n] for n in counts)])[by_plane]
-    harmonics = np.repeat(np.array(order, dtype=np.intp), counts)[by_plane]
-    target_planes = planes[targets]
-    local = targets - bounds[target_planes]
+    box = IndexBox.from_sorted(lo, spans, keys[by_key], by_key)
     for arr in (offsets, harmonics, targets, local, predecessors,
                 box.lo, box.hi, box.spans, box.keys, box.rows):
         arr.setflags(write=False)

@@ -384,16 +384,17 @@ def _plane_rhs(op: TruncatedOperator, i: int, x: np.ndarray):
     docstring), so rhs needs only the entries of x the caller has filled in
     before it asks for the next block.
     """
-    bounds = op.plane_bounds
-    edges = [i + 1, *bounds[np.searchsorted(bounds, i, side="right") :].tolist()]
-    cuts = np.searchsorted(op.rows, edges).tolist()
+    bounds, rows, cols, values = op.plane_bounds, op.rows, op.cols, op.values
+    edges = [i + 1, *bounds[bounds.searchsorted(i, side="right") :].tolist()]
+    cuts = rows.searchsorted(edges).tolist()
     for s, e, lo, hi in zip(edges, edges[1:], cuts, cuts[1:]):
         if s < e:
-            local = op.rows[lo:hi] - s
-            terms = op.values[lo:hi] * x[op.cols[lo:hi]]
-            yield s, e, -coeffset.join(
+            local = rows[lo:hi] - s
+            terms = values[lo:hi] * x[cols[lo:hi]]
+            rhs = coeffset.join(
                 np.bincount(local, terms.real, e - s), np.bincount(local, terms.imag, e - s)
             )
+            yield s, e, np.negative(rhs, out=rhs)
 
 
 def eigenvector_backsolve(op: TruncatedOperator, i: int) -> BacksolveResult:

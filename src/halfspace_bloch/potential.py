@@ -79,9 +79,11 @@ class FourierPotential:
         if cls is not None:
             object.__setattr__(self, "k", cls[0])
             object.__setattr__(self, "sign", cls[1])
-        object.__setattr__(self, "norm_l1", sum(abs(q) for q in canon.values()))
+        # inf where a modulus or a norm leaves the float range
+        moduli = coeffset.moduli(np.array(list(canon.values()), dtype=complex)).tolist()
+        object.__setattr__(self, "norm_l1", sum(moduli))
         # hypot scales its arguments: no overflow above 1e154, no underflow below 1e-154
-        object.__setattr__(self, "norm_l2", math.hypot(*(abs(q) for q in canon.values())))
+        object.__setattr__(self, "norm_l2", math.hypot(*moduli))
 
     @property
     def classification(self) -> tuple[int, str] | None:

@@ -35,7 +35,13 @@ from .lattice import IndexVector, LatticeBasis
 from .potential import FourierPotential
 from .spectrum import EigenGroup, eigenvalues
 
-#: absolute size below which a criterion value counts as zero
+#: absolute size below which a float criterion value counts as zero.  It
+#: separates the roundoff of a criterion that is zero in exact arithmetic
+#: (at most 3.5e-17 over 2000 float-tuned 1-D potentials, n <= 5 and
+#: |q_m| < 1.5) from the smallest true value it must not hide: every value
+#: of 1e-10 or more counts as nonzero, far below the second-plane criteria
+#: of the benchmark's 2-D pools (none nonzero under 9e-3 on seeds 1-3).
+#: The pi-exact 1-D criterion is compared with 0 exactly instead.
 CRITERION_TOL = 1e-10
 
 

@@ -340,6 +340,56 @@ def reference_closed_form(basis, q, gamma, t, depth):
     return dict(sorted(coeffs.items()))
 
 
+def reference_reach(steps, rises, top):
+    """(lo, spans, shifts, layers): the sums of ``steps`` up to plane ``top``,
+    layer by layer, as sorted distinct packed keys over the box of
+    ``coeffset.sum_box``; ``shifts[i]`` is the key change of step i."""
+    lo, spans, origin, shifts = coeffset.sum_box(np.array(steps, dtype=np.int64), top)
+    rises = np.array(rises)
+    by_rise = [(r, shifts[rises == r][:, None]) for r in dict.fromkeys(rises.tolist())]
+    layers = [origin]
+    for p in range(1, top + 1):
+        layers.append(coeffset.distinct(np.concatenate(
+            [origin[:0], *((layers[p - r] + s).ravel() for r, s in by_rise if r <= p)]
+        )))
+    return tuple(lo), tuple(spans), tuple(shifts.tolist()), tuple(layers)
+
+
+def reference_plan(steps, rises, depth):
+    """``coeffset.plan`` in two passes: the walk of :func:`reference_reach`,
+    then every step shifted from every row low enough for it, looked up in
+    the offsets' box, and the hits sorted stably by target plane."""
+    lo, spans, shifts, layers = reference_reach(steps, rises, depth)
+    keys = np.concatenate(layers)
+    offsets, inside = coeffset._unpack(keys, lo, spans)
+    keys = keys[inside]
+    bounds = np.flatnonzero(inside).searchsorted(np.cumsum([0, *map(len, layers)]))
+    planes = np.repeat(np.arange(depth + 1), np.diff(bounds))
+    by_key = keys.argsort(kind="stable")
+    box = coeffset.IndexBox.from_sorted(lo, spans, keys[by_key], by_key)
+    rank = {r: i for i, r in enumerate(dict.fromkeys(rises))}
+    order = [i for _, i in sorted((rank[r], i) for i, r in enumerate(rises) if r <= depth)]
+    counts = [bounds[depth + 1 - rises[i]] for i in order]
+    rows = np.arange(len(keys))
+    found = box.find_keys(np.concatenate(
+        [keys[:0], *(keys[:n] + shifts[i] for i, n in zip(order, counts))]
+    ))
+    hit = np.flatnonzero(found >= 0)
+    by_plane = hit[planes[found[hit]].argsort(kind="stable")]
+    targets = found[by_plane]
+    target_planes = planes[targets]
+    return coeffset.Plan(
+        offsets=offsets,
+        bounds=tuple(bounds.tolist()),
+        box=box,
+        harmonics=np.repeat(np.array(order, dtype=np.intp), counts)[by_plane],
+        targets=targets,
+        local=targets - bounds[target_planes],
+        predecessors=np.concatenate([rows[:0], *(rows[:n] for n in counts)])[by_plane],
+        cuts=tuple(target_planes.searchsorted(np.arange(depth + 2)).tolist()),
+    )
+
+
 def reference_second_plane_solve(basis, q, group, j, criterion_tol=rootfn.CRITERION_TOL):
     """The second-plane system by the dict loop over (a, n), at ``group.t``.
 

@@ -219,6 +219,24 @@ def test_multiplicity_tuned_family_consistent(tmp_path, capsys):
     assert doc["verdict"] == "consistent"
 
 
+@pytest.mark.parametrize("factor, is_zero", [(0.1, True), (10.0, False)])
+def test_criterion_tolerance_boundary_oned_float(tmp_path, capsys, factor, is_zero):
+    # float mode, n = 1: the criterion (in units of pi^2) is q_2 / pi^2, put at
+    # eps by q_2 = eps pi^2; the width is the literal 1e-10
+    eps = factor * 1e-10
+    config = {
+        "dimension": 1,
+        "generators": [[2 * math.pi]],
+        "potential": [{"index": [2], "re": eps * math.pi**2}],
+        "params": {"mode": "1d-criterion", "n": 1},
+    }
+    code, doc = run_json(tmp_path, capsys, config, "multiplicity")
+    assert code == 0 and doc["pi_exact"] is False
+    assert doc["criterion"]["re"] == pytest.approx(eps, rel=1e-12)
+    assert doc["criterion_is_zero"] is is_zero
+    assert doc["predicted_multiplicity"] == (2 if is_zero else 1)
+
+
 def test_multiplicity_untuned_consistent(tmp_path, capsys):
     config = {
         "dimension": 1,
@@ -1112,6 +1130,32 @@ def test_zero_generators_exit_3_without_a_warning(tmp_path, capsys, dimension):
         warnings.simplefilter("error")
         code, out = run(tmp_path, capsys, config, "classify")
     assert (code, out) == (3, "")
+
+
+@pytest.mark.parametrize("command, params, code", [
+    ("classify", None, 0),
+    # the order-1 term at (1, 0) has finite parts and a modulus of 2.0e308
+    ("bloch", {"method": "series", "order": 2}, 4),
+    ("bloch", {"method": "both", "order": 2}, 4),
+])
+def test_harmonic_whose_modulus_overflows_exits_without_a_traceback(tmp_path, capsys, command, params, code):
+    # both parts finite, |q| beyond the float range: Python's complex abs raises there
+    value = 1.3e308 if params is None else 1e308
+    config = {**IDENTITY_2D, "potential": [{"index": [1, 0], "re": value, "im": value}]}
+    if params is not None:
+        config.update(t=[-0.15, 0.0], params=params)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command, "--config", str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    if params is None:
+        assert doc == {"command": "classify", "support_size": 1, "in_s": True, "k": 1, "sign": "+"}
+    else:
+        assert doc["tail"] == math.inf and doc["converged"] is False
 
 
 @pytest.mark.parametrize("value", [1e300, -1e300, 1e-300])

@@ -310,10 +310,60 @@ def test_closed_form_on_harmonics_near_both_int64_ends():
 def test_unpack_leaves_out_sums_beyond_int64():
     # two or more steps of (1, 2**62) leave int64: the walk holds them as
     # exact keys, and unpack keeps the rest in plane-major order
-    walk = coeffset.reach(((1, 0), (1, 2**62)), (1, 1), 6)
-    rows = coeffset.unpack(np.concatenate(walk.layers), walk.lo, walk.spans)
+    plan = coeffset.plan(((1, 0), (1, 2**62)), (1, 1), 6)
+    assert plan.box.keys.dtype == object
+    rows = plan.offsets
     assert rows.dtype == np.int64
     assert rows.tolist() == [[0, 0]] + [[p, b * 2**62] for p in range(1, 7) for b in (0, 1)]
+
+
+def assert_same_plan(got, ref):
+    """Every field of two plans equal, arrays with their dtypes."""
+    for name in ("bounds", "cuts"):
+        assert getattr(got, name) == getattr(ref, name), name
+    for name in ("offsets", "harmonics", "targets", "local", "predecessors"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+    assert got.box.corner == ref.box.corner
+    for name in ("lo", "hi", "spans", "keys", "rows"):
+        a, b = getattr(got.box, name), getattr(ref.box, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("name", ["identity", "skewed", "3d"])
+def test_plan_equals_the_two_pass_reference(name):
+    # rises 1-3, grouped on axis 1 and interleaved on the others, in both half-lattices
+    basis = hb.LatticeBasis(np.array(BASES[name]))
+    d = basis.dimension
+    rng = np.random.default_rng(sum(map(ord, name)) + 303)
+    for i in range(40):
+        k, sign = int(rng.integers(1, d + 1)), "+-"[i % 2]
+        q = helpers.random_halfspace_potential(
+            rng, basis, k=k, sign=sign, max_harmonics=6, max_p=3, max_a=2
+        )
+        steps = tuple(q.coeffs)
+        rises = tuple((1 if q.sign == "+" else -1) * g1[q.k - 1] for g1 in steps)
+        for depth in (0, 1, int(rng.integers(2, 13 if d < 3 else 7))):
+            assert_same_plan(
+                coeffset.plan(steps, rises, depth), helpers.reference_plan(steps, rises, depth)
+            )
+
+
+@pytest.mark.parametrize("steps", [
+    ((1, 0), (1, 2**62)),
+    ((1, 2**62), (1, -(2**62)), (1, 0)),
+    ((1, 0), (2, -(2**62)), (1, 2**62 - 1)),
+    ((2, 2**62), (1, 5), (3, -(2**62)), (1, -(2**63))),
+    ((1, WIDE, -WIDE), (1, -WIDE, WIDE), (2, 1, 1)),
+])
+def test_plan_near_both_int64_ends_equals_the_two_pass_reference(steps):
+    # every box is wider than int64, so the walk runs on exact keys; in all
+    # but the last support some sums leave int64, and so do their triples
+    rises = tuple(n[0] for n in steps)
+    for depth in range(7):
+        got = coeffset.plan(steps, rises, depth)
+        assert got.box.keys.dtype == (object if depth else np.int64)
+        assert_same_plan(got, helpers.reference_plan(steps, rises, depth))
 
 
 def test_series_raises_at_the_order_that_leaves_int64():

@@ -46,6 +46,22 @@ def test_second_plane_eigenfunction_when_coupling_absent():
     assert rep.classification is rootfn.Classification.EIGENFUNCTION
 
 
+@pytest.mark.parametrize("factor, expected", [
+    (0.1, rootfn.Classification.EIGENFUNCTION),
+    (10.0, rootfn.Classification.ASSOCIATED),
+])
+def test_criterion_tolerance_boundary_second_plane(factor, expected):
+    # adjacent planes: the criterion of the member (0, 1) is q_{(1,-1)} * 1 / 1,
+    # exactly eps; (2, -1) rises past the leading plane.  The width is the
+    # literal, so CRITERION_TOL moved by 100 either way fails one side
+    eps = factor * 1e-10
+    group = unit_circle_group()
+    q = hb.FourierPotential(BASIS, {(1, -1): eps, (2, -1): 0.3})
+    rep = rootfn.second_plane_solve(BASIS, q, group, group.planes[1].members.index((0, 1)))
+    assert rep.criterion_values == (complex(eps),)
+    assert rep.classification is expected
+
+
 def test_second_plane_jordan_probe_agreement():
     # classification matches the rank probe on the member's invariant subspace
     rng = np.random.default_rng(61)
