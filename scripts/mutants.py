@@ -12,7 +12,9 @@ printed) and survives when it passes.  The list holds every named
 tolerance moved by a factor of 100 each way, two faults in the shared
 coefficient kernel, two in the closed-form plan's walk and one in its
 evaluation's kept mask, one in the interior cone, one in each propagation
-of the rank probes' core and the rank threshold without its floor 1 + |lam|.
+of the rank probes' core, the rank threshold without its floor 1 + |lam|
+and the operator's couplings searched in support order instead of by
+column.
 Nothing is written in the repository.
 
     python3 scripts/mutants.py
@@ -88,6 +90,12 @@ MUTANTS = (
         "galerkin.py",
         "        rank_tol = RANK_TOL_SCALE * max(top, 1.0 + abs(lam))",
         "        rank_tol = RANK_TOL_SCALE * top",
+    ),
+    (
+        "couplings-in-support-order",
+        "galerkin.py",
+        "    by_col = np.lexsort((*steps.T[::-1], sig * steps[:, k - 1]))",
+        "    by_col = np.arange(len(steps))",
     ),
     (
         "distinct-keeps-repeats",

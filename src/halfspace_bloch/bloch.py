@@ -368,4 +368,5 @@ def max_discrepancy(
     rows = coeffset.unpack(targets, lo, spans)
     p = sign_value(a.sign) * rows[:, a.k - 1]
     on_planes = ((0 < p) & (p <= limit)) | ~rows.any(axis=1)
-    return max(map(abs, diff[on_planes].tolist()), default=0.0)
+    # inf, not OverflowError, where a modulus leaves the float range
+    return max(coeffset.moduli(diff[on_planes]).tolist(), default=0.0)

@@ -20,13 +20,21 @@ Finding rows.  The ball stays an (N, d) int64 array from
 ``enumerate_ball`` to the operator: one stable argsort of the signed plane
 index puts the lex-ordered ball in plane-major order, ties lexicographic.
 Its rows get :func:`coeffset.pack` keys over the ball's box grown by one
-step of every harmonic that fits that box (``coeffset.sum_box`` with the
-box's two corners as base), packed from the lex-ordered ball, so they come
-out ascending and need no sort.  A harmonic as long as the ball's box on
-some axis links no two rows and is dropped first, so every coupling target
-n + g1 lies in the grown box: its key is key(n) + shift(g1), with no wrap
-and no alias.  One broadcast add of the shifts and one ``searchsorted``
-into the ball's keys then find every coupling, and the same
+negated step -g1 of every harmonic that fits that box (``coeffset.sum_box``
+of the steps -g1 with the box's two corners as base), packed from the
+lex-ordered ball, so they come out ascending and need no sort.  A harmonic
+as long as the ball's box on some axis links no two rows and is dropped
+first.  The search runs backward: row n takes q_{g1} from column n - g1,
+which lies in the grown box, so its key is key(n) + shift(-g1), with no
+wrap and no alias.  One broadcast add of the shifts and one
+``searchsorted`` into the ball's keys then find every coupling; the search
+runs step by step over the lex-ordered ball, whose shifted keys ascend,
+which speeds it.  The harmonics are taken in one fixed order, descending
+rise and then ascending lex order of -g1.  Column n - g1 lies on plane
+p(n) - rise(g1), and within a plane the rows are in lex order, which
+n -> n - g1 keeps; so in every row the hits ascend by column, and one
+gather of the rows in plane-major order gives the couplings row-major
+without sorting them.  The same
 :class:`coeffset.IndexBox` stays on the operator as its one lookup, for
 :meth:`TruncatedOperator.find`, ``position``, the probes' subsets and the
 interior cone.  The Python tuples of ``index_set`` and ``positions`` are
@@ -243,7 +251,7 @@ def build(
     indices = ball[order]
     size = len(indices)
     diag = eigenvalues(basis, indices, t_arr)
-    # q_{g1} couples column n to row n + g1 wherever n + g1 is in the ball;
+    # q_{g1} couples column n - g1 to row n wherever n - g1 is in the ball;
     # no two (row, column) pairs repeat.  A harmonic as long as the ball's
     # box on some axis reaches no row, and is dropped before any sum can wrap.
     support, qvals = coeffset.from_mapping(q.coeffs, basis.dimension)
@@ -252,12 +260,6 @@ def build(
     span = corners[1] - corners[0] + 1
     fits = ((support > -span) & (support < span)).all(axis=1)
     support, qvals = support[fits], qvals[fits]
-    lo, spans, _, shifts = coeffset.sum_box(support, 1, base=corners)
-    # the lex-ordered ball packs to ascending keys
-    keys = coeffset.pack(ball, lo, spans)
-    row_of = np.empty(size, dtype=np.intp)
-    row_of[order] = np.arange(size)
-    lookup = coeffset.IndexBox.from_sorted(lo, spans, keys, row_of)
     # the constant harmonic q_0 lands on the diagonal; every other entry is
     # stored as 0j + q, the value a scatter-add onto a zero matrix would hold
     # (no zero among them: the potential keeps no zero coefficient)
@@ -265,16 +267,25 @@ def build(
     mdiag = diag.astype(complex)
     if zero.any():
         mdiag += qvals[zero][0]
-    # harmonic outer, column inner; the shifted keys of the lex-ordered ball
-    # ascend, which speeds the search, and the columns are then put in
-    # plane-major order.  Each harmonic's rows then ascend with its columns,
-    # since n -> n + g1 keeps the plane-major order.
-    found = lookup.find_keys(keys + shifts[~zero, None])[:, order]
+    # column n - g1 lies on plane p(n) - rise(g1), and a plane's rows are in
+    # lex order: with the steps -g1 by ascending rise, then lex order, every
+    # row's hits come out in ascending column order
+    steps, qvals = -support[~zero], qvals[~zero]
+    by_col = np.lexsort((*steps.T[::-1], sig * steps[:, k - 1]))
+    steps, qvals = steps[by_col], qvals[by_col]
+    lo, spans, _, shifts = coeffset.sum_box(steps, 1, base=corners)
+    # the lex-ordered ball packs to ascending keys
+    keys = coeffset.pack(ball, lo, spans)
+    row_of = np.empty(size, dtype=np.intp)
+    row_of[order] = np.arange(size)
+    lookup = coeffset.IndexBox.from_sorted(lo, spans, keys, row_of)
+    # step outer over the lex-ordered ball, whose shifted keys ascend (which
+    # speeds the search), then the rows gathered in plane-major order: row
+    # outer, step inner, the couplings come out row-major
+    found = lookup.find_keys(shifts[:, None] + keys).T[order]
     hit = np.flatnonzero(found >= 0)
-    harmonic, cols = np.divmod(hit, size)
-    rows, vals = found.ravel()[hit], qvals[~zero][harmonic] + 0j
-    order = np.argsort(rows * size + cols, kind="stable")
-    rows, cols, vals = rows[order], cols[order], vals[order]
+    rows, harmonic = np.divmod(hit, len(steps))
+    cols, vals = found.ravel()[hit], qvals[harmonic] + 0j
     plane_arr = sig * indices[:, k - 1]
     bounds = np.append(np.flatnonzero(np.diff(plane_arr, prepend=plane_arr[:1] - 1)), size)
     for arr in (indices, diag, mdiag, rows, cols, vals, bounds):

@@ -707,6 +707,35 @@ def reference_build(basis, q, t, cutoff):
     return index_set, matrix
 
 
+def reference_couplings(basis, q, cutoff):
+    """(rows, cols, values) of the couplings by the forward search and a sort.
+
+    Every column n looks up its row n + g1 in the ball's keys over the box
+    grown by the steps g1, harmonic by harmonic in support order; one stable
+    argsort of row * N + column then puts the hits in row-major order.
+    """
+    k, sign = (q.k or 1), (q.sign or "+")
+    ball = basis.enumerate_ball(np.zeros(basis.dimension), cutoff)
+    order = np.argsort(lattice.sign_value(sign) * ball[:, k - 1], kind="stable")
+    size = len(ball)
+    support, qvals = coeffset.from_mapping(q.coeffs, basis.dimension)
+    corners = np.array([ball.min(axis=0, initial=0), ball.max(axis=0, initial=0)])
+    span = corners[1] - corners[0] + 1
+    fits = ((support > -span) & (support < span)).all(axis=1) & support.any(axis=1)
+    support, qvals = support[fits], qvals[fits]
+    lo, spans, _, shifts = coeffset.sum_box(support, 1, base=corners)
+    keys = coeffset.pack(ball, lo, spans)
+    row_of = np.empty(size, dtype=np.intp)
+    row_of[order] = np.arange(size)
+    lookup = coeffset.IndexBox.from_sorted(lo, spans, keys, row_of)
+    found = lookup.find_keys(keys + shifts[:, None])[:, order]
+    hit = np.flatnonzero(found >= 0)
+    harmonic, cols = np.divmod(hit, size)
+    rows, values = found.ravel()[hit], qvals[harmonic] + 0j
+    by_entry = np.argsort(rows * size + cols, kind="stable")
+    return rows[by_entry], cols[by_entry], values[by_entry]
+
+
 def reference_eigenvector_backsolve(op, i):
     n = op.size
     if not 0 <= i < n:

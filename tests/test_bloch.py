@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -329,6 +330,23 @@ def test_max_discrepancy_rejects_another_quasimomentum():
         bloch.max_discrepancy(series, closed)
     same = bloch.closed_form_coeffs(BASIS, q, (0, 0), (0.1, 0.2), 6)
     assert bloch.max_discrepancy(series, same) < 1e-10
+
+
+def test_max_discrepancy_is_inf_where_a_modulus_overflows():
+    # the difference at (1, 0) has finite parts and a modulus beyond the
+    # float range, where Python's abs raises
+    common = {"gamma": (0, 0), "t": (0.1, 0.2), "k": 1, "sign": "+", "order": 2, "lam": 0.05}
+    big = 1.3e308 + 1.3e308j
+    with pytest.raises(OverflowError):
+        abs(big)
+    a = bloch.BlochCoefficients(offsets=[(0, 0), (1, 0), (1, 1)], values=[1, big, 0.5], **common)
+    b = bloch.BlochCoefficients(offsets=[(0, 0), (1, 1), (2, 0)], values=[1, 0.25, 3e307 + 4e307j], **common)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bloch.max_discrepancy(a, b) == math.inf
+        # where abs returns, the same float
+        origin = bloch.BlochCoefficients(offsets=[(0, 0)], values=[1], **common)
+        assert bloch.max_discrepancy(b, origin) == abs(3e307 + 4e307j)
 
 
 def test_pad_guard():

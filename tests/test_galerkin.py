@@ -1123,8 +1123,8 @@ def test_build_with_a_zero_harmonic_and_on_a_one_point_ball():
 def test_indices_of_the_grown_box_outside_the_ball_are_missing():
     coeffs = {(1, 0): 0.3, (2, -3): 0.2, (1, 3): 0.1j}
     op = _equals_reference_build(BASIS, hb.FourierPotential(BASIS, coeffs), T, 3.0)
-    # the ball's box is [-3, 3]^2; the harmonics grow it to [-3, 5] x [-6, 6]
-    for outside in ((4, 0), (5, -6), (-3, 6), (3, 3), (0, -6)):
+    # the ball's box is [-3, 3]^2; the negated harmonics grow it to [-5, 3] x [-6, 6]
+    for outside in ((4, 0), (5, -6), (-3, 6), (3, 3), (0, -6), (-5, 0), (-4, -6)):
         assert op.find([outside]).tolist() == [-1]
         with pytest.raises(KeyError) as from_position:
             op.position(outside)
@@ -1142,3 +1142,67 @@ def test_replaced_indices_are_found_afresh():
     assert moved.position((12, 10)) == 0 and op.position((2, 0)) == op.size - 1
     with pytest.raises(KeyError):
         moved.position((0, 0))
+
+
+# -- couplings found row-major, and the diagonal of class S ------------------------
+
+HEXAGONAL = hb.LatticeBasis(np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]]))
+SKEWED3 = hb.LatticeBasis(np.array([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.5, 1.0]]))
+_COUPLING_BASES = {
+    "identity": (BASIS, 4.5),
+    "skewed": (SKEWED, 4.0),
+    "hexagonal": (HEXAGONAL, 4.0),
+    "3d": (BASIS3, 2.5),
+    "3d-skewed": (SKEWED3, 2.5),
+}
+
+
+def _unclassifiable_potential(rng, basis, constant: bool):
+    """Random harmonics plus a constant one, or plus a step g beside -g:
+    neither support lies in an open half-lattice."""
+    d = basis.dimension
+    coeffs = {}
+    for _ in range(int(rng.integers(1, 6))):
+        coeffs[tuple(rng.integers(-3, 4, size=d).tolist())] = helpers.random_unit_disc(rng)
+    g = tuple(rng.integers(-2, 3, size=d).tolist())
+    if constant or not any(g):
+        coeffs[(0,) * d] = 0.5 - 0.25j
+    else:
+        coeffs[g], coeffs[tuple(-x for x in g)] = 0.75, -0.125j
+    return hb.FourierPotential(basis, coeffs)
+
+
+@pytest.mark.parametrize("name", _COUPLING_BASES)
+def test_couplings_equal_the_forward_search_and_its_sort(name):
+    basis, radius = _COUPLING_BASES[name]
+    d = basis.dimension
+    rng = np.random.default_rng(83 + len(name))
+    potentials = [
+        helpers.random_halfspace_potential(rng, basis, k, sign, max_harmonics=7, max_p=3)
+        for k in range(1, d + 1)
+        for sign in ("+", "-")
+        for _ in range(3)
+    ]
+    potentials += [_unclassifiable_potential(rng, basis, constant=j % 2 == 0) for j in range(8)]
+    assert sum(q.classification is None for q in potentials) == 8
+    for q in potentials:
+        cutoff = float(rng.uniform(0.5, radius))
+        op = galerkin.build(basis, q, (0.0,) * d, cutoff)
+        for got, ref in zip((op.rows, op.cols, op.values), helpers.reference_couplings(basis, q, cutoff)):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name", _COUPLING_BASES)
+def test_class_s_diagonal_is_the_free_values_bit_for_bit(name):
+    # with no q_0 the matrix diagonal is |g + t|^2 + 0j, so comparing it
+    # entry by entry with the free values decides what a sorted comparison does
+    basis, radius = _COUPLING_BASES[name]
+    d = basis.dimension
+    rng = np.random.default_rng(89 + len(name))
+    for k in range(1, d + 1):
+        for sign in ("+", "-"):
+            q = helpers.random_halfspace_potential(rng, basis, k, sign, max_harmonics=5)
+            for t in (rng.uniform(-0.5, 0.5, size=d), np.zeros(d)):
+                op = galerkin.build(basis, q, t, radius)
+                assert q.classification is not None
+                assert op.matrix_diagonal.real.tobytes() == op.diagonal.tobytes()
