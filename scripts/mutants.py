@@ -12,9 +12,10 @@ printed) and survives when it passes.  The list holds every named
 tolerance moved by a factor of 100 each way, two faults in the shared
 coefficient kernel, two in the closed-form plan's walk and one in its
 evaluation's kept mask, one in the interior cone, one in each propagation
-of the rank probes' core, the rank threshold without its floor 1 + |lam|
-and the operator's couplings searched in support order instead of by
-column.
+of the rank probes' core, the rank threshold without its floor 1 + |lam|,
+the operator's couplings searched in support order instead of by
+column, and the Fermi sampler's minimizer ball without its rounding
+margin and without its half diameter.
 Nothing is written in the repository.
 
     python3 scripts/mutants.py
@@ -96,6 +97,18 @@ MUTANTS = (
         "galerkin.py",
         "    by_col = np.lexsort((*steps.T[::-1], sig * steps[:, k - 1]))",
         "    by_col = np.arange(len(steps))",
+    ),
+    (
+        "minimizer-ball-without-margin",
+        "isoenergetic.py",
+        "    eps = 64 * basis.dimension * basis.cancellation * _UNIT_ROUNDOFF * scale",
+        "    eps = 0.0",
+    ),
+    (
+        "minimizer-ball-without-half-diameter",
+        "isoenergetic.py",
+        "    candidates = basis.enumerate_ball(-t0, rho + diameter / 2 + spread + eps)",
+        "    candidates = basis.enumerate_ball(-t0, rho + spread + eps)",
     ),
     (
         "distinct-keeps-repeats",

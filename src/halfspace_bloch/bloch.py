@@ -58,7 +58,7 @@ import numpy as np
 
 from . import coeffset, jsonfmt
 from .errors import ResonanceError
-from .lattice import IndexVector, LatticeBasis, as_index, sign_value, squared_norms
+from .lattice import IndexVector, LatticeBasis, as_index, sign_value
 from .potential import FourierPotential
 from .spectrum import collides, eigenvalue, eigenvalues
 
@@ -295,26 +295,13 @@ def closed_form_coeffs(
     )
 
 
-def residual(
-    basis: LatticeBasis,
-    q: FourierPotential,
-    psi: BlochCoefficients,
-    pad: float | None = None,
-) -> float:
+def residual(basis: LatticeBasis, q: FourierPotential, psi: BlochCoefficients) -> float:
     """l2 norm of the Fourier coefficients of (-Laplacian + q - lam) applied to psi.
 
     Exact on the truncated coefficient set: the defect is supported on the
     support of psi plus one potential convolution, all of which is included.
-    ``pad``, when given, must cover that one-convolution growth; it exists
-    so callers can assert their truncation intent.
     """
     support, qvals = coeffset.from_mapping(q.coeffs, basis.dimension)
-    if pad is not None:
-        growth = float(np.sqrt(squared_norms(basis.to_cartesian(support))).max(initial=0.0))
-        if pad < growth:
-            raise ValueError(
-                f"pad {pad} is below the one-convolution support growth {growth:.6g}"
-            )
     t = np.asarray(psi.t, dtype=float)
     offsets, values = psi.offsets, psi.values
     n = len(values)

@@ -19,7 +19,6 @@ Outputs are deterministic given the config.
 from __future__ import annotations
 
 import argparse
-import bisect
 import functools
 import json
 import math
@@ -390,7 +389,7 @@ def cmd_oracle(doc: dict, want_matrix: bool = False):
     cone = galerkin.interior_cone(op, gamma)
     with np.errstate(over="ignore", invalid="ignore"):
         closed = bloch.closed_form_coeffs(
-            basis, pot.q, gamma, t, depth=max(op.planes) - op.planes[base]
+            basis, pot.q, gamma, t, depth=int(op.planes.max() - op.planes[base])
         )
         vec = galerkin.eigenvector_backsolve(op, base)
         expected = np.zeros(op.size, dtype=complex)
@@ -493,7 +492,7 @@ def _multiplicity_second_plane(doc: dict, params: dict) -> tuple[dict, int]:
     except KeyError:
         raise CutoffError(f"cutoff {cutoff} ball does not contain member={member}") from None
     # the planes of a '+' operator ascend: the rows above the member's plane are a tail
-    above = bisect.bisect_right(op.planes, group.planes[1].n)
+    above = op.planes.searchsorted(group.planes[1].n, side="right")
     subset = np.vstack([op.indices[above:], member])
     excess = galerkin.jordan_chain_excess(op, group.lam, subset=subset)
     predicted = result.classification is rootfn.Classification.ASSOCIATED

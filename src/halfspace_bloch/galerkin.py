@@ -37,9 +37,9 @@ gather of the rows in plane-major order gives the couplings row-major
 without sorting them.  The same
 :class:`coeffset.IndexBox` stays on the operator as its one lookup, for
 :meth:`TruncatedOperator.find`, ``position``, the probes' subsets and the
-interior cone.  The Python tuples of ``index_set`` and ``positions`` are
-built on first use.  The triangularity witness is the first coupling, in
-row-major order, whose row plane is not above its column plane.
+interior cone.  The Python tuples of ``index_set`` are built on first use.
+The triangularity witness is the first coupling, in row-major order, whose
+row plane is not above its column plane.
 
 Forward substitution by plane.  On a plane-triangular matrix the diagonal
 block of a plane is diagonal (no coupling within a plane) and every
@@ -119,8 +119,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -147,8 +146,9 @@ class TruncatedOperator:
     holds the same indices as Python int tuples.  The matrix M is stored as its diagonal
     ``matrix_diagonal`` (M_jj = |g + t|^2 + q_0; ``diagonal`` holds the free
     values |g + t|^2) and its off-diagonal couplings ``(rows, cols, values)``,
-    sorted row-major with no zero stored.  ``plane_bounds`` lists the first
-    row of each plane block, then ``size``.  :meth:`find` and
+    sorted row-major with no zero stored.  ``planes`` holds the signed plane
+    index of each row, int64, and ``plane_bounds`` the first row of each
+    plane block, then ``size``.  :meth:`find` and
     :meth:`position` read one packed-key lookup of the rows, the one
     ``build`` found the couplings with.  Immutable after build.
     """
@@ -164,7 +164,7 @@ class TruncatedOperator:
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
-    planes: tuple[int, ...]
+    planes: np.ndarray
     plane_bounds: np.ndarray
 
     @property
@@ -175,11 +175,6 @@ class TruncatedOperator:
     def index_set(self) -> tuple[IndexVector, ...]:
         """The rows of ``indices`` as Python int tuples, built on first use."""
         return tuple(map(tuple, self.indices.tolist()))
-
-    @cached_property
-    def positions(self) -> Mapping[IndexVector, int]:
-        """Read-only map from each index tuple in the ball to its row/column."""
-        return MappingProxyType(dict(zip(self.index_set, range(self.size))))
 
     def find(self, indices) -> np.ndarray:
         """The row of each lattice index, the rows of an (m, d) integer-valued
@@ -288,7 +283,7 @@ def build(
     cols, vals = found.ravel()[hit], qvals[harmonic] + 0j
     plane_arr = sig * indices[:, k - 1]
     bounds = np.append(np.flatnonzero(np.diff(plane_arr, prepend=plane_arr[:1] - 1)), size)
-    for arr in (indices, diag, mdiag, rows, cols, vals, bounds):
+    for arr in (indices, diag, mdiag, rows, cols, vals, plane_arr, bounds):
         arr.setflags(write=False)
     op = TruncatedOperator(
         basis=basis,
@@ -302,7 +297,7 @@ def build(
         rows=rows,
         cols=cols,
         values=vals,
-        planes=tuple(plane_arr.tolist()),
+        planes=plane_arr,
         plane_bounds=bounds,
     )
     op.__dict__["_lookup"] = lookup
@@ -312,8 +307,7 @@ def build(
 def _first_grading_violation(op: TruncatedOperator) -> tuple[IndexVector, IndexVector] | None:
     # The couplings are the nonzero off-diagonal entries in row-major order,
     # so the first one with row plane <= column plane is the first violation.
-    planes = np.asarray(op.planes, dtype=int)
-    bad = np.flatnonzero(planes[op.rows] <= planes[op.cols])
+    bad = np.flatnonzero(op.planes[op.rows] <= op.planes[op.cols])
     if not bad.size:
         return None
     return op.index_set[op.rows[bad[0]]], op.index_set[op.cols[bad[0]]]
@@ -711,7 +705,7 @@ def interior_cone(op: TruncatedOperator, gamma: Sequence[int]) -> np.ndarray:
         return np.zeros((0, op.basis.dimension), dtype=np.int64)
     if op.q.classification is None:
         raise ValueError("the interior cone needs a potential in class S")
-    plan = op.q.plan(max(op.planes) - sign_value(op.sign) * gamma[op.k - 1])
+    plan = op.q.plan(int(op.planes.max()) - sign_value(op.sign) * gamma[op.k - 1])
     blocked = op.find(plan.offsets + np.array(gamma, dtype=np.int64)) < 0
     for p in range(1, len(plan.bounds) - 1):
         lo, hi = plan.cuts[p], plan.cuts[p + 1]

@@ -6,32 +6,29 @@ are reported as a cloud with their distance to the nearest sphere and the
 translating lattice index; set-level claims (potential independence) are
 tested on the cloud directly.
 
-The distance of a point t is min over lattice points n of | |n + t| - rho |,
-taken over its own ball |n + t| <= cutoff, with the lexicographically first
-minimizer.  All points of a grid are scored against one candidate set, the
-minimizer ball about -t0:
+The distance of a point t is min over all lattice points n of
+| |n + t| - rho |, with the lexicographically first minimizer.  All points
+of a grid are scored against one candidate set, the minimizer ball about
+-t0, and no other lattice point can win or tie:
 
 * **Every point is near a sphere.**  Every x lies within the covering
   radius of some lattice point, and the covering radius is at most half the
   fundamental-domain diameter D (reduce x into the parallelepiped
   [-1/2, 1/2)^d about a lattice point; the norm is convex, so the largest
   offset is a vertex, |sum +-v_j / 2| <= D/2).  Taking x on the sphere
-  |x + t| = rho gives a lattice point with distance at most D/2, inside the
-  point's ball since rho + D/2 < cutoff.
+  |x + t| = rho gives a lattice point with distance at most D/2.
 * **Minimizer-ball lemma.**  So a minimizer of t, and every lattice point
   that ties with it, has distance at most D/2, i.e. |n + t| <= rho + D/2,
   and then |n + t0| <= |n + t| + |t - t0| <= rho + D/2 + |t - t0|.  The
   ball of radius rho + D/2 + max |t - t0| + eps about -t0 therefore holds
-  every point's minimizers and ties.  The grid is scored with t0 = 0; a
-  single point is the case t0 = t.  Candidates outside a point's own cutoff
-  ball are scored as ``inf``; the rest keep their lexicographic order and
-  hold all minimizers and ties of that ball, so ``argmin``, which takes the
-  first minimum, picks the minimizer of a scan of the point's own ball.
-  (A candidate outside the cutoff ball has distance above cutoff - rho >= D,
-  so it could neither win nor tie anyway.)  At rho = 0 the bound is sharp:
-  the corner (1/2, 1/2) of the square lattice lies exactly D/2 from four
-  lattice points, and its lexicographically first minimizer (-1, -1) lies
-  exactly on the sphere of the grid's ball.
+  every point's minimizers and ties, and a lattice point outside it has a
+  larger distance than the minimizer.  The grid is scored with t0 = 0; a
+  single point is the case t0 = t.  The candidates keep their
+  lexicographic order, so ``argmin``, which takes the first minimum, picks
+  the lexicographically first minimizer over the whole lattice.  At
+  rho = 0 the bound is sharp: the corner (1/2, 1/2) of the square lattice
+  lies exactly D/2 from four lattice points, and its lexicographically
+  first minimizer (-1, -1) lies exactly on the sphere of the grid's ball.
 * **Rounding margin.**  The lemma holds for exact norms; the scores, D, the
   spread max |t - t0| and the enumerated norms are computed ones.  With u
   the unit roundoff, a computed lattice point x = to_cartesian(n) is off by
@@ -64,7 +61,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CutoffError
 from .lattice import IndexVector, LatticeBasis, squared_norms
 
 #: grid-point-by-candidate entries scored at once; bounds the temporary arrays
@@ -138,27 +134,20 @@ class SurfaceSample:
         return ",".join(cols) + "\n" + (row * len(flat)) % tuple(flat.ravel().tolist())
 
 
-def _check_cutoff(basis: LatticeBasis, rho: float, cutoff: float) -> None:
-    if rho < 0:
-        raise ValueError(f"rho must be nonnegative, got {rho}")
-    needed = rho + basis.fundamental_diameter()
-    if cutoff < needed:
-        raise CutoffError(
-            f"cutoff {cutoff} too small to certify the minimizer; need at least "
-            f"{needed:.6g}"
-        )
-
-
 def _nearest(
-    basis: LatticeBasis, ts: np.ndarray, t0: np.ndarray, rho: float, cutoff: float
+    basis: LatticeBasis, ts: np.ndarray, t0: np.ndarray, rho: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(distance per row of ts, (m, d) candidate array, row of each row's minimizer).
 
     Candidates are the minimizer ball about -t0, which holds every row's
     minimizers and ties; the (grid x candidate) array is scored in row
-    chunks of at most ``_CHUNK_ELEMENTS`` entries.  See the module docstring
-    for why this gives every row the result of its own cutoff ball.
+    chunks of at most ``_CHUNK_ELEMENTS`` entries.  A lattice point outside
+    the ball is farther from the sphere than every row's minimizer (module
+    docstring), so the first minimum over the candidates is the minimizer
+    over the whole lattice.
     """
+    if rho < 0:
+        raise ValueError(f"rho must be nonnegative, got {rho}")
     spread = float(np.sqrt(squared_norms(ts - t0)).max())
     diameter = basis.fundamental_diameter()
     scale = rho + diameter + spread + math.sqrt(float(t0 @ t0))
@@ -170,7 +159,7 @@ def _nearest(
     best = np.empty(len(ts), dtype=np.intp)
     for lo in range(0, len(ts), rows):
         norms = np.sqrt(squared_norms(points + ts[lo : lo + rows, None, :]))
-        scored = np.where(norms <= cutoff, np.abs(norms - rho), np.inf)
+        scored = np.abs(norms - rho)
         j = scored.argmin(axis=1)
         best[lo : lo + rows] = j
         dist[lo : lo + rows] = scored[np.arange(len(j)), j]
@@ -178,30 +167,19 @@ def _nearest(
 
 
 def distance_to_surface(
-    basis: LatticeBasis,
-    t: Sequence[float],
-    rho: float,
-    cutoff: float,
+    basis: LatticeBasis, t: Sequence[float], rho: float
 ) -> tuple[float, IndexVector]:
-    """min over g of | |g + t| - rho | with its lexicographically first argmin.
-
-    The cutoff must reach rho plus the fundamental-domain diameter so that
-    the ball |g + t| <= cutoff provably contains a minimizer.
-    """
-    _check_cutoff(basis, rho, cutoff)
+    """min over all lattice points g of | |g + t| - rho | with its
+    lexicographically first argmin."""
     t = np.asarray(t, dtype=float)
     if t.shape != (basis.dimension,):
         raise ValueError(f"t must have length {basis.dimension}")
-    dist, candidates, best = _nearest(basis, t[None, :], t, rho, cutoff)
+    dist, candidates, best = _nearest(basis, t[None, :], t, rho)
     return float(dist[0]), tuple(candidates[best[0]].tolist())
 
 
 def sample_surface(
-    basis: LatticeBasis,
-    rho: float,
-    resolution: int,
-    threshold: float,
-    cutoff: float | None = None,
+    basis: LatticeBasis, rho: float, resolution: int, threshold: float
 ) -> SurfaceSample:
     """Scan a uniform generator-coordinate grid and keep near-surface points.
 
@@ -210,13 +188,10 @@ def sample_surface(
     """
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
-    if cutoff is None:
-        cutoff = rho + basis.fundamental_diameter() + 1.0
-    _check_cutoff(basis, rho, cutoff)
     axis = np.linspace(-0.5, 0.5, resolution)
     grids = np.meshgrid(*([axis] * basis.dimension), indexing="ij")
     ts = basis.to_cartesian(np.stack([g.ravel() for g in grids], axis=-1))
-    dist, candidates, best = _nearest(basis, ts, np.zeros(basis.dimension), rho, cutoff)
+    dist, candidates, best = _nearest(basis, ts, np.zeros(basis.dimension), rho)
     kept = np.flatnonzero(dist <= threshold)
     return SurfaceSample(
         rho=rho,

@@ -829,12 +829,12 @@ def reference_interior_cone(op, gamma):
     then each in-ball offset checked against its reachable predecessors."""
     dimension = op.basis.dimension
     gamma = lattice.as_index(gamma, dimension)
-    positions = op.positions
-    if gamma not in positions or not op.q.coeffs:
-        return {(0,) * dimension} if gamma in positions else set()
+    ball = set(op.index_set)
+    if gamma not in ball or not op.q.coeffs:
+        return {(0,) * dimension} if gamma in ball else set()
     sig = lattice.sign_value(op.sign)
     gamma_plane = sig * gamma[op.k - 1]
-    max_plane = max(op.planes) - gamma_plane
+    max_plane = int(op.planes.max()) - gamma_plane
 
     zero = (0,) * dimension
     steps = [(g1, sig * lattice.decompose(g1, op.k)[1]) for g1 in op.q.coeffs]
@@ -851,7 +851,7 @@ def reference_interior_cone(op, gamma):
     for p in range(1, max_plane + 1):
         for dlt in reachable[p]:
             node = tuple(a + b for a, b in zip(gamma, dlt))
-            if node not in positions:
+            if node not in ball:
                 continue
             ok = True
             for g1, p1 in steps:

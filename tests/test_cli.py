@@ -197,7 +197,7 @@ def test_oracle_builds_one_lookup_over_the_ball(tmp_path, capsys, monkeypatch):
     made = list(sizes)
     q = hb.FourierPotential(hb.identity_basis(2), {(1, 0): 0.3, (1, 1): 0.2, (2, -1): 0.1j})
     op = galerkin.build(hb.identity_basis(2), q, (0.31, 0.17), 6.0)
-    assert made == [doc["size"], len(q.plan(max(op.planes)).offsets)]
+    assert made == [doc["size"], len(q.plan(int(op.planes.max())).offsets)]
 
 
 def test_multiplicity_tuned_family_consistent(tmp_path, capsys):
@@ -1291,7 +1291,7 @@ def _reference_agreement(config):
     op = galerkin.build(basis, q, config["t"], params["cutoff"])
     base = op.position(gamma)
     closed = bloch.closed_form_coeffs(
-        basis, q, gamma, config["t"], depth=max(op.planes) - op.planes[base]
+        basis, q, gamma, config["t"], depth=int(op.planes.max() - op.planes[base])
     )
     vec = galerkin.eigenvector_backsolve(op, base)
     cone = helpers.reference_interior_cone(op, gamma)
@@ -1359,7 +1359,7 @@ def test_oracle_writes_no_closed_form_value_outside_the_ball(tmp_path, capsys):
     assert code == 0
     q = hb.FourierPotential(hb.identity_basis(2), potential)
     op = galerkin.build(hb.identity_basis(2), q, config["t"], 3.0)
-    closed = bloch.closed_form_coeffs(hb.identity_basis(2), q, (0, 0), config["t"], max(op.planes))
+    closed = bloch.closed_form_coeffs(hb.identity_basis(2), q, (0, 0), config["t"], int(op.planes.max()))
     assert (op.find(closed.offsets) < 0).any()
     assert op.index_set[-1] in set(map(tuple, galerkin.interior_cone(op, (0, 0)).tolist()))
     cone, worst = _reference_agreement(config)

@@ -192,7 +192,7 @@ def top_plane(basis, q, gamma, t, cutoff):
     """The closed form to the top plane of the cutoff ball, as an
     :func:`outcome`, after checking it against the dict loop."""
     op = galerkin.build(basis, q, t, cutoff)
-    depth = max(op.planes) - op.planes[op.position(gamma)]
+    depth = int(op.planes.max() - op.planes[op.position(gamma)])
     full = outcome(bloch.closed_form_coeffs, basis, q, gamma, t, depth)
     assert_same(full if resonated(full) else full.coeffs,
                 outcome(helpers.reference_closed_form, basis, q, gamma, t, depth))

@@ -212,7 +212,7 @@ def test_backsolve_matches_closed_form_on_interior_cone():
     q = hb.FourierPotential(BASIS, {(1, 0): 0.1})
     op = galerkin.build(BASIS, q, T, 6.0)
     result = galerkin.eigenvector_backsolve(op, op.position((0, 0)))
-    closed = bloch.closed_form_coeffs(BASIS, q, (0, 0), T, depth=max(op.planes))
+    closed = bloch.closed_form_coeffs(BASIS, q, (0, 0), T, depth=int(op.planes.max()))
     cone = galerkin.interior_cone(op, (0, 0))
     assert len(cone) > 3
     for delta in map(tuple, cone.tolist()):
@@ -593,7 +593,7 @@ def _interior_cone_chain_oracle(op, gamma, q):
     import itertools
 
     supp = list(q.coeffs)
-    max_len = max(op.planes) - op.planes[op.position(gamma)]
+    max_len = int(op.planes.max() - op.planes[op.position(gamma)])
     verdict: dict[tuple, bool] = {}
     for length in range(1, max_len + 1):
         for chain in itertools.product(supp, repeat=length):
@@ -728,7 +728,7 @@ def test_interior_cone_of_huge_harmonics_equals_dict_loop(basis, coeffs, fallbac
     # the box of offsets spans prod(spans) keys; beyond int64 the keys are Python ints
     q = hb.FourierPotential(basis, coeffs)
     op = galerkin.build(basis, q, (0.1, 0.2, 0.3)[: basis.dimension], 3.0)
-    top = max(op.planes)
+    top = int(op.planes.max())
     spans = [
         top * (max(0, max(c)) - min(0, min(c))) + 1 for c in zip(*coeffs)
     ]
@@ -746,13 +746,14 @@ def test_interior_cone_needs_class_s():
         galerkin.interior_cone(op, (0, 0))
 
 
-def test_positions_is_a_read_only_view():
+def test_planes_are_a_read_only_int64_array():
     q = hb.FourierPotential(BASIS, {(1, 0): 0.1})
     op = galerkin.build(BASIS, q, T, 2.0)
-    assert dict(op.positions) == {n: op.position(n) for n in op.index_set}
-    with pytest.raises(TypeError):
-        op.positions[(0, 0)] = 1
     assert op.indices.tolist() == [list(n) for n in op.index_set]
+    assert op.planes.dtype == np.int64 and not op.planes.flags.writeable
+    assert op.planes.tolist() == [n[0] for n in op.index_set]
+    with pytest.raises(ValueError):
+        op.planes[0] = 1
 
 
 # -- the sparse operator against the dense references ----------------------------
@@ -896,7 +897,7 @@ def _handmade_operator(planes, diagonal, entries):
         rows=np.array([r for r, _ in keys], dtype=np.int64),
         cols=np.array([c for _, c in keys], dtype=np.int64),
         values=np.array([entries[key] for key in keys], dtype=complex),
-        planes=tuple(planes),
+        planes=np.array(planes, dtype=np.int64),
         plane_bounds=np.array([*starts, len(planes)]),
     )
 

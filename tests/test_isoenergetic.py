@@ -6,7 +6,6 @@ import pytest
 
 import halfspace_bloch as hb
 from halfspace_bloch import galerkin, isoenergetic
-from halfspace_bloch.errors import CutoffError
 
 import helpers
 
@@ -14,28 +13,23 @@ BASIS = hb.identity_basis(2)
 
 
 def test_distance_tie_breaks_lexicographically():
-    dist, gamma = isoenergetic.distance_to_surface(BASIS, (0.5, 0.0), 0.5, cutoff=4.0)
+    dist, gamma = isoenergetic.distance_to_surface(BASIS, (0.5, 0.0), 0.5)
     assert dist == 0.0
     assert gamma == (-1, 0)
 
 
 def test_distance_at_origin():
     # (0,0), (+-1,0) and (0,+-1) all sit at distance 0.5: lex picks (-1,0)
-    dist, gamma = isoenergetic.distance_to_surface(BASIS, (0.0, 0.0), 0.5, cutoff=4.0)
+    dist, gamma = isoenergetic.distance_to_surface(BASIS, (0.0, 0.0), 0.5)
     assert dist == pytest.approx(0.5)
     assert gamma == (-1, 0)
 
 
 def test_distance_interior_point():
-    dist, gamma = isoenergetic.distance_to_surface(BASIS, (0.3, 0.0), 0.5, cutoff=4.0)
+    dist, gamma = isoenergetic.distance_to_surface(BASIS, (0.3, 0.0), 0.5)
     assert dist == pytest.approx(0.2)
     # (-1,0) ties (0,0) at distance 0.2 up to rounding; the lex rule applies
     assert gamma in ((-1, 0), (0, 0))
-
-
-def test_distance_cutoff_guard():
-    with pytest.raises(CutoffError):
-        isoenergetic.distance_to_surface(BASIS, (0.0, 0.0), 3.0, cutoff=3.5)
 
 
 def test_distance_matches_brute_force():
@@ -43,7 +37,7 @@ def test_distance_matches_brute_force():
     for _ in range(15):
         t = rng.uniform(-0.5, 0.5, size=2)
         rho = rng.uniform(0, 2)
-        dist, gamma = isoenergetic.distance_to_surface(BASIS, t, rho, cutoff=rho + 3.0)
+        dist, gamma = isoenergetic.distance_to_surface(BASIS, t, rho)
         best = min(
             abs(math.sqrt(hb.eigenvalue(BASIS, n, t)) - rho)
             for n in helpers.ball_scan_oracle(BASIS, -t, rho + 3.0)
@@ -237,22 +231,43 @@ def test_deep_holes_far_from_the_domain_equal_full_balls(name):
         for sign in (1, -1):
             t = basis.to_cartesian(np.full(basis.dimension, sign * (k + 0.5)))
             for rho, cutoff in ((0.0, diameter), (0.0, diameter + 0.5), (0.3, 0.3 + diameter)):
-                got = isoenergetic.distance_to_surface(basis, t, rho, cutoff)
+                got = isoenergetic.distance_to_surface(basis, t, rho)
                 assert got == helpers.reference_distance_to_surface(basis, t, rho, cutoff)
 
 
 @pytest.mark.parametrize("name", EDGE_BASES)
 def test_cutoff_of_exactly_rho_plus_d_equals_full_balls(name):
-    # the smallest cutoff accepted: the minimizer ball reaches beyond it
+    # the smallest sound cutoff of the per-ball scan: the minimizer ball
+    # reaches beyond it
     basis = EDGE_BASES[name]
     diameter = basis.fundamental_diameter()
     resolution = 5 if basis.dimension == 3 else 9
     for rho in (0.0, 0.25, 0.5, 1.3):
         cutoff = rho + diameter
-        sample = isoenergetic.sample_surface(basis, rho, resolution, math.inf, cutoff=cutoff)
+        sample = isoenergetic.sample_surface(basis, rho, resolution, math.inf)
         assert sample.points == helpers.reference_sample_surface(
             basis, rho, resolution, math.inf, cutoff
         )
+
+
+ALL_BASES = {**SURFACE_BASES, **EDGE_BASES}
+
+
+@pytest.mark.parametrize("name", ALL_BASES)
+def test_distance_does_not_depend_on_the_cutoff(name):
+    # the minimizer-ball lemma: every per-ball scan whose cutoff reaches
+    # rho + D finds the distance over the whole lattice, whatever the cutoff
+    basis = ALL_BASES[name]
+    diameter = basis.fundamental_diameter()
+    rng = np.random.default_rng(89)
+    for trial in range(2 if basis.dimension == 3 else 4):
+        # t inside the fundamental domain, then far outside it
+        reach = 0.5 if trial % 2 == 0 else 8.0
+        t = basis.to_cartesian(rng.uniform(-reach, reach, size=basis.dimension))
+        rho = 0.0 if trial < 2 else float(rng.uniform(0, 1.5))
+        got = isoenergetic.distance_to_surface(basis, t, rho)
+        for cutoff in (rho + diameter, rho + diameter + 1.0, rho + 10 * diameter):
+            assert got == helpers.reference_distance_to_surface(basis, t, rho, cutoff)
 
 
 @pytest.mark.parametrize("name", ["1d", "3d", "3d-skewed"])
@@ -278,7 +293,7 @@ def test_distance_to_surface_equals_per_point_loop():
             rho = 0.0 if trial % 4 == 0 else float(rng.uniform(0, 2))
             cutoff = rho + basis.fundamental_diameter() + float(rng.uniform(0, 1.5))
             assert isoenergetic.distance_to_surface(
-                basis, t, rho, cutoff
+                basis, t, rho
             ) == helpers.reference_distance_to_surface(basis, t, rho, cutoff)
 
 
@@ -292,7 +307,7 @@ def test_distance_to_surface_equals_per_point_loop():
     ],
 )
 def test_distance_exact_ties_take_lex_first(t, rho, expected):
-    got = isoenergetic.distance_to_surface(BASIS, t, rho, cutoff=4.0)
+    got = isoenergetic.distance_to_surface(BASIS, t, rho)
     assert got == expected
     assert got == helpers.reference_distance_to_surface(BASIS, t, rho, 4.0)
 
@@ -303,15 +318,13 @@ def test_reported_translates_are_python_int_tuples():
     for t, dist, gamma in sample.points:
         assert type(gamma) is tuple and all(type(x) is int for x in gamma)
         assert type(t) is tuple and type(dist) is float
-    dist, gamma = isoenergetic.distance_to_surface(BASIS, (0.3, -0.2), 0.6, cutoff=4.0)
+    dist, gamma = isoenergetic.distance_to_surface(BASIS, (0.3, -0.2), 0.6)
     assert type(dist) is float
     assert type(gamma) is tuple and all(type(x) is int for x in gamma)
 
 
-def test_guards_reject_small_cutoff_and_negative_rho():
-    with pytest.raises(CutoffError):
-        isoenergetic.sample_surface(BASIS, 1.0, resolution=5, threshold=0.1, cutoff=2.0)
+def test_guards_reject_negative_rho():
     with pytest.raises(ValueError):
         isoenergetic.sample_surface(BASIS, -0.1, resolution=5, threshold=0.1)
     with pytest.raises(ValueError):
-        isoenergetic.distance_to_surface(BASIS, (0.0, 0.0), -0.1, cutoff=4.0)
+        isoenergetic.distance_to_surface(BASIS, (0.0, 0.0), -0.1)

@@ -70,7 +70,7 @@ def test_backsolve_matches_closed_form_3d():
     q = potential3()
     op = galerkin.build(BASIS3, q, T3, 3.0)
     vec = galerkin.eigenvector_backsolve(op, op.position((0, 0, 0)))
-    closed = bloch.closed_form_coeffs(BASIS3, q, (0, 0, 0), T3, depth=max(op.planes))
+    closed = bloch.closed_form_coeffs(BASIS3, q, (0, 0, 0), T3, depth=int(op.planes.max()))
     for delta in map(tuple, galerkin.interior_cone(op, (0, 0, 0)).tolist()):
         value = vec.vector[op.position(delta)]
         assert abs(value - closed.coeffs.get(delta, 0j)) < 1e-10
@@ -101,7 +101,7 @@ def test_backsolve_matches_closed_form_3d_at_cutoff_12():
         tracemalloc.stop()
     assert op.size == 7153 and len(cone) == 167
     assert peak < 64 * 2**20
-    closed = bloch.closed_form_coeffs(BASIS3, q, (0, 0, 0), T3, depth=max(op.planes))
+    closed = bloch.closed_form_coeffs(BASIS3, q, (0, 0, 0), T3, depth=int(op.planes.max()))
     worst = max(
         abs(vec.vector[op.position(d)] - closed.coeffs.get(d, 0j)) for d in map(tuple, cone.tolist())
     )
