@@ -14,8 +14,10 @@ coefficient kernel, two in the closed-form plan's walk and one in its
 evaluation's kept mask, one in the interior cone, one in each propagation
 of the rank probes' core, the rank threshold without its floor 1 + |lam|,
 the operator's couplings searched in support order instead of by
-column, and the Fermi sampler's minimizer ball without its rounding
-margin and without its half diameter.
+column, the Fermi sampler's minimizer ball without its rounding
+margin and without its half diameter, and the lattice grid filled with
+its axes in reverse order (rows out of lex order, or a broadcast error
+where the axes differ in length).
 Nothing is written in the repository.
 
     python3 scripts/mutants.py
@@ -59,8 +61,8 @@ MUTANTS = (
     (
         "plan-predecessors-one-block-on",
         "coeffset.py",
-        "        starts[source] - (np.cumsum(counts) - counts), counts",
-        "        starts[source] - np.cumsum(counts), counts",
+        "        starts[source] - (counts.cumsum() - counts)",
+        "        starts[source] - counts.cumsum()",
     ),
     (
         "kept-needs-both-parts",
@@ -109,6 +111,12 @@ MUTANTS = (
         "isoenergetic.py",
         "    candidates = basis.enumerate_ball(-t0, rho + diameter / 2 + spread + eps)",
         "    candidates = basis.enumerate_ball(-t0, rho + spread + eps)",
+    ),
+    (
+        "grid-axes-reversed",
+        "lattice.py",
+        "        out[..., j] = axis.reshape(-1, *[1] * (d - 1 - j))",
+        "        out[..., j] = axis.reshape(-1, *[1] * j)",
     ),
     (
         "distinct-keeps-repeats",

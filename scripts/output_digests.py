@@ -8,7 +8,7 @@ in one process and prints
     workload index exit sha256
 
 per instance, where the hash covers the instance's stdout, stderr and
-output file.  Eight tagged variants follow, so that outputs the timed pools do
+output file.  Ten tagged variants follow, so that outputs the timed pools do
 not write are checked as well:
 
     fermi-json index exit sha256         every fermi instance with --format json
@@ -47,6 +47,12 @@ not write are checked as well:
                                          points at lam, and many instances
                                          exit 3 on a closed-form resonance
                                          (87 of 203 on seed 1)
+    fermi-generic index exit sha256      every fermi instance on GENERIC
+    oracle-generic index exit sha256     every oracle instance on GENERIC
+
+GENERIC has irrational, non-orthogonal generators.  The pools' identity,
+skewed, hexagonal and scaled bases round many products exactly, so on them
+alone a changed summation order in |g + t|^2 could go unseen.
 
 Two checkouts give the same lines exactly when every command exits with the
 same code and writes the same bytes, so comparing a change with its parent
@@ -67,6 +73,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -75,6 +82,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: the point of the coeffs-evaluate_at lines, cut to each instance's dimension
 EVALUATE_AT = (0.25, -0.5, 0.75)
+
+#: the 2-D basis of the fermi-generic and oracle-generic lines
+GENERIC = [[1.0, 0.0], [1.0 / math.pi, 2.0 / math.sqrt(math.pi)]]
 
 
 def main() -> None:
@@ -145,6 +155,10 @@ def main() -> None:
             params = {**instance.config["params"], "gamma": [1] + [0] * (d - 1)}
             config = {**instance.config, "t": [0.0] * d, "params": params}
             print("oracle-t0", index, *digest(instance.command, config))
+        for workload in ("fermi", "oracle"):
+            for index, instance in enumerate(pools[workload]):
+                config = {**instance.config, "generators": GENERIC}
+                print(f"{workload}-generic", index, *digest(instance.command, config))
 
 
 if __name__ == "__main__":

@@ -144,7 +144,8 @@ def _guard(gap: np.ndarray, lam: float, offsets: np.ndarray, message: str, at=No
     """
     bad = collides(gap, lam)
     if bad.any():
-        row = np.flatnonzero(bad)[0] if at is None else at[np.flatnonzero(bad[at])[0]]
+        # argmax of a mask is its first True
+        row = bad.argmax() if at is None else at[bad[at].argmax()]
         index, value = tuple(offsets[row].tolist()), float(gap[row])
         raise ResonanceError(message.format(index, value), index=index, value=value)
 
@@ -179,7 +180,7 @@ def bloch_series(
     lo, spans, keys, shifts = coeffset.sum_box(support, max(max_order, 0))
 
     # the bare plane wave: 1 at offset 0
-    values = np.ones(1, dtype=complex)
+    values = np.array([1 + 0j])
     terms = [(keys, values)]
     masses: list[float] = []
     tail = 0.0
@@ -300,6 +301,9 @@ def residual(basis: LatticeBasis, q: FourierPotential, psi: BlochCoefficients) -
 
     Exact on the truncated coefficient set: the defect is supported on the
     support of psi plus one potential convolution, all of which is included.
+    The norm is ``math.hypot`` of the :func:`coeffset.moduli`, as
+    ``FourierPotential.norm_l2`` takes it: inf, not ``OverflowError``, when
+    it leaves the float range.
     """
     support, qvals = coeffset.from_mapping(q.coeffs, basis.dimension)
     t = np.asarray(psi.t, dtype=float)
@@ -308,16 +312,18 @@ def residual(basis: LatticeBasis, q: FourierPotential, psi: BlochCoefficients) -
     _, _, keys, shifts = coeffset.sum_box(support, 1, base=offsets)
     # a zero step first puts psi's own rows at at[:n]; its products are not read
     targets, at, re, im = coeffset.convolve(
-        np.insert(shifts, 0, 0), np.insert(qvals, 0, 0), keys, values
+        np.concatenate(([0], shifts)), np.concatenate(([0j], qvals)), keys, values
     )
     defect = coeffset.accumulate(at[n:], re[n:], im[n:], targets.size)
     shift = eigenvalues(basis, offsets + psi.gamma, t) - psi.lam
     defect[at[:n]] += coeffset.join(*coeffset.product(shift, 0.0, values.real, values.imag))
     # summed in order of first appearance: psi's offsets, then the new ones
-    new = np.ones(targets.size, dtype=bool)
+    new = np.empty(targets.size, dtype=bool)
+    new.fill(True)
     new[at[:n]] = False
-    defect = defect[np.concatenate([at[:n], np.flatnonzero(new)])]
-    return math.sqrt(sum(abs(v) ** 2 for v in defect.tolist()))
+    defect = defect[np.concatenate([at[:n], new.nonzero()[0]])]
+    # hypot scales its arguments: inf past the float range, never OverflowError
+    return math.hypot(*coeffset.moduli(defect).tolist())
 
 
 def evaluate_function(

@@ -378,7 +378,7 @@ def cmd_oracle(doc: dict, want_matrix: bool = False):
     # the spectrum of a triangular matrix is its diagonal (galerkin.truncated_spectrum);
     # class S has no q_0, so M_jj = |g + t|^2 + 0j, and two arrays equal entry
     # by entry are equal as sorted multisets: this is the multiset check's value
-    report["spectrum_match"] = np.array_equal(op.matrix_diagonal.real, op.diagonal)
+    report["spectrum_match"] = bool((op.matrix_diagonal.real == op.diagonal).all())
 
     try:
         base = op.position(gamma)
@@ -393,9 +393,9 @@ def cmd_oracle(doc: dict, want_matrix: bool = False):
         )
         vec = galerkin.eigenvector_backsolve(op, base)
         expected = np.zeros(op.size, dtype=complex)
-        found, rows = np.split(
-            op.find(np.concatenate([closed.offsets, cone]) + gamma), [len(closed.offsets)]
-        )
+        m = len(closed.offsets)
+        found = op.find(np.concatenate([closed.offsets, cone]) + gamma)
+        found, rows = found[:m], found[m:]
         expected[found[found >= 0]] = closed.values[found >= 0]
         diff = vec.vector[rows] - expected[rows]
         moduli = coeffset.moduli(diff)
@@ -493,7 +493,7 @@ def _multiplicity_second_plane(doc: dict, params: dict) -> tuple[dict, int]:
         raise CutoffError(f"cutoff {cutoff} ball does not contain member={member}") from None
     # the planes of a '+' operator ascend: the rows above the member's plane are a tail
     above = op.planes.searchsorted(group.planes[1].n, side="right")
-    subset = np.vstack([op.indices[above:], member])
+    subset = np.concatenate([op.indices[above:], [member]])
     excess = galerkin.jordan_chain_excess(op, group.lam, subset=subset)
     predicted = result.classification is rootfn.Classification.ASSOCIATED
     report = {

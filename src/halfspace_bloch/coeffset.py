@@ -123,12 +123,13 @@ def unpack(keys: np.ndarray, lo: Sequence[int], spans: Sequence[int]) -> np.ndar
 
 def _unpack(keys: np.ndarray, lo: Sequence[int], spans: Sequence[int]):
     """(rows, inside): :func:`unpack`'s rows, and which keys they are."""
-    cols = []
+    rows = np.empty((len(keys), len(spans)), dtype=keys.dtype)
     for j in range(len(spans) - 1, 0, -1):
-        cols.append(keys % spans[j] + lo[j])
+        rows[:, j] = keys % spans[j] + lo[j]
         keys = keys // spans[j]
-    rows = np.stack([keys + lo[0], *cols[::-1]], axis=1)
-    inside = np.ones(len(rows), dtype=bool)
+    rows[:, 0] = keys + lo[0]
+    inside = np.empty(len(rows), dtype=bool)
+    inside.fill(True)
     if rows.dtype == object:
         inside = ((rows >= -_KEY_LIMIT) & (rows < _KEY_LIMIT)).all(axis=1)
         rows = rows[inside]
@@ -176,12 +177,13 @@ class IndexBox:
         self.spans = np.array(spans, dtype=np.int64 if max(spans) < _KEY_LIMIT else object)
         self.rows = rows
         # no key in the box is negative: a miss reads -1
-        self.keys = np.append(keys, -1)
+        self.keys = np.concatenate((keys, [-1]))
 
     def find(self, members: np.ndarray) -> np.ndarray:
         """The row of each member (rows of an (m, d) integer-valued array), -1 where absent."""
-        inside = np.flatnonzero(((members >= self.lo) & (members <= self.hi)).all(axis=1))
-        rows = np.full(members.shape[0], -1, dtype=np.intp)
+        inside = ((members >= self.lo) & (members <= self.hi)).all(axis=1).nonzero()[0]
+        rows = np.empty(members.shape[0], dtype=np.intp)
+        rows.fill(-1)
         members = members[inside].astype(np.int64, copy=False)
         rows[inside] = self.find_keys(pack(members, self.corner, self.spans.tolist()))
         return rows
@@ -190,7 +192,8 @@ class IndexBox:
         """The row of each :func:`pack` key of the box (an array of any shape), -1 where absent."""
         at = self.keys[:-1].searchsorted(keys)
         hit = self.keys[at] == keys
-        rows = np.full(keys.shape, -1, dtype=np.intp)
+        rows = np.empty(keys.shape, dtype=np.intp)
+        rows.fill(-1)
         rows[hit] = self.rows[at[hit]]
         return rows
 
@@ -214,7 +217,7 @@ def sum_box(steps: np.ndarray, top: int, base: np.ndarray | None = None):
     lo = [b + top * g for b, g in zip(low, steps.min(axis=0, initial=0).tolist())]
     hi = [b + top * g for b, g in zip(high, steps.max(axis=0, initial=0).tolist())]
     spans = [h - m + 1 for m, h in zip(lo, hi)]
-    keys = pack(np.vstack([base, np.zeros((1, d), dtype=np.int64), steps]), lo, spans)
+    keys = pack(np.concatenate([base, np.zeros((1, d), dtype=np.int64), steps]), lo, spans)
     n = base.shape[0]
     return lo, spans, keys[:n], keys[n + 1 :] - keys[n]
 
@@ -223,8 +226,10 @@ def distinct(keys: np.ndarray) -> np.ndarray:
     """The sorted distinct entries of a 1-D key array: one stable sort and a
     neighbour mask.  The stable sort merges the sorted runs of its input,
     so keys laid out as a few shifted copies of sorted layers sort fast."""
-    keys = np.sort(keys, kind="stable")
-    first = np.ones(keys.size, dtype=bool)
+    keys = keys.copy()
+    keys.sort(kind="stable")
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     return keys[first]
 
@@ -304,28 +309,28 @@ def plan(steps: tuple, rises: tuple, depth: int) -> Plan:
     # step order[j]: plane-major, as the walk laid them out
     order = [i for ids in by_rise.values() for i in ids]
     rise = np.array([rises[i] for i in order], dtype=np.int64)
-    plane, j = np.nonzero(np.arange(1, depth + 1)[:, None] >= rise)
+    plane, j = (np.arange(1, depth + 1)[:, None] >= rise).nonzero()
     plane += 1
     source = plane - rise[j]
     sizes = np.array(list(map(len, layers)))
-    starts = np.cumsum(sizes) - sizes
+    starts = sizes.cumsum() - sizes
     counts = sizes[source]
-    harmonics = np.repeat(np.array(order, dtype=np.intp)[j], counts)
-    target_planes = np.repeat(plane, counts)
-    predecessors = np.arange(counts.sum()) + np.repeat(
-        starts[source] - (np.cumsum(counts) - counts), counts
-    )
+    harmonics = np.array(order, dtype=np.intp)[j].repeat(counts)
+    target_planes = plane.repeat(counts)
+    predecessors = np.arange(counts.sum()) + (
+        starts[source] - (counts.cumsum() - counts)
+    ).repeat(counts)
     local = np.concatenate(local)
     targets = starts[target_planes] + local
 
     keys = np.concatenate(layers)
     offsets, inside = _unpack(keys, lo, spans)
     # the kept rows before the first of each plane
-    bounds = np.flatnonzero(inside).searchsorted(np.append(starts, len(keys)))
+    bounds = inside.nonzero()[0].searchsorted(np.concatenate((starts, [len(keys)])))
     if not inside.all():
         # drop the triples that touch a sum beyond int64, renumber the rest
         kept = inside[predecessors] & inside[targets]
-        renumber = np.cumsum(inside) - 1
+        renumber = inside.cumsum() - 1
         harmonics, target_planes = harmonics[kept], target_planes[kept]
         predecessors, targets = renumber[predecessors[kept]], renumber[targets[kept]]
         local = targets - bounds[target_planes]

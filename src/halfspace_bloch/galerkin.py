@@ -198,7 +198,7 @@ class TruncatedOperator:
         Scaled by the largest |M_jj| = ||g + t|^2 + q_0|, the entries the
         backsolves and the window probes compare.
         """
-        scale = float(np.max(np.abs(self.matrix_diagonal))) if self.size else 0.0
+        scale = float(np.abs(self.matrix_diagonal).max()) if self.size else 0.0
         return DIAG_EQ_SCALE * (1.0 + scale)
 
     @cached_property
@@ -242,7 +242,7 @@ def build(
     sig = sign_value(sign)
     ball = basis.enumerate_ball(np.zeros(basis.dimension), cutoff)
     # plane-major: a stable sort of the lex-ordered ball keeps ties lexicographic
-    order = np.argsort(sig * ball[:, k - 1], kind="stable")
+    order = (sig * ball[:, k - 1]).argsort(kind="stable")
     indices = ball[order]
     size = len(indices)
     diag = eigenvalues(basis, indices, t_arr)
@@ -277,12 +277,12 @@ def build(
     # step outer over the lex-ordered ball, whose shifted keys ascend (which
     # speeds the search), then the rows gathered in plane-major order: row
     # outer, step inner, the couplings come out row-major
-    found = lookup.find_keys(shifts[:, None] + keys).T[order]
-    hit = np.flatnonzero(found >= 0)
+    found = lookup.find_keys(shifts[:, None] + keys).T[order].ravel()
+    hit = (found >= 0).nonzero()[0]
     rows, harmonic = np.divmod(hit, len(steps))
-    cols, vals = found.ravel()[hit], qvals[harmonic] + 0j
+    cols, vals = found[hit], qvals[harmonic] + 0j
     plane_arr = sig * indices[:, k - 1]
-    bounds = np.append(np.flatnonzero(np.diff(plane_arr, prepend=plane_arr[:1] - 1)), size)
+    bounds = _plane_bounds(plane_arr)
     for arr in (indices, diag, mdiag, rows, cols, vals, plane_arr, bounds):
         arr.setflags(write=False)
     op = TruncatedOperator(
@@ -304,10 +304,18 @@ def build(
     return op
 
 
+def _plane_bounds(planes: np.ndarray) -> np.ndarray:
+    """The first row of each run of equal entries of ``planes``, then its length."""
+    starts = np.empty(len(planes), dtype=bool)
+    starts[:1] = True
+    np.not_equal(planes[1:], planes[:-1], out=starts[1:])
+    return np.concatenate((starts.nonzero()[0], [len(planes)]))
+
+
 def _first_grading_violation(op: TruncatedOperator) -> tuple[IndexVector, IndexVector] | None:
     # The couplings are the nonzero off-diagonal entries in row-major order,
     # so the first one with row plane <= column plane is the first violation.
-    bad = np.flatnonzero(op.planes[op.rows] <= op.planes[op.cols])
+    bad = (op.planes[op.rows] <= op.planes[op.cols]).nonzero()[0]
     if not bad.size:
         return None
     return op.index_set[op.rows[bad[0]]], op.index_set[op.cols[bad[0]]]
@@ -418,7 +426,7 @@ def eigenvector_backsolve(op: TruncatedOperator, i: int) -> BacksolveResult:
     for s, e, rhs in _plane_rhs(op, i, x):
         x[s:e] = rhs / divisor[s:e]
         if repeated[s:e].any():
-            rows = s + np.flatnonzero(repeated[s:e])
+            rows = s + repeated[s:e].nonzero()[0]
             blocked = rows[np.abs(rhs[rows - s]) > eq_tol]
             if blocked.size:
                 j = int(blocked[0])
@@ -453,7 +461,7 @@ def first_associated_backsolve(
     fixed_at = op.size  # c enters the rows after this one
     flagged: list[int] = []
     for s, e, rhs in _plane_rhs(op, i, x):
-        for j in (s + np.flatnonzero(repeated[s:e])).tolist():
+        for j in (s + repeated[s:e].nonzero()[0]).tolist():
             rhs_j, eig_j = rhs[j - s], eigvec[j]
             if abs(eig_j) > eq_tol:
                 if c is None:
@@ -486,7 +494,7 @@ def _numerical_rank(
     if rank_tol is None:
         top = float(svals[0]) if svals.size else 0.0
         rank_tol = RANK_TOL_SCALE * max(top, 1.0 + abs(lam))
-    return int(np.sum(svals > rank_tol)), svals, rank_tol
+    return int((svals > rank_tol).sum()), svals, rank_tol
 
 
 def _core_block(
@@ -508,17 +516,18 @@ def _core_block(
     tol = op.eigen_eq_tol()
     if rank_tol is not None:
         tol = max(tol, rank_tol, float(np.sqrt(rank_tol)))
-    near = np.flatnonzero(np.abs(op.matrix_diagonal[pos] - lam) <= tol)
+    near = (np.abs(op.matrix_diagonal[pos] - lam) <= tol).nonzero()[0]
     if not near.size:
         return np.zeros((0, 0), dtype=complex)
     # the window: the rows of pos on the plane blocks first .. last of the near rows
     bounds = op.plane_bounds
-    first, last = (np.searchsorted(bounds, pos[near[[0, -1]]], side="right") - 1).tolist()
-    lo, hi = np.searchsorted(pos, bounds[[first, last + 1]])
+    first, last = (bounds.searchsorted(pos[near[[0, -1]]], side="right") - 1).tolist()
+    lo, hi = pos.searchsorted(bounds[[first, last + 1]])
     window = pos[lo:hi]
-    local = np.full(op.size, -1)
+    local = np.empty(op.size, dtype=np.intp)
+    local.fill(-1)
     local[window] = np.arange(window.size)
-    start, stop = np.searchsorted(op.rows, (window[0], window[-1] + 1))
+    start, stop = op.rows.searchsorted((window[0], window[-1] + 1))
     rows, cols = local[op.rows[start:stop]], local[op.cols[start:stop]]
     inside = (rows >= 0) & (cols >= 0)
     rows, cols, values = rows[inside], cols[inside], op.values[start:stop][inside]
@@ -531,11 +540,11 @@ def _core_block(
         reached[rows[reached[cols]]] = True
         reaches[cols[reaches[rows]]] = True
     core = reached & reaches
-    local = np.cumsum(core) - 1
+    local = core.cumsum() - 1
     size = int(local[-1]) + 1
     inside = core[rows] & core[cols]
     block = np.zeros((size, size), dtype=complex)
-    block[np.diag_indices(size)] = op.matrix_diagonal[window[core]] - lam
+    block.reshape(-1)[:: size + 1] = op.matrix_diagonal[window[core]] - lam
     block[local[rows[inside]], local[cols[inside]]] = values[inside]
     return block
 
@@ -559,9 +568,7 @@ def geometric_multiplicity(
     _require_triangular(op, "the rank probe")
     block = _core_block(op, lam, rank_tol=rank_tol)
     rank, svals, threshold = _numerical_rank(block, rank_tol, lam)
-    if threshold > 0 and np.any(
-        (svals >= threshold / 10) & (svals <= threshold * 10)
-    ):
+    if threshold > 0 and ((svals >= threshold / 10) & (svals <= threshold * 10)).any():
         warnings.warn(
             f"borderline rank decision for lam={lam}: singular values near "
             f"threshold {threshold:.3e}",
@@ -583,16 +590,18 @@ def _subset_rows(op: TruncatedOperator, subset) -> np.ndarray:
         return np.zeros(0, dtype=np.intp)
     if members.ndim != 2 or members.shape[1] != d:
         raise ValueError(f"subset members must be indices of length {d}, got shape {members.shape}")
-    integral = np.ones(members.shape[0], dtype=bool)
+    integral = np.empty(members.shape[0], dtype=bool)
+    integral.fill(True)
     if members.dtype.kind not in "biu":
         try:
             with np.errstate(invalid="ignore"):  # inf % 1 is nan: non-integer
-                integral = np.all(members % 1 == 0, axis=1)
+                integral = (members % 1 == 0).all(axis=1)
         except TypeError:  # strings and other non-numbers
             integral[:] = False
-    rows = np.full(members.shape[0], -1, dtype=np.intp)
+    rows = np.empty(members.shape[0], dtype=np.intp)
+    rows.fill(-1)
     rows[integral] = op.find(members[integral])
-    bad = np.flatnonzero(rows < 0)
+    bad = (rows < 0).nonzero()[0]
     if bad.size:
         n = members[bad[0]].tolist()
         if not integral[bad[0]]:
@@ -626,9 +635,9 @@ def jordan_chain_excess(
     if subset is not None:
         member = np.zeros(op.size, dtype=bool)
         member[_subset_rows(op, subset)] = True
-        pos = np.flatnonzero(member)
+        pos = member.nonzero()[0]
         # no stored coupling may run from a column in the subset to a row outside it
-        if np.any(member[op.cols] & ~member[op.rows]):
+        if (member[op.cols] & ~member[op.rows]).any():
             raise ValueError("subset does not span an invariant subspace")
     a = _core_block(op, lam, pos, rank_tol)
     rank1, _, _ = _numerical_rank(a, rank_tol, lam)

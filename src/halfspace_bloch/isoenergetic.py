@@ -61,7 +61,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import IndexVector, LatticeBasis, squared_norms
+from .lattice import IndexVector, LatticeBasis, grid, squared_norms
 
 #: grid-point-by-candidate entries scored at once; bounds the temporary arrays
 #: of one chunk whatever the resolution
@@ -184,15 +184,16 @@ def sample_surface(
     """Scan a uniform generator-coordinate grid and keep near-surface points.
 
     The grid is resolution points per axis across [-1/2, 1/2] (endpoints
-    included; the two boundary sheets are lattice translates of each other).
+    included; the two boundary sheets are lattice translates of each other),
+    one C-ordered :func:`~halfspace_bloch.lattice.grid` of generator
+    coordinates in lex order, so the retained points keep that order.
     """
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
     axis = np.linspace(-0.5, 0.5, resolution)
-    grids = np.meshgrid(*([axis] * basis.dimension), indexing="ij")
-    ts = basis.to_cartesian(np.stack([g.ravel() for g in grids], axis=-1))
+    ts = basis.to_cartesian(grid([axis] * basis.dimension))
     dist, candidates, best = _nearest(basis, ts, np.zeros(basis.dimension), rho)
-    kept = np.flatnonzero(dist <= threshold)
+    kept = (dist <= threshold).nonzero()[0]
     return SurfaceSample(
         rho=rho,
         resolution=resolution,

@@ -12,7 +12,6 @@ points g_j in the open half-lattice.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -124,11 +123,9 @@ class LatticeBasis:
 
     @cached_property
     def _diameter(self) -> float:
-        best = 0.0
-        for signs in itertools.product((-1.0, 1.0), repeat=self.dimension):
-            v = np.asarray(signs) @ self.generators
-            best = max(best, math.sqrt(float(v @ v)))
-        return best
+        # the longest of the 2^d vertex sums +-v_1 +- ... +- v_d
+        signs = grid([np.array([-1.0, 1.0])] * self.dimension)
+        return math.sqrt(squared_norms(self.to_cartesian(signs)).max())
 
     # -- coordinates ---------------------------------------------------
 
@@ -138,8 +135,10 @@ class LatticeBasis:
         A stacked matmul: each row goes through the same vector-matrix kernel
         as a single 1-D index, so the rows of a batch are bit-equal to
         one-at-a-time calls (one (m, d) gemm is free to round them otherwise).
+        The input is made C-contiguous first, so a transposed or strided
+        index array reaches that kernel as its rows would one at a time.
         """
-        x = np.asarray(n, dtype=float)
+        x = np.ascontiguousarray(n, dtype=float)
         return (x[..., None, :] @ self.generators)[..., 0, :]
 
     def index_of(self, point: Sequence[float]) -> IndexVector:
@@ -188,26 +187,25 @@ class LatticeBasis:
 
         The integer bounding box comes from the dual coordinates of the
         center, so no candidate is missed regardless of basis skew.  The box
-        is built as one array (``indexing="ij"`` rows are already in lex
-        order) and filtered in one step; each kept row's norm is bit-equal
-        to the scalar ``sqrt(v @ v)`` of ``v = to_cartesian(n) - center``.
-        Callers that report an index turn only that row into a tuple.
+        is one C-ordered :func:`grid` of the axis ranges, whose rows are
+        already in lex order, filtered in one step; each kept row's norm is
+        bit-equal to the scalar ``sqrt(v @ v)`` of
+        ``v = to_cartesian(n) - center``.  Callers that report an index turn
+        only that row into a tuple.
         """
         if radius < 0:
             raise ValueError(f"radius must be nonnegative, got {radius}")
         c = np.asarray(center, dtype=float)
         if c.shape != (self.dimension,):
             raise ValueError(f"center must have length {self.dimension}")
-        mid = c @ self._inverse
-        half = radius * self._dual_norms
-        axes = [
+        mid = (c @ self._inverse).tolist()
+        half = (radius * self._dual_norms).tolist()
+        box = grid([
             np.arange(
                 math.ceil(m - h - _BOX_PAD), math.floor(m + h + _BOX_PAD) + 1, dtype=np.int64
             )
             for m, h in zip(mid, half)
-        ]
-        box = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        box = box.reshape(-1, self.dimension)
+        ])
         keep = np.sqrt(squared_norms(self.to_cartesian(box) - c)) <= radius
         return box[keep]
 
@@ -226,6 +224,21 @@ class LatticeBasis:
         coords = np.asarray(t, dtype=float) @ self._inverse
         reduced = coords - np.floor(coords + 0.5)
         return reduced @ self.generators
+
+
+def grid(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """The Cartesian product of 1-D arrays of one dtype, as the rows of a
+    (prod len, d) array in lex order (the last axis varies fastest).
+
+    A C-ordered ``np.empty((*lengths, d))`` is filled one axis at a time by
+    a broadcast assignment, so the rows come out contiguous, as a batch of
+    one-at-a-time indices would be.
+    """
+    d = len(axes)
+    out = np.empty((*map(len, axes), d), dtype=axes[0].dtype)
+    for j, axis in enumerate(axes):
+        out[..., j] = axis.reshape(-1, *[1] * (d - 1 - j))
+    return out.reshape(-1, d)
 
 
 def squared_norms(v: np.ndarray) -> np.ndarray:

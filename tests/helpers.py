@@ -500,7 +500,7 @@ def reference_residual(basis, q, psi):
         defect[dlt] = defect.get(dlt, 0j) + (shifted - psi.lam) * cv
     for n, v in reference_convolve(q.coeffs, psi.coeffs).items():
         defect[n] = defect.get(n, 0j) + v
-    return math.sqrt(sum(abs(v) ** 2 for v in defect.values()))
+    return math.hypot(*(abs(v) for v in defect.values()))
 
 
 def reference_max_discrepancy(a, b, max_plane=None):
@@ -564,6 +564,45 @@ def reference_enumerate_ball(basis, center, radius):
         if math.sqrt(float(v @ v)) <= radius:
             out.append(n)
     return out
+
+
+# The constructions that lattice.grid and galerkin._plane_bounds replaced,
+# kept as they were: the integer box and the Fermi t-grid as np.meshgrid +
+# np.stack, the fundamental-domain diameter as a loop over the sign vectors,
+# and the plane blocks as np.diff + np.flatnonzero + np.append.
+
+
+def reference_meshgrid_ball(basis, center, radius):
+    c = np.asarray(center, dtype=float)
+    mid = c @ basis._inverse
+    half = radius * basis._dual_norms
+    pad = lattice._BOX_PAD
+    axes = [
+        np.arange(math.ceil(m - h - pad), math.floor(m + h + pad) + 1, dtype=np.int64)
+        for m, h in zip(mid, half)
+    ]
+    box = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, basis.dimension)
+    keep = np.sqrt(lattice.squared_norms(basis.to_cartesian(box) - c)) <= radius
+    return box[keep]
+
+
+def reference_meshgrid_ts(basis, resolution):
+    axis = np.linspace(-0.5, 0.5, resolution)
+    grids = np.meshgrid(*([axis] * basis.dimension), indexing="ij")
+    return basis.to_cartesian(np.stack([g.ravel() for g in grids], axis=-1))
+
+
+def reference_diameter(basis):
+    best = 0.0
+    for signs in itertools.product((-1.0, 1.0), repeat=basis.dimension):
+        v = np.asarray(signs) @ basis.generators
+        best = max(best, math.sqrt(float(v @ v)))
+    return best
+
+
+def reference_plane_bounds(planes):
+    planes = np.asarray(planes, dtype=np.int64)
+    return np.append(np.flatnonzero(np.diff(planes, prepend=planes[:1] - 1)), len(planes))
 
 
 def reference_distance_to_surface(basis, t, rho, cutoff):

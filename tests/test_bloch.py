@@ -198,6 +198,21 @@ def test_residual_of_series_is_small():
     assert bloch.residual(BASIS, single_harmonic(), out) < 1e-10
 
 
+def test_residual_past_the_float_range_is_a_float():
+    # the defect's entries near 1e299 square past the float range, where a sum
+    # of squares raised OverflowError; a harmonic of 1e200 drives it to inf
+    for value in (1e100, 1e200):
+        q = hb.FourierPotential(BASIS, {(1, 0): value})
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi = bloch.closed_form_coeffs(BASIS, q, (0, 0), (0.31, 0.17), 2)
+            res = bloch.residual(BASIS, q, psi)
+        assert type(res) is float and res > 1e298
+    assert res == math.inf
+    q = hb.FourierPotential(BASIS, {(1, 0): 1e100})
+    psi = bloch.closed_form_coeffs(BASIS, q, (0, 0), (0.31, 0.17), 2)
+    assert bloch.residual(BASIS, q, psi) == helpers.reference_residual(BASIS, q, psi)
+
+
 def test_residual_of_bare_wave_is_potential_norm():
     q = hb.FourierPotential(BASIS, {(1, 0): 0.3, (2, -1): -0.4j})
     free = bloch.BlochCoefficients(

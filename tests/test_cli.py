@@ -439,6 +439,49 @@ def test_deterministic_output(tmp_path, capsys):
     assert out1 == out2
 
 
+#: numpy helpers written in Python that no command calls: each costs several
+#: times the C call it wraps (the broadcast fill, slice, concatenate or
+#: ``.nonzero()`` the package takes instead)
+PYTHON_LEVEL_HELPERS = (
+    "meshgrid", "stack", "vstack", "append", "insert", "split", "diff", "full", "flatnonzero",
+)
+
+
+def test_commands_call_no_python_level_numpy_helper(tmp_path, capsys, monkeypatch):
+    def stub(*args, **kwargs):
+        raise AssertionError("a command called a stubbed numpy helper")
+
+    for name in PYTHON_LEVEL_HELPERS:
+        monkeypatch.setattr(np, name, stub)
+    potential = [{"index": [1, 0], "re": 0.1}, {"index": [1, -1], "im": 0.05}]
+    classified = {**IDENTITY_2D, "potential": potential, "t": [0.31, 0.17]}
+    cases = [
+        ("classify", classified),
+        ("bloch", {**classified, "params": {"method": "both", "evaluate_at": [0.2, 0.4]}}),
+        ("oracle", {**classified, "params": {"cutoff": 6.0}}),
+        ("multiplicity", {
+            "dimension": 1,
+            "generators": [[2 * math.pi]],
+            "potential": [{"index": [1], "re": "1/2"}, {"index": [2], "re": "-1/16"}],
+            "t": [0.0],
+            "params": {"mode": "both", "n": 1},
+        }),
+        ("multiplicity", {
+            **IDENTITY_2D,
+            "potential": [{"index": [1, -1], "re": 0.3}, {"index": [1, 0], "re": 0.25}],
+            "t": [0.0, 0.0],
+            "params": {"mode": "2d-second-plane", "k": 1, "member": [0, 1]},
+        }),
+        ("fermi", {**IDENTITY_2D, "params": {"rho": 0.8, "resolution": 9, "threshold": 0.05}}),
+    ]
+    for command, config in cases:
+        code, out = run(tmp_path, capsys, config, command)
+        assert code == 0, command
+        assert out
+    code, out = run(tmp_path, capsys, cases[2][1], "oracle", "--format", "csv")
+    assert code == 0 and out
+
+
 def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):
     builds = []
     build = cli.build_parser

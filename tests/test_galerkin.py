@@ -810,6 +810,26 @@ def test_sparse_operator_densifies_to_the_dense_build(basis, q, t, cutoff):
     assert galerkin.triangularity_witness(op) == helpers.reference_grading_violation(op)
 
 
+@pytest.mark.parametrize(
+    "planes",
+    [[], [0], [3, 3, 3], [0, 0, 1, 1, 1, 3], [-2, -2, -1, 0, 4, 4], [0, 1, 2, 3], [5, 7, 7, 9]],
+)
+def test_plane_bounds_of_hand_made_plane_sequences(planes):
+    got = galerkin._plane_bounds(np.array(planes, dtype=np.int64))
+    expected = helpers.reference_plane_bounds(planes)
+    assert got.dtype == expected.dtype == np.int64
+    assert got.tolist() == expected.tolist()
+    assert got[0] == 0 and got[-1] == len(planes)
+
+
+def test_plane_bounds_of_built_operators_equal_the_diff_form():
+    rng = np.random.default_rng(17)
+    for basis, sign in ((BASIS, "+"), (BASIS, "-"), (BASIS3, "+")):
+        q = helpers.random_halfspace_potential(rng, basis, k=1, sign=sign)
+        op = galerkin.build(basis, q, (0.5, 0.3, 0.1)[: basis.dimension], 4.0)
+        assert op.plane_bounds.tolist() == helpers.reference_plane_bounds(op.planes).tolist()
+
+
 def _same_outcome(solve, reference):
     """Both raise NoEigenvectorError at the same row, or give the same flagged
     rows, chain constant and vector, to 1e-14 (1 + |x|)."""

@@ -328,3 +328,21 @@ def test_guards_reject_negative_rho():
         isoenergetic.sample_surface(BASIS, -0.1, resolution=5, threshold=0.1)
     with pytest.raises(ValueError):
         isoenergetic.distance_to_surface(BASIS, (0.0, 0.0), -0.1)
+
+
+GRID_BASES = {
+    1: hb.LatticeBasis(np.array([[0.7]])),
+    2: hb.LatticeBasis(np.array([[1.0, 0.0], [1.0 / math.pi, 2.0 / math.sqrt(math.pi)]])),
+    3: hb.LatticeBasis(np.random.default_rng(5).normal(size=(3, 3))),
+}
+
+
+@pytest.mark.parametrize("d", GRID_BASES)
+def test_sampled_points_are_the_meshgrid_grid_bit_for_bit(d):
+    # with no threshold every grid point is retained, in grid order
+    basis = GRID_BASES[d]
+    for resolution in range(2, 22):
+        ts = isoenergetic.sample_surface(basis, 0.5, resolution, math.inf).ts
+        expected = helpers.reference_meshgrid_ts(basis, resolution)
+        assert ts.shape == expected.shape == (resolution**d, d)
+        assert ts.tobytes() == expected.tobytes()

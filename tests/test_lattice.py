@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 
@@ -106,11 +105,7 @@ def _eager_geometry(mat):
     for k in range(mat.shape[0]):
         ortho[k] = lattice._orthogonal_component(mat, k)
     sep = np.sqrt(np.einsum("ij,ij->i", ortho, ortho))
-    diameter = 0.0
-    for signs in itertools.product((-1.0, 1.0), repeat=mat.shape[0]):
-        v = np.asarray(signs) @ mat
-        diameter = max(diameter, math.sqrt(float(v @ v)))
-    return ortho, sep, diameter
+    return ortho, sep, helpers.reference_diameter(hb.LatticeBasis(mat))
 
 
 GEOMETRY_BASES = {
@@ -249,6 +244,99 @@ def test_enumerate_ball_equals_reference_loop(name):
     for center, radius in cases:
         got = basis.enumerate_ball(center, radius)
         assert_ball(got, helpers.reference_enumerate_ball(basis, center, radius), d)
+
+
+GRID_BASES = {
+    **EXACTNESS_BASES,
+    "1d": hb.LatticeBasis(np.array([[0.7]])),
+    **{
+        f"random-{d}d": hb.LatticeBasis(np.random.default_rng(40 + d).normal(size=(d, d)))
+        for d in (1, 2, 3)
+    },
+}
+
+
+def assert_lex_rows(rows):
+    """Distinct rows, each lexicographically after the one before."""
+    listed = rows.tolist()
+    assert all(a < b for a, b in zip(listed, listed[1:]))
+
+
+@pytest.mark.parametrize(
+    "axes",
+    [
+        [np.arange(3)],
+        [np.arange(-1, 2), np.arange(4)],
+        [np.arange(2), np.arange(0)],
+        [np.arange(-2, 0), np.arange(1, 4), np.arange(5)],
+        [np.linspace(-0.5, 0.5, 4)] * 3,
+    ],
+    ids=("1d", "2d", "empty-axis", "3d", "float-3d"),
+)
+def test_grid_is_the_meshgrid_box_c_ordered_in_lex_order(axes):
+    got = lattice.grid(axes)
+    expected = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    assert got.dtype == axes[0].dtype
+    assert got.flags.c_contiguous
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+    assert_lex_rows(got)
+
+
+@pytest.mark.parametrize("name", GRID_BASES)
+def test_enumerate_ball_equals_the_meshgrid_box(name):
+    basis = GRID_BASES[name]
+    d = basis.dimension
+    rng = np.random.default_rng(200 + list(GRID_BASES).index(name))
+    # generator coordinates (1/2, 0, ...) with a half-width 1/4 on axis 1: that
+    # axis holds no integer, so the box is empty
+    off_lattice = basis.to_cartesian([0.5] + [0] * (d - 1))
+    cases = [
+        (np.zeros(d), 0.0),
+        (basis.to_cartesian(rng.integers(-3, 4, size=d)), 0.0),
+        (rng.uniform(-2, 2, size=d), 0.0),
+        (off_lattice, 0.25 / basis._dual_norms[0]),
+    ]
+    cases += [(rng.uniform(-2, 2, size=d), float(rng.uniform(0, 3.5))) for _ in range(8)]
+    for center, radius in cases:
+        got = basis.enumerate_ball(center, radius)
+        expected = helpers.reference_meshgrid_ball(basis, center, radius)
+        assert got.dtype == np.int64
+        assert got.flags.c_contiguous
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        assert_lex_rows(got)
+    assert basis.enumerate_ball(off_lattice, 0.25 / basis._dual_norms[0]).shape == (0, d)
+
+
+def test_fundamental_diameter_equals_the_sign_loop_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        d = int(rng.integers(1, 4))
+        basis = hb.LatticeBasis(rng.normal(size=(d, d)) * rng.uniform(0.1, 10.0))
+        got = basis.fundamental_diameter()
+        assert type(got) is float
+        assert got.hex() == helpers.reference_diameter(basis).hex()
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_to_cartesian_of_fortran_and_strided_arrays_equals_row_calls(d):
+    rng = np.random.default_rng(60 + d)
+    basis = hb.LatticeBasis(rng.normal(size=(d, d)))
+    n = rng.integers(-40, 41, size=(300, d))
+    wide = np.zeros((600, 2 * d), dtype=np.int64)
+    wide[::2, ::2] = n
+    for arr in (
+        np.asfortranarray(n),
+        np.asfortranarray(n.astype(float)),
+        wide[::2, ::2],
+        np.ascontiguousarray(n[:, ::-1])[:, ::-1],
+        # a transposed np.indices box, as a lex-ordered grid could be built
+        np.indices((7, 5, 3)[:d]).reshape(d, -1).T,
+    ):
+        assert not arr.flags.c_contiguous
+        expected = np.array([basis.to_cartesian(row) for row in arr.tolist()])
+        assert basis.to_cartesian(arr).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("name", EXACTNESS_BASES)
