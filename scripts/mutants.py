@@ -14,7 +14,9 @@ coefficient kernel, two in the closed-form plan's walk and one in its
 evaluation's kept mask, one in the interior cone, one in each propagation
 of the rank probes' core, the rank threshold without its floor 1 + |lam|,
 the operator's couplings searched in support order instead of by
-column, the Fermi sampler's minimizer ball without its rounding
+column, its dense row table filled with the lex-ordered rows instead of
+the plane-major ones and its one-index key packed with the axes
+reversed, the Fermi sampler's minimizer ball without its rounding
 margin and without its half diameter, and the lattice grid filled with
 its axes in reverse order (rows out of lex order, or a broadcast error
 where the axes differ in length).
@@ -99,6 +101,18 @@ MUTANTS = (
         "galerkin.py",
         "    by_col = np.lexsort((*steps.T[::-1], sig * steps[:, k - 1]))",
         "    by_col = np.arange(len(steps))",
+    ),
+    (
+        "row-table-filled-from-order",
+        "galerkin.py",
+        "    lookup = coeffset.RowTable(lo, spans, keys, np.arange(size))",
+        "    lookup = coeffset.RowTable(lo, spans, keys, order)",
+    ),
+    (
+        "row-key-axes-reversed",
+        "coeffset.py",
+        "        for x, m, s in zip(index, self.corner, self.spans.tolist()):",
+        "        for x, m, s in zip(index[::-1], self.corner, self.spans.tolist()):",
     ),
     (
         "minimizer-ball-without-margin",

@@ -20,7 +20,8 @@ residual, the discrepancy and :func:`convolve`) is one :func:`group` of
 :func:`pack` keys over one :func:`sum_box`: the box of a base set plus
 sums of steps, in which a row moves by a step with one integer add.  The
 oracle finds its couplings the same way, in the ball's box grown by one
-step, through an :class:`IndexBox` built from keys already sorted.
+step, through a :class:`RowTable`: a dense table of rows over that box,
+read by one gather with no search.
 
 :func:`plan` builds the structure of the closed form's plane-by-plane
 recursion in one walk over the reachable planes.  It depends on the
@@ -92,8 +93,9 @@ def l1_norm(values: np.ndarray) -> float:
     there are none."""
     if not values.size:
         return 0
+    # one errstate for the moduli and the sum: moduli's own would be a second
     with np.errstate(over="ignore"):
-        return np.add.accumulate(moduli(values))[-1].item()
+        return np.add.accumulate(np.hypot(values.real, values.imag))[-1].item()
 
 
 def pack(rows: np.ndarray, lo: Sequence[int], spans: Sequence[int]) -> np.ndarray:
@@ -136,14 +138,51 @@ def _unpack(keys: np.ndarray, lo: Sequence[int], spans: Sequence[int]):
     return rows.astype(np.int64, copy=False), inside
 
 
-class IndexBox:
+class KeyBox:
+    """Row lookup by :func:`pack` keys over a box that holds every index.
+
+    Indices outside the box are rejected before they are packed, since a
+    key is one-to-one on the box only; a subclass says how a key in the box
+    finds its row (:meth:`find_keys`).
+    """
+
+    def _bound(self, lo: Sequence[int], spans: Sequence[int]) -> None:
+        # keys are packed from the exact corner; the bounds that reject a
+        # member are cut to int64, where every member lies
+        self.corner = tuple(lo)
+        self.lo = np.array([max(m, -_KEY_LIMIT) for m in lo], dtype=np.int64)
+        self.hi = np.array([min(m + s, _KEY_LIMIT) - 1 for m, s in zip(lo, spans)], dtype=np.int64)
+        self.spans = np.array(spans, dtype=np.int64 if max(spans) < _KEY_LIMIT else object)
+
+    def find(self, members: np.ndarray) -> np.ndarray:
+        """The row of each member (rows of an (m, d) integer-valued array), -1 where absent."""
+        inside = ((members >= self.lo) & (members <= self.hi)).all(axis=1).nonzero()[0]
+        rows = np.empty(members.shape[0], dtype=np.intp)
+        rows.fill(-1)
+        members = members[inside].astype(np.int64, copy=False)
+        rows[inside] = self.find_keys(pack(members, self.corner, self.spans.tolist()))
+        return rows
+
+    def row(self, index: tuple[int, ...]) -> int:
+        """The row of one index of Python ints, -1 where absent."""
+        try:
+            return int(self.find(np.array([index], dtype=np.int64))[0])
+        except OverflowError:  # beyond int64, so outside the box
+            return -1
+
+    def find_keys(self, keys: np.ndarray) -> np.ndarray:
+        """The row of each :func:`pack` key of the box (an array of any shape), -1 where absent."""
+        raise NotImplementedError
+
+
+class IndexBox(KeyBox):
     """Row lookup in an (N, d) int64 array of distinct lattice indices.
 
     Each index gets its :func:`pack` key over a box that holds them all; the
     keys are kept sorted (``rows`` lists the rows in key order, which is the
-    lexicographic order of their indices), and a batch of indices is found
-    with one ``np.searchsorted``.  Indices outside the box are rejected
-    before they are packed, since a key is one-to-one on the box only.
+    lexicographic order of their indices), and a batch of keys is found
+    with one ``np.searchsorted``.  Work and memory follow the indices, never
+    the box, which may span all of int64.
     """
 
     def __init__(self, indices: np.ndarray):
@@ -169,33 +208,49 @@ class IndexBox:
         return box
 
     def _fill(self, lo, spans, keys, rows) -> None:
-        # keys are packed from the exact corner; the bounds that reject a
-        # member are cut to int64, where every member lies
-        self.corner = tuple(lo)
-        self.lo = np.array([max(m, -_KEY_LIMIT) for m in lo], dtype=np.int64)
-        self.hi = np.array([min(m + s, _KEY_LIMIT) - 1 for m, s in zip(lo, spans)], dtype=np.int64)
-        self.spans = np.array(spans, dtype=np.int64 if max(spans) < _KEY_LIMIT else object)
+        self._bound(lo, spans)
         self.rows = rows
         # no key in the box is negative: a miss reads -1
         self.keys = np.concatenate((keys, [-1]))
 
-    def find(self, members: np.ndarray) -> np.ndarray:
-        """The row of each member (rows of an (m, d) integer-valued array), -1 where absent."""
-        inside = ((members >= self.lo) & (members <= self.hi)).all(axis=1).nonzero()[0]
-        rows = np.empty(members.shape[0], dtype=np.intp)
-        rows.fill(-1)
-        members = members[inside].astype(np.int64, copy=False)
-        rows[inside] = self.find_keys(pack(members, self.corner, self.spans.tolist()))
-        return rows
-
     def find_keys(self, keys: np.ndarray) -> np.ndarray:
-        """The row of each :func:`pack` key of the box (an array of any shape), -1 where absent."""
         at = self.keys[:-1].searchsorted(keys)
         hit = self.keys[at] == keys
         rows = np.empty(keys.shape, dtype=np.intp)
         rows.fill(-1)
         rows[hit] = self.rows[at[hit]]
         return rows
+
+
+class RowTable(KeyBox):
+    """Row lookup by one gather from a dense table over a box.
+
+    ``table[key]`` is the row of the index with :func:`pack` key ``key``,
+    -1 where the box holds no index, so a batch of keys is found with one
+    fancy index and no search.  The table has one entry per point of the
+    box: build it only over a box whose size is bounded by what the caller
+    already holds.
+    """
+
+    def __init__(self, lo: Sequence[int], spans: Sequence[int], keys: np.ndarray, rows: np.ndarray):
+        """The table over the box ``lo``, ``spans`` (of fewer than 2**63
+        points) with ``rows[i]`` at ``keys[i]``, the keys in any order."""
+        self._bound(lo, spans)
+        self.table = np.empty(math.prod(spans), dtype=np.intp)
+        self.table.fill(-1)
+        self.table[keys] = rows
+
+    def row(self, index: tuple[int, ...]) -> int:
+        # packed in Python ints, exact however far outside the box the index lies
+        key = 0
+        for x, m, s in zip(index, self.corner, self.spans.tolist()):
+            if not 0 <= x - m < s:
+                return -1
+            key = key * s + (x - m)
+        return self.table.item(key)
+
+    def find_keys(self, keys: np.ndarray) -> np.ndarray:
+        return self.table[keys]
 
 
 def sum_box(steps: np.ndarray, top: int, base: np.ndarray | None = None):

@@ -21,25 +21,29 @@ Finding rows.  The ball stays an (N, d) int64 array from
 index puts the lex-ordered ball in plane-major order, ties lexicographic.
 Its rows get :func:`coeffset.pack` keys over the ball's box grown by one
 negated step -g1 of every harmonic that fits that box (``coeffset.sum_box``
-of the steps -g1 with the box's two corners as base), packed from the
-lex-ordered ball, so they come out ascending and need no sort.  A harmonic
-as long as the ball's box on some axis links no two rows and is dropped
-first.  The search runs backward: row n takes q_{g1} from column n - g1,
-which lies in the grown box, so its key is key(n) + shift(-g1), with no
-wrap and no alias.  One broadcast add of the shifts and one
-``searchsorted`` into the ball's keys then find every coupling; the search
-runs step by step over the lex-ordered ball, whose shifted keys ascend,
-which speeds it.  The harmonics are taken in one fixed order, descending
-rise and then ascending lex order of -g1.  Column n - g1 lies on plane
-p(n) - rise(g1), and within a plane the rows are in lex order, which
-n -> n - g1 keeps; so in every row the hits ascend by column, and one
-gather of the rows in plane-major order gives the couplings row-major
-without sorting them.  The same
-:class:`coeffset.IndexBox` stays on the operator as its one lookup, for
-:meth:`TruncatedOperator.find`, ``position``, the probes' subsets and the
-interior cone.  The Python tuples of ``index_set`` are built on first use.
-The triangularity witness is the first coupling, in row-major order, whose
-row plane is not above its column plane.
+of the steps -g1 with the box's two corners as base).  A harmonic as long
+as the ball's box on some axis links no two rows and is dropped first, so
+every step left is shorter than the ball's box on every axis, and the
+grown box spans less than three times the ball's box on each: it holds at
+most 3^d times the points of the box ``enumerate_ball`` scans.  A
+:class:`coeffset.RowTable`, one entry per point of the grown box, holds
+the row of each key and -1 elsewhere.  The search runs backward: row n
+takes q_{g1} from column n - g1, which lies in the grown box, so its key
+is key(n) + shift(-g1), with no wrap and no alias.  One broadcast add of
+the shifts to the plane-major keys and one gather from the table then
+find every coupling, with no search.  The harmonics are taken in one
+fixed order, descending rise and then ascending lex order of -g1.  Column
+n - g1 lies on plane p(n) - rise(g1), and within a plane the rows are in
+lex order, which n -> n - g1 keeps; so in every row the hits ascend by
+column, and with the rows outer and the steps inner the couplings come
+out row-major without sorting them.  The table stays on the operator as
+its one lookup, for :meth:`TruncatedOperator.find`, ``position``, the
+probes' subsets and the interior cone; an operator made by
+``dataclasses.replace``, whose indices may lie anywhere in int64, derives
+a searched :class:`coeffset.IndexBox` from them instead.  The Python
+tuples of ``index_set`` are built on first use.  The triangularity witness
+is the first coupling, in row-major order, whose row plane is not above
+its column plane.
 
 Forward substitution by plane.  On a plane-triangular matrix the diagonal
 block of a plane is diagonal (no coupling within a plane) and every
@@ -149,8 +153,8 @@ class TruncatedOperator:
     sorted row-major with no zero stored.  ``planes`` holds the signed plane
     index of each row, int64, and ``plane_bounds`` the first row of each
     plane block, then ``size``.  :meth:`find` and
-    :meth:`position` read one packed-key lookup of the rows, the one
-    ``build`` found the couplings with.  Immutable after build.
+    :meth:`position` read the dense row table ``build`` found the
+    couplings with.  Immutable after build.
     """
 
     basis: LatticeBasis
@@ -184,10 +188,7 @@ class TruncatedOperator:
     def position(self, n: Sequence[int]) -> int:
         """Row/column position of a lattice index; KeyError when outside."""
         index = as_index(n, self.basis.dimension)
-        try:
-            row = int(self.find(np.array([index], dtype=np.int64))[0])
-        except OverflowError:  # beyond int64, so outside the ball
-            row = -1
+        row = self._lookup.row(index)
         if row < 0:
             raise KeyError(index)
         return row
@@ -214,10 +215,11 @@ class TruncatedOperator:
         return dense
 
     @cached_property
-    def _lookup(self) -> coeffset.IndexBox:
-        # ``build`` fills this cache with the lookup it built the couplings
-        # with; an operator made by ``dataclasses.replace`` starts without it
-        # and derives one from its own ``indices``, never a stale one
+    def _lookup(self) -> coeffset.KeyBox:
+        # ``build`` fills this cache with the dense table it built the
+        # couplings with; an operator made by ``dataclasses.replace`` starts
+        # without it and derives a searched one from its own ``indices``,
+        # which may lie anywhere in int64, never a stale one
         return coeffset.IndexBox(self.indices)
 
     @cached_property
@@ -268,16 +270,13 @@ def build(
     steps, qvals = -support[~zero], qvals[~zero]
     by_col = np.lexsort((*steps.T[::-1], sig * steps[:, k - 1]))
     steps, qvals = steps[by_col], qvals[by_col]
+    # at most 3^d times the box enumerate_ball scanned: a fitting step is
+    # shorter than the ball's box on every axis
     lo, spans, _, shifts = coeffset.sum_box(steps, 1, base=corners)
-    # the lex-ordered ball packs to ascending keys
-    keys = coeffset.pack(ball, lo, spans)
-    row_of = np.empty(size, dtype=np.intp)
-    row_of[order] = np.arange(size)
-    lookup = coeffset.IndexBox.from_sorted(lo, spans, keys, row_of)
-    # step outer over the lex-ordered ball, whose shifted keys ascend (which
-    # speeds the search), then the rows gathered in plane-major order: row
-    # outer, step inner, the couplings come out row-major
-    found = lookup.find_keys(shifts[:, None] + keys).T[order].ravel()
+    keys = coeffset.pack(indices, lo, spans)
+    lookup = coeffset.RowTable(lo, spans, keys, np.arange(size))
+    # rows in plane-major order outer, steps inner: the couplings come out row-major
+    found = lookup.find_keys(keys[:, None] + shifts).ravel()
     hit = (found >= 0).nonzero()[0]
     rows, harmonic = np.divmod(hit, len(steps))
     cols, vals = found[hit], qvals[harmonic] + 0j

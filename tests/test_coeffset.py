@@ -379,3 +379,33 @@ def test_series_raises_at_the_order_that_leaves_int64():
     got = bloch.bloch_series(basis, q, (0, 0), t, max_order=1)
     ref = helpers.reference_series(basis, q, (0, 0), t, 1, bloch.DEFAULT_TAIL_TOL)
     assert_same((got.coeffs, got.order, got.tail, got.term_masses), ref)
+
+
+def test_l1_norm_is_the_left_to_right_sum_of_abs_in_one_errstate(monkeypatch):
+    # Python's abs of a complex is math.hypot of its parts, where it returns
+    rng = np.random.default_rng(11)
+    cases = [
+        rng.normal(size=40) + 1j * rng.normal(size=40),
+        np.array([complex(-0.0, 0.0), complex(0.0, -0.0), 3 - 4j]),
+        np.array([1.5e308 + 1.5e308j, 1.0]),  # a modulus past the float range
+        np.array([1e308, 1e308 + 0j]),  # finite moduli, a sum past it
+        np.array([5e-324 + 5e-324j]),
+    ]
+    entered = []
+    errstate = np.errstate
+
+    def counting(**kwargs):
+        entered.append(kwargs)
+        return errstate(**kwargs)
+
+    monkeypatch.setattr(np, "errstate", counting)
+    for values in cases:
+        total = 0.0
+        for z in values.tolist():
+            total += math.hypot(z.real, z.imag)
+        entered.clear()
+        got = coeffset.l1_norm(values)
+        assert type(got) is float and repr(got) == repr(total)
+        assert entered == [{"over": "ignore"}]
+    assert coeffset.l1_norm(np.zeros(0, dtype=complex)) == 0
+    assert math.isinf(coeffset.l1_norm(cases[2])) and math.isinf(coeffset.l1_norm(cases[3]))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import halfspace_bloch as hb
-from halfspace_bloch import bloch, galerkin, spectrum
+from halfspace_bloch import bloch, coeffset, galerkin, lattice, spectrum
 from halfspace_bloch.errors import NoEigenvectorError, TriangularityError
 
 import helpers
@@ -1019,6 +1020,7 @@ def test_build_with_int64_end_harmonics_equals_dense_build(basis, coeffs, cutoff
     assert op.indices.dtype == np.int64
     assert op.indices.tolist() == [list(n) for n in index_set]
     assert op.matrix.tobytes() == dense.tobytes()
+    _check_row_table(op, np.random.default_rng(101))
 
 
 def _probe_operator():
@@ -1227,3 +1229,113 @@ def test_class_s_diagonal_is_the_free_values_bit_for_bit(name):
                 op = galerkin.build(basis, q, t, radius)
                 assert q.classification is not None
                 assert op.matrix_diagonal.real.tobytes() == op.diagonal.tobytes()
+
+
+# -- the dense row table against the searched lookup -------------------------------
+
+_ROW_TABLE_BASES = {
+    **_COUPLING_BASES,
+    "1d": (hb.identity_basis(1), 6.0),
+    "1d-2pi": (hb.LatticeBasis(np.array([[2 * math.pi]])), 40.0),
+}
+
+
+def _position(op, n):
+    """The row of n, or the args of the KeyError position raises."""
+    try:
+        return op.position(n)
+    except KeyError as error:
+        return ("KeyError", error.args)
+
+
+def _probe_members(op, rng):
+    """int64 members: the ball, every point of the row table's box (in the
+    ball or not), points just and far outside the box on each side of every
+    axis, and points with entries at the int64 ends."""
+    d = op.basis.dimension
+    corner, spans = op._lookup.corner, op._lookup.spans.tolist()
+    box = lattice.grid([np.arange(m, m + s, dtype=np.int64) for m, s in zip(corner, spans)])
+    picks = box[rng.integers(0, len(box), size=4 * d)]
+    moved = []
+    for j, (m, s) in enumerate(zip(corner, spans)):
+        for value in (m - 1, m + s, m - 3 * s, m + 3 * s, -(2**63), 2**63 - 1):
+            rows = picks.copy()
+            rows[:, j] = value
+            moved.append(rows)
+    ends = np.array(list(itertools.product((-(2**63), 0, 2**63 - 1), repeat=d)), dtype=np.int64)
+    return np.concatenate([op.indices, box, *moved, ends])
+
+
+def _check_row_table(op, rng):
+    """``op``'s table finds and positions every probe as the searched lookup does."""
+    assert isinstance(op._lookup, coeffset.RowTable)
+    searched = dataclasses.replace(op)
+    assert isinstance(searched._lookup, coeffset.IndexBox)
+    members = _probe_members(op, rng)
+    got = op.find(members)
+    assert got.dtype == np.intp
+    assert got.tolist() == coeffset.IndexBox(op.indices).find(members).tolist()
+    assert got.tolist() == searched.find(members).tolist()
+    assert op.find(op.indices).tolist() == list(range(op.size))
+    # entries beyond int64 reach find as exact Python ints in an object array
+    d = op.basis.dimension
+    beyond = [
+        (2**63, *[0] * (d - 1)),
+        (*[0] * (d - 1), -(2**63) - 1),
+        tuple([2**70] * d),
+        tuple([-(2**63)] * d),
+    ]
+    wide = np.array(beyond, dtype=object)
+    assert op.find(wide).tolist() == searched.find(wide).tolist() == [-1] * len(beyond)
+    step = max(1, len(members) // 300)
+    for n in [*map(tuple, members[::step].tolist()), *map(tuple, op.indices.tolist()), *beyond]:
+        assert _position(op, n) == _position(searched, n)
+
+
+@pytest.mark.parametrize("name", _ROW_TABLE_BASES)
+def test_row_table_equals_the_searched_lookup(name):
+    basis, radius = _ROW_TABLE_BASES[name]
+    d = basis.dimension
+    rng = np.random.default_rng(97 + len(name))
+    for k in range(1, d + 1):
+        for sign in ("+", "-"):
+            # six planes: 1-D has as many harmonics as planes
+            q = helpers.random_halfspace_potential(rng, basis, k, sign, max_harmonics=6, max_p=6)
+            cutoff = float(rng.uniform(0.5, radius))
+            _check_row_table(galerkin.build(basis, q, (0.0,) * d, cutoff), rng)
+    # a one-point ball, whose box no harmonic fits
+    q = hb.FourierPotential(basis, {(1, *[0] * (d - 1)): 0.5})
+    _check_row_table(galerkin.build(basis, q, (0.0,) * d, 0.0), rng)
+
+
+def _table(op):
+    return op._lookup.corner, op._lookup.spans.tolist(), op._lookup.table.tobytes()
+
+
+@pytest.mark.parametrize("name", _ROW_TABLE_BASES)
+def test_row_table_stays_within_three_to_the_d_ball_boxes(name):
+    basis, radius = _ROW_TABLE_BASES[name]
+    d = basis.dimension
+    t = (0.25, 0.125, 0.0625)[:d]
+    ball = basis.enumerate_ball(np.zeros(d), radius)
+    spans = (ball.max(axis=0) - ball.min(axis=0) + 1).tolist()
+    assert min(spans) > 2
+    first = tuple(int(j == 0) for j in range(d))
+    longest = {first: 0.5}
+    # one shorter than the ball's box on every axis, both ways: the table's
+    # box grows by span - 1 on each side
+    for j in range(d):
+        for sign in (1, -1):
+            g = [0] * d
+            g[j] = sign * (spans[j] - 1)
+            longest[tuple(g)] = sign * (0.25 + 0.125j * j)
+    op = _equals_reference_build(basis, hb.FourierPotential(basis, longest), t, radius)
+    assert op._lookup.spans.tolist() == [3 * s - 2 for s in spans]
+    assert op._lookup.table.size <= 3**d * math.prod(spans)
+    _check_row_table(op, np.random.default_rng(103))
+    # harmonics as long as the box or beyond it are dropped before the box is grown
+    beyond = {(1, 2**62, *[0] * (d - 2)) if d > 1 else (2**62,): 0.375, (spans[0], *[0] * (d - 1)): 0.0625}
+    for coeffs in ({first: 0.5}, longest):
+        without = galerkin.build(basis, hb.FourierPotential(basis, coeffs), t, radius)
+        with_beyond = galerkin.build(basis, hb.FourierPotential(basis, {**coeffs, **beyond}), t, radius)
+        assert _table(with_beyond) == _table(without)
