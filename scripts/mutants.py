@@ -15,8 +15,10 @@ evaluation's kept mask, one in the interior cone, one in each propagation
 of the rank probes' core, the rank threshold without its floor 1 + |lam|,
 the operator's couplings searched in support order instead of by
 column, its dense row table filled with the lex-ordered rows instead of
-the plane-major ones and its one-index key packed with the axes
-reversed, the Fermi sampler's minimizer ball without its rounding
+the plane-major ones, its one-index key packed with the axes reversed
+and its batch lookup with an exclusive upper bound, the second-plane
+solve's leading members sought one plane below the top plane, the
+Fermi sampler's minimizer ball without its rounding
 margin and without its half diameter, and the lattice grid filled with
 its axes in reverse order (rows out of lex order, or a broadcast error
 where the axes differ in length).
@@ -111,8 +113,20 @@ MUTANTS = (
     (
         "row-key-axes-reversed",
         "coeffset.py",
-        "        for x, m, s in zip(index, self.corner, self.spans.tolist()):",
-        "        for x, m, s in zip(index[::-1], self.corner, self.spans.tolist()):",
+        "        for x, m, s in zip(index, self.lo.tolist(), self.spans.tolist()):",
+        "        for x, m, s in zip(index[::-1], self.lo.tolist(), self.spans.tolist()):",
+    ),
+    (
+        "row-find-upper-bound-exclusive",
+        "coeffset.py",
+        "        inside = ((members >= self.lo) & (members <= self.hi)).all(axis=1).nonzero()[0]",
+        "        inside = ((members >= self.lo) & (members < self.hi)).all(axis=1).nonzero()[0]",
+    ),
+    (
+        "leading-plane-one-too-low",
+        "rootfn.py",
+        "    first, end = plan.bounds[depth:depth + 2]",
+        "    first, end = plan.bounds[depth - 1:depth + 1]",
     ),
     (
         "minimizer-ball-without-margin",

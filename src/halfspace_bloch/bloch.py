@@ -283,7 +283,7 @@ def closed_form_coeffs(
     plan = q.plan(depth)
     qvals = np.array(list(q.coeffs.values()), dtype=complex)
     values, kept = _evaluate(plan, qvals, lam - eigenvalues(basis, plan.offsets + gamma, t), lam)
-    rows = plan.box.rows[kept[plan.box.rows]]
+    rows = plan.lex[kept[plan.lex]]
     return BlochCoefficients(
         gamma=gamma,
         t=tuple(float(x) for x in t),

@@ -20,8 +20,8 @@ residual, the discrepancy and :func:`convolve`) is one :func:`group` of
 :func:`pack` keys over one :func:`sum_box`: the box of a base set plus
 sums of steps, in which a row moves by a step with one integer add.  The
 oracle finds its couplings the same way, in the ball's box grown by one
-step, through a :class:`RowTable`: a dense table of rows over that box,
-read by one gather with no search.
+step, through a :class:`RowTable`, the one row lookup here: a dense table
+of rows over that box, read by one gather with no search.
 
 :func:`plan` builds the structure of the closed form's plane-by-plane
 recursion in one walk over the reachable planes.  It depends on the
@@ -138,21 +138,26 @@ def _unpack(keys: np.ndarray, lo: Sequence[int], spans: Sequence[int]):
     return rows.astype(np.int64, copy=False), inside
 
 
-class KeyBox:
-    """Row lookup by :func:`pack` keys over a box that holds every index.
+class RowTable:
+    """Row lookup by one gather from a dense table over a box.
 
-    Indices outside the box are rejected before they are packed, since a
-    key is one-to-one on the box only; a subclass says how a key in the box
-    finds its row (:meth:`find_keys`).
+    ``table[key]`` is the row of the index with :func:`pack` key ``key``,
+    -1 where the box holds no index, so a batch of keys is found with one
+    fancy index and no search.  Indices outside the box are rejected before
+    they are packed, since a key is one-to-one on the box only.  The table
+    has one entry per point of the box: build it only over a box whose size
+    is bounded by what the caller already holds.
     """
 
-    def _bound(self, lo: Sequence[int], spans: Sequence[int]) -> None:
-        # keys are packed from the exact corner; the bounds that reject a
-        # member are cut to int64, where every member lies
-        self.corner = tuple(lo)
-        self.lo = np.array([max(m, -_KEY_LIMIT) for m in lo], dtype=np.int64)
-        self.hi = np.array([min(m + s, _KEY_LIMIT) - 1 for m, s in zip(lo, spans)], dtype=np.int64)
-        self.spans = np.array(spans, dtype=np.int64 if max(spans) < _KEY_LIMIT else object)
+    def __init__(self, lo: Sequence[int], spans: Sequence[int], keys: np.ndarray, rows: np.ndarray):
+        """The table over the box ``lo``, ``spans`` with ``rows[i]`` at
+        ``keys[i]``, the keys in any order."""
+        self.lo = np.array(lo, dtype=np.int64)
+        self.spans = np.array(spans, dtype=np.int64)
+        self.hi = self.lo + self.spans - 1
+        self.table = np.empty(math.prod(spans), dtype=np.intp)
+        self.table.fill(-1)
+        self.table[keys] = rows
 
     def find(self, members: np.ndarray) -> np.ndarray:
         """The row of each member (rows of an (m, d) integer-valued array), -1 where absent."""
@@ -160,97 +165,18 @@ class KeyBox:
         rows = np.empty(members.shape[0], dtype=np.intp)
         rows.fill(-1)
         members = members[inside].astype(np.int64, copy=False)
-        rows[inside] = self.find_keys(pack(members, self.corner, self.spans.tolist()))
+        rows[inside] = self.table[pack(members, self.lo, self.spans)]
         return rows
 
     def row(self, index: tuple[int, ...]) -> int:
         """The row of one index of Python ints, -1 where absent."""
-        try:
-            return int(self.find(np.array([index], dtype=np.int64))[0])
-        except OverflowError:  # beyond int64, so outside the box
-            return -1
-
-    def find_keys(self, keys: np.ndarray) -> np.ndarray:
-        """The row of each :func:`pack` key of the box (an array of any shape), -1 where absent."""
-        raise NotImplementedError
-
-
-class IndexBox(KeyBox):
-    """Row lookup in an (N, d) int64 array of distinct lattice indices.
-
-    Each index gets its :func:`pack` key over a box that holds them all; the
-    keys are kept sorted (``rows`` lists the rows in key order, which is the
-    lexicographic order of their indices), and a batch of keys is found
-    with one ``np.searchsorted``.  Work and memory follow the indices, never
-    the box, which may span all of int64.
-    """
-
-    def __init__(self, indices: np.ndarray):
-        """The lookup over the bounding box of ``indices`` and the origin,
-        its keys sorted by one argsort."""
-        # the box always holds the origin: no special case for an empty array
-        lo, hi = indices.min(axis=0, initial=0).tolist(), indices.max(axis=0, initial=0).tolist()
-        # exact: the span of indices near both ends of int64 leaves its range
-        spans = [h - m + 1 for m, h in zip(lo, hi)]
-        keys = pack(indices, lo, spans)
-        rows = keys.argsort(kind="stable")
-        self._fill(lo, spans, keys[rows], rows)
-
-    @classmethod
-    def from_sorted(
-        cls, lo: Sequence[int], spans: Sequence[int], keys: np.ndarray, rows: np.ndarray
-    ) -> IndexBox:
-        """The lookup over the box ``lo``, ``spans`` from parts already at hand:
-        ``keys`` ascending, the :func:`pack` keys of the indices, and
-        ``rows[i]`` the row of the index with key ``keys[i]``."""
-        box = cls.__new__(cls)
-        box._fill(lo, spans, keys, rows)
-        return box
-
-    def _fill(self, lo, spans, keys, rows) -> None:
-        self._bound(lo, spans)
-        self.rows = rows
-        # no key in the box is negative: a miss reads -1
-        self.keys = np.concatenate((keys, [-1]))
-
-    def find_keys(self, keys: np.ndarray) -> np.ndarray:
-        at = self.keys[:-1].searchsorted(keys)
-        hit = self.keys[at] == keys
-        rows = np.empty(keys.shape, dtype=np.intp)
-        rows.fill(-1)
-        rows[hit] = self.rows[at[hit]]
-        return rows
-
-
-class RowTable(KeyBox):
-    """Row lookup by one gather from a dense table over a box.
-
-    ``table[key]`` is the row of the index with :func:`pack` key ``key``,
-    -1 where the box holds no index, so a batch of keys is found with one
-    fancy index and no search.  The table has one entry per point of the
-    box: build it only over a box whose size is bounded by what the caller
-    already holds.
-    """
-
-    def __init__(self, lo: Sequence[int], spans: Sequence[int], keys: np.ndarray, rows: np.ndarray):
-        """The table over the box ``lo``, ``spans`` (of fewer than 2**63
-        points) with ``rows[i]`` at ``keys[i]``, the keys in any order."""
-        self._bound(lo, spans)
-        self.table = np.empty(math.prod(spans), dtype=np.intp)
-        self.table.fill(-1)
-        self.table[keys] = rows
-
-    def row(self, index: tuple[int, ...]) -> int:
         # packed in Python ints, exact however far outside the box the index lies
         key = 0
-        for x, m, s in zip(index, self.corner, self.spans.tolist()):
+        for x, m, s in zip(index, self.lo.tolist(), self.spans.tolist()):
             if not 0 <= x - m < s:
                 return -1
             key = key * s + (x - m)
         return self.table.item(key)
-
-    def find_keys(self, keys: np.ndarray) -> np.ndarray:
-        return self.table[keys]
 
 
 def sum_box(steps: np.ndarray, top: int, base: np.ndarray | None = None):
@@ -312,7 +238,7 @@ def convolve(shifts: np.ndarray, q: np.ndarray, keys: np.ndarray, values: np.nda
 
 
 #: the closed form's structure, values aside (see :func:`plan`)
-Plan = namedtuple("Plan", "offsets bounds box harmonics targets local predecessors cuts")
+Plan = namedtuple("Plan", "offsets bounds lex harmonics targets local predecessors cuts")
 
 
 @functools.lru_cache(maxsize=4)
@@ -324,9 +250,8 @@ def plan(steps: tuple, rises: tuple, depth: int) -> Plan:
     ``offsets`` holds the reachable offsets, plane-major and lexicographic
     within a plane, the origin first, less any with an entry beyond int64,
     which no array here holds.  ``bounds[p]`` is the first row of plane p
-    (then the row count), and ``box`` the :class:`IndexBox` of the offsets
-    on the walk's box and keys, whose ``rows`` list them in lexicographic
-    order.  Triple j carries row ``predecessors[j]`` by step
+    (then the row count), and ``lex`` lists the rows in lexicographic
+    order of their offsets.  Triple j carries row ``predecessors[j]`` by step
     ``harmonics[j]`` to row ``targets[j]``, ``local[j]`` places into its
     plane.  The triples run in the order the dict loop sums them: target
     plane, first appearance of the step's rise in ``steps``, step order,
@@ -392,15 +317,13 @@ def plan(steps: tuple, rises: tuple, depth: int) -> Plan:
         keys = keys[inside]
     # distinct planes hold distinct sums, so no key repeats, and the stable
     # sort merges the sorted planes
-    by_key = keys.argsort(kind="stable")
-    box = IndexBox.from_sorted(lo, spans, keys[by_key], by_key)
-    for arr in (offsets, harmonics, targets, local, predecessors,
-                box.lo, box.hi, box.spans, box.keys, box.rows):
+    lex = keys.argsort(kind="stable")
+    for arr in (offsets, lex, harmonics, targets, local, predecessors):
         arr.setflags(write=False)
     return Plan(
         offsets=offsets,
         bounds=tuple(bounds.tolist()),
-        box=box,
+        lex=lex,
         harmonics=harmonics,
         targets=targets,
         local=local,

@@ -39,11 +39,10 @@ column, and with the rows outer and the steps inner the couplings come
 out row-major without sorting them.  The table stays on the operator as
 its one lookup, for :meth:`TruncatedOperator.find`, ``position``, the
 probes' subsets and the interior cone; an operator made by
-``dataclasses.replace``, whose indices may lie anywhere in int64, derives
-a searched :class:`coeffset.IndexBox` from them instead.  The Python
-tuples of ``index_set`` are built on first use.  The triangularity witness
-is the first coupling, in row-major order, whose row plane is not above
-its column plane.
+``dataclasses.replace`` builds its own table over the box of its indices
+and the origin.  The Python tuples of ``index_set`` are built on first use.
+The triangularity witness is the first coupling, in row-major order, whose
+row plane is not above its column plane.
 
 Forward substitution by plane.  On a plane-triangular matrix the diagonal
 block of a plane is diagonal (no coupling within a plane) and every
@@ -215,12 +214,13 @@ class TruncatedOperator:
         return dense
 
     @cached_property
-    def _lookup(self) -> coeffset.KeyBox:
-        # ``build`` fills this cache with the dense table it built the
-        # couplings with; an operator made by ``dataclasses.replace`` starts
-        # without it and derives a searched one from its own ``indices``,
-        # which may lie anywhere in int64, never a stale one
-        return coeffset.IndexBox(self.indices)
+    def _lookup(self) -> coeffset.RowTable:
+        # ``build`` fills this cache with the table it found the couplings
+        # with; an operator made by ``dataclasses.replace`` starts without it
+        # and builds one over the box of its own ``indices`` and the origin,
+        # never a stale one
+        lo, spans, keys, _ = coeffset.sum_box(self.indices[:0], 0, base=self.indices)
+        return coeffset.RowTable(lo, spans, keys, np.arange(self.size))
 
     @cached_property
     def _witness(self) -> tuple[IndexVector, IndexVector] | None:
@@ -276,7 +276,7 @@ def build(
     keys = coeffset.pack(indices, lo, spans)
     lookup = coeffset.RowTable(lo, spans, keys, np.arange(size))
     # rows in plane-major order outer, steps inner: the couplings come out row-major
-    found = lookup.find_keys(keys[:, None] + shifts).ravel()
+    found = lookup.table[keys[:, None] + shifts].ravel()
     hit = (found >= 0).nonzero()[0]
     rows, harmonic = np.divmod(hit, len(steps))
     cols, vals = found[hit], qvals[harmonic] + 0j

@@ -121,8 +121,14 @@ def second_plane_solve(
     qvals = np.array(list(q.coeffs.values()), dtype=complex)
     points = plan.offsets + member
     d = group.lam - eigenvalues(basis, points, group.t)
-    # the leading members' rows divide by 1: their values are the numerators
-    leading = plan.box.find(np.array(group.planes[0].members) - member)
+    # the leading members' rows divide by 1: their values are the numerators;
+    # every leading member lies on the plan's top plane, plane depth
+    leads = np.array(group.planes[0].members)
+    first, end = plan.bounds[depth:depth + 2]
+    hit, at = (leads - member == plan.offsets[first:end, None]).all(axis=2).nonzero()
+    leading = np.empty(len(leads), dtype=np.intp)
+    leading.fill(-1)
+    leading[at] = first + hit
     lead_rows = leading[leading >= 0]
     d[lead_rows] = 1.0
     bloch._guard(

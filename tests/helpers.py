@@ -117,9 +117,16 @@ def random_halfspace_potential(
     max_a: int = 3,
     coeff_scale: float = 1.0,
 ):
-    """Random finite potential supported in the (k, sign) open half-lattice."""
+    """Random finite potential supported in the (k, sign) open half-lattice.
+
+    Raises ``ValueError`` when the drawn harmonic count exceeds the distinct
+    harmonics that ``max_p``, ``max_a`` and the dimension allow.
+    """
     sig = 1 if sign == "+" else -1
     count = int(rng.integers(1, max_harmonics + 1))
+    available = max_p * (2 * max_a + 1) ** (basis.dimension - 1)
+    if count > available:
+        raise ValueError(f"drew {count} harmonics, but only {available} distinct ones exist")
     coeffs = {}
     while len(coeffs) < count:
         p = sig * int(rng.integers(1, max_p + 1))
@@ -358,22 +365,22 @@ def reference_reach(steps, rises, top):
 def reference_plan(steps, rises, depth):
     """``coeffset.plan`` in two passes: the walk of :func:`reference_reach`,
     then every step shifted from every row low enough for it, looked up in
-    the offsets' box, and the hits sorted stably by target plane."""
+    a dict from key to row, and the hits sorted stably by target plane; the
+    rows' lexicographic order by Python's sort of their offsets."""
     lo, spans, shifts, layers = reference_reach(steps, rises, depth)
     keys = np.concatenate(layers)
     offsets, inside = coeffset._unpack(keys, lo, spans)
     keys = keys[inside]
     bounds = np.flatnonzero(inside).searchsorted(np.cumsum([0, *map(len, layers)]))
     planes = np.repeat(np.arange(depth + 1), np.diff(bounds))
-    by_key = keys.argsort(kind="stable")
-    box = coeffset.IndexBox.from_sorted(lo, spans, keys[by_key], by_key)
+    rows = np.arange(len(keys))
+    row_of = dict(zip(keys.tolist(), rows.tolist()))
     rank = {r: i for i, r in enumerate(dict.fromkeys(rises))}
     order = [i for _, i in sorted((rank[r], i) for i, r in enumerate(rises) if r <= depth)]
     counts = [bounds[depth + 1 - rises[i]] for i in order]
-    rows = np.arange(len(keys))
-    found = box.find_keys(np.concatenate(
-        [keys[:0], *(keys[:n] + shifts[i] for i, n in zip(order, counts))]
-    ))
+    found = np.array([
+        row_of.get(key + shifts[i], -1) for i, n in zip(order, counts) for key in keys[:n].tolist()
+    ], dtype=np.intp)
     hit = np.flatnonzero(found >= 0)
     by_plane = hit[planes[found[hit]].argsort(kind="stable")]
     targets = found[by_plane]
@@ -381,7 +388,7 @@ def reference_plan(steps, rises, depth):
     return coeffset.Plan(
         offsets=offsets,
         bounds=tuple(bounds.tolist()),
-        box=box,
+        lex=np.array(sorted(rows.tolist(), key=offsets.tolist().__getitem__), dtype=np.intp),
         harmonics=np.repeat(np.array(order, dtype=np.intp), counts)[by_plane],
         targets=targets,
         local=targets - bounds[target_planes],
@@ -749,9 +756,9 @@ def reference_build(basis, q, t, cutoff):
 def reference_couplings(basis, q, cutoff):
     """(rows, cols, values) of the couplings by the forward search and a sort.
 
-    Every column n looks up its row n + g1 in the ball's keys over the box
-    grown by the steps g1, harmonic by harmonic in support order; one stable
-    argsort of row * N + column then puts the hits in row-major order.
+    Every column n looks up its row n + g1 in a dict of the ball's keys over
+    the box grown by the steps g1, harmonic by harmonic in support order; one
+    stable argsort of row * N + column then puts the hits in row-major order.
     """
     k, sign = (q.k or 1), (q.sign or "+")
     ball = basis.enumerate_ball(np.zeros(basis.dimension), cutoff)
@@ -764,10 +771,11 @@ def reference_couplings(basis, q, cutoff):
     support, qvals = support[fits], qvals[fits]
     lo, spans, _, shifts = coeffset.sum_box(support, 1, base=corners)
     keys = coeffset.pack(ball, lo, spans)
-    row_of = np.empty(size, dtype=np.intp)
-    row_of[order] = np.arange(size)
-    lookup = coeffset.IndexBox.from_sorted(lo, spans, keys, row_of)
-    found = lookup.find_keys(keys + shifts[:, None])[:, order]
+    row_of = dict(zip(keys[order].tolist(), range(size)))
+    found = np.array(
+        [[row_of.get(key, -1) for key in shifted] for shifted in (keys + shifts[:, None]).tolist()],
+        dtype=np.intp,
+    ).reshape(len(shifts), size)[:, order]
     hit = np.flatnonzero(found >= 0)
     harmonic, cols = np.divmod(hit, size)
     rows, values = found.ravel()[hit], qvals[harmonic] + 0j

@@ -1231,7 +1231,7 @@ def test_class_s_diagonal_is_the_free_values_bit_for_bit(name):
                 assert op.matrix_diagonal.real.tobytes() == op.diagonal.tobytes()
 
 
-# -- the dense row table against the searched lookup -------------------------------
+# -- the dense row table against a dict from index to row ---------------------------
 
 _ROW_TABLE_BASES = {
     **_COUPLING_BASES,
@@ -1253,7 +1253,7 @@ def _probe_members(op, rng):
     ball or not), points just and far outside the box on each side of every
     axis, and points with entries at the int64 ends."""
     d = op.basis.dimension
-    corner, spans = op._lookup.corner, op._lookup.spans.tolist()
+    corner, spans = op._lookup.lo.tolist(), op._lookup.spans.tolist()
     box = lattice.grid([np.arange(m, m + s, dtype=np.int64) for m, s in zip(corner, spans)])
     picks = box[rng.integers(0, len(box), size=4 * d)]
     moved = []
@@ -1267,15 +1267,17 @@ def _probe_members(op, rng):
 
 
 def _check_row_table(op, rng):
-    """``op``'s table finds and positions every probe as the searched lookup does."""
+    """``op``'s table finds and positions every probe as a dict from index
+    to row does, and as the table a replaced operator builds over its own box."""
     assert isinstance(op._lookup, coeffset.RowTable)
-    searched = dataclasses.replace(op)
-    assert isinstance(searched._lookup, coeffset.IndexBox)
+    replaced = dataclasses.replace(op)
+    assert replaced._lookup is not op._lookup
+    row_of = dict(zip(map(tuple, op.indices.tolist()), range(op.size)))
     members = _probe_members(op, rng)
     got = op.find(members)
     assert got.dtype == np.intp
-    assert got.tolist() == coeffset.IndexBox(op.indices).find(members).tolist()
-    assert got.tolist() == searched.find(members).tolist()
+    assert got.tolist() == [row_of.get(n, -1) for n in map(tuple, members.tolist())]
+    assert got.tolist() == replaced.find(members).tolist()
     assert op.find(op.indices).tolist() == list(range(op.size))
     # entries beyond int64 reach find as exact Python ints in an object array
     d = op.basis.dimension
@@ -1286,10 +1288,11 @@ def _check_row_table(op, rng):
         tuple([-(2**63)] * d),
     ]
     wide = np.array(beyond, dtype=object)
-    assert op.find(wide).tolist() == searched.find(wide).tolist() == [-1] * len(beyond)
+    assert op.find(wide).tolist() == replaced.find(wide).tolist() == [-1] * len(beyond)
     step = max(1, len(members) // 300)
     for n in [*map(tuple, members[::step].tolist()), *map(tuple, op.indices.tolist()), *beyond]:
-        assert _position(op, n) == _position(searched, n)
+        assert _position(op, n) == _position(replaced, n)
+        assert _position(op, n) == (row_of[n] if n in row_of else ("KeyError", (n,)))
 
 
 @pytest.mark.parametrize("name", _ROW_TABLE_BASES)
@@ -1309,7 +1312,7 @@ def test_row_table_equals_the_searched_lookup(name):
 
 
 def _table(op):
-    return op._lookup.corner, op._lookup.spans.tolist(), op._lookup.table.tobytes()
+    return op._lookup.lo.tolist(), op._lookup.spans.tolist(), op._lookup.table.tobytes()
 
 
 @pytest.mark.parametrize("name", _ROW_TABLE_BASES)

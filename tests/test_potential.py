@@ -150,3 +150,10 @@ def test_truncated_records_radius():
 def test_pt_symmetric_flag():
     assert hb.FourierPotential(BASIS, {(1, 0): 0.5, (2, 1): -1.0}).is_pt_symmetric
     assert not hb.FourierPotential(BASIS, {(1, 0): 0.5j}).is_pt_symmetric
+
+
+def test_random_potential_raises_when_the_drawn_count_has_too_few_harmonics():
+    # in 1-D max_p = 3 allows three harmonics; seed 0 draws a count of 6
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=r"drew 6 harmonics, but only 3 distinct ones exist"):
+        helpers.random_halfspace_potential(rng, hb.identity_basis(1), max_harmonics=6)

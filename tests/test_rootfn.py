@@ -323,11 +323,39 @@ def test_second_plane_matches_dict_loop_reference(generators, half, depths):
             while q.classification != (group.k, "+"):  # k = 2 may also fit k = 1
                 q = helpers.random_halfspace_potential(rng, basis, k=group.k, max_harmonics=10)
             for j in range(len(group.planes[1].members)):
-                rep = rootfn.second_plane_solve(basis, q, group, j)
-                ref = helpers.reference_second_plane_solve(basis, q, group, j)
-                assert rep.classification is ref.classification
-                assert rep.criterion_values == pytest.approx(
-                    ref.criterion_values, rel=1e-12, abs=1e-15
-                )
-                assert list(rep.coefficients) == list(ref.coefficients)
-                assert rep.coefficients == pytest.approx(ref.coefficients, rel=1e-12, abs=1e-15)
+                _assert_second_plane_matches_reference(basis, q, group, j)
+
+
+def _assert_second_plane_matches_reference(basis, q, group, j):
+    """The report for member j, checked against the dict-loop reference."""
+    rep = rootfn.second_plane_solve(basis, q, group, j)
+    ref = helpers.reference_second_plane_solve(basis, q, group, j)
+    assert rep.classification is ref.classification
+    assert rep.criterion_values == pytest.approx(ref.criterion_values, rel=1e-12, abs=1e-15)
+    assert list(rep.coefficients) == list(ref.coefficients)
+    assert rep.coefficients == pytest.approx(ref.coefficients, rel=1e-12, abs=1e-15)
+    return rep
+
+
+@pytest.mark.parametrize("coeffs, reached", [
+    # plane 2 holds (2, 0), (2, 1), (2, 2): only the leading (1, 1) is reached
+    ({(1, 0): 0.3, (1, 1): 0.2}, [(1, 1)]),
+    # plane 2 holds (2, 5), (2, 10): no leading member is reached
+    ({(1, 5): 0.2, (2, 5): 0.1}, []),
+    # rises of 3 leave plane 2 empty
+    ({(3, 0): 0.3, (3, 1): 0.2 - 0.1j}, []),
+])
+def test_second_plane_finds_the_reached_leading_members_on_the_top_plane(coeffs, reached):
+    # lam = 2 at t = 0: the leading plane 1 holds (1, -1) and (1, 1), s = 2,
+    # and the member (-1, 1) lies two planes below it
+    group = spectrum.degeneracy_group(BASIS, (1, 1), T0, k=1, cutoff=8.0)
+    assert group.planes[0].members == ((1, -1), (1, 1))
+    q = hb.FourierPotential(BASIS, coeffs)
+    j = group.planes[1].members.index((-1, 1))
+    plan = q.plan(2)
+    top = {tuple(n) for n in plan.offsets[plan.bounds[2]:plan.bounds[3]].tolist()}
+    assert [m for m in group.planes[0].members if (m[0] + 1, m[1] - 1) in top] == reached
+    rep = _assert_second_plane_matches_reference(BASIS, q, group, j)
+    unreached = [v for m, v in zip(group.planes[0].members, rep.criterion_values) if m not in reached]
+    assert unreached == [0j] * (2 - len(reached))
+    assert all(v != 0 for m, v in zip(group.planes[0].members, rep.criterion_values) if m in reached)
