@@ -13,6 +13,8 @@ tolerance moved by a factor of 100 each way, two faults in the shared
 coefficient kernel, two in the closed-form plan's walk and one in its
 evaluation's kept mask, one in the interior cone, one in each propagation
 of the rank probes' core, the rank threshold without its floor 1 + |lam|,
+the Jordan probe's ker A^2 ranked on A^2 against its own largest singular
+value instead of by deflation,
 the operator's couplings searched in support order instead of by
 column, its dense row table filled with the lex-ordered rows instead of
 the plane-major ones, its one-index key packed with the axes reversed
@@ -95,8 +97,14 @@ MUTANTS = (
     (
         "rank-floor-dropped",
         "galerkin.py",
-        "        rank_tol = RANK_TOL_SCALE * max(top, 1.0 + abs(lam))",
-        "        rank_tol = RANK_TOL_SCALE * top",
+        "    threshold = RANK_TOL_SCALE * max(svals.max(initial=0.0), 1.0 + abs(lam))",
+        "    threshold = RANK_TOL_SCALE * svals.max(initial=0.0)",
+    ),
+    (
+        "chains-ranked-on-the-square",
+        "galerkin.py",
+        "        dims.append(int((np.linalg.svd(deflated, compute_uv=False) <= threshold).sum()))",
+        "        dims.append(_kernel_dims(a @ a, lam, 1)[0][0])",
     ),
     (
         "couplings-in-support-order",

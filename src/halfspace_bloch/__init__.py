@@ -40,6 +40,7 @@ from .rootfn import (
 )
 from .isoenergetic import SurfaceSample, distance_to_surface, sample_surface
 from .errors import (
+    BoxSizeError,
     ConfigError,
     CutoffError,
     DegenerateBasisError,

@@ -50,11 +50,6 @@ INDEX_MIN, INDEX_MAX = -(2**63), 2**63 - 1
 #: ``_check_fermi_work``); the benchmark's fermi instances stay below 1e5
 FERMI_MAX_WORK = 1e8
 
-#: largest integer box accepted for an oracle or degeneracy-group ball (see
-#: ``_ball``); the benchmark's instances stay below 2.4e3 points and the
-#: tests below 3.4e4, and a 1e6 box runs in seconds and well under 1.5 GB
-BALL_MAX_BOX = 1e6
-
 #: largest ``n`` of the 1-D criterion, whose recursion takes O(n^2) steps: at
 #: n = 1000 it runs in about 0.1 s on float harmonics and 1.2 s on two rational
 #: ones; the benchmark's instances use n <= 2
@@ -147,13 +142,13 @@ def _param(params: dict, key: str, default, kind=float, dim=None, minimum=None, 
 def _ball(params: dict, basis: LatticeBasis, key: str, default: float) -> float:
     """The ball radius ``params[key]``, a nonnegative float, or :class:`ConfigError`
     when its integer box (``LatticeBasis.box_size``, from the radius alone,
-    before any array is built) holds more than ``BALL_MAX_BOX`` points."""
+    before any array is built) holds more than ``coeffset.BALL_MAX_BOX`` points."""
     radius = _param(params, key, default, minimum=0.0)
     box = basis.box_size(radius)
-    if not box <= BALL_MAX_BOX:
+    if not box <= coeffset.BALL_MAX_BOX:
         raise ConfigError(
             f"'params.{key}' {radius:.6g} gives a ball whose integer box holds {box:.3g} "
-            f"points, more than {BALL_MAX_BOX:.3g}",
+            f"points, more than {coeffset.BALL_MAX_BOX:.3g}",
             field=f"params.{key}",
         )
     return radius

@@ -39,8 +39,16 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .errors import BoxSizeError
+
 #: packed row keys must stay below this bound to fit in int64
 _KEY_LIMIT = 2**63
+
+#: largest integer box accepted for an oracle or degeneracy-group ball (see
+#: ``cli._ball``); the benchmark's instances stay below 2.4e3 points and the
+#: tests below 3.4e4, and a 1e6 box runs in seconds and well under 1.5 GB.
+#: A :class:`RowTable` in d dimensions holds at most 3^d times as many.
+BALL_MAX_BOX = 1e6
 
 
 def from_mapping(coeffs: Mapping, dimension: int) -> tuple[np.ndarray, np.ndarray]:
@@ -145,17 +153,22 @@ class RowTable:
     -1 where the box holds no index, so a batch of keys is found with one
     fancy index and no search.  Indices outside the box are rejected before
     they are packed, since a key is one-to-one on the box only.  The table
-    has one entry per point of the box: build it only over a box whose size
-    is bounded by what the caller already holds.
+    has one entry per point of the box, and a box of more than
+    3^d ``BALL_MAX_BOX`` points, more than the box of any admitted ball
+    grown by one harmonic on each side, is refused with
+    :class:`BoxSizeError` before anything is allocated.
     """
 
     def __init__(self, lo: Sequence[int], spans: Sequence[int], keys: np.ndarray, rows: np.ndarray):
         """The table over the box ``lo``, ``spans`` with ``rows[i]`` at
         ``keys[i]``, the keys in any order."""
+        size, bound = math.prod(spans), 3 ** len(spans) * BALL_MAX_BOX
+        if size > bound:
+            raise BoxSizeError(f"a row table over a box of {size} points exceeds {bound:.3g}")
         self.lo = np.array(lo, dtype=np.int64)
         self.spans = np.array(spans, dtype=np.int64)
         self.hi = self.lo + self.spans - 1
-        self.table = np.empty(math.prod(spans), dtype=np.intp)
+        self.table = np.empty(size, dtype=np.intp)
         self.table.fill(-1)
         self.table[keys] = rows
 

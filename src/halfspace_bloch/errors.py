@@ -17,6 +17,11 @@ class CutoffError(ValueError):
     """A truncation radius is too small for the requested computation."""
 
 
+class BoxSizeError(ValueError):
+    """A dense table over an integer box would hold more points than any
+    admitted truncation needs."""
+
+
 class ResonanceError(ArithmeticError):
     """A denominator required to be nonzero vanished (within guard tolerance).
 

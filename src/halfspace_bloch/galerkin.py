@@ -77,11 +77,8 @@ A_2j A_j2 over j, where A_12 = A_23 = 0 leave only B22 B22.  B11^2 and
 B33^2 are invertible, so dim ker A^2 = dim ker B22^2.  The argument needs
 only the blocks outside the window to be invertible, so widening the window
 by further planes is always safe: an entry just inside the tolerance can
-never lose kernel.  An explicit absolute rank threshold r widens it to
-every gap at or below max(r, sqrt(r)) as well, so that no diagonal entry of
-A or of A^2 that the threshold would call zero is left outside.  The lemma
-holds as well for the submatrix over an invariant subset of indices, which
-keeps the plane-major order.
+never lose kernel.  The lemma holds as well for the submatrix over an
+invariant subset of indices, which keeps the plane-major order.
 
 Rank probes on the core.  The same argument cuts finer than planes.  Read
 each stored coupling A_rc as a step c -> r, and call the rows with a gap
@@ -104,17 +101,25 @@ couplings, forward from the near rows and backward to them, that many
 rounds each, find C.  The probes take their SVDs on A_CC alone (a few rows
 where the window holds tens to hundreds).
 
-The default threshold is RANK_TOL_SCALE max(sigma_max(B), 1 + |lam|), B the
-probed block, A_CC or its square.  It does not grow with the cutoff: every
-core row is at most p_hi - p_lo steps from a near row, so the core stays
-bounded as the cutoff grows.  The
-window's norm does not grow in 1-D either, but in 2-D and 3-D its planes
-span the whole ball and its norm grows like cutoff^2, which put a window
-threshold above true singular values at the default radii.  The floor
-1 + |lam| is the scale of a gap's roundoff: a core of colliding
-rows with no coupling between them is diagonal, with gaps at roundoff,
-and its own norm would call them nonzero.  An explicit ``rank_tol`` is
-an absolute threshold.
+One rank rule.  Both probes rank the core block A = A_CC against one
+threshold, RANK_TOL_SCALE max(sigma_max(A), 1 + |lam|).  It does not grow
+with the cutoff: every core row is at most p_hi - p_lo steps from a near
+row, so the core stays bounded as the cutoff grows.  The window's norm does
+not grow in 1-D either, but in 2-D and 3-D its planes span the whole ball
+and its norm grows like cutoff^2, which put a window threshold above true
+singular values at the default radii.  The floor 1 + |lam| is the scale of
+a gap's roundoff: a core of colliding rows with no coupling between them is
+diagonal, with gaps at roundoff, and its own norm would call them nonzero.
+
+Deflation.  A^2 x = 0 says exactly that A x lies in ker A, so with K an
+orthonormal basis of ker A (the right singular vectors of A's one SVD
+below the threshold), ker A^2 = ker((I - K K^H) A).  That matrix has A's
+size and is A less K K^H A, of rank k = dim ker A: its i-th singular value
+is at most A's i-th and at least A's (i + k)-th.  So ranked against A's
+threshold, 0 <= dim ker A^2 - k <= k, as in every Jordan form.  Ranking
+A^2 itself squares the small singular values and sets its threshold from
+sigma_max(A)^2: on a weakly coupled group of four planes it read twice as
+many chains as there are eigenvectors.
 """
 
 from __future__ import annotations
@@ -132,7 +137,7 @@ from .lattice import IndexVector, LatticeBasis, as_index, sign_value
 from .potential import FourierPotential
 from .spectrum import eigenvalues
 
-#: rank threshold relative to max(spectral norm of the probed core block, 1 + |lam|)
+#: rank threshold relative to max(spectral norm of the core block, 1 + |lam|)
 RANK_TOL_SCALE = 1e-9
 
 #: relative width for treating two diagonal entries as the same eigenvalue
@@ -486,36 +491,39 @@ def first_associated_backsolve(
     )
 
 
-def _numerical_rank(
-    mat: np.ndarray, rank_tol: float | None, lam: complex
-) -> tuple[int, np.ndarray, float]:
-    svals = np.linalg.svd(mat, compute_uv=False)
-    if rank_tol is None:
-        top = float(svals[0]) if svals.size else 0.0
-        rank_tol = RANK_TOL_SCALE * max(top, 1.0 + abs(lam))
-    return int((svals > rank_tol).sum()), svals, rank_tol
+def _kernel_dims(a: np.ndarray, lam: complex, powers: int) -> tuple[list[int], np.ndarray, float]:
+    """([dim ker A, dim ker A^2][:powers], the singular values of A, the threshold).
+
+    The one rank rule of both probes (module docstring): every decision is
+    on an A-sized matrix against A's threshold, and ker A^2 is
+    ker((I - K K^H) A), K the right null vectors of A's SVD.
+    """
+    if powers == 1:
+        svals = np.linalg.svd(a, compute_uv=False)
+    else:
+        _, svals, vh = np.linalg.svd(a)
+    threshold = RANK_TOL_SCALE * max(svals.max(initial=0.0), 1.0 + abs(lam))
+    dims = [int((svals <= threshold).sum())]
+    if powers > 1:
+        null = vh[a.shape[0] - dims[0] :].conj().T
+        deflated = a - null @ (null.conj().T @ a)
+        dims.append(int((np.linalg.svd(deflated, compute_uv=False) <= threshold).sum()))
+    return dims, svals, threshold
 
 
 def _core_block(
-    op: TruncatedOperator,
-    lam: complex,
-    positions: Sequence[int] | None = None,
-    rank_tol: float | None = None,
+    op: TruncatedOperator, lam: complex, positions: Sequence[int] | None = None
 ) -> np.ndarray:
     """The core block of M - lam I: rows and columns that a stored coupling
     path links from a row whose diagonal entry is near lam, and to one.
 
-    Near means a gap |M_jj - lam| within ``op.eigen_eq_tol()``, or, with an
-    explicit ``rank_tol``, within ``max(rank_tol, sqrt(rank_tol))`` when that
-    is larger; the near rows belong to the core (module docstring).
+    Near means a gap |M_jj - lam| within ``op.eigen_eq_tol()``; the near
+    rows belong to the core (module docstring).
     ``positions`` (ascending) restricts everything to a subset, whose order
     the block keeps; the block is 0 x 0 when no diagonal entry is near lam.
     """
     pos = np.arange(op.size) if positions is None else np.asarray(positions, dtype=int)
-    tol = op.eigen_eq_tol()
-    if rank_tol is not None:
-        tol = max(tol, rank_tol, float(np.sqrt(rank_tol)))
-    near = (np.abs(op.matrix_diagonal[pos] - lam) <= tol).nonzero()[0]
+    near = (np.abs(op.matrix_diagonal[pos] - lam) <= op.eigen_eq_tol()).nonzero()[0]
     if not near.size:
         return np.zeros((0, 0), dtype=complex)
     # the window: the rows of pos on the plane blocks first .. last of the near rows
@@ -548,32 +556,27 @@ def _core_block(
     return block
 
 
-def geometric_multiplicity(
-    op: TruncatedOperator, lam: float, rank_tol: float | None = None
-) -> int:
+def geometric_multiplicity(op: TruncatedOperator, lam: float) -> int:
     """dim ker(M - lam I) of the truncation, as dim ker of its core block A_CC.
 
     The block is ranked by SVD (see the module docstring for why the core
-    suffices).  The default threshold is ``RANK_TOL_SCALE`` (1e-9) times the
-    larger of the core block's largest singular value and 1 + |lam|; neither
-    grows with the cutoff.  An explicit ``rank_tol`` is an absolute
-    threshold; it ranks the core block, whose near rows then also take in
-    every diagonal gap at or below ``max(rank_tol, sqrt(rank_tol))``.  A
-    warning is issued when some singular value of the block sits within a
-    factor 10 of the threshold, since the rank decision is then borderline.
+    suffices).  The threshold is ``RANK_TOL_SCALE`` (1e-9) times the larger
+    of the core block's largest singular value and 1 + |lam|; neither grows
+    with the cutoff.  A warning is issued when some singular value of the
+    block sits within a factor 10 of the threshold, since the rank decision
+    is then borderline.
     Requires the plane-triangular structure (:class:`TriangularityError`
     otherwise).
     """
     _require_triangular(op, "the rank probe")
-    block = _core_block(op, lam, rank_tol=rank_tol)
-    rank, svals, threshold = _numerical_rank(block, rank_tol, lam)
-    if threshold > 0 and ((svals >= threshold / 10) & (svals <= threshold * 10)).any():
+    (mult,), svals, threshold = _kernel_dims(_core_block(op, lam), lam, 1)
+    if ((svals >= threshold / 10) & (svals <= threshold * 10)).any():
         warnings.warn(
             f"borderline rank decision for lam={lam}: singular values near "
             f"threshold {threshold:.3e}",
             stacklevel=2,
         )
-    return block.shape[0] - rank
+    return mult
 
 
 def _subset_rows(op: TruncatedOperator, subset) -> np.ndarray:
@@ -612,22 +615,21 @@ def _subset_rows(op: TruncatedOperator, subset) -> np.ndarray:
 
 
 def jordan_chain_excess(
-    op: TruncatedOperator,
-    lam: float,
-    rank_tol: float | None = None,
-    subset: Sequence[Sequence[int]] | np.ndarray | None = None,
+    op: TruncatedOperator, lam: float, subset: Sequence[Sequence[int]] | np.ndarray | None = None
 ) -> int:
     """Number of Jordan blocks of size >= 2 at lam: dim ker(A^2) - dim ker(A).
 
-    Both kernels are taken on the core block A_CC and its square, the block
-    of A^2 on the same rows (module docstring).  With ``subset`` (index
-    tuples, or the rows of an (m, d) integer array) the probe runs on the
+    Both kernels are taken on the core block A = A_CC, ker A^2 as
+    ker((I - K K^H) A) with K an orthonormal basis of ker A, so the chains
+    never outnumber the eigenvectors (module docstring).  With ``subset``
+    (index tuples, or the rows of an (m, d) integer array) the probe runs on the
     submatrix over those lattice indices, which must span an invariant
     subspace (columns may not leak outside; checked exactly).  The members
     are found as by :meth:`TruncatedOperator.position`, with its errors; a
     member listed twice counts once.
     Requires the plane-triangular structure (:class:`TriangularityError`
-    otherwise); rank thresholds as in :func:`geometric_multiplicity`.
+    otherwise); both ranks against the threshold of
+    :func:`geometric_multiplicity`, without its borderline warning.
     """
     _require_triangular(op, "the Jordan probe")
     pos = None
@@ -638,10 +640,8 @@ def jordan_chain_excess(
         # no stored coupling may run from a column in the subset to a row outside it
         if (member[op.cols] & ~member[op.rows]).any():
             raise ValueError("subset does not span an invariant subspace")
-    a = _core_block(op, lam, pos, rank_tol)
-    rank1, _, _ = _numerical_rank(a, rank_tol, lam)
-    rank2, _, _ = _numerical_rank(a @ a, rank_tol, lam)
-    return rank1 - rank2
+    (kernel, square), _, _ = _kernel_dims(_core_block(op, lam, pos), lam, 2)
+    return square - kernel
 
 
 def matrix_csv(op: TruncatedOperator) -> str:

@@ -657,31 +657,47 @@ def reference_group_scan(basis, gamma, t, k, cutoff):
 
 # -- dense references for the core rank probes ---------------------------------
 #
-# The probes as they were before they moved to the plane window and then to
-# its core: one SVD of the whole M - lam (and of its square), threshold 1e-9
-# times its spectral norm.  The core probes must give the same integers on
-# operators whose singular values sit far from both thresholds.
+# The geometric probe as it was before it moved to the plane window and then
+# to its core: one SVD of the whole M - lam, threshold 1e-9 times its
+# spectral norm.  The Jordan probe on the dense plane window block, which
+# needs only the plane lemma, with ker A^2 ranked by deflation against the
+# block's own threshold.  The core probes must give the same integers on
+# operators whose singular values sit far from the thresholds.
 
 
-def _dense_rank(a, rank_tol):
+def _dense_rank(a, threshold=None):
     svals = np.linalg.svd(a, compute_uv=False)
-    if rank_tol is None:
-        rank_tol = galerkin.RANK_TOL_SCALE * (float(svals[0]) if svals.size else 0.0)
-    return int(np.sum(svals > rank_tol))
+    if threshold is None:
+        threshold = galerkin.RANK_TOL_SCALE * (float(svals[0]) if svals.size else 0.0)
+    return int(np.sum(svals > threshold))
 
 
-def reference_geometric_multiplicity(op, lam, rank_tol=None):
+def reference_geometric_multiplicity(op, lam):
     a = op.matrix - lam * np.eye(op.size)
-    return op.size - _dense_rank(a, rank_tol)
+    return op.size - _dense_rank(a)
 
 
-def reference_jordan_chain_excess(op, lam, rank_tol=None, subset=None):
-    a = op.matrix - lam * np.eye(op.size)
-    if subset is not None:
-        pos = sorted(op.position(n) for n in subset)
-        a = a[np.ix_(pos, pos)]
-    size = a.shape[0]
-    return (size - _dense_rank(a @ a, rank_tol)) - (size - _dense_rank(a, rank_tol))
+def reference_jordan_chain_excess(op, lam, subset=None):
+    """dim ker A^2 - dim ker A on the dense window block of A = M - lam.
+
+    The window is every row of the subset (default: all rows) on the planes
+    from the first to the last that hold a diagonal entry within
+    ``eigen_eq_tol()`` of lam.  ker A^2 = ker((I - K K^H) A), K an
+    orthonormal basis of ker A from the block's SVD.
+    """
+    pos = range(op.size) if subset is None else sorted({op.position(n) for n in subset})
+    pos = np.array(pos, dtype=int)
+    near = pos[np.abs(op.matrix_diagonal[pos] - lam) <= op.eigen_eq_tol()]
+    if not near.size:
+        return 0
+    planes = op.planes[pos]
+    window = pos[(planes >= op.planes[near].min()) & (planes <= op.planes[near].max())]
+    a = op.matrix[np.ix_(window, window)] - lam * np.eye(window.size)
+    _, svals, vh = np.linalg.svd(a)
+    threshold = galerkin.RANK_TOL_SCALE * float(svals[0])
+    rank = int(np.sum(svals > threshold))
+    null = vh[rank:].conj().T
+    return rank - _dense_rank(a - null @ (null.conj().T @ a), threshold)
 
 
 # -- triangularity and CSV references --------------------------------------------
@@ -831,7 +847,7 @@ def reference_first_associated_backsolve(op, i, eigvec):
     return result, (0j if c is None else c)
 
 
-def reference_core_block(op, lam, positions=None, rank_tol=None):
+def reference_core_block(op, lam, positions=None):
     """The core block as a slice of the dense matrix.
 
     The core is found without planes: over the dense slice's nonzero
@@ -842,8 +858,6 @@ def reference_core_block(op, lam, positions=None, rank_tol=None):
     pos = list(range(op.size)) if positions is None else [int(j) for j in positions]
     dense = op.matrix[np.ix_(pos, pos)]
     tol = op.eigen_eq_tol()
-    if rank_tol is not None:
-        tol = max(tol, rank_tol, math.sqrt(rank_tol))
     near = {i for i in range(len(pos)) if abs(dense[i, i] - lam) <= tol}
     succ, pred = defaultdict(list), defaultdict(list)
     for r, c in zip(*np.nonzero(dense)):

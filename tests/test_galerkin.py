@@ -9,7 +9,7 @@ import pytest
 
 import halfspace_bloch as hb
 from halfspace_bloch import bloch, coeffset, galerkin, lattice, spectrum
-from halfspace_bloch.errors import NoEigenvectorError, TriangularityError
+from halfspace_bloch.errors import BoxSizeError, NoEigenvectorError, TriangularityError
 
 import helpers
 
@@ -447,40 +447,73 @@ def test_rank_probes_read_the_constant_harmonic_on_the_diagonal():
     assert answers[0] == 2
 
 
-def test_explicit_rank_tol_widens_the_window():
-    op = galerkin.build(BASIS, hb.FourierPotential(BASIS, {}), (0.0, 0.0), 2.5)
-    # gaps |n|^2 - 1 of 3 at (0, +-2) and (+-2, 0): rank_tol 3.5 calls them
-    # zero, also on the planes +-2 that hold no gap within eigen_eq_tol
-    with pytest.warns(UserWarning, match="borderline rank decision"):
-        assert galerkin.geometric_multiplicity(op, 1.0, rank_tol=3.5) == 13
-    assert helpers.reference_geometric_multiplicity(op, 1.0, rank_tol=3.5) == 13
-    # at lam = 3.3 no gap is within 0.6, but the gaps 0.7 at |n|^2 = 4 square
-    # to 0.49, which the threshold calls zero in (M - lam)^2
-    assert galerkin.jordan_chain_excess(op, 3.3, rank_tol=0.6) == 4
-    assert helpers.reference_jordan_chain_excess(op, 3.3, rank_tol=0.6) == 4
-
-
 def test_rank_threshold_independent_of_cutoff(monkeypatch):
     thresholds = []
-    rank = galerkin._numerical_rank
+    rank = galerkin._kernel_dims
 
-    def recording_rank(mat, rank_tol, lam):
-        result = rank(mat, rank_tol, lam)
+    def recording_rank(a, lam, powers):
+        result = rank(a, lam, powers)
         thresholds.append(result[2])
         return result
 
-    monkeypatch.setattr(galerkin, "_numerical_rank", recording_rank)
+    monkeypatch.setattr(galerkin, "_kernel_dims", recording_rank)
     reduced = {1: Fraction(2, 5), 2: -Fraction(1, 25)}
     for planes in (5, 8, 12):
         helpers.oned_oracle_multiplicity(reduced, 1, cutoff_planes=planes)
     assert len(thresholds) == 3 and len(set(thresholds)) == 1
 
 
-def test_explicit_rank_tol_is_absolute_and_borderline_warns():
-    op = galerkin.build(BASIS, hb.FourierPotential(BASIS, {}), (0.0, 0.0), 2.5)
-    # gaps |n|^2 - 1 are -1 (once), 0 (four times) and 1 (four times) within 1.5
-    with pytest.warns(UserWarning, match="borderline rank decision"):
-        assert galerkin.geometric_multiplicity(op, 1.0, rank_tol=1.5) == 9
+def test_jordan_probe_on_a_four_plane_group_matches_the_exact_ladder():
+    """Basis 2 pi, t = 0, member (1, 2): the group |n|^2 = 5 of 8 members on
+    the planes 2, 1, -1, -2.  With q = 4 pi^2 r, r = {(1, 3): (-8 + 9i)/1000,
+    (1, 1): (-1 - 21i)/1000, (1, -3): (-14 + 14i)/1000}, A / (4 pi^2) on the
+    ball of radius 2 pi (sqrt 5 + 4) (121 rows, 20 of them in the core) has
+    rational entries, and exact elimination over Q(i), on all 121 rows as on
+    the core, gives
+
+        dim ker A^j = 2, 4, 6, 8, 8  for j = 1 .. 5,
+
+    two Jordan blocks of size 4.  So dim ker A = 2 and dim ker A^2 - dim ker A
+    = 2.  Ranking A^2 against 1e-9 times its own largest singular value
+    read 4 chains, more than there are eigenvectors.
+    """
+    basis = hb.identity_basis(2, 2 * math.pi)
+    r = {(1, 3): -8 + 9j, (1, 1): -1 - 21j, (1, -3): -14 + 14j}
+    q = hb.FourierPotential(basis, {g: 4 * math.pi**2 * v / 1000 for g, v in r.items()})
+    op = galerkin.build(basis, q, (0.0, 0.0), 2 * math.pi * (math.sqrt(5) + 4))
+    lam = float(op.diagonal[op.position((1, 2))])
+    assert galerkin._core_block(op, lam).shape == (20, 20)
+    ladder = (2, 4)
+    assert galerkin.geometric_multiplicity(op, lam) == ladder[0]
+    assert helpers.reference_geometric_multiplicity(op, lam) == ladder[0]
+    assert galerkin.jordan_chain_excess(op, lam) == ladder[1] - ladder[0]
+    assert helpers.reference_jordan_chain_excess(op, lam) == ladder[1] - ladder[0]
+
+
+def test_jordan_chains_never_outnumber_eigenvectors():
+    # weak coupling (|q| <= 1 against gaps of 4 pi^2) on groups of 4 to 8
+    # members: there are no more chains than kernel vectors, and the
+    # eigenvectors and chain heads fit in the group
+    basis = hb.identity_basis(2, 2 * math.pi)
+    rng = np.random.default_rng(1)
+    members = [(2, 1), (1, 0), (3, 1), (2, 2), (1, 2)]
+    for draw in range(150):
+        member = members[draw % len(members)]
+        coeffs = {}
+        for _ in range(int(rng.integers(2, 6))):
+            while (g := (int(rng.integers(1, 4)), int(rng.integers(-3, 4)))) in coeffs:
+                pass
+            coeffs[g] = rng.uniform(0, 1) * np.exp(2j * math.pi * rng.uniform())
+        lam = spectrum.eigenvalue(basis, member, (0.0, 0.0))
+        q = hb.FourierPotential(basis, coeffs)
+        op = galerkin.build(basis, q, (0.0, 0.0), math.sqrt(lam) + 8 * math.pi)
+        group = spectrum.degeneracy_group(basis, member, (0.0, 0.0), 1, 4 * math.sqrt(lam))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # borderline decisions
+            mult = galerkin.geometric_multiplicity(op, lam)
+        excess = galerkin.jordan_chain_excess(op, lam)
+        assert excess <= mult
+        assert mult + excess <= group.multiplicity
 
 
 def test_rank_threshold_boundary_on_the_oned_core():
@@ -489,7 +522,9 @@ def test_rank_threshold_boundary_on_the_oned_core():
     # nonzero singular values is the minor |q_1^2 + 4 pi^2 q_2|, 0 at the
     # tuned q_2, so q_2 = tuned + delta puts sigma_2 at 4 pi^2 |delta| / sigma_1.
     # The width comes from the literal 1e-9, so a moved RANK_TOL_SCALE moves
-    # the boundary and not the test.
+    # the boundary and not the test.  Only the geometric probe warns, for a
+    # singular value within a factor 10 of the threshold (the edges, 1/10
+    # and 10, are not asserted).
     basis = helpers.oned_basis()
     lam = 4 * math.pi**2
     q_1 = 0.5 * math.pi**2
@@ -500,17 +535,25 @@ def test_rank_threshold_boundary_on_the_oned_core():
         op = galerkin.build(basis, q, (0.0,), 2 * math.pi * 5)
         core = helpers.reference_core_block(op, lam)
         assert core.shape == (3, 3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # borderline at 1/10 and 10
-            probes = galerkin.geometric_multiplicity(op, lam), galerkin.jordan_chain_excess(op, lam)
-        return probes, np.linalg.svd(core, compute_uv=False)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            mult = galerkin.geometric_multiplicity(op, lam)
+            warned = len(caught)
+            probes = mult, galerkin.jordan_chain_excess(op, lam)
+            assert len(caught) == warned
+        return probes, warned, np.linalg.svd(core, compute_uv=False)
 
-    sigma_1 = core_probes(tuned)[1][0]
+    sigma_1 = core_probes(tuned)[2][0]
     threshold = 1e-9 * max(sigma_1, 1.0 + lam)
-    for factor, expected in ((0.01, (2, 0)), (0.1, (2, 0)), (10, (1, 1)), (100, (1, 1))):
-        probes, svals = core_probes(tuned + factor * threshold * sigma_1 / lam)
+    cases = (
+        (0.01, (2, 0), 0), (0.1, (2, 0), None), (0.3, (2, 0), 1),
+        (3, (1, 1), 1), (10, (1, 1), None), (100, (1, 1), 0),
+    )
+    for factor, expected, warns in cases:
+        probes, warned, svals = core_probes(tuned + factor * threshold * sigma_1 / lam)
         assert svals[1] == pytest.approx(factor * threshold, rel=1e-3)
         assert probes == expected
+        assert warns is None or warned == warns
 
 
 def test_coupling_free_core_at_roundoff_gaps_keeps_its_kernel():
@@ -952,12 +995,11 @@ def test_core_blocks_equal_dense_slices():
         positions = [None, np.flatnonzero(rng.uniform(size=op.size) < 0.6)]
         for lam in [*values[::3], values[0].real + 0.123]:
             for pos in positions:
-                for rank_tol in (None, 1e-3, 2.5):
-                    block = galerkin._core_block(op, lam, pos, rank_tol)
-                    expected = helpers.reference_core_block(op, lam, pos, rank_tol)
-                    assert block.shape == expected.shape
-                    assert block.tobytes() == expected.tobytes()
-                    checked += block.size > 0
+                block = galerkin._core_block(op, lam, pos)
+                expected = helpers.reference_core_block(op, lam, pos)
+                assert block.shape == expected.shape
+                assert block.tobytes() == expected.tobytes()
+                checked += block.size > 0
     assert checked > 50
 
 
@@ -1165,6 +1207,23 @@ def test_replaced_indices_are_found_afresh():
     assert moved.position((12, 10)) == 0 and op.position((2, 0)) == op.size - 1
     with pytest.raises(KeyError):
         moved.position((0, 0))
+
+
+def test_row_table_refuses_a_box_beyond_any_build():
+    # a build's table spans at most 3^d times the largest admitted ball box
+    bound = 3 * int(coeffset.BALL_MAX_BOX)
+    table = coeffset.RowTable([0], [bound], np.array([0, bound - 1]), np.array([0, 1]))
+    assert table.find(np.array([[bound - 1], [bound], [0]])).tolist() == [1, -1, 0]
+    with pytest.raises(BoxSizeError, match=f"{bound + 1} points"):
+        coeffset.RowTable([0], [bound + 1], np.array([0]), np.array([0]))
+    with pytest.raises(BoxSizeError, match=f"{3 * bound + 3} points"):
+        coeffset.RowTable([0, 0], [3, bound + 1], np.array([0]), np.array([0]))
+    # an operator made by dataclasses.replace builds its table on first use
+    op = galerkin.build(BASIS, hb.FourierPotential(BASIS, {(1, 0): 0.3}), T, 2.0)
+    for end, size in ((2**40, 2**40 + 1), (2**63 - 1, 2**63), (-(2**63), 2**63 + 1)):
+        far = dataclasses.replace(op, indices=np.array([[0, 0], [end, 0]]))
+        with pytest.raises(BoxSizeError, match=f"{size} points"):
+            far.find([(0, 0)])
 
 
 # -- couplings found row-major, and the diagonal of class S ------------------------
