@@ -21,9 +21,11 @@ the plane-major ones, its one-index key packed with the axes reversed
 and its batch lookup with an exclusive upper bound, the second-plane
 solve's leading members sought one plane below the top plane, the
 Fermi sampler's minimizer ball without its rounding
-margin and without its half diameter, and the lattice grid filled with
+margin and without its half diameter, the lattice grid filled with
 its axes in reverse order (rows out of lex order, or a broadcast error
-where the axes differ in length).
+where the axes differ in length), the chain constant of the forward
+substitution kept from the row right after the one that fixes it, and a
+table's text spliced into the report one level deeper than its marker.
 Nothing is written in the repository.
 
     python3 scripts/mutants.py
@@ -153,6 +155,18 @@ MUTANTS = (
         "lattice.py",
         "        out[..., j] = axis.reshape(-1, *[1] * (d - 1 - j))",
         "        out[..., j] = axis.reshape(-1, *[1] * j)",
+    ),
+    (
+        "substitution-constant-skips-the-next-row",
+        "galerkin.py",
+        "            rhs = np.where(np.arange(s, e) > fixed_at, rhs + c * eigvec[s:e], rhs)",
+        "            rhs = np.where(np.arange(s, e) > fixed_at + 1, rhs + c * eigvec[s:e], rhs)",
+    ),
+    (
+        "table-one-level-deeper",
+        "jsonfmt.py",
+        "        out += [_table(table, level), after]",
+        "        out += [_table(table, level + 1), after]",
     ),
     (
         "distinct-keeps-repeats",

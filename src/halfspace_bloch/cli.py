@@ -88,8 +88,9 @@ def _value(value, field: str, kind, dim=None, minimum=None, maximum=None):
     ``kind`` is ``int`` (never a bool), ``float`` (finite, returned as a
     float) or a tuple of the allowed choices.  With ``dim`` the value is a
     list of ``dim`` entries: integers, returned as a lattice index tuple, or
-    finite numbers, returned as a list of floats.  ``minimum`` and
-    ``maximum`` bound a number, or each integer of an index.
+    finite numbers, returned as a list of floats; a bool or a string is
+    never a number, in a list or alone.  ``minimum`` and ``maximum`` bound a
+    number, or each integer of an index.
     """
     if isinstance(kind, tuple):
         if value not in kind:
@@ -110,10 +111,10 @@ def _value(value, field: str, kind, dim=None, minimum=None, maximum=None):
                     field=field.removesuffix(".index"),
                 )
             return tuple(value)
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value):
+            raise ConfigError(f"'{field}' contains a non-number", field=field)
         try:
             values = [float(x) for x in value]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"'{field}' contains a non-number", field=field) from exc
         except OverflowError:  # an integer beyond the float range
             values = [math.inf]
         if not all(map(math.isfinite, values)):
@@ -213,11 +214,13 @@ def parse_potential(doc: dict, basis: LatticeBasis) -> "ParsedPotential":
                 raise ConfigError(f"'{field}' is too large for a float", field=field) from exc
             red = re if im == 0 else complex(float(re), float(im))
         else:
+            re, im = rec.get("re", 0.0), rec.get("im", 0.0)
+            message = f"'{field}.re'/'{field}.im' must be numbers"
+            if isinstance(re, bool) or isinstance(im, bool):
+                raise ConfigError(message, field=field)
             try:
-                re = float(rec.get("re", 0.0))
-                im = float(rec.get("im", 0.0))
+                re, im = float(re), float(im)
             except (TypeError, ValueError, OverflowError) as exc:
-                message = f"'{field}.re'/'{field}.im' must be numbers"
                 raise ConfigError(message, field=field) from exc
             value = complex(re, im)
             red = complex(re, im) / PI_SQ

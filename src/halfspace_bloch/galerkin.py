@@ -55,6 +55,10 @@ substitution with its sums regrouped, so it is exact up to the order of
 the floating-point additions.  The rows whose gap is within the diagonal
 tolerance are checked per plane, in row order and with the same tolerance,
 so a failure is reported at the row the row-by-row loop would stop at.
+The chain vector of a Jordan pair solves (M - lam I) x = c v for an
+eigenvector v: the first such row where v is beyond the tolerance fixes the
+constant c, which then enters every later row as the term c v_j.  The
+eigenvector is the case v = 0, where c stays 0, so one loop does both.
 
 Rank probes on the plane window.  Group the rows of A = M - lam I by plane.
 A is block lower triangular and every diagonal block is itself diagonal,
@@ -376,44 +380,6 @@ class BacksolveResult:
     flagged: tuple[int, ...]
 
 
-def _substitution_start(op: TruncatedOperator, i: int):
-    """(x, eq_tol, repeated, divisor) for forward substitution from position i.
-
-    x is 1 at i and 0 elsewhere; ``repeated`` marks the rows whose gap
-    M_jj - M_ii is within ``eq_tol``; ``divisor`` is that gap, with 1 on the
-    repeated rows, whose entries the callers settle themselves.
-    """
-    if not 0 <= i < op.size:
-        raise IndexError(f"diagonal position {i} out of range")
-    x = np.zeros(op.size, dtype=complex)
-    x[i] = 1.0
-    eq_tol = op.eigen_eq_tol()
-    gap = op.matrix_diagonal - op.matrix_diagonal[i]
-    repeated = np.abs(gap) <= eq_tol
-    return x, eq_tol, repeated, np.where(repeated, 1.0, gap)
-
-
-def _plane_rhs(op: TruncatedOperator, i: int, x: np.ndarray):
-    """Yield ``(s, e, rhs)``, rhs = -(M x) on the rows s .. e-1, for the rows
-    after position i, one plane block at a time.
-
-    Every coupling into a block comes from an earlier plane (module
-    docstring), so rhs needs only the entries of x the caller has filled in
-    before it asks for the next block.
-    """
-    bounds, rows, cols, values = op.plane_bounds, op.rows, op.cols, op.values
-    edges = [i + 1, *bounds[bounds.searchsorted(i, side="right") :].tolist()]
-    cuts = rows.searchsorted(edges).tolist()
-    for s, e, lo, hi in zip(edges, edges[1:], cuts, cuts[1:]):
-        if s < e:
-            local = rows[lo:hi] - s
-            terms = values[lo:hi] * x[cols[lo:hi]]
-            rhs = coeffset.join(
-                np.bincount(local, terms.real, e - s), np.bincount(local, terms.imag, e - s)
-            )
-            yield s, e, np.negative(rhs, out=rhs)
-
-
 def eigenvector_backsolve(op: TruncatedOperator, i: int) -> BacksolveResult:
     """Solve (M - lam I) x = 0 with x = 1 at diagonal position i, zeros before.
 
@@ -423,26 +389,13 @@ def eigenvector_backsolve(op: TruncatedOperator, i: int) -> BacksolveResult:
     nonzero accumulated right-hand side there means no eigenvector has this
     leading term (:class:`NoEigenvectorError`, at the first such row); a
     zero one leaves the entry free and it is pinned to 0 (position flagged).
+    This is :func:`first_associated_backsolve` with no right-hand side, where
+    c stays 0.
     """
-    _require_triangular(op, "back substitution")
-    x, eq_tol, repeated, divisor = _substitution_start(op, i)
-    flagged: list[int] = []
-    for s, e, rhs in _plane_rhs(op, i, x):
-        x[s:e] = rhs / divisor[s:e]
-        if repeated[s:e].any():
-            rows = s + repeated[s:e].nonzero()[0]
-            blocked = rows[np.abs(rhs[rows - s]) > eq_tol]
-            if blocked.size:
-                j = int(blocked[0])
-                raise NoEigenvectorError(
-                    f"no eigenvector with leading term {op.index_set[i]}: row "
-                    f"{op.index_set[j]} accumulates {rhs[j - s]!r}",
-                    position=j,
-                    residual=complex(rhs[j - s]),
-                )
-            x[rows] = 0
-            flagged.extend(rows.tolist())
-    return BacksolveResult(vector=x, leading=i, flagged=tuple(flagged))
+    return _forward_substitution(
+        op, i, np.zeros(op.size),
+        "no eigenvector with leading term {lead}: row {row} accumulates {residual!r}",
+    )[0]
 
 
 def first_associated_backsolve(
@@ -458,14 +411,50 @@ def first_associated_backsolve(
     :class:`NoEigenvectorError` is raised.  Like
     :func:`eigenvector_backsolve`, it requires the plane-triangular structure.
     """
+    return _forward_substitution(
+        op, i, np.asarray(eigvec), "chain blocked at row {row} with residual {residual!r}"
+    )
+
+
+def _forward_substitution(
+    op: TruncatedOperator, i: int, eigvec: np.ndarray, blocked: str
+) -> tuple[BacksolveResult, complex]:
+    """Both backsolves, one plane block at a time (module docstring).
+
+    rhs = -(M x) on a block needs only the planes before it.  The rows whose
+    gap M_jj - M_ii is within the diagonal tolerance are settled in row
+    order and pinned to 0: the first with eigvec beyond the tolerance fixes
+    c, later ones must agree with it, and one with eigvec within the
+    tolerance needs rhs within it, or ``blocked``, formatted with the
+    leading index, the row's index and rhs, is raised.
+    """
     _require_triangular(op, "back substitution")
-    x, eq_tol, repeated, divisor = _substitution_start(op, i)
-    eigvec = np.asarray(eigvec)
+    if not 0 <= i < op.size:
+        raise IndexError(f"diagonal position {i} out of range")
+    eq_tol = op.eigen_eq_tol()
+    gap = op.matrix_diagonal - op.matrix_diagonal[i]
+    repeated = np.abs(gap) <= eq_tol
+    divisor = np.where(repeated, 1.0, gap)
+    x = np.zeros(op.size, dtype=complex)
+    x[i] = 1.0
+    bounds, rows, cols, values = op.plane_bounds, op.rows, op.cols, op.values
+    edges = [i + 1, *bounds[bounds.searchsorted(i, side="right") :].tolist()]
+    cuts = rows.searchsorted(edges).tolist()
+    near = repeated[i + 1 :].nonzero()[0] + (i + 1)
+    near_cuts = near.searchsorted(edges).tolist()
+    near = near.tolist()
     c: complex | None = None
     fixed_at = op.size  # c enters the rows after this one
-    flagged: list[int] = []
-    for s, e, rhs in _plane_rhs(op, i, x):
-        for j in (s + repeated[s:e].nonzero()[0]).tolist():
+    for s, e, lo, hi, a, b in zip(edges, edges[1:], cuts, cuts[1:], near_cuts, near_cuts[1:]):
+        if s == e:
+            continue
+        local = rows[lo:hi] - s
+        terms = values[lo:hi] * x[cols[lo:hi]]
+        rhs = coeffset.join(
+            np.bincount(local, terms.real, e - s), np.bincount(local, terms.imag, e - s)
+        )
+        np.negative(rhs, out=rhs)
+        for j in near[a:b]:
             rhs_j, eig_j = rhs[j - s], eigvec[j]
             if abs(eig_j) > eq_tol:
                 if c is None:
@@ -477,16 +466,15 @@ def first_associated_backsolve(
                         residual=complex(rhs_j),
                     )
             elif abs(rhs_j) > eq_tol:
-                raise NoEigenvectorError(
-                    f"chain blocked at row {op.index_set[j]} with residual {rhs_j!r}",
-                    position=j,
-                    residual=complex(rhs_j),
+                message = blocked.format(
+                    lead=op.index_set[i], row=op.index_set[j], residual=rhs_j
                 )
-            flagged.append(j)
+                raise NoEigenvectorError(message, position=j, residual=complex(rhs_j))
         if c is not None:
             rhs = np.where(np.arange(s, e) > fixed_at, rhs + c * eigvec[s:e], rhs)
-        x[s:e] = np.where(repeated[s:e], 0, rhs / divisor[s:e])
-    return BacksolveResult(vector=x, leading=i, flagged=tuple(flagged)), (
+        x[s:e] = rhs / divisor[s:e]
+        x[near[a:b]] = 0
+    return BacksolveResult(vector=x, leading=i, flagged=tuple(near)), (
         0j if c is None else c
     )
 

@@ -7,26 +7,25 @@ computing them.  :func:`dumps` returns the same text, byte for byte, as
 ``json.dumps(obj, indent=2, default=list)``: for plain JSON values that is
 ``json.dumps(obj, indent=2)``, and a :class:`Columns` table is written as
 the list of records it stands for (the tests compare the two on generated
-values and on every CLI report).  Two writers share the work:
+values and on every CLI report).  The work splits in two:
 
 * **Tables.**  A :class:`Columns` table, the one form in which the reports
   hold long record lists, is written by one ``%``-template: ``%r`` per
   value, indented exactly as ``json`` indents it, repeated once per record
   and filled by one ``template % tuple(values)`` call over the table's
-  columns.  For finite floats and ints ``repr`` is what ``json`` writes; a
-  table holding a NaN or an infinity goes to the recursive writer instead,
-  as the list of its records.
-* **Everything else** goes through a recursive writer with the rules of
-  ``json``: ``NaN``/``Infinity``/``-Infinity``, ``true``/``false``/
-  ``null``, ``[]``/``{}`` for empty containers, tuples as lists, strings and
-  keys through ``json.encoder.encode_basestring_ascii``, non-string keys
-  converted, and ``TypeError`` for anything else.  Like ``json`` with
-  ``check_circular=False`` it does not detect reference cycles.
+  columns.  For finite floats and ints ``repr`` is what ``json`` writes.
+* **Everything else** is written by ``json`` itself.  Its ``default`` hook
+  turns each table the template can write (nonempty, every float finite)
+  into a marker string, and every other table into the list of its
+  records.  Each marker is then replaced by the table's text, at the
+  nesting level its line's indentation gives.  A report that holds the
+  marker string itself would be spliced wrongly, so a marker count that
+  differs from the table count raises ``ValueError``.
 """
 
 from __future__ import annotations
 
-import math
+import json
 from json.encoder import encode_basestring_ascii as _string
 from typing import Sequence
 
@@ -71,81 +70,31 @@ class Columns:
         return (dict(zip(self.fields, row)) for row in rows)
 
 
+#: the string the hook hands ``json`` in place of a table the template writes
+_MARKER = "<halfspace_bloch.jsonfmt table>"
+
+
 def dumps(obj) -> str:
     """``json.dumps(obj, indent=2, default=list)``, byte for byte."""
-    chunks: list[str] = []
-    _write(obj, 0, chunks.append)
-    return "".join(chunks)
+    tables: list[Columns] = []
 
-
-def _float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _key(key) -> str:
-    if isinstance(key, str):
-        return _string(key)
-    if isinstance(key, float):
-        return _string(_float(key))
-    if key is True:
-        return '"true"'
-    if key is False:
-        return '"false"'
-    if key is None:
-        return '"null"'
-    if isinstance(key, int):
-        return _string(int.__repr__(key))
-    raise TypeError(
-        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
-    )
-
-
-def _write(o, level: int, out) -> None:
-    if isinstance(o, str):
-        out(_string(o))
-    elif o is None:
-        out("null")
-    elif o is True:
-        out("true")
-    elif o is False:
-        out("false")
-    elif isinstance(o, int):
-        out(int.__repr__(o))
-    elif isinstance(o, float):
-        out(_float(o))
-    elif isinstance(o, Columns):
+    def hook(o):
+        if not isinstance(o, Columns):
+            return json.JSONEncoder().default(o)  # json's own TypeError
         if len(o) and all(np.isfinite(c).all() for c in o.columns if c.dtype.kind == "f"):
-            out(_table(o, level))
-        else:
-            _write(list(o), level, out)
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            out("[]")
-            return
-        sep = "[\n" + _INDENT * (level + 1)
-        for value in o:
-            out(sep)
-            sep = ",\n" + _INDENT * (level + 1)
-            _write(value, level + 1, out)
-        out("\n" + _INDENT * level + "]")
-    elif isinstance(o, dict):
-        if not o:
-            out("{}")
-            return
-        sep = "{\n" + _INDENT * (level + 1)
-        for key, value in o.items():
-            out(sep + _key(key) + ": ")
-            sep = ",\n" + _INDENT * (level + 1)
-            _write(value, level + 1, out)
-        out("\n" + _INDENT * level + "}")
-    else:
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+            tables.append(o)
+            return _MARKER
+        return list(o)
+
+    pieces = json.dumps(obj, indent=2, default=hook).split(_string(_MARKER))
+    if len(pieces) != len(tables) + 1:
+        raise ValueError(f"the report holds the string {_MARKER!r}, which marks a table")
+    out = [pieces[0]]
+    for table, before, after in zip(tables, pieces, pieces[1:]):
+        line = before[before.rfind("\n") + 1 :]
+        level = (len(line) - len(line.lstrip(" "))) // 2
+        out += [_table(table, level), after]
+    return "".join(out)
 
 
 def _table(table: Columns, level: int) -> str:

@@ -47,8 +47,11 @@ class FourierPotential:
     sorted lexicographically and exact-zero coefficients are dropped.  The
     classification (k, sign) is None when the support fits no half-lattice.
     ``mode`` records whether the input was declared absolutely summable or
-    only square-summable (the latter is admitted for d in {2, 3} and always
-    arrives truncated, with the radius recorded).
+    only square-summable (the latter is admitted for d in {2, 3} only).
+    ``truncation_radius`` is the radius :func:`truncated` cut the support
+    to, and None when nothing cut it: square-summable input built directly,
+    or given to the CLI without ``params.truncation_radius``, keeps None.
+    Beyond that dimension check, neither field enters any computation.
     """
 
     basis: LatticeBasis

@@ -1052,6 +1052,44 @@ _T_OVERFLOWS = "config error (t): 't' is too large: |t|^2 overflows"
                 "of its degeneracy group"
             ),
         ),
+        # like scalar params, number lists and float-mode parts take no
+        # strings and no booleans
+        (
+            "bloch",
+            {**IDENTITY_2D, "potential": _POT, "t": ["0.25", True]},
+            2,
+            "config error (t): 't' contains a non-number",
+        ),
+        (
+            "bloch",
+            {**IDENTITY_2D, "potential": _POT, "t": [0.25, True]},
+            2,
+            "config error (t): 't' contains a non-number",
+        ),
+        (
+            "classify",
+            {"dimension": 2, "generators": [["1", "0"], [False, True]], "potential": _POT},
+            2,
+            "config error (generators[0]): 'generators[0]' contains a non-number",
+        ),
+        (
+            "classify",
+            {"dimension": 2, "generators": [[1.0, 0.0], [False, True]], "potential": _POT},
+            2,
+            "config error (generators[1]): 'generators[1]' contains a non-number",
+        ),
+        (
+            "bloch",
+            {**IDENTITY_2D, "potential": [{"index": [1, 0], "re": True}]},
+            2,
+            "config error (potential[0]): 'potential[0].re'/'potential[0].im' must be numbers",
+        ),
+        (
+            "oracle",
+            {**IDENTITY_2D, "potential": [{"index": [1, 0], "re": 0.1, "im": False}]},
+            2,
+            "config error (potential[0]): 'potential[0].re'/'potential[0].im' must be numbers",
+        ),
     ],
     ids=[
         "evaluate-at-non-number",
@@ -1123,6 +1161,12 @@ _T_OVERFLOWS = "config error (t): 't' is too large: |t|^2 overflows"
         "multiplicity-oracle-ball-misses-n",
         "multiplicity-both-ball-misses-n",
         "multiplicity-second-plane-collision-inside-width",
+        "bloch-t-string-and-bool",
+        "bloch-t-bool",
+        "classify-generators-strings",
+        "classify-generators-bools",
+        "bloch-potential-bool-re",
+        "oracle-potential-bool-im",
     ],
 )
 def test_contract_exit_codes(tmp_path, capsys, command, config, code, stderr):

@@ -908,6 +908,27 @@ def _degenerate_operators():
     return ops
 
 
+def _same_as_chain_with_no_right_hand_side(op, i):
+    """The eigenvector backsolve is the chain backsolve with eigvec = 0: the
+    same vector bytes and flagged rows with c = 0, or the same blocked row
+    and residual."""
+    try:
+        chain, c = galerkin.first_associated_backsolve(op, i, np.zeros(op.size))
+    except NoEigenvectorError as err:
+        with pytest.raises(NoEigenvectorError) as got:
+            galerkin.eigenvector_backsolve(op, i)
+        assert (got.value.position, got.value.residual) == (err.position, err.residual)
+        assert str(got.value) == (
+            f"no eigenvector with leading term {op.index_set[i]}: row "
+            f"{op.index_set[err.position]} accumulates {np.complex128(err.residual)!r}"
+        )
+        return
+    result = galerkin.eigenvector_backsolve(op, i)
+    assert result.vector.tobytes() == chain.vector.tobytes()
+    assert result.flagged == chain.flagged and result.leading == chain.leading == i
+    assert c == 0j
+
+
 def test_eigenvector_backsolve_equals_dense_loop():
     outcomes = set()
     for op in _degenerate_operators():
@@ -916,6 +937,7 @@ def test_eigenvector_backsolve_equals_dense_loop():
                 lambda: galerkin.eigenvector_backsolve(op, i),
                 lambda: helpers.reference_eigenvector_backsolve(op, i),
             ))
+            _same_as_chain_with_no_right_hand_side(op, i)
     assert outcomes == {"blocked", "flagged", "solved"}
 
 

@@ -199,6 +199,16 @@ def test_dumps_rejects_what_json_rejects():
             jsonfmt.dumps(value)
 
 
+def test_dumps_refuses_a_report_holding_the_table_marker():
+    # the marker stands in for a table until the table's text replaces it:
+    # one more in the text would splice the table into the wrong place
+    table = jsonfmt.Columns(*TABLES["offsets-2d"])
+    marker = jsonfmt._MARKER
+    for value in ({"a": marker, "b": table}, [table, marker], {marker: table}):
+        with pytest.raises(ValueError, match="marks a table"):
+            jsonfmt.dumps(value)
+
+
 # -- every report shape of the five commands --------------------------------------
 
 _IDENTITY = {"dimension": 2, "generators": [[1.0, 0.0], [0.0, 1.0]]}
