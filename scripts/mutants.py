@@ -24,8 +24,10 @@ Fermi sampler's minimizer ball without its rounding
 margin and without its half diameter, the lattice grid filled with
 its axes in reverse order (rows out of lex order, or a broadcast error
 where the axes differ in length), the chain constant of the forward
-substitution kept from the row right after the one that fixes it, and a
-table's text spliced into the report one level deeper than its marker.
+substitution kept from the row right after the one that fixes it, a
+table's text spliced into the report one level deeper than its marker,
+and the plane geometry read off the dual vector w_k with h_k left as
+w_k instead of w_k / |w_k|^2 and c(k) as |w_k| instead of 1 / |w_k|.
 Nothing is written in the repository.
 
     python3 scripts/mutants.py
@@ -167,6 +169,18 @@ MUTANTS = (
         "jsonfmt.py",
         "        out += [_table(table, level), after]",
         "        out += [_table(table, level + 1), after]",
+    ),
+    (
+        "orthogonal-component-unnormalized",
+        "lattice.py",
+        "        return w / (w @ w)",
+        "        return w",
+    ),
+    (
+        "separation-not-inverted",
+        "lattice.py",
+        "        return 1.0 / float(self._dual_norms[k - 1])",
+        "        return float(self._dual_norms[k - 1])",
     ),
     (
         "distinct-keeps-repeats",

@@ -7,7 +7,7 @@ everything downstream of a constructed object is safe to use concurrently.
 """
 
 from .lattice import IndexVector, LatticeBasis, decompose, identity_basis, in_halfspace
-from .potential import FourierPotential, classify, convolve, evaluate
+from .potential import FourierPotential, classify
 from .spectrum import EigenGroup, Plane, degeneracy_group, eigenvalue, eigenvalues
 from .bloch import (
     BlochCoefficients,
@@ -27,7 +27,6 @@ from .galerkin import (
     is_plane_triangular,
     jordan_chain_excess,
     matrix_csv,
-    truncated_spectrum,
 )
 from .rootfn import (
     Classification,

@@ -332,10 +332,17 @@ def evaluate_function(
     """Pointwise value of the Bloch function from its coefficients.
 
     Spot-check use only: sums c(gamma, delta) exp(i <gamma + delta + t, x>)
-    over the stored offsets.
+    over the stored offsets.  Each phase is a stacked (1, d) @ (d, 1)
+    matmul, bit-equal to the 1-D ``wave @ x``; the terms are the Python
+    complex coefficients times numpy's scalar ``exp``, added one by one onto
+    0j in row order.
     """
     waves = basis.to_cartesian(psi.offsets + psi.gamma) + np.asarray(psi.t, dtype=float)
-    return coeffset.fourier_sum(waves, psi.values.tolist(), np.asarray(x, dtype=float))
+    phases = (waves[:, None, :] @ np.asarray(x, dtype=float)[:, None])[:, 0, 0]
+    total = 0j
+    for c, phase in zip(psi.values.tolist(), phases.tolist()):
+        total += c * np.exp(1j * phase)
+    return total
 
 
 def max_discrepancy(

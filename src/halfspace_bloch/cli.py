@@ -373,7 +373,7 @@ def cmd_oracle(doc: dict, want_matrix: bool = False):
     # e.g. a constant harmonic q_0 beside others; the closed form needs class S
     _require_class_s(pot.q, "oracle")
 
-    # the spectrum of a triangular matrix is its diagonal (galerkin.truncated_spectrum);
+    # the spectrum of a triangular matrix is its diagonal;
     # class S has no q_0, so M_jj = |g + t|^2 + 0j, and two arrays equal entry
     # by entry are equal as sorted multisets: this is the multiset check's value
     report["spectrum_match"] = bool((op.matrix_diagonal.real == op.diagonal).all())
@@ -425,8 +425,15 @@ def cmd_multiplicity(doc: dict) -> tuple[dict, int]:
                 f"n^2 * harmonics = {n * n * harmonics:.3g}, more than {ONED_MAX_WORK:.3g}",
                 field="potential",
             )
+    t = parse_t(doc, basis)
+    if run_criterion:
+        # the criterion's recursion is the one of period 1 at t = 0
+        if abs(basis.generators.item(0)) != 2 * math.pi:
+            message = "the 1-D criterion needs the generator 2 pi or -2 pi (period 1)"
+            raise ConfigError(message, field="generators")
+        if t.any():
+            raise ConfigError("the 1-D criterion needs t = 0", field="t")
     if run_oracle:
-        t = parse_t(doc, basis)
         cutoff = _ball(params, basis, "cutoff", float(2 * math.pi * (3 * n + 2)))
 
     report: dict[str, Any] = {

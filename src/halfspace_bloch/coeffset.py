@@ -15,13 +15,14 @@ bit for bit, what those loops return:
   are :func:`moduli`, ``np.hypot`` of the parts, which equals Python's
   ``abs`` wherever that returns.
 
-Every merge of offsets (the series, the walk of :func:`plan`, the
-residual, the discrepancy and :func:`convolve`) is one :func:`group` of
-:func:`pack` keys over one :func:`sum_box`: the box of a base set plus
-sums of steps, in which a row moves by a step with one integer add.  The
-oracle finds its couplings the same way, in the ball's box grown by one
-step, through a :class:`RowTable`, the one row lookup here: a dense table
-of rows over that box, read by one gather with no search.
+Every merge of offsets (the series and the residual, both through
+:func:`convolve`, the walk of :func:`plan` and the discrepancy) is one
+:func:`group` of :func:`pack` keys over one :func:`sum_box`: the box of a
+base set plus sums of steps, in which a row moves by a step with one
+integer add.  The oracle finds its couplings the same way, in the ball's
+box grown by one step, through a :class:`RowTable`, the one row lookup
+here: a dense table of rows over that box, read by one gather with no
+search.
 
 :func:`plan` builds the structure of the closed form's plane-by-plane
 recursion in one walk over the reachable planes.  It depends on the
@@ -358,16 +359,3 @@ def nonzero(offsets: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nda
     keep = values != 0
     return offsets[keep], values[keep]
 
-
-def fourier_sum(waves: np.ndarray, values, x: np.ndarray) -> complex:
-    """sum_j values[j] * exp(i <waves[j], x>) over the rows of an (m, d) float array.
-
-    Each phase is a stacked (1, d) @ (d, 1) matmul, bit-equal to the 1-D
-    ``waves[j] @ x``; the terms are the Python complex ``values`` times
-    numpy's scalar ``exp``, added one by one onto 0j in row order.
-    """
-    phases = (waves[:, None, :] @ x[:, None])[:, 0, 0]
-    total = 0j
-    for c, phase in zip(values, phases.tolist()):
-        total += c * np.exp(1j * phase)
-    return total

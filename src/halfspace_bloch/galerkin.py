@@ -233,7 +233,8 @@ class TruncatedOperator:
 
     @cached_property
     def _witness(self) -> tuple[IndexVector, IndexVector] | None:
-        # built on first use only: the rank probes never need the scan
+        # built on first use, once: ``is_plane_triangular`` and the guards of
+        # the backsolves and the rank probes all read it
         return _first_grading_violation(self)
 
 
@@ -354,16 +355,6 @@ def _require_triangular(op: TruncatedOperator, use: str) -> None:
             row=witness[0],
             col=witness[1],
         )
-
-
-def truncated_spectrum(op: TruncatedOperator) -> tuple[float, ...]:
-    """Eigenvalue multiset of the truncation: exactly the sorted diagonal.
-
-    Valid because the matrix is strictly triangular off the diagonal; raises
-    :class:`TriangularityError` (with a witness entry) when it is not.
-    """
-    _require_triangular(op, "reading the spectrum off the diagonal")
-    return tuple(np.sort(op.matrix_diagonal.real, kind="stable").tolist())
 
 
 @dataclass(frozen=True)

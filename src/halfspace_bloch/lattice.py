@@ -8,6 +8,12 @@ constant k-th coefficient p; the component h_k of v_k orthogonal to the
 span of the other generators separates consecutive planes by c(k) = |h_k|,
 which is the constant behind the sum estimate |g_1+...+g_s| >= c(k)*s for
 points g_j in the open half-lattice.
+
+Both come from the dual vectors w_k, the columns of the inverse of the
+generator matrix: v_j . w_k is 1 for j = k and 0 otherwise.  So w_k is
+orthogonal to every other generator, and h_k, the part of v_k in the line
+of w_k, is (v_k . w_k) w_k / |w_k|^2 = w_k / |w_k|^2, of length
+c(k) = 1 / |w_k|.
 """
 
 from __future__ import annotations
@@ -78,10 +84,10 @@ def sign_value(sign: str) -> int:
 class LatticeBasis:
     """Generators v_1..v_d of a d-dimensional lattice, rows of a (d, d) array.
 
-    Immutable after construction.  The inverse coordinates are computed up
-    front; the rest of the derived data (the orthogonal components h_k, the
-    separation constants c(k) and the fundamental-domain diameter) on first
-    use, once per basis.  Construction fails with
+    Immutable after construction.  The inverse coordinates and the norms of
+    the dual vectors, which give the orthogonal components h_k and the
+    separation constants c(k), are computed up front; the fundamental-domain
+    diameter on first use, once per basis.  Construction fails with
     :class:`DegenerateBasisError` when the generators are numerically
     dependent.
     """
@@ -106,20 +112,9 @@ class LatticeBasis:
         object.__setattr__(self, "generators", mat)
         object.__setattr__(self, "dimension", d)
         object.__setattr__(self, "_inverse", np.linalg.inv(mat))
-        # per generator coordinate, the half-width of the box holding a unit ball
+        # |w_k| per generator coordinate: the half-width of the box holding a
+        # unit ball, and 1 / c(k)
         object.__setattr__(self, "_dual_norms", np.sqrt((self._inverse**2).sum(axis=0)))
-
-    @cached_property
-    def _ortho(self) -> np.ndarray:
-        ortho = np.empty_like(self.generators)
-        for k in range(self.dimension):
-            ortho[k] = _orthogonal_component(self.generators, k)
-        ortho.setflags(write=False)
-        return ortho
-
-    @cached_property
-    def _sep(self) -> np.ndarray:
-        return np.sqrt(np.einsum("ij,ij->i", self._ortho, self._ortho))
 
     @cached_property
     def _diameter(self) -> float:
@@ -152,16 +147,18 @@ class LatticeBasis:
     # -- grading geometry ----------------------------------------------
 
     def separation_constant(self, k: int) -> float:
-        """|h_k|: distance between consecutive axis-k lattice planes."""
+        """|h_k| = 1 / |w_k|: distance between consecutive axis-k lattice planes."""
         if not 1 <= k <= self.dimension:
             raise ValueError(f"axis k={k} out of range for dimension {self.dimension}")
-        return float(self._sep[k - 1])
+        return 1.0 / float(self._dual_norms[k - 1])
 
     def orthogonal_component(self, k: int) -> np.ndarray:
-        """h_k, the part of v_k orthogonal to the span of the other generators."""
+        """h_k = w_k / |w_k|^2, the part of v_k orthogonal to the span of the
+        other generators."""
         if not 1 <= k <= self.dimension:
             raise ValueError(f"axis k={k} out of range for dimension {self.dimension}")
-        return self._ortho[k - 1]
+        w = self._inverse[:, k - 1]
+        return w / (w @ w)
 
     def fundamental_diameter(self) -> float:
         """Diameter of the fundamental domain [-1/2, 1/2)^d in generator coords."""
@@ -250,16 +247,6 @@ def squared_norms(v: np.ndarray) -> np.ndarray:
     """
     v = np.ascontiguousarray(v)
     return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
-
-
-def _orthogonal_component(mat: np.ndarray, k: int) -> np.ndarray:
-    """Row k of mat minus its projection onto the span of the other rows."""
-    if mat.shape[0] == 1:
-        return mat[0].copy()
-    others = np.delete(mat, k, axis=0)
-    gram = others @ others.T
-    coeff = np.linalg.solve(gram, others @ mat[k])
-    return mat[k] - coeff @ others
 
 
 def identity_basis(dimension: int, scale: float = 1.0) -> LatticeBasis:

@@ -100,14 +100,6 @@ class FourierPotential:
     def support(self) -> tuple[IndexVector, ...]:
         return tuple(self.coeffs)
 
-    def scaled(self, factor: complex) -> "FourierPotential":
-        return FourierPotential(
-            self.basis,
-            {n: factor * q for n, q in self.coeffs.items()},
-            mode=self.mode,
-            truncation_radius=self.truncation_radius,
-        )
-
     def __len__(self) -> int:
         return len(self.coeffs)
 
@@ -131,33 +123,3 @@ def truncated(
     norms = np.sqrt(squared_norms(basis.to_cartesian(indices))).tolist() if indices else []
     kept = {n: q for (n, q), norm in zip(coeffs.items(), norms) if norm <= radius}
     return FourierPotential(basis, kept, mode=mode, truncation_radius=radius)
-
-
-def evaluate(q: FourierPotential, x: Sequence[float]) -> complex:
-    """Pointwise value sum_g q_g exp(i<g, x>) of the finite Fourier series."""
-    support, _ = coeffset.from_mapping(q.coeffs, q.basis.dimension)
-    return coeffset.fourier_sum(
-        q.basis.to_cartesian(support), q.coeffs.values(), np.asarray(x, dtype=float)
-    )
-
-
-def convolve(
-    a: Mapping[IndexVector, complex], b: Mapping[IndexVector, complex]
-) -> dict[IndexVector, complex]:
-    """Sparse convolution of two coefficient maps; exact zeros are dropped.
-
-    Raises ``ValueError`` when a sum of indices leaves int64.
-    """
-    if not a or not b:
-        return {}
-    dimension = len(next(iter(a)))
-    steps, q = coeffset.from_mapping(a, dimension)
-    rows, values = coeffset.from_mapping(b, dimension)
-    lo, spans, keys, shifts = coeffset.sum_box(steps, 1, base=rows)
-    targets, at, re, im = coeffset.convolve(shifts, q, keys, values)
-    offsets = coeffset.unpack(targets, lo, spans)
-    if len(offsets) < len(targets):
-        raise ValueError("convolution reaches an index beyond int64")
-    return coeffset.to_dict(
-        *coeffset.nonzero(offsets, coeffset.accumulate(at, re, im, targets.size))
-    )

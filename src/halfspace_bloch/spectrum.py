@@ -102,17 +102,11 @@ class EigenGroup:
     def multiplicity(self) -> int:
         return len(self.members)
 
-    def leading_members(self) -> tuple[IndexVector, ...]:
-        return self.planes[0].members
-
-    def member_indices(self) -> tuple[IndexVector, ...]:
-        return tuple(b for b, _ in self.members)
-
 
 def _check_cutoff(basis, gamma, t, cutoff):
     t = np.asarray(t, dtype=float)
     lam = eigenvalue(basis, gamma, t)
-    needed = 2.0 * (math.sqrt(lam) + math.sqrt(lam))
+    needed = 4.0 * math.sqrt(lam)
     if cutoff < needed:
         raise CutoffError(
             f"cutoff {cutoff} too small: collisions with |g+t| = {math.sqrt(lam):.6g} "

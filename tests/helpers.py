@@ -137,6 +137,16 @@ def random_halfspace_potential(
     return hb.FourierPotential(basis, coeffs)
 
 
+def scaled(q, factor: complex):
+    """The potential with every coefficient multiplied by ``factor``."""
+    return hb.FourierPotential(
+        q.basis,
+        {n: factor * v for n, v in q.coeffs.items()},
+        mode=q.mode,
+        truncation_radius=q.truncation_radius,
+    )
+
+
 def random_rational_t(rng, basis, denominator_max: int = 9) -> np.ndarray:
     """Quasimomentum with rational generator coordinates in [-1/2, 1/2)."""
     coords = []
@@ -190,7 +200,7 @@ def nonresonant_instance(rng, basis, max_harmonics: int = 6, min_gap: float = 1.
             continue
         target = min(0.5, 0.5 * gap)
         if q.norm_l1 > target:
-            q = q.scaled(target / q.norm_l1)
+            q = scaled(q, target / q.norm_l1)
         return q, gamma, t
 
 
@@ -421,7 +431,7 @@ def reference_second_plane_solve(basis, q, group, j, criterion_tol=rootfn.CRITER
     member = group.planes[1].members[j]
     delta = lattice.decompose(member, k)[0]
     leading_a = tuple(lattice.decompose(b, k)[0] for b in group.planes[0].members)
-    group_set = set(group.member_indices())
+    group_set = {b for b, _ in group.members}
 
     # potential split as q_{u + m v_k}: plane m -> {u: coefficient}
     q_planes = {}
@@ -519,14 +529,6 @@ def reference_max_discrepancy(a, b, max_plane=None):
         if 0 < p <= limit or key == (0,) * len(key):
             worst = max(worst, abs(a.coeffs.get(key, 0j) - b.coeffs.get(key, 0j)))
     return worst
-
-
-def reference_evaluate(q, x):
-    x = np.asarray(x, dtype=float)
-    total = 0j
-    for n, qv in q.coeffs.items():
-        total += qv * np.exp(1j * float(q.basis.to_cartesian(n) @ x))
-    return total
 
 
 def reference_evaluate_function(basis, psi, x):
@@ -715,6 +717,13 @@ def reference_grading_violation(op):
     if rows.size == 0:
         return None
     return op.index_set[rows[0]], op.index_set[cols[0]]
+
+
+def triangular_spectrum(op):
+    """The eigenvalues of a plane-triangular truncation, its sorted diagonal;
+    asserts first that the matrix is plane-triangular, which makes them so."""
+    assert galerkin.is_plane_triangular(op)
+    return tuple(np.sort(op.matrix_diagonal.real, kind="stable").tolist())
 
 
 def reference_surface_csv(sample):

@@ -1090,6 +1090,33 @@ _T_OVERFLOWS = "config error (t): 't' is too large: |t|^2 overflows"
             2,
             "config error (potential[0]): 'potential[0].re'/'potential[0].im' must be numbers",
         ),
+        # the 1-D criterion's recursion is the one of period 1 at t = 0; on
+        # another generator or t it disagreed with the rank oracle
+        (
+            "multiplicity",
+            {
+                **_ONED,
+                "generators": [[1.0]],
+                "potential": [{"index": [1], "re": "1/2"}, {"index": [2], "re": "-1/16"}],
+                "params": {"mode": "both"},
+            },
+            2,
+            (
+                "config error (generators): the 1-D criterion needs the generator "
+                "2 pi or -2 pi (period 1)"
+            ),
+        ),
+        (
+            "multiplicity",
+            {
+                **_ONED,
+                "t": [0.3],
+                "potential": [{"index": [1], "re": "1/2"}, {"index": [2], "re": "-1/16"}],
+                "params": {"mode": "both"},
+            },
+            2,
+            "config error (t): the 1-D criterion needs t = 0",
+        ),
     ],
     ids=[
         "evaluate-at-non-number",
@@ -1167,6 +1194,8 @@ _T_OVERFLOWS = "config error (t): 't' is too large: |t|^2 overflows"
         "classify-generators-bools",
         "bloch-potential-bool-re",
         "oracle-potential-bool-im",
+        "multiplicity-1d-criterion-generator-not-2pi",
+        "multiplicity-1d-criterion-t-nonzero",
     ],
 )
 def test_contract_exit_codes(tmp_path, capsys, command, config, code, stderr):

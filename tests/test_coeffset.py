@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import halfspace_bloch as hb
-from halfspace_bloch import bloch, coeffset, galerkin, potential
+from halfspace_bloch import bloch, coeffset, galerkin
 from halfspace_bloch.errors import ResonanceError
 
 import helpers
@@ -81,12 +81,7 @@ def test_routes_equal_dict_loops(name):
         psi = bloch.closed_form_coeffs(basis, q, gamma, t, depth)
         assert_same(bloch.residual(basis, q, series), helpers.reference_residual(basis, q, series))
         assert_same(bloch.max_discrepancy(series, psi), helpers.reference_max_discrepancy(series, psi))
-        assert_same(
-            potential.convolve(q.coeffs, series.coeffs),
-            helpers.reference_convolve(q.coeffs, series.coeffs),
-        )
         x = t + 0.37
-        assert_same(potential.evaluate(q, x), helpers.reference_evaluate(q, x))
         for got in (series, psi):
             assert_same(
                 bloch.evaluate_function(basis, got, x),
@@ -171,10 +166,6 @@ def test_wide_offsets_equal_dict_loops():
     for got in (series, psi):
         assert_same(bloch.residual(basis, q, got), helpers.reference_residual(basis, q, got))
     assert_same(bloch.max_discrepancy(series, psi), helpers.reference_max_discrepancy(series, psi))
-    assert_same(
-        potential.convolve(q.coeffs, series.coeffs),
-        helpers.reference_convolve(q.coeffs, series.coeffs),
-    )
 
 
 # -- the closed form as one plan and one evaluation ----------------------------------
@@ -311,6 +302,27 @@ def test_unpack_leaves_out_sums_beyond_int64():
     rows = plan.offsets
     assert rows.dtype == np.int64
     assert rows.tolist() == [[0, 0]] + [[p, b * 2**62] for p in range(1, 7) for b in (0, 1)]
+
+
+def test_convolve_drops_sums_beyond_int64():
+    # (2**62, 0) + (2**62, 1) = (2**63, 1): no int64 holds it, so the sum is
+    # an exact key of the wide box that unpack leaves out
+    for step, row, kept in (
+        ((2**62, 0), (2**62, 1), {}),
+        ((-(2**62), 0), (-(2**62) - 1, 1), {}),
+        # the sums at both ends of int64 stay
+        ((2**62, 0), (2**62 - 1, 1), {(2**63 - 1, 1): 2 + 0j}),
+        ((-(2**62), 0), (-(2**62), 1), {(-(2**63), 1): 2 + 0j}),
+    ):
+        steps, q = coeffset.from_mapping({step: 1.0}, 2)
+        rows, values = coeffset.from_mapping({row: 2.0}, 2)
+        lo, spans, keys, shifts = coeffset.sum_box(steps, 1, base=rows)
+        targets, at, re, im = coeffset.convolve(shifts, q, keys, values)
+        offsets = coeffset.unpack(targets, lo, spans)
+        sums = coeffset.accumulate(at, re, im, targets.size)
+        assert targets.size == 1 and offsets.dtype == np.int64
+        assert offsets.shape == (len(kept), 2)
+        assert_same(coeffset.to_dict(offsets, sums[: len(offsets)]), kept)
 
 
 def assert_same_plan(got, ref):

@@ -81,7 +81,7 @@ def test_triangularity_minus_sign():
     assert q.classification == (2, "-")
     op = galerkin.build(BASIS, q, (0.1, 0.2), 6.0)
     assert galerkin.is_plane_triangular(op)
-    assert galerkin.truncated_spectrum(op) == tuple(
+    assert helpers.triangular_spectrum(op) == tuple(
         sorted(spectrum.eigenvalue(BASIS, n, (0.1, 0.2)) for n in op.index_set)
     )
 
@@ -90,8 +90,11 @@ def test_unclassified_potential_fails_triangularity():
     q = hb.FourierPotential(BASIS, {(1, 0): 1.0, (-1, 0): 1.0})
     op = galerkin.build(BASIS, q, T, 2.0)
     assert not galerkin.is_plane_triangular(op)
-    with pytest.raises(TriangularityError):
-        galerkin.truncated_spectrum(op)
+    lam = float(op.matrix_diagonal[0].real)
+    for probe in (galerkin.geometric_multiplicity, galerkin.jordan_chain_excess):
+        with pytest.raises(TriangularityError) as err:
+            probe(op, lam)
+        assert (err.value.row, err.value.col) == galerkin.triangularity_witness(op)
 
 
 def test_backsolves_require_triangularity():
@@ -152,7 +155,8 @@ def test_triangularity_mask_built_once_and_lazily(monkeypatch, coeffs):
     witness = galerkin.triangularity_witness(op)
     for use in (
         galerkin.is_plane_triangular,
-        galerkin.truncated_spectrum,
+        lambda op: galerkin.geometric_multiplicity(op, float(op.matrix_diagonal[0].real)),
+        lambda op: galerkin.jordan_chain_excess(op, float(op.matrix_diagonal[0].real)),
         lambda op: galerkin.eigenvector_backsolve(op, 0),
         lambda op: galerkin.first_associated_backsolve(op, 0, np.zeros(op.size)),
     ):
@@ -172,7 +176,7 @@ def test_spectrum_identity_exact():
     for _ in range(5):
         q = helpers.random_halfspace_potential(rng, BASIS)
         op = galerkin.build(BASIS, q, T, 5.0)
-        values = galerkin.truncated_spectrum(op)
+        values = helpers.triangular_spectrum(op)
         if free is None:
             free = tuple(
                 sorted(spectrum.eigenvalue(BASIS, n, T) for n in op.index_set)
@@ -185,10 +189,10 @@ def test_spectrum_invariant_under_amplitude():
     # literally unchanged: the diagonal never sees the coupling
     rng = np.random.default_rng(45)
     q = helpers.random_halfspace_potential(rng, BASIS)
-    reference = galerkin.truncated_spectrum(galerkin.build(BASIS, q, T, 4.0))
+    reference = helpers.triangular_spectrum(galerkin.build(BASIS, q, T, 4.0))
     for factor in (1e-6, 1.0, 1e6, -3.5j):
-        scaled = galerkin.build(BASIS, q.scaled(factor), T, 4.0)
-        assert galerkin.truncated_spectrum(scaled) == reference
+        scaled = galerkin.build(BASIS, helpers.scaled(q, factor), T, 4.0)
+        assert helpers.triangular_spectrum(scaled) == reference
 
 
 def test_spectrum_matches_dense_eigensolver():
@@ -196,7 +200,7 @@ def test_spectrum_matches_dense_eigensolver():
     q = helpers.random_halfspace_potential(rng, BASIS, coeff_scale=0.5)
     op = galerkin.build(BASIS, q, T, 4.0)
     numeric = np.sort(np.linalg.eigvals(op.matrix).real)
-    assert np.allclose(numeric, galerkin.truncated_spectrum(op), atol=1e-8)
+    assert np.allclose(numeric, helpers.triangular_spectrum(op), atol=1e-8)
 
 
 def test_backsolve_zero_potential_standard_basis():
@@ -817,7 +821,7 @@ def _dense_reference_cases():
             q = helpers.random_halfspace_potential(rng, basis, k, sign, max_harmonics=5)
             cases.append(pytest.param(basis, q, t, cutoff, id=f"{name}-{k}{sign}"))
             t0 = (0.0,) * basis.dimension
-            cases.append(pytest.param(basis, q.scaled(-2.5j), t0, cutoff, id=f"{name}-{k}{sign}-t0"))
+            cases.append(pytest.param(basis, helpers.scaled(q, -2.5j), t0, cutoff, id=f"{name}-{k}{sign}-t0"))
         zero = (0,) * basis.dimension
         one = tuple(int(i == 0) for i in range(basis.dimension))
         minus = tuple(-x for x in one)

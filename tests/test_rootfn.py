@@ -250,7 +250,7 @@ def test_leading_plane_root_functions_are_eigenfunctions():
     t = (0.5, 0.0)
     q = hb.FourierPotential(BASIS, {(0, 1): 0.3, (1, 1): 0.2})
     group = spectrum.degeneracy_group(BASIS, (0, 0), t, k=2, cutoff=6.0)
-    for b in group.leading_members():
+    for b in group.planes[0].members:
         psi = bloch.bloch_series(BASIS, q, b, t, max_order=12)
         assert bloch.residual(BASIS, q, psi) < 1e-9
 

@@ -96,7 +96,7 @@ def test_group_holds_a_collision_wider_than_1e9():
     t = (5e-8 / 1304, 0.0)
     cutoff = 4.0 * math.sqrt(spectrum.eigenvalue(BASIS, (326, -1), t)) + 1.0
     group = spectrum.degeneracy_group(BASIS, (326, -1), t, k=2, cutoff=cutoff)
-    assert (-326, 1) in group.member_indices()
+    assert (-326, 1) in [b for b, _ in group.members]
 
 
 def test_degeneracy_group_unit_circle():
@@ -111,7 +111,7 @@ def test_degeneracy_group_unit_circle():
     assert group.s == 1
     assert [(p.n, len(p.members)) for p in group.planes] == [(1, 1), (0, 2), (-1, 1)]
     # brute-force collision scan agrees
-    assert sorted(group.member_indices()) == helpers.collision_scan_oracle(
+    assert sorted(b for b, _ in group.members) == helpers.collision_scan_oracle(
         BASIS, (1, 0), (0.0, 0.0)
     )
 
@@ -138,10 +138,10 @@ def test_degeneracy_group_half_half():
     # two of them sit on the top k=1 plane p=0, so s = 2
     group = spectrum.degeneracy_group(BASIS, (0, 0), (0.5, 0.5), k=1, cutoff=6.0)
     assert group.lam == pytest.approx(0.5)
-    assert sorted(group.member_indices()) == helpers.collision_scan_oracle(
+    assert sorted(b for b, _ in group.members) == helpers.collision_scan_oracle(
         BASIS, (0, 0), (0.5, 0.5)
     )
-    assert sorted(group.member_indices()) == [(-1, -1), (-1, 0), (0, -1), (0, 0)]
+    assert sorted(b for b, _ in group.members) == [(-1, -1), (-1, 0), (0, -1), (0, 0)]
     assert group.s == 2
     assert group.planes[0].members == ((0, -1), (0, 0))
 
@@ -163,7 +163,7 @@ def test_group_canonical_under_cutoff_growth():
 def test_axis_choice_changes_planes():
     g1 = spectrum.degeneracy_group(BASIS, (0, 0), (0.5, 0.5), k=1, cutoff=6.0)
     g2 = spectrum.degeneracy_group(BASIS, (0, 0), (0.5, 0.5), k=2, cutoff=6.0)
-    assert set(g1.member_indices()) == set(g2.member_indices())
+    assert {b for b, _ in g1.members} == {b for b, _ in g2.members}
     assert g2.planes[0].members == ((-1, 0), (0, 0))
 
 

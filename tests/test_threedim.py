@@ -31,7 +31,7 @@ def test_triangular_spectrum_identity_3d():
     op = galerkin.build(BASIS3, q, T3, 2.5)
     assert op.size > 50
     assert galerkin.is_plane_triangular(op)
-    assert galerkin.truncated_spectrum(op) == tuple(
+    assert helpers.triangular_spectrum(op) == tuple(
         sorted(spectrum.eigenvalue(BASIS3, n, T3) for n in op.index_set)
     )
 
