@@ -26,8 +26,11 @@ its axes in reverse order (rows out of lex order, or a broadcast error
 where the axes differ in length), the chain constant of the forward
 substitution kept from the row right after the one that fixes it, a
 table's text spliced into the report one level deeper than its marker,
-and the plane geometry read off the dual vector w_k with h_k left as
-w_k instead of w_k / |w_k|^2 and c(k) as |w_k| instead of 1 / |w_k|.
+the plane geometry read off the dual vector w_k with h_k left as
+w_k instead of w_k / |w_k|^2 and c(k) as |w_k| instead of 1 / |w_k|,
+the exact pass dividing by the row before's d and skipping each plane's
+first triple, the CLI's matrix and plan bounds moved by a factor of 100
+up, and the plan bound without its box and without its multiset count.
 Nothing is written in the repository.
 
     python3 scripts/mutants.py
@@ -187,6 +190,32 @@ MUTANTS = (
         "coeffset.py",
         "    np.not_equal(keys[1:], keys[:-1], out=first[1:])",
         "    np.greater_equal(keys[1:], keys[:-1], out=first[1:])",
+    ),
+    (
+        "exact-pass-divides-by-the-row-before",
+        "bloch.py",
+        "                values[row] /= d[row]",
+        "                values[row] /= d[row - 1]",
+    ),
+    (
+        "exact-pass-skips-a-planes-first-triple",
+        "bloch.py",
+        "zip(*(c[plan.cuts[p]:plan.cuts[p + 1]].tolist() for c in columns))",
+        "zip(*(c[plan.cuts[p] + 1:plan.cuts[p + 1]].tolist() for c in columns))",
+    ),
+    ("MATRIX_MAX_CELLS*100", "cli.py", "MATRIX_MAX_CELLS = 1e7", "MATRIX_MAX_CELLS = 1e9"),
+    ("PLAN_MAX_WORK*100", "cli.py", "PLAN_MAX_WORK = 2e5", "PLAN_MAX_WORK = 2e7"),
+    (
+        "plan-bound-without-the-box",
+        "cli.py",
+        "    if depth + 1 + s * min(box, multisets) > PLAN_MAX_WORK:",
+        "    if depth + 1 + s * multisets > PLAN_MAX_WORK:",
+    ),
+    (
+        "plan-bound-without-the-multisets",
+        "cli.py",
+        "    if depth + 1 + s * min(box, multisets) > PLAN_MAX_WORK:",
+        "    if depth + 1 + s * box > PLAN_MAX_WORK:",
     ),
 )
 

@@ -33,7 +33,6 @@ from .rootfn import (
     RootForm,
     RootFunctionReport,
     classify_eigenfunction_form,
-    oned_coefficient,
     oned_double_criterion,
     second_plane_solve,
 )

@@ -45,6 +45,8 @@ imaginary parts held in separate arrays; last it reads which numerators
 are kept and runs one guard over all planes, every reachable offset
 reached through a kept coefficient, in row order (see :func:`_evaluate`).
 A numerator that is exactly 0 is dropped and feeds nothing after it.
+:func:`_evaluate_exact` runs the same triples in the same order over Python
+numbers, so that rational input gives exact values.
 """
 
 from __future__ import annotations
@@ -259,6 +261,33 @@ def _evaluate(plan: coeffset.Plan, qvals: np.ndarray, d: np.ndarray, lam: float)
         "d(gamma, delta) vanished at delta={}: {!r}",
     )
     return coeffset.join(value_re, value_im), kept
+
+
+def _evaluate_exact(plan: coeffset.Plan, qvals: Sequence, d: Sequence) -> list:
+    """:func:`_evaluate`'s values over Python numbers (Fraction, int or
+    complex), ``qvals`` one per step and ``d`` one per offset.
+
+    The triples are summed in plan order onto 0 and each row past the
+    origin's 1 is its numerator over its own d; a numerator that is exactly
+    0 stays 0.  The first reached row, in row order, whose d is exactly 0
+    raises :class:`ResonanceError`.
+    """
+    values = [1] + [0] * (len(plan.offsets) - 1)
+    reached = [False] * len(values)
+    columns = (plan.targets, plan.harmonics, plan.predecessors)
+    for p in range(1, len(plan.bounds) - 1):
+        for row, h, before in zip(*(c[plan.cuts[p]:plan.cuts[p + 1]].tolist() for c in columns)):
+            if values[before] != 0:
+                reached[row] = True
+                values[row] += qvals[h] * values[before]
+        for row in range(plan.bounds[p], plan.bounds[p + 1]):
+            if reached[row] and d[row] == 0:
+                index = tuple(plan.offsets[row].tolist())
+                message = f"d(gamma, delta) vanished at delta={index}: {d[row]!r}"
+                raise ResonanceError(message, index=index, value=d[row])
+            if values[row] != 0:
+                values[row] /= d[row]
+    return values
 
 
 def closed_form_coeffs(

@@ -50,15 +50,25 @@ INDEX_MIN, INDEX_MAX = -(2**63), 2**63 - 1
 #: ``_check_fermi_work``); the benchmark's fermi instances stay below 1e5
 FERMI_MAX_WORK = 1e8
 
-#: largest ``n`` of the 1-D criterion, whose recursion takes O(n^2) steps: at
-#: n = 1000 it runs in about 0.1 s on float harmonics and 1.2 s on two rational
-#: ones; the benchmark's instances use n <= 2
+#: largest ``n`` of the 1-D criterion, whose plan has 2n planes: at n = 1000
+#: it runs in about 0.02 s on float harmonics and 1 s on two rational ones,
+#: plan build included; the benchmark's instances use n <= 2
 ONED_MAX_N = 1000
 
 #: largest n^2 * h, h the nonzero harmonics on 1..2n, of the pi-exact 1-D
 #: criterion, whose time tracks it: 1 s at n = 1000 with two rational
-#: harmonics, 2.6 s at n = 707 with four, 37 s at n = 300 with 600
+#: harmonics, 2 s at n = 707 with four, 19 s at n = 300 with 600
 ONED_MAX_WORK = 2e6
+
+#: largest closed-form plan accepted, in planes plus triples (see
+#: ``_check_plan_work``): a plane costs about 10 us of walk and a triple well
+#: under 1 us, and 2e5 empty planes took 2.2 s and a 108 MB peak; the
+#: benchmark's coeffs instances stay below 1.6e4
+PLAN_MAX_WORK = 2e5
+
+#: largest matrix ``oracle --format csv`` writes, in cells N^2: 9.9e6 cells
+#: took 3.1 s and a 280 MB peak; the digests' csv instances stay below 1.4e4
+MATRIX_MAX_CELLS = 1e7
 
 _GUARD_ERRORS = (
     CutoffError, DegenerateBasisError, MalformedCoefficientsError, NoEigenvectorError,
@@ -276,6 +286,36 @@ def _check_index_reach(q: potential.FourierPotential, gamma, steps: int) -> None
         )
 
 
+def _check_plan_work(q: potential.FourierPotential, depth: int) -> None:
+    """:class:`ConfigError` when the closed form's plan to plane ``depth`` may
+    exceed ``PLAN_MAX_WORK`` planes and triples.
+
+    The plan walks depth + 1 planes.  Each harmonic rises at least one
+    plane, so its offsets are sums of at most ``depth`` of the s harmonics:
+    at most the points of their ``coeffset.sum_box`` and at most the
+    C(depth + s, s) multisets of them, and each offset is the target of at
+    most s triples.  Computed from the parameters alone, before any array
+    is built.
+    """
+    s = len(q)
+    k = min(s, depth)
+    # C(depth + s, k) as a running product of binomials, each at least twice
+    # the one before, stopped once it passes the bound
+    multisets = 1
+    for i in range(1, k + 1):
+        if multisets > PLAN_MAX_WORK:
+            break
+        multisets = multisets * (depth + s - k + i) // i
+    support, _ = coeffset.from_mapping(q.coeffs, q.basis.dimension)
+    box = math.prod(coeffset.sum_box(support, depth)[1])
+    if depth + 1 + s * min(box, multisets) > PLAN_MAX_WORK:
+        raise ConfigError(
+            f"'params.depth' {depth} over {s} harmonics may give the closed form a plan of "
+            f"more than {PLAN_MAX_WORK:.3g} planes and triples",
+            field="params.depth",
+        )
+
+
 # -- commands ------------------------------------------------------------------
 
 
@@ -312,6 +352,8 @@ def cmd_bloch(doc: dict) -> tuple[dict, int]:
     tail_tol = _param(params, "tail_tol", bloch.DEFAULT_TAIL_TOL, minimum=0.0)
     x = _param(params, "evaluate_at", None, float, basis.dimension)
     _check_index_reach(pot.q, gamma, steps)
+    if method != "series":
+        _check_plan_work(pot.q, depth)
 
     report: dict[str, Any] = {
         "command": "bloch",
@@ -353,6 +395,12 @@ def cmd_oracle(doc: dict, want_matrix: bool = False):
 
     op = galerkin.build(basis, pot.q, t, cutoff)
     if want_matrix:
+        if op.size**2 > MATRIX_MAX_CELLS:
+            raise ConfigError(
+                f"'params.cutoff' {cutoff:.6g} gives a matrix of {op.size**2:.3g} cells, "
+                f"more than the {MATRIX_MAX_CELLS:.3g} that --format csv writes",
+                field="params.cutoff",
+            )
         return galerkin.matrix_csv(op), EXIT_OK
 
     report: dict[str, Any] = {

@@ -11,14 +11,14 @@ the planes up to the leading plane, and one evaluation of it with
 d = lam - |member + delta + t|^2, in which the leading members' rows divide
 by 1, so that their values are the criterion's numerators.
 
-The one-dimensional periodic problem (period 1, potential supported on
-positive harmonics) admits the fully explicit version: coefficients c_p of
-the candidate eigenfunction with leading term exp(-i 2 pi n x) follow a
-rational recursion, and the double eigenvalue criterion is
-q_{2n} + sum_p q_{2n-p} c_p = 0.  Coefficients here are handled in units of
-pi^2, which removes pi from the algebra entirely: rational inputs
-(fractions.Fraction) then cancel exactly, so the criterion really is zero
-when it should be.
+The one-dimensional periodic problem (period 1, potential on positive
+harmonics, in units of pi^2) is the same recursion on 2 pi Z: the
+candidate eigenfunction with leading term exp(-i 2 pi n x) is the root
+function of member -n of the group {-n, n}, and the double eigenvalue
+criterion q_{2n} + sum_p q_{2n-p} c_p = 0 is its second-plane criterion.
+Every d is then the integer 4 p (2n - p), so rational inputs
+(fractions.Fraction) cancel exactly in :func:`bloch._evaluate_exact`, and
+the criterion really is zero when it should be.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import bloch
+from . import bloch, coeffset
 from .errors import MalformedCoefficientsError
 from .lattice import IndexVector, LatticeBasis
 from .potential import FourierPotential
@@ -160,28 +160,6 @@ def second_plane_solve(
 
 
 # -- one-dimensional explicit case -------------------------------------------
-#
-# Coefficients q are given in units of pi^2 ("reduced"): the physical
-# coefficient of exp(i 2 pi m x) is q[m] * pi^2.  In these units the
-# recursion below involves only rational operations, so Fraction inputs stay
-# exact.
-
-
-def oned_coefficient(n: int, q: Mapping[int, complex], p: int):
-    """Coefficient c_p of the candidate eigenfunction with leading term -n.
-
-    Satisfies 4 p (2n - p) c_p = q_p + sum_{j<p} q_j c_{p-j} in reduced
-    units, for 1 <= p <= 2n-1 where the left factor is nonzero.  ``q`` maps
-    positive harmonics to reduced coefficients; entries at nonpositive
-    indices must be absent or zero.
-    """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    if not 1 <= p <= 2 * n - 1:
-        raise ValueError(f"p must lie in 1..{2 * n - 1}, got {p}")
-    _check_oned_support(q)
-    c = _oned_coefficients(n, q, p)
-    return c[p]
 
 
 def _check_oned_support(q: Mapping[int, complex]) -> None:
@@ -193,35 +171,28 @@ def _check_oned_support(q: Mapping[int, complex]) -> None:
             )
 
 
-def _oned_coefficients(n: int, q: Mapping[int, complex], up_to: int) -> dict:
-    c: dict[int, object] = {0: 1}
-    for p in range(1, up_to + 1):
-        total = q.get(p, 0)
-        for j in range(1, p):
-            qj = q.get(j, 0)
-            if qj != 0 and c[p - j] != 0:
-                total = total + qj * c[p - j]
-        c[p] = total / (4 * p * (2 * n - p)) if total != 0 else total * 0
-    return c
-
-
 def oned_double_criterion(n: int, q: Mapping[int, complex]):
     """Reduced obstruction q_{2n} + sum_{p=1}^{2n-1} q_{2n-p} c_p.
 
     Zero exactly when the eigenvalue (2 pi n)^2 of the periodic problem has
     geometric multiplicity two; only harmonics q_1 .. q_{2n} participate.
-    The physical criterion is this value times pi^2.
+    The physical criterion is this value times pi^2.  It is the value on
+    the leading plane 2n of the plan of the nonzero harmonics (step (m,)
+    rises m planes), with d = 4 p (2n - p) on plane p and 1 on plane 2n,
+    through :func:`bloch._evaluate_exact`.  Where plane 2n is not reached,
+    q_{2n} is zero or absent, and is returned as given (0 if absent).
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     _check_oned_support(q)
-    c = _oned_coefficients(n, q, 2 * n - 1)
-    total = q.get(2 * n, 0)
-    for p in range(1, 2 * n):
-        qv = q.get(2 * n - p, 0)
-        if qv != 0 and c[p] != 0:
-            total = total + qv * c[p]
-    return total
+    harmonics = [m for m in sorted(q) if 0 < m <= 2 * n and q[m] != 0]
+    if not harmonics:
+        return q.get(2 * n, 0)
+    plan = coeffset.plan(tuple((m,) for m in harmonics), tuple(harmonics), 2 * n)
+    d = [4 * p * (2 * n - p) or 1 for p in plan.offsets[:, 0].tolist()]
+    values = bloch._evaluate_exact(plan, [q[m] for m in harmonics], d)
+    # the rows run plane by plane, and plane 2n holds (2n,) alone
+    return values[-1] if plan.offsets[-1, 0] == 2 * n else q.get(2 * n, 0)
 
 
 class RootForm(enum.Enum):

@@ -399,3 +399,32 @@ def test_pt_symmetric_potentials_give_real_coefficients():
             assert np.all(psi.values.imag == 0)
         sizes.append(min(len(psi.values) for psi in results))
     assert sum(size > 1 for size in sizes) >= 30
+
+
+@pytest.mark.parametrize(
+    "generators",
+    ([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.4, 1.3]], np.eye(3).tolist()),
+    ids=("identity", "skewed", "3d"),
+)
+def test_exact_pass_on_floats_equals_the_evaluation(generators):
+    # on Python floats the exact pass makes _evaluate's products and sums in
+    # _evaluate's order, so the values are equal; signed zeros aside, bit-equal
+    rng = np.random.default_rng(4243)
+    basis = hb.LatticeBasis(np.array(generators))
+    dim = basis.dimension
+    checked = 0
+    for _ in range(12):
+        q = helpers.random_halfspace_potential(rng, basis, max_harmonics=5, max_p=2, max_a=1)
+        gamma = tuple(int(x) for x in rng.integers(-2, 3, dim))
+        t = rng.uniform(-0.5, 0.5, dim)
+        lam = spectrum.eigenvalue(basis, gamma, t)
+        plan = q.plan(5)
+        d = lam - spectrum.eigenvalues(basis, plan.offsets + gamma, t)
+        qvals = np.array(list(q.coeffs.values()), dtype=complex)
+        try:
+            values, _ = bloch._evaluate(plan, qvals, d, lam)
+        except ResonanceError:
+            continue
+        assert bloch._evaluate_exact(plan, qvals.tolist(), d.tolist()) == values.tolist()
+        checked += 1
+    assert checked >= 10

@@ -505,6 +505,8 @@ _HUGE_INDEX = [*_POT, {"index": [10**30, 1], "re": 0.1}]
 _NEAR_INT64_END = [*_POT, {"index": [1, 2**62], "re": 0.1}]
 _INT64_MAX_INDEX = [*_POT, {"index": [1, 2**63 - 1], "re": 0.1}]
 _ONED = {"dimension": 1, "generators": [[2 * math.pi]]}
+# three harmonics of rise 1, whose plan to depth P holds (P + 1)^2 offsets
+_FAN = [{"index": [1, a], "re": 0.1} for a in (-1, 0, 1)]
 _SECOND_PLANE = {"mode": "2d-second-plane", "k": 1, "member": [0, 1], "cutoff": 6.0}
 _T_OVERFLOWS = "config error (t): 't' is too large: |t|^2 overflows"
 
@@ -1117,6 +1119,57 @@ _T_OVERFLOWS = "config error (t): 't' is too large: |t|^2 overflows"
             2,
             "config error (t): the 1-D criterion needs t = 0",
         ),
+        # the dense dump of a 502625-point ball would need 3.68 TiB
+        (
+            "oracle --format csv",
+            {**IDENTITY_2D, "potential": _POT, "t": [0.1, 0.2], "params": {"cutoff": 400}},
+            2,
+            (
+                "config error (params.cutoff): 'params.cutoff' 400 gives a matrix of 2.53e+11 "
+                "cells, more than the 1e+07 that --format csv writes"
+            ),
+        ),
+        (
+            "oracle --format csv",
+            {**IDENTITY_2D, "potential": _POT, "t": [0.1, 0.2], "params": {"cutoff": 32}},
+            2,
+            (
+                "config error (params.cutoff): 'params.cutoff' 32 gives a matrix of 1.03e+07 "
+                "cells, more than the 1e+07 that --format csv writes"
+            ),
+        ),
+        # the plan of depth 100000 over these harmonics holds about 1e10 offsets
+        (
+            "bloch",
+            {**IDENTITY_2D, "potential": _FAN, "params": {"method": "closed-form", "depth": 100000}},
+            2,
+            (
+                "config error (params.depth): 'params.depth' 100000 over 3 harmonics may give "
+                "the closed form a plan of more than 2e+05 planes and triples"
+            ),
+        ),
+        # at depth 300 the bound is 301 planes and 3 triples per point of the
+        # box's 301 x 601
+        (
+            "bloch",
+            {**IDENTITY_2D, "potential": _FAN, "params": {"order": 2, "depth": 300}},
+            2,
+            (
+                "config error (params.depth): 'params.depth' 300 over 3 harmonics may give "
+                "the closed form a plan of more than 2e+05 planes and triples"
+            ),
+        ),
+        # the zero potential's plan holds the origin alone, but its walk
+        # still visits every plane
+        (
+            "bloch",
+            {**IDENTITY_2D, "t": [0.3, 0.1], "params": {"method": "closed-form", "depth": 10**9}},
+            2,
+            (
+                "config error (params.depth): 'params.depth' 1000000000 over 0 harmonics may "
+                "give the closed form a plan of more than 2e+05 planes and triples"
+            ),
+        ),
     ],
     ids=[
         "evaluate-at-non-number",
@@ -1196,20 +1249,26 @@ _T_OVERFLOWS = "config error (t): 't' is too large: |t|^2 overflows"
         "oracle-potential-bool-im",
         "multiplicity-1d-criterion-generator-not-2pi",
         "multiplicity-1d-criterion-t-nonzero",
+        "oracle-csv-matrix-above-bound",
+        "oracle-csv-matrix-just-above-bound",
+        "bloch-depth-plan-above-bound",
+        "bloch-both-depth-plan-above-bound",
+        "bloch-zero-potential-depth-above-plan-bound",
     ],
 )
 def test_contract_exit_codes(tmp_path, capsys, command, config, code, stderr):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
-    assert cli.main([command, "--config", str(path)]) == code
+    # a command may carry its options, as "oracle --format csv"
+    assert cli.main([*command.split(), "--config", str(path)]) == code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == stderr + "\n"
 
 
 def test_pi_exact_criterion_work_is_bounded(tmp_path, capsys):
-    # 600 rational harmonics at n = 300 ran the Fraction recursion for 37 s;
-    # the work bound turns them away before its first step
+    # 600 rational harmonics at n = 300 run the exact pass for about 19 s;
+    # the work bound turns them away before its plan is built
     path = tmp_path / "config.json"
     potential = [{"index": [m], "re": "3/10"} for m in range(1, 601)]
     config = {**_ONED, "potential": potential, "params": {"mode": "1d-criterion", "n": 300}}
@@ -1297,6 +1356,23 @@ def test_bloch_with_a_2_40_harmonic_is_exact(tmp_path, capsys):
     assert entries("series") == series
     assert entries("closed_form") == closed
     assert any(n[1] == 6 * 2**40 for n in closed)
+
+
+@pytest.mark.parametrize("potential, depth", [
+    # 11 harmonics: C(31, 11) = 8.5e7 multisets, but the box holds 21 x 201 points
+    ([{"index": [1, a], "re": 0.01} for a in range(-5, 6)], 20),
+    # a box of 2 x (2^62 + 1) points, but C(3, 2) = 3 multisets
+    (_NEAR_INT64_END, 1),
+])
+def test_plan_bound_admits_dense_and_wide_sparse_supports(tmp_path, capsys, potential, depth):
+    # the plan bound is the smaller of the box and the multiset count
+    config = {
+        **IDENTITY_2D, "potential": potential, "t": [0.31, 0.17],
+        "params": {"method": "closed-form", "depth": depth},
+    }
+    code, report = run_json(tmp_path, capsys, config, "bloch")
+    assert code == 0
+    assert report["closed_form"]["order"] == depth
 
 
 def test_null_numeric_param_means_default(tmp_path, capsys):

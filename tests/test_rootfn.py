@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import halfspace_bloch as hb
-from halfspace_bloch import bloch, galerkin, rootfn, spectrum
+from halfspace_bloch import bloch, cli, coeffset, galerkin, rootfn, spectrum
 from halfspace_bloch.errors import MalformedCoefficientsError, ResonanceError
 
 import helpers
@@ -143,13 +144,26 @@ def test_second_plane_requires_matching_classification():
         rootfn.second_plane_solve(BASIS, q, group, 0)
 
 
+def oned_plan_coefficients(n, u):
+    """p -> c_p of member -n: the exact values of the plan of the nonzero
+    harmonics 1..2n, with d = 4 p (2n - p) and 1 on plane 2n, as
+    ``rootfn.oned_double_criterion`` evaluates it."""
+    harmonics = [m for m in sorted(u) if 0 < m <= 2 * n and u[m] != 0]
+    if not harmonics:
+        return {0: 1}
+    plan = coeffset.plan(tuple((m,) for m in harmonics), tuple(harmonics), 2 * n)
+    planes = plan.offsets[:, 0].tolist()
+    d = [4 * p * (2 * n - p) or 1 for p in planes]
+    return dict(zip(planes, bloch._evaluate_exact(plan, [u[m] for m in harmonics], d)))
+
+
 def test_oned_coefficient_examples():
-    assert rootfn.oned_coefficient(1, {}, 1) == 0
+    assert oned_plan_coefficients(1, {}).get(1, 0) == 0
     a = 0.37 + 0.11j
     # reduced units: q_1 = A means u_1 = A / pi^2; c_1 = u_1 / 4 = A / (4 pi^2)
     u = a / math.pi**2
-    assert rootfn.oned_coefficient(1, {1: u}, 1) == pytest.approx(a / (4 * math.pi**2))
-    assert rootfn.oned_coefficient(2, {1: u}, 1) == pytest.approx(a / (12 * math.pi**2))
+    assert oned_plan_coefficients(1, {1: u})[1] == pytest.approx(a / (4 * math.pi**2))
+    assert oned_plan_coefficients(2, {1: u})[1] == pytest.approx(a / (12 * math.pi**2))
 
 
 def test_oned_coefficient_matches_chain_oracle():
@@ -160,15 +174,26 @@ def test_oned_coefficient_matches_chain_oracle():
                 m: helpers.ONED_DRAWS[int(rng.integers(0, len(helpers.ONED_DRAWS)))]
                 for m in range(1, 2 * n + 1)
             }
+            c = oned_plan_coefficients(n, u)
             for p in range(1, 2 * n):
-                mine = complex(rootfn.oned_coefficient(n, u, p))
+                mine = complex(c.get(p, 0))
                 oracle = complex(helpers.oned_chain_oracle(n, u, p))
                 assert mine == pytest.approx(oracle, abs=1e-12)
+            # the criterion is the plan's value on the leading plane 2n
+            assert rootfn.oned_double_criterion(n, u) == c.get(2 * n, 0)
 
 
 def test_oned_criterion_free_operator():
     assert rootfn.oned_double_criterion(1, {}) == 0
     assert rootfn.oned_double_criterion(2, {}) == 0
+
+
+@pytest.mark.parametrize("zero", [Fraction(0), 0.0])
+def test_oned_criterion_keeps_the_input_type(zero):
+    # reached or not, plane 2n's value has the type of the harmonics
+    one = zero + 1
+    for q in ({1: one, 2: zero}, {2: zero, 3: one}, {1: one, 2: one}):
+        assert type(rootfn.oned_double_criterion(1, q)) is type(zero)
 
 
 def test_oned_criterion_single_harmonic():
@@ -187,7 +212,7 @@ def test_oned_criterion_support_guard():
     with pytest.raises(ValueError):
         rootfn.oned_double_criterion(1, {0: 1.0, 1: 1.0})
     with pytest.raises(ValueError):
-        rootfn.oned_coefficient(1, {-2: 1.0}, 1)
+        rootfn.oned_double_criterion(1, {-2: 1.0})
 
 
 def test_oned_criterion_oracle_equivalence_random():
@@ -205,6 +230,82 @@ def test_oned_criterion_oracle_equivalence_random():
         else:
             assert abs(complex(crit)) >= 1e-3
             assert mult == 1
+
+
+#: the 2 pi identity basis: |g|^2 is 4 pi^2 |n|^2, an integer in units of pi^2
+TWO_PI = hb.LatticeBasis(2 * math.pi * np.eye(2))
+
+
+def exact_second_plane_criteria(reduced, member):
+    """The second-plane criteria of ``member`` of its t = 0 group on TWO_PI,
+    one per leading member, evaluated exactly in units of pi^2: the plan of
+    ``reduced`` (harmonic -> Fraction) with d = 4 (|member|^2 - |member + delta|^2)
+    and 1 on the leading members; 0 where a leading member is not reached."""
+    q = hb.FourierPotential(TWO_PI, {g: float(v) * math.pi**2 for g, v in reduced.items()})
+    group = spectrum.degeneracy_group(TWO_PI, member, T0, k=1, cutoff=50.0)
+    leads = [list(m) for m in group.planes[0].members]
+    plan = q.plan(group.planes[0].n - group.planes[1].n)
+    points = (plan.offsets + member).tolist()
+    lam = 4 * sum(x * x for x in member)
+    d = [1 if pt in leads else lam - 4 * sum(x * x for x in pt) for pt in points]
+    values = bloch._evaluate_exact(plan, [reduced[g] for g in q.coeffs], d)
+    return [values[points.index(m)] if m in points else 0 for m in leads]
+
+
+def second_plane_cli(tmp_path, capsys, reduced, member):
+    """The CLI's 2d-second-plane report on TWO_PI at t = 0, the potential
+    given as pi-exact rational strings."""
+    config = {
+        "dimension": 2,
+        "generators": TWO_PI.generators.tolist(),
+        "potential": [{"index": list(g), "re": str(v)} for g, v in reduced.items()],
+        "params": {"mode": "2d-second-plane", "member": list(member)},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main(["multiplicity", "--config", str(path)]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("s", [1, -1])
+def test_tuned_two_dimensional_criterion_is_exactly_zero(tmp_path, capsys, s):
+    # the lam = 2 group at t = 0 has the leading members (1, +-1) on plane 1
+    # and (-1, +-1) on plane -1; member (-1, s) reaches (1, +-1) directly by
+    # the plane-2 jumps (2, +-1 - s), whose values enter each criterion once
+    # with coefficient 1, so one exact evaluation tunes both to 0
+    member = (-1, s)
+    leads = spectrum.degeneracy_group(TWO_PI, member, T0, k=1, cutoff=50.0).planes[0].members
+    jumps = [(lead[0] + 1, lead[1] - s) for lead in leads]
+    assert sorted(jumps) == [(2, -1 - s), (2, 1 - s)]
+    reduced = {(1, 0): Fraction(3, 10), (1, 1): Fraction(-1, 5), (1, -1): Fraction(1, 2),
+               (1, 2): Fraction(1, 4), jumps[0]: Fraction(1), jumps[1]: Fraction(1)}
+    for jump, value in zip(jumps, exact_second_plane_criteria(reduced, member)):
+        reduced[jump] -= value
+    assert all(reduced[jump] != 0 for jump in jumps)
+    assert exact_second_plane_criteria(reduced, member) == [0, 0]
+    report = second_plane_cli(tmp_path, capsys, reduced, member)
+    assert report["jordan_excess"] == 0
+    assert report["report"]["classification"] == "eigenfunction"
+    assert report["verdict"] == "consistent"
+
+    # one rational nudge: an exactly nonzero criterion and a Jordan chain
+    reduced[(1, 0)] += Fraction(1, 7)
+    exact = exact_second_plane_criteria(reduced, member)
+    assert any(value != 0 for value in exact)
+    report = second_plane_cli(tmp_path, capsys, reduced, member)
+    assert report["jordan_excess"] == 1
+    assert report["report"]["classification"] == "associated"
+    # the float route's criteria are the exact ones times pi^2, to roundoff
+    floats = [complex(c["re"], c["im"]) for c in report["report"]["criterion_values"]]
+    assert floats == pytest.approx([float(v) * math.pi**2 for v in exact], rel=1e-12, abs=1e-12)
+
+
+def test_exact_pass_raises_at_a_reached_zero_denominator():
+    # the 1-D plan of n = 1 with plane 2's d left at 4 p (2n - p) = 0
+    plan = coeffset.plan(((1,),), (1,), 2)
+    with pytest.raises(ResonanceError) as err:
+        bloch._evaluate_exact(plan, [Fraction(1, 2)], [1, 4, 0])
+    assert err.value.index == (2,) and err.value.value == 0
 
 
 def test_classify_forms_free_waves():
