@@ -21,7 +21,8 @@ the plane-major ones, its one-index key packed with the axes reversed
 and its batch lookup with an exclusive upper bound, the second-plane
 solve's leading members sought one plane below the top plane, the
 Fermi sampler's minimizer ball without its rounding
-margin and without its half diameter, the lattice grid filled with
+margin and without its half diameter, the degeneracy group's ball with
+half the diameter instead of the whole, the lattice grid filled with
 its axes in reverse order (rows out of lex order, or a broadcast error
 where the axes differ in length), the chain constant of the forward
 substitution kept from the row right after the one that fixes it, a
@@ -31,7 +32,10 @@ w_k instead of w_k / |w_k|^2 and c(k) as |w_k| instead of 1 / |w_k|,
 the exact pass dividing by the row before's d and skipping each plane's
 first triple, the CLI's matrix and plan bounds moved by a factor of 100
 up, and the plan bound without its box and without its multiset count.
-Nothing is written in the repository.
+The degeneracy group's rounding margin has no mutant: its ball reaches
+r = sqrt(lam + tol(lam)), and that collision width outweighs the margin, so
+no group changes without it (none of 12289 1-D groups at t = a/2, with
+the period a from 1e-5 to 1e150).  Nothing is written in the repository.
 
     python3 scripts/mutants.py
 """
@@ -146,7 +150,7 @@ MUTANTS = (
     (
         "minimizer-ball-without-margin",
         "isoenergetic.py",
-        "    eps = 64 * basis.dimension * basis.cancellation * _UNIT_ROUNDOFF * scale",
+        "    eps = basis.rounding_margin(rho + diameter + spread + math.sqrt(float(t0 @ t0)))",
         "    eps = 0.0",
     ),
     (
@@ -154,6 +158,12 @@ MUTANTS = (
         "isoenergetic.py",
         "    candidates = basis.enumerate_ball(-t0, rho + diameter / 2 + spread + eps)",
         "    candidates = basis.enumerate_ball(-t0, rho + spread + eps)",
+    ),
+    (
+        "group-ball-half-diameter",
+        "spectrum.py",
+        "    return reach + diameter + basis.rounding_margin(reach + diameter + math.sqrt(float(t @ t)))",
+        "    return reach + diameter / 2 + basis.rounding_margin(reach + diameter + math.sqrt(float(t @ t)))",
     ),
     (
         "grid-axes-reversed",

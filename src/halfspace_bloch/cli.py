@@ -34,7 +34,7 @@ from .errors import (
     ConfigError, CutoffError, DegenerateBasisError, MalformedCoefficientsError,
     NoEigenvectorError, ResonanceError, TriangularityError,
 )
-from .lattice import LatticeBasis, in_halfspace
+from .lattice import LatticeBasis, in_halfspace, squared_norms
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -151,18 +151,34 @@ def _param(params: dict, key: str, default, kind=float, dim=None, minimum=None, 
 
 
 def _ball(params: dict, basis: LatticeBasis, key: str, default: float) -> float:
-    """The ball radius ``params[key]``, a nonnegative float, or :class:`ConfigError`
-    when its integer box (``LatticeBasis.box_size``, from the radius alone,
-    before any array is built) holds more than ``coeffset.BALL_MAX_BOX`` points."""
+    """The ball radius ``params[key]``, a nonnegative float whose box passes
+    :func:`_check_box`."""
     radius = _param(params, key, default, minimum=0.0)
+    _check_box(basis, radius, f"params.{key}", f"{radius:.6g}")
+    return radius
+
+
+def _check_box(basis: LatticeBasis, radius: float, field: str, shown) -> None:
+    """:class:`ConfigError` on ``field``, whose value reads ``shown``, when the
+    integer box of the ball of this radius (``LatticeBasis.box_size``, from the
+    radius alone, before any array is built) holds more than
+    ``coeffset.BALL_MAX_BOX`` points."""
     box = basis.box_size(radius)
     if not box <= coeffset.BALL_MAX_BOX:
         raise ConfigError(
-            f"'params.{key}' {radius:.6g} gives a ball whose integer box holds {box:.3g} "
+            f"'{field}' {shown} gives a ball whose integer box holds {box:.3g} "
             f"points, more than {coeffset.BALL_MAX_BOX:.3g}",
-            field=f"params.{key}",
+            field=field,
         )
-    return radius
+
+
+def _row(op: galerkin.TruncatedOperator, index, cutoff: float, shown: str) -> int:
+    """``op.position(index)``, or :class:`CutoffError` naming ``shown`` when the
+    cutoff ball misses the index."""
+    try:
+        return op.position(index)
+    except KeyError:
+        raise CutoffError(f"cutoff {cutoff} ball does not contain {shown}") from None
 
 
 def parse_basis(doc: dict) -> LatticeBasis:
@@ -178,7 +194,20 @@ def parse_basis(doc: dict) -> LatticeBasis:
         message = f"'generators' must list {dim} vectors, got {len(gens)}"
         raise ConfigError(message, field="generators")
     rows = [_value(row, f"generators[{i}]", float, dim) for i, row in enumerate(gens)]
-    return LatticeBasis(np.array(rows))
+    # the lattice layer squares the generators, the dual vectors (the columns
+    # of the inverse, read off the basis as the coordinates of the unit
+    # vectors) and the fundamental-domain diameter, which is at most the
+    # generators' summed length; one of them beyond the float range would
+    # surface as a warning or a crash
+    with np.errstate(all="ignore"):
+        basis = LatticeBasis(np.array(rows))
+        duals = basis.generator_coordinates(np.eye(dim)).T
+        squares = squared_norms(np.concatenate([basis.generators, duals])).tolist()
+    summed = sum(map(math.sqrt, squares[:dim]))
+    if not all(sys.float_info.min <= x <= sys.float_info.max for x in [*squares, summed * summed]):
+        message = "'generators' give a squared length outside the float range"
+        raise ConfigError(message, field="generators")
+    return basis
 
 
 def _parse_exact(value, field: str) -> Fraction:
@@ -382,7 +411,7 @@ def cmd_bloch(doc: dict) -> tuple[dict, int]:
             chosen = series if series is not None else closed
             value = bloch.evaluate_function(basis, chosen, x)
             report["value_at"] = {"x": x, "re": value.real, "im": value.imag}
-    return report, code
+    return report, code if x is None or np.isfinite(value) else EXIT_NONCONVERGENCE
 
 
 def cmd_oracle(doc: dict, want_matrix: bool = False):
@@ -426,10 +455,7 @@ def cmd_oracle(doc: dict, want_matrix: bool = False):
     # by entry are equal as sorted multisets: this is the multiset check's value
     report["spectrum_match"] = bool((op.matrix_diagonal.real == op.diagonal).all())
 
-    try:
-        base = op.position(gamma)
-    except KeyError:
-        raise CutoffError(f"cutoff {cutoff} ball does not contain gamma={gamma}") from None
+    base = _row(op, gamma, cutoff, f"gamma={gamma}")
     # the cone and the closed form read one plan; the closed form runs
     # before the backsolve, so that a resonance surfaces first
     cone = galerkin.interior_cone(op, gamma)
@@ -445,8 +471,8 @@ def cmd_oracle(doc: dict, want_matrix: bool = False):
         expected[found[found >= 0]] = closed.values[found >= 0]
         diff = vec.vector[rows] - expected[rows]
         moduli = coeffset.moduli(diff)
-    worst = math.nan if np.isnan(moduli).any() else float(moduli.max(initial=0.0))
-    report["eigenvector_agreement"] = worst
+    # the largest modulus, or NaN when one is NaN
+    report["eigenvector_agreement"] = worst = float(moduli.max(initial=0.0))
     return report, EXIT_OK if math.isfinite(worst) else EXIT_NONCONVERGENCE
 
 
@@ -493,7 +519,10 @@ def cmd_multiplicity(doc: dict) -> tuple[dict, int]:
     }
     if run_criterion:
         value = rootfn.oned_double_criterion(n, pot.reduced or {})
-        cval = complex(value)
+        try:
+            cval = complex(value)
+        except OverflowError:  # an exact rational beyond the float range
+            cval = complex(math.inf if value > 0 else -math.inf)
         criterion_zero = (value == 0) if pot.pi_exact else (abs(cval) <= criterion_tol)
         report["criterion"] = {"re": cval.real, "im": cval.imag}
         report["criterion_units"] = "pi^2"
@@ -502,16 +531,13 @@ def cmd_multiplicity(doc: dict) -> tuple[dict, int]:
     if run_oracle:
         op = galerkin.build(basis, pot.q, t, cutoff)
         # the ball is symmetric: it holds -n exactly when it holds n
-        try:
-            op.position((n,))
-        except KeyError:
-            raise CutoffError(f"cutoff {cutoff} ball does not contain n={n}") from None
+        _row(op, (n,), cutoff, f"n={n}")
         oracle_mult = galerkin.geometric_multiplicity(op, spectrum.eigenvalue(basis, (n,), t))
         report.update(oracle_multiplicity=oracle_mult, oracle_cutoff=cutoff)
     if mode == "both":
         consistent = (oracle_mult == 2) == criterion_zero
         report["verdict"] = "consistent" if consistent else "inconsistent"
-    return report, EXIT_OK
+    return report, EXIT_OK if not run_criterion or np.isfinite(cval) else EXIT_NONCONVERGENCE
 
 
 def _multiplicity_second_plane(doc: dict, params: dict) -> tuple[dict, int]:
@@ -526,24 +552,23 @@ def _multiplicity_second_plane(doc: dict, params: dict) -> tuple[dict, int]:
         params.get("member"), "params.member", int, basis.dimension, INDEX_MIN, INDEX_MAX
     )
     criterion_tol = _param(params, "criterion_tol", rootfn.CRITERION_TOL, minimum=0.0)
-    # the default radii follow from the member's free eigenvalue
+    # the group ball and the default radius follow from the member's free eigenvalue
     lam_probe = spectrum.eigenvalue(basis, member, t)
-    group_cutoff = _ball(params, basis, "group_cutoff", 2.0 * (2.0 * math.sqrt(lam_probe)) + 4.0)
-    cutoff = _ball(params, basis, "cutoff", 2.0 * group_cutoff)
+    _check_box(basis, spectrum.group_radius(basis, lam_probe, t), "params.member", list(member))
+    cutoff = _ball(params, basis, "cutoff", 8.0 * math.sqrt(lam_probe) + 8.0)
 
-    group = spectrum.degeneracy_group(basis, member, t, k, group_cutoff)
+    group = spectrum.degeneracy_group(basis, member, t, k)
     if len(group.planes) < 2 or member not in group.planes[1].members:
         raise ConfigError(
             "'params.member' is not on the second plane of its degeneracy group",
             field="params.member",
         )
     j = group.planes[1].members.index(member)
-    result = rootfn.second_plane_solve(basis, pot.q, group, j, criterion_tol=criterion_tol)
+    # an overflow shows in the report as a non-finite criterion, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = rootfn.second_plane_solve(basis, pot.q, group, j, criterion_tol=criterion_tol)
     op = galerkin.build(basis, pot.q, t, cutoff)
-    try:
-        op.position(member)
-    except KeyError:
-        raise CutoffError(f"cutoff {cutoff} ball does not contain member={member}") from None
+    _row(op, member, cutoff, f"member={member}")
     # the planes of a '+' operator ascend: the rows above the member's plane are a tail
     above = op.planes.searchsorted(group.planes[1].n, side="right")
     subset = np.concatenate([op.indices[above:], [member]])
@@ -560,7 +585,7 @@ def _multiplicity_second_plane(doc: dict, params: dict) -> tuple[dict, int]:
             "denom_tol_scale": spectrum.DENOM_TOL_SCALE,
         },
     }
-    return report, EXIT_OK
+    return report, EXIT_OK if np.isfinite(result.criterion_values).all() else EXIT_NONCONVERGENCE
 
 
 def _check_fermi_work(basis: LatticeBasis, rho: float, resolution: int) -> None:

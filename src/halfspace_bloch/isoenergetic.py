@@ -37,9 +37,10 @@ of a grid are scored against one candidate set, the minimizer ball about
   norm below M = rho + D + max |t - t0| + |t0|.  A computed score, a
   computed norm, D/2, the spread and the radius's own sum are each off by
   less than 8 d K u M (K >= d), and the inclusion chain above passes through
-  fewer than eight of them, so eps = 64 d K u M keeps every computed
-  minimizer and tie inside the computed ball.  That is a few hundred units
-  of roundoff relative to M (9e-14 on the square lattice at rho = 1), far
+  fewer than eight of them, so eps = 64 d K u M
+  (:meth:`LatticeBasis.rounding_margin`) keeps every computed minimizer and
+  tie inside the computed ball.  That is a few hundred units of roundoff
+  relative to M (9e-14 on the square lattice at rho = 1), far
   below the gap between lattice shells, so it seldom adds a candidate (on
   none of the fermi benchmark's seed-1 grids, at their rho or at rho = 0).
   It matters far from the origin: at the deep hole with generator
@@ -66,9 +67,6 @@ from .lattice import IndexVector, LatticeBasis, grid, squared_norms
 #: grid-point-by-candidate entries scored at once; bounds the temporary arrays
 #: of one chunk whatever the resolution
 _CHUNK_ELEMENTS = 1 << 16
-
-#: u, the largest relative rounding error of one float operation
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,8 +148,7 @@ def _nearest(
         raise ValueError(f"rho must be nonnegative, got {rho}")
     spread = float(np.sqrt(squared_norms(ts - t0)).max())
     diameter = basis.fundamental_diameter()
-    scale = rho + diameter + spread + math.sqrt(float(t0 @ t0))
-    eps = 64 * basis.dimension * basis.cancellation * _UNIT_ROUNDOFF * scale
+    eps = basis.rounding_margin(rho + diameter + spread + math.sqrt(float(t0 @ t0)))
     candidates = basis.enumerate_ball(-t0, rho + diameter / 2 + spread + eps)
     points = basis.to_cartesian(candidates)
     rows = max(1, _CHUNK_ELEMENTS // len(candidates))

@@ -37,6 +37,9 @@ CONDITION_TOL = 1e-12
 #: candidates, never lose them
 _BOX_PAD = 1e-9
 
+#: u, the largest relative rounding error of one float operation
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
 
 def as_index(n: Sequence[int], dimension: int | None = None) -> IndexVector:
     """Coerce to a canonical integer index tuple."""
@@ -175,6 +178,14 @@ class LatticeBasis:
         generators.
         """
         return float(np.sqrt(squared_norms(self.generators)) @ self._dual_norms)
+
+    def rounding_margin(self, scale: float) -> float:
+        """eps = 64 d K u M, M = ``scale``: the slack that keeps a ball's
+        computed members inside its computed radius when every norm of the
+        argument is below M (the Fermi sampler's and the degeneracy group's
+        balls; the bound is proved in :mod:`~halfspace_bloch.isoenergetic`).
+        """
+        return 64 * self.dimension * self.cancellation * _UNIT_ROUNDOFF * scale
 
     # -- enumeration and reduction ---------------------------------------
 

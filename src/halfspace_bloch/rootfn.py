@@ -72,14 +72,13 @@ class RootFunctionReport:
     criterion_tol: float
 
     def to_json_dict(self) -> dict:
-        gap = self.group.excluded_gap
         return {
             "lambda": self.group.lam,
             "member": list(self.member),
             "plane": self.plane,
             "group_multiplicity": self.group.multiplicity,
             "leading_count": self.group.s,
-            "group_excluded_gap": gap if gap != float("inf") else None,
+            "group_excluded_gap": self.group.excluded_gap,
             "criterion_values": [
                 {"re": c.real, "im": c.imag} for c in self.criterion_values
             ],

@@ -13,7 +13,7 @@ the level lam collides when |gap| < tol(lam) = DENOM_TOL_SCALE (1 + |lam|).
 Group membership, the resonance guards and the target screen of
 :mod:`bloch` and the second-plane guard of :mod:`rootfn` all ask it, on the
 same batched |g + t|^2 rows, so a guard rejects exactly the points that the
-group of lam holds when its ball reaches them.  The width separates
+group of lam holds.  The width separates
 
 * the roundoff it absorbs: a computed |n + t|^2 is off by about
   d u K |n + t|^2 (u = 2^-53, K = :attr:`LatticeBasis.cancellation`), so an
@@ -23,6 +23,26 @@ group of lam holds when its ball reaches them.  The width separates
   t of denominator q, distinct levels differ by a multiple of 1/q^2, above
   tol(lam) for q up to about 1e6 / sqrt(1 + lam).  Closer levels, which t
   can make arbitrarily close, count as colliding.
+
+The group ball.  :func:`degeneracy_group` scans the ball about -t of radius
+r + D + eps, where r = sqrt(lam + tol(lam)), D is the fundamental-domain
+diameter and eps the rounding margin.  It holds every member, the nearest
+level the group leaves out, and every point tying that level:
+
+* a member has |n + t|^2 < lam + tol(lam), so |n + t| < r;
+* some non-member lies within r + D.  The covering radius is at most D/2
+  (:mod:`~halfspace_bloch.isoenergetic`), so a point x with
+  |x + t| = r + D/2 lies within D/2 of a lattice point n, and
+  r <= |n + t| <= r + D.  Then |n + t|^2 >= lam + tol(lam): n is no member,
+  and its gap is at most (r + D)^2 - lam;
+* a lattice point farther than r + D has a larger gap than that, so it can
+  neither be the nearest excluded level nor tie it.  The group's
+  ``excluded_gap`` is the lattice's own gap, and always finite.
+
+The chain holds for exact norms.  It is the Fermi sampler's minimizer-ball
+chain with r in place of rho and a full D in place of D/2, and the same
+accounting of the computed norms, gaps, r and D below M = r + D + |t| gives
+the same margin eps = 64 d K u M (:meth:`LatticeBasis.rounding_margin`).
 """
 
 from __future__ import annotations
@@ -34,7 +54,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CutoffError
 from .lattice import IndexVector, LatticeBasis, as_index, squared_norms
 
 #: scale of the collision tolerance (module docstring)
@@ -86,7 +105,7 @@ class EigenGroup:
     the index tuple), ``s`` counts the members sharing the top plane, and
     ``planes`` partitions the members with strictly decreasing plane index.
     ``excluded_gap`` is the distance (in eigenvalue units) to the nearest
-    enumerated level left out of the group, for auditing borderline
+    level of the lattice left out of the group, for auditing borderline
     clusters.
     """
 
@@ -103,43 +122,35 @@ class EigenGroup:
         return len(self.members)
 
 
-def _check_cutoff(basis, gamma, t, cutoff):
-    t = np.asarray(t, dtype=float)
-    lam = eigenvalue(basis, gamma, t)
-    needed = 4.0 * math.sqrt(lam)
-    if cutoff < needed:
-        raise CutoffError(
-            f"cutoff {cutoff} too small: collisions with |g+t| = {math.sqrt(lam):.6g} "
-            f"require at least {needed:.6g}"
-        )
-    return t, lam
+def group_radius(basis: LatticeBasis, lam: float, t: np.ndarray) -> float:
+    """Radius r + D + eps of the group ball of the level lam about -t
+    (module docstring)."""
+    reach = math.sqrt(lam + denominator_tolerance(lam))
+    diameter = basis.fundamental_diameter()
+    return reach + diameter + basis.rounding_margin(reach + diameter + math.sqrt(float(t @ t)))
 
 
 def degeneracy_group(
-    basis: LatticeBasis, gamma: Sequence[int], t: Sequence[float], k: int, cutoff: float
+    basis: LatticeBasis, gamma: Sequence[int], t: Sequence[float], k: int
 ) -> EigenGroup:
     """Collect all collisions of |gamma + t|^2 and organize them by axis-k plane.
 
-    The members are the points of the ball |x + t| <= cutoff whose level
-    :func:`collides` with lam = |gamma + t|^2.  Output is canonical: member
-    order depends only on the set of collisions, never on enumeration
-    order.  A simple eigenvalue yields a one-member group.
+    The members are the lattice points whose level :func:`collides` with
+    lam = |gamma + t|^2; the group ball (module docstring) holds them and
+    the nearest level left out.  Output is canonical: member order depends
+    only on the set of collisions, never on enumeration order.  A simple
+    eigenvalue yields a one-member group.
     """
     gamma = as_index(gamma, basis.dimension)
     if not 1 <= k <= basis.dimension:
         raise ValueError(f"axis k={k} out of range for dimension {basis.dimension}")
-    t, lam = _check_cutoff(basis, gamma, t, cutoff)
+    t = np.asarray(t, dtype=float)
+    lam = eigenvalue(basis, gamma, t)
 
-    ball = basis.enumerate_ball(-t, cutoff)
+    ball = basis.enumerate_ball(-t, group_radius(basis, lam, t))
     gaps = np.abs(eigenvalues(basis, ball, t) - lam)
     hit = collides(gaps, lam)
     members = [(n, n[k - 1]) for n in map(tuple, ball[hit].tolist())]
-    excluded_gap = float(gaps[~hit].min()) if not hit.all() else math.inf
-    if gamma not in [b for b, _ in members]:
-        raise CutoffError(
-            f"enumeration ball (cutoff {cutoff}) does not contain gamma={gamma}"
-        )
-
     members.sort(key=lambda item: (-item[1], item[0]))
     planes = [
         Plane(p, tuple(b for b, _ in run)) for p, run in itertools.groupby(members, lambda m: m[1])
@@ -151,5 +162,5 @@ def degeneracy_group(
         planes=tuple(planes),
         k=k,
         t=tuple(float(x) for x in t),
-        excluded_gap=excluded_gap,
+        excluded_gap=float(gaps[~hit].min()),
     )

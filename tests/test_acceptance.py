@@ -179,7 +179,7 @@ def test_criterion_6_oned_double_eigenvalue_iff():
 
 def test_criterion_7_second_plane_criterion_vs_jordan_probe():
     rng = np.random.default_rng(7007)
-    group = spectrum.degeneracy_group(IDENTITY, (1, 0), (0.0, 0.0), k=1, cutoff=6.0)
+    group = spectrum.degeneracy_group(IDENTITY, (1, 0), (0.0, 0.0), k=1)
     ok = True
     instances = 0
     for sweep in (0.0, 0.3, -0.2 + 0.1j):

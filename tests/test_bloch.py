@@ -135,8 +135,7 @@ def test_collision_tolerance_boundary(m, factor):
     e = factor * 1e-12 * (1.0 + lam)
     t = (-0.5 + e / 2, 0.0)
     q = hb.FourierPotential(BASIS, {(1, 0): 0.3})
-    cutoff = 4.0 * math.sqrt(lam) + 1.0
-    group = spectrum.degeneracy_group(BASIS, (0, m), t, k=1, cutoff=cutoff)
+    group = spectrum.degeneracy_group(BASIS, (0, m), t, k=1)
     routes = (
         lambda: bloch.bloch_series(BASIS, q, (0, m), t, max_order=3),
         lambda: bloch.closed_form_coeffs(BASIS, q, (0, m), t, depth=3),
@@ -260,7 +259,7 @@ def test_degenerate_leading_members_independent():
     t = (0.5, 0.0)
     q = hb.FourierPotential(BASIS, {(0, 1): 0.3, (1, 1): 0.2})
     assert q.classification == (2, "+")
-    group = spectrum.degeneracy_group(BASIS, (0, 0), t, k=2, cutoff=6.0)
+    group = spectrum.degeneracy_group(BASIS, (0, 0), t, k=2)
     assert group.s == 2
     leading = group.planes[0].members
     vectors = []

@@ -882,20 +882,11 @@ _T_OVERFLOWS = "config error (t): 't' is too large: |t|^2 overflows"
         ),
         (
             "multiplicity",
-            {**IDENTITY_2D, "potential": _POT, "params": {**_SECOND_PLANE, "group_cutoff": 1e5}},
-            2,
-            (
-                "config error (params.group_cutoff): 'params.group_cutoff' 100000 gives a ball "
-                "whose integer box holds 4e+10 points, more than 1e+06"
-            ),
-        ),
-        (
-            "multiplicity",
             {**IDENTITY_2D, "potential": _POT, "params": {**_SECOND_PLANE, "member": [0, 10**6]}},
             2,
             (
-                "config error (params.group_cutoff): 'params.group_cutoff' 4e+06 gives a ball "
-                "whose integer box holds 6.4e+13 points, more than 1e+06"
+                "config error (params.member): 'params.member' [0, 1000000] gives a ball "
+                "whose integer box holds 4e+12 points, more than 1e+06"
             ),
         ),
         (
@@ -1002,12 +993,6 @@ _T_OVERFLOWS = "config error (t): 't' is too large: |t|^2 overflows"
             {**IDENTITY_2D, "potential": _POT, "params": {**_SECOND_PLANE, "criterion_tol": -1e-9}},
             2,
             "config error (params.criterion_tol): 'params.criterion_tol' must be at least 0.0",
-        ),
-        (
-            "multiplicity",
-            {**IDENTITY_2D, "potential": _POT, "params": {**_SECOND_PLANE, "group_cutoff": -1}},
-            2,
-            "config error (params.group_cutoff): 'params.group_cutoff' must be at least 0.0",
         ),
         # a member beyond int64 has no row in the index arrays
         (
@@ -1170,6 +1155,23 @@ _T_OVERFLOWS = "config error (t): 't' is too large: |t|^2 overflows"
                 "give the closed form a plan of more than 2e+05 planes and triples"
             ),
         ),
+        # the squares of the dual vectors, 1e320, overflow: a warning before
+        (
+            "classify",
+            {"dimension": 2, "generators": [[1e-160, 0.0], [0.0, 1e-160]]},
+            2,
+            "config error (generators): 'generators' give a squared length outside the float range",
+        ),
+        # the squared diameter, 4e310, overflows: a traceback before
+        (
+            "fermi",
+            {
+                "dimension": 2, "generators": [[1e155, 0.0], [0.0, 1e155]],
+                "params": {"rho": 0.3, "resolution": 3},
+            },
+            2,
+            "config error (generators): 'generators' give a squared length outside the float range",
+        ),
     ],
     ids=[
         "evaluate-at-non-number",
@@ -1219,7 +1221,6 @@ _T_OVERFLOWS = "config error (t): 't' is too large: |t|^2 overflows"
         "oracle-cutoff-above-ball-bound",
         "multiplicity-1d-cutoff-above-ball-bound",
         "multiplicity-1d-default-cutoff-above-ball-bound",
-        "multiplicity-group-cutoff-above-ball-bound",
         "multiplicity-default-group-cutoff-above-ball-bound",
         "multiplicity-second-plane-cutoff-above-ball-bound",
         "bloch-1e300-not-in-s",
@@ -1236,7 +1237,6 @@ _T_OVERFLOWS = "config error (t): 't' is too large: |t|^2 overflows"
         "bloch-negative-tail-tol",
         "multiplicity-1d-negative-criterion-tol",
         "multiplicity-second-plane-negative-criterion-tol",
-        "multiplicity-negative-group-cutoff",
         "multiplicity-member-beyond-int64",
         "multiplicity-oracle-ball-misses-n",
         "multiplicity-both-ball-misses-n",
@@ -1254,6 +1254,8 @@ _T_OVERFLOWS = "config error (t): 't' is too large: |t|^2 overflows"
         "bloch-depth-plan-above-bound",
         "bloch-both-depth-plan-above-bound",
         "bloch-zero-potential-depth-above-plan-bound",
+        "classify-generators-below-float-range",
+        "fermi-generators-above-float-range",
     ],
 )
 def test_contract_exit_codes(tmp_path, capsys, command, config, code, stderr):
@@ -1567,6 +1569,55 @@ def test_oracle_resonance_outside_the_cone_exits_3(tmp_path, capsys):
     assert captured.err == "ResonanceError: d(gamma, delta) vanished at delta=(2, 0): 0.0\n"
 
 
+@pytest.mark.parametrize(
+    "command, config, read",
+    [
+        (
+            "bloch",
+            {**IDENTITY_2D, "potential": _POT, "params": {"evaluate_at": [1e308, 1e308]}},
+            lambda report: report["value_at"]["re"],
+        ),
+        (
+            "multiplicity",
+            {
+                **_ONED, "potential": [{"index": [1], "re": 1e300}, {"index": [2], "re": 1e300}],
+                "params": {"mode": "both", "n": 2},
+            },
+            lambda report: report["criterion"]["re"],
+        ),
+        # the exact criterion, about 1e600, has no float
+        (
+            "multiplicity",
+            {
+                **_ONED,
+                "potential": [{"index": [1], "re": "1e300"}, {"index": [2], "re": "1e300"}],
+                "params": {"mode": "1d-criterion", "n": 2},
+            },
+            lambda report: report["criterion"]["re"],
+        ),
+        # two steps of a 1e300 harmonic reach the leading member
+        (
+            "multiplicity",
+            {
+                **IDENTITY_2D, "potential": [{"index": [1, -1], "re": 1e300}],
+                "params": {"mode": "2d-second-plane", "k": 1, "member": [0, 2]},
+            },
+            lambda report: report["report"]["criterion_values"][0]["re"],
+        ),
+    ],
+    ids=["bloch-value-at", "multiplicity-1d-float", "multiplicity-1d-exact", "second-plane"],
+)
+def test_non_finite_results_exit_4_without_a_warning(tmp_path, capsys, command, config, read):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command, "--config", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert not math.isfinite(read(json.loads(captured.out)))
+
+
 def test_overflowing_routes_exit_4_without_a_warning(tmp_path):
     # a 1e300 harmonic overflows both routes and the backsolve to inf and NaN
     config = {
@@ -1640,7 +1691,7 @@ def _mutated_multiplicity_config(draw):
     params, records = config["params"], config["potential"]
     dim = config["dimension"]
     index = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
-    for kind in draw(st.lists(st.integers(0, 8), min_size=1, max_size=3)):
+    for kind in draw(st.lists(st.integers(0, 9), min_size=1, max_size=3)):
         if kind == 0:
             params["mode"] = draw(
                 st.sampled_from(["1d-criterion", "oracle", "both", "2d-second-plane", "x"])
@@ -1663,26 +1714,34 @@ def _mutated_multiplicity_config(draw):
         elif records and kind == 7:
             rec = records[draw(st.integers(0, len(records) - 1))]
             rec[draw(st.sampled_from(["re", "im"]))] = draw(_VALUE)
-        elif records:
+        elif records and kind == 8:
             rec = records[draw(st.integers(0, len(records) - 1))]
             rec["index"] = draw(st.one_of(index, st.lists(st.integers(-2, 2), max_size=3), _JUNK))
+        elif records:
+            # one value in every record, so that large ones meet in products
+            part = draw(st.sampled_from(["re", "im"]))
+            value = draw(st.one_of(_VALUE, st.just(1e300)))
+            for rec in records:
+                rec[part] = value
     return config
 
 
 def _exit_contract_holds(command: str, config: dict) -> None:
     """Run ``command`` on ``config``: a documented exit code, at most one stderr
-    line, no traceback and no warning."""
+    line, no traceback, no warning, and no NaN or Infinity in an exit-0 output."""
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/config.json"
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(config, fh)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 code = cli.main([command, "--config", path])
     assert code in (0, 2, 3, 4)
     assert err.getvalue().count("\n") <= 1
+    # a non-finite result exits 4
+    assert code != 0 or "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()
     # outside pytest a warning would print two more stderr lines
     assert [str(w.message) for w in caught] == []
 
@@ -1709,7 +1768,8 @@ _BLOCH_VALID = {
     **IDENTITY_2D,
     "potential": _TWOD_POTENTIAL,
     "t": [0.31, 0.17],
-    "params": {"method": "both", "order": 4, "depth": 4},
+    # the series meets this tail tolerance by order 4: the unmutated config exits 0
+    "params": {"method": "both", "order": 4, "depth": 4, "tail_tol": 1e-3},
 }
 _ORACLE_VALID = {
     **IDENTITY_2D,
@@ -1719,9 +1779,12 @@ _ORACLE_VALID = {
 }
 
 
-#: generator entries: degenerate, non-finite and non-numeric ones among them;
-#: none so small or so large that the lattice balls would hold millions of points
-_GENERATOR_ENTRY = st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, math.nan, math.inf, 10**400, "x", None, True])
+#: generator entries: degenerate, non-finite and non-numeric ones among them,
+#: and finite ones whose squares leave the float range; none so small or so
+#: large in range that the lattice balls would hold millions of points
+_GENERATOR_ENTRY = st.sampled_from(
+    [0.0, 1.0, -1.0, 0.5, 2.0, 1e-160, 1e160, math.nan, math.inf, 10**400, "x", None, True]
+)
 
 
 @st.composite
@@ -1739,9 +1802,13 @@ def _mutated_twod_config(draw, valid: dict, param_values: dict, basis: bool = Fa
         if kind == 8:
             gens = config["generators"]
             rows_ok = isinstance(gens, list) and gens and all(isinstance(r, list) and r for r in gens)
-            if rows_ok and draw(st.booleans()):
+            how = draw(st.integers(0, 2)) if rows_ok else 2
+            if how == 0:
                 row = draw(st.integers(0, len(gens) - 1))
                 gens[row][draw(st.integers(0, len(gens[row]) - 1))] = draw(_GENERATOR_ENTRY)
+            elif how == 1:  # a scaled square lattice, which no single entry gives
+                scale = draw(st.sampled_from([0.5, 2.0, 1e-160, 1e160]))
+                config["generators"] = [[scale, 0.0], [0.0, scale]]
             else:
                 config["generators"] = draw(st.one_of(
                     st.lists(st.lists(_GENERATOR_ENTRY, max_size=3), max_size=3), _JUNK
@@ -1783,7 +1850,10 @@ _GAMMA = st.lists(st.integers(-2, 2), min_size=2, max_size=2)
             "depth": st.integers(-1, 6),
             "gamma": _GAMMA,
             "tail_tol": st.sampled_from([1e-30, 1e-12, 0.5, -1.0, math.inf, math.nan]),
-            "evaluate_at": st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+            # at 1e308 the phase, and with it the value, is non-finite
+            "evaluate_at": st.one_of(
+                st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2), st.just([1e308, 1e308])
+            ),
         },
     )
 )

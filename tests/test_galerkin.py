@@ -511,7 +511,7 @@ def test_jordan_chains_never_outnumber_eigenvectors():
         lam = spectrum.eigenvalue(basis, member, (0.0, 0.0))
         q = hb.FourierPotential(basis, coeffs)
         op = galerkin.build(basis, q, (0.0, 0.0), math.sqrt(lam) + 8 * math.pi)
-        group = spectrum.degeneracy_group(basis, member, (0.0, 0.0), 1, 4 * math.sqrt(lam))
+        group = spectrum.degeneracy_group(basis, member, (0.0, 0.0), 1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # borderline decisions
             mult = galerkin.geometric_multiplicity(op, lam)

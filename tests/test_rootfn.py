@@ -18,7 +18,7 @@ T0 = (0.0, 0.0)
 
 
 def unit_circle_group():
-    return spectrum.degeneracy_group(BASIS, (1, 0), T0, k=1, cutoff=6.0)
+    return spectrum.degeneracy_group(BASIS, (1, 0), T0, k=1)
 
 
 def test_second_plane_criterion_is_single_coefficient():
@@ -87,7 +87,7 @@ def test_second_plane_jordan_probe_agreement():
 def test_second_plane_deeper_group_has_chain_terms():
     # lam = 4 at t = 0: planes n1 = 2 (member (2,0)) and n2 = 0 contain
     # (0, +-2); the criterion then includes one chain term through plane 1
-    group = spectrum.degeneracy_group(BASIS, (2, 0), T0, k=1, cutoff=10.0)
+    group = spectrum.degeneracy_group(BASIS, (2, 0), T0, k=1)
     assert group.planes[0].n == 2 and group.planes[1].n == 0
     a, b = 0.31, -0.27
     q = hb.FourierPotential(BASIS, {(1, -1): a, (1, -3): 0.0, (2, -2): b})
@@ -106,7 +106,7 @@ def test_second_plane_coefficients_match_backsolve():
     # tune the deep group (lam = 4, n1 - n2 = 2) to criterion zero:
     # q_{(2,-2)} = -q_{(1,-1)}^2 / 2 makes (0, 2) an eigenfunction member,
     # and the solved c(a, n) must then equal the backsolved eigenvector
-    group = spectrum.degeneracy_group(BASIS, (2, 0), T0, k=1, cutoff=10.0)
+    group = spectrum.degeneracy_group(BASIS, (2, 0), T0, k=1)
     a = 0.4
     q = hb.FourierPotential(BASIS, {(1, -1): a, (2, -2): -a * a / 2.0})
     member = (0, 2)
@@ -242,7 +242,7 @@ def exact_second_plane_criteria(reduced, member):
     ``reduced`` (harmonic -> Fraction) with d = 4 (|member|^2 - |member + delta|^2)
     and 1 on the leading members; 0 where a leading member is not reached."""
     q = hb.FourierPotential(TWO_PI, {g: float(v) * math.pi**2 for g, v in reduced.items()})
-    group = spectrum.degeneracy_group(TWO_PI, member, T0, k=1, cutoff=50.0)
+    group = spectrum.degeneracy_group(TWO_PI, member, T0, k=1)
     leads = [list(m) for m in group.planes[0].members]
     plan = q.plan(group.planes[0].n - group.planes[1].n)
     points = (plan.offsets + member).tolist()
@@ -274,7 +274,7 @@ def test_tuned_two_dimensional_criterion_is_exactly_zero(tmp_path, capsys, s):
     # the plane-2 jumps (2, +-1 - s), whose values enter each criterion once
     # with coefficient 1, so one exact evaluation tunes both to 0
     member = (-1, s)
-    leads = spectrum.degeneracy_group(TWO_PI, member, T0, k=1, cutoff=50.0).planes[0].members
+    leads = spectrum.degeneracy_group(TWO_PI, member, T0, k=1).planes[0].members
     jumps = [(lead[0] + 1, lead[1] - s) for lead in leads]
     assert sorted(jumps) == [(2, -1 - s), (2, 1 - s)]
     reduced = {(1, 0): Fraction(3, 10), (1, 1): Fraction(-1, 5), (1, -1): Fraction(1, 2),
@@ -350,7 +350,7 @@ def test_leading_plane_root_functions_are_eigenfunctions():
     # functions are genuine eigenfunctions
     t = (0.5, 0.0)
     q = hb.FourierPotential(BASIS, {(0, 1): 0.3, (1, 1): 0.2})
-    group = spectrum.degeneracy_group(BASIS, (0, 0), t, k=2, cutoff=6.0)
+    group = spectrum.degeneracy_group(BASIS, (0, 0), t, k=2)
     for b in group.planes[0].members:
         psi = bloch.bloch_series(BASIS, q, b, t, max_order=12)
         assert bloch.residual(BASIS, q, psi) < 1e-9
@@ -377,7 +377,7 @@ def test_second_plane_rejects_out_of_range_member():
 def test_second_plane_missed_collision_raises():
     # lam = 2 at t = 0 without (1, 1): from the member (-1, 1) the harmonic
     # (1, 0) reaches (1, 1) on the leading plane, where the left factor is 0
-    group = spectrum.degeneracy_group(BASIS, (1, 1), T0, k=1, cutoff=8.0)
+    group = spectrum.degeneracy_group(BASIS, (1, 1), T0, k=1)
     members = tuple(m for m in group.members if m[0] != (1, 1))
     planes = (
         dataclasses.replace(group.planes[0], members=((1, -1),)),
@@ -398,8 +398,7 @@ def _groups_by_depth(basis, t, depths):
     found = {}
     for gamma in itertools.product(range(-4, 5), repeat=2):
         for k in (1, 2):
-            lam = spectrum.eigenvalue(basis, gamma, t)
-            group = spectrum.degeneracy_group(basis, gamma, t, k, 4.0 * math.sqrt(lam) + 4.0)
+            group = spectrum.degeneracy_group(basis, gamma, t, k)
             if len(group.planes) > 1:
                 found.setdefault(group.planes[0].n - group.planes[1].n, group)
     return [found[d] for d in depths]
@@ -449,7 +448,7 @@ def _assert_second_plane_matches_reference(basis, q, group, j):
 def test_second_plane_finds_the_reached_leading_members_on_the_top_plane(coeffs, reached):
     # lam = 2 at t = 0: the leading plane 1 holds (1, -1) and (1, 1), s = 2,
     # and the member (-1, 1) lies two planes below it
-    group = spectrum.degeneracy_group(BASIS, (1, 1), T0, k=1, cutoff=8.0)
+    group = spectrum.degeneracy_group(BASIS, (1, 1), T0, k=1)
     assert group.planes[0].members == ((1, -1), (1, 1))
     q = hb.FourierPotential(BASIS, coeffs)
     j = group.planes[1].members.index((-1, 1))

@@ -60,7 +60,7 @@ def test_series_builds_nothing_past_its_stopping_order():
 
 
 def test_degeneracy_group_3d_unit_sphere():
-    group = spectrum.degeneracy_group(BASIS3, (0, 1, 0), (0.0, 0.0, 0.0), k=2, cutoff=6.0)
+    group = spectrum.degeneracy_group(BASIS3, (0, 1, 0), (0.0, 0.0, 0.0), k=2)
     assert group.multiplicity == 6
     assert group.s == 1
     assert [(p.n, len(p.members)) for p in group.planes] == [(1, 1), (0, 4), (-1, 1)]
@@ -119,7 +119,7 @@ def test_backsolve_matches_closed_form_3d_at_cutoff_12():
 def test_rank_probes_on_the_3d_unit_sphere_group(coeffs, answers):
     t0 = (0.0, 0.0, 0.0)
     q = hb.FourierPotential(BASIS3, coeffs)
-    group = spectrum.degeneracy_group(BASIS3, (0, 1, 0), t0, k=2, cutoff=6.0)
+    group = spectrum.degeneracy_group(BASIS3, (0, 1, 0), t0, k=2)
     assert group.multiplicity == 6
     for cutoff in (3.0, 6.0):
         op = galerkin.build(BASIS3, q, t0, cutoff)
