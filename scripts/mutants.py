@@ -31,7 +31,10 @@ the plane geometry read off the dual vector w_k with h_k left as
 w_k instead of w_k / |w_k|^2 and c(k) as |w_k| instead of 1 / |w_k|,
 the exact pass dividing by the row before's d and skipping each plane's
 first triple, the CLI's matrix and plan bounds moved by a factor of 100
-up, and the plan bound without its box and without its multiset count.
+up, the plan bound without its box and without its multiset count, the
+CLI's basis cache keyed by ``tuple(map(tuple, rows))``, whose float
+equality merges -0.0 and 0.0 (emulated on one line by a dict on the
+cached builder), and a basis's inverse left writable.
 The degeneracy group's rounding margin has no mutant: its ball reaches
 r = sqrt(lam + tol(lam)), and that collision width outweighs the margin, so
 no group changes without it (none of 12289 1-D groups at t = a/2, with
@@ -226,6 +229,19 @@ MUTANTS = (
         "cli.py",
         "    if depth + 1 + s * min(box, multisets) > PLAN_MAX_WORK:",
         "    if depth + 1 + s * box > PLAN_MAX_WORK:",
+    ),
+    (
+        "basis-cache-keyed-by-float-tuples",
+        "cli.py",
+        "    return _lattice(np.array(rows).tobytes(), dim)",
+        "    return _lattice(*vars(_lattice).setdefault("
+        "tuple(map(tuple, rows)), (np.array(rows).tobytes(), dim)))",
+    ),
+    (
+        "inverse-left-writable",
+        "lattice.py",
+        "        inverse.setflags(write=False)",
+        "        pass",
     ),
 )
 

@@ -194,13 +194,25 @@ def parse_basis(doc: dict) -> LatticeBasis:
         message = f"'generators' must list {dim} vectors, got {len(gens)}"
         raise ConfigError(message, field="generators")
     rows = [_value(row, f"generators[{i}]", float, dim) for i, row in enumerate(gens)]
+    return _lattice(np.array(rows).tobytes(), dim)
+
+
+@functools.lru_cache(maxsize=8)
+def _lattice(key: bytes, dim: int) -> LatticeBasis:
+    """The range-checked basis of the (dim, dim) generator matrix whose float64
+    bytes are ``key``, built once per lattice per process and then shared.
+
+    Keyed by the bytes, not the values, so ``-0.0`` and ``0.0`` stay apart.
+    A degenerate or out-of-range matrix raises on every call, as no
+    exception is cached.
+    """
     # the lattice layer squares the generators, the dual vectors (the columns
     # of the inverse, read off the basis as the coordinates of the unit
     # vectors) and the fundamental-domain diameter, which is at most the
     # generators' summed length; one of them beyond the float range would
     # surface as a warning or a crash
     with np.errstate(all="ignore"):
-        basis = LatticeBasis(np.array(rows))
+        basis = LatticeBasis(np.frombuffer(key).reshape(dim, dim))
         duals = basis.generator_coordinates(np.eye(dim)).T
         squares = squared_norms(np.concatenate([basis.generators, duals])).tolist()
     summed = sum(map(math.sqrt, squares[:dim]))

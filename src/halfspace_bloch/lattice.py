@@ -37,6 +37,10 @@ CONDITION_TOL = 1e-12
 #: candidates, never lose them
 _BOX_PAD = 1e-9
 
+#: a box bound below this in magnitude is finite and within int64, padding
+#: and rounding included
+_BOX_LIMIT = 2.0**63
+
 #: u, the largest relative rounding error of one float operation
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
@@ -87,10 +91,11 @@ def sign_value(sign: str) -> int:
 class LatticeBasis:
     """Generators v_1..v_d of a d-dimensional lattice, rows of a (d, d) array.
 
-    Immutable after construction.  The inverse coordinates and the norms of
-    the dual vectors, which give the orthogonal components h_k and the
-    separation constants c(k), are computed up front; the fundamental-domain
-    diameter on first use, once per basis.  Construction fails with
+    Immutable after construction, its arrays read-only, so a basis can be
+    shared.  The inverse coordinates and the norms of the dual vectors, which
+    give the orthogonal components h_k and the separation constants c(k), are
+    computed up front; the fundamental-domain diameter on first use, once per
+    basis.  Construction fails with
     :class:`DegenerateBasisError` when the generators are numerically
     dependent.
     """
@@ -111,13 +116,18 @@ class LatticeBasis:
             raise DegenerateBasisError(
                 f"generators are numerically dependent (sigma_min/sigma_max = {ratio:.3e})"
             )
-        mat.setflags(write=False)
-        object.__setattr__(self, "generators", mat)
-        object.__setattr__(self, "dimension", d)
-        object.__setattr__(self, "_inverse", np.linalg.inv(mat))
+        inverse = np.linalg.inv(mat)
         # |w_k| per generator coordinate: the half-width of the box holding a
         # unit ball, and 1 / c(k)
-        object.__setattr__(self, "_dual_norms", np.sqrt((self._inverse**2).sum(axis=0)))
+        dual_norms = np.sqrt((inverse**2).sum(axis=0))
+        # read-only, so that a basis can be shared
+        mat.setflags(write=False)
+        inverse.setflags(write=False)
+        dual_norms.setflags(write=False)
+        object.__setattr__(self, "generators", mat)
+        object.__setattr__(self, "dimension", d)
+        object.__setattr__(self, "_inverse", inverse)
+        object.__setattr__(self, "_dual_norms", dual_norms)
 
     @cached_property
     def _diameter(self) -> float:
@@ -199,15 +209,22 @@ class LatticeBasis:
         already in lex order, filtered in one step; each kept row's norm is
         bit-equal to the scalar ``sqrt(v @ v)`` of
         ``v = to_cartesian(n) - center``.  Callers that report an index turn
-        only that row into a tuple.
+        only that row into a tuple.  A negative or non-finite radius, or a
+        box bound that is non-finite or beyond int64, is a ``ValueError``.
         """
-        if radius < 0:
-            raise ValueError(f"radius must be nonnegative, got {radius}")
+        if not 0 <= radius < math.inf:
+            raise ValueError(f"radius must be finite and nonnegative, got {radius}")
         c = np.asarray(center, dtype=float)
         if c.shape != (self.dimension,):
             raise ValueError(f"center must have length {self.dimension}")
         mid = (c @ self._inverse).tolist()
         half = (radius * self._dual_norms).tolist()
+        # False for NaN, so a non-finite center or half-width is refused too
+        if not all(abs(m) + h < _BOX_LIMIT for m, h in zip(mid, half)):
+            raise ValueError(
+                f"the ball of radius {radius} about {c.tolist()} has an integer box "
+                "beyond int64"
+            )
         box = grid([
             np.arange(
                 math.ceil(m - h - _BOX_PAD), math.floor(m + h + _BOX_PAD) + 1, dtype=np.int64

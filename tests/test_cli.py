@@ -498,6 +498,90 @@ def test_parser_not_built_at_import():
     assert out == "0\n"
 
 
+_SKEWED = {"dimension": 2, "generators": [[1.0, 0.0], [0.5, 1.2]]}
+
+
+def test_repeated_lattice_output_equals_a_fresh_process(tmp_path, capsys):
+    # A, B, A in one process: the second A reuses the first A's basis and
+    # prints what the first A and a new process print
+    params = {"rho": 1.1, "resolution": 7, "threshold": 0.05}
+    a = {**_SKEWED, "t": [0.2, 0.1], "params": params}
+    b = {**IDENTITY_2D, "t": [0.2, 0.1], "params": params}
+    cli._lattice.cache_clear()
+    first = run(tmp_path, capsys, a, "fermi")
+    assert run(tmp_path, capsys, b, "fermi")[0] == 0
+    again = run(tmp_path, capsys, a, "fermi")
+    assert cli._lattice.cache_info().hits == 1
+    fresh = subprocess.run(
+        [sys.executable, "-m", "halfspace_bloch", "fermi", "--config", str(tmp_path / "config.json")],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ).stdout
+    assert first[0] == 0 and first[1].count("\n") > 1
+    assert again == first and fresh == first[1]
+
+
+def test_basis_built_once_per_lattice(tmp_path, capsys, monkeypatch):
+    builds = []
+
+    class CountingBasis(cli.LatticeBasis):
+        def __post_init__(self):
+            builds.append(1)
+            super().__post_init__()
+
+    monkeypatch.setattr(cli, "LatticeBasis", CountingBasis)
+    cli._lattice.cache_clear()
+    config = {**_SKEWED, "potential": [{"index": [1, 0], "re": 0.1}], "t": [0.31, 0.17]}
+    fermi = {**_SKEWED, "params": {"rho": 0.8, "resolution": 5, "threshold": 0.05}}
+    for command, doc in [("classify", config), ("bloch", config), ("fermi", fermi)] * 2:
+        assert run(tmp_path, capsys, doc, command)[0] == 0
+    assert builds == [1]
+    cli._lattice.cache_clear()  # leave no counting basis to later tests
+
+
+def test_lattice_cache_empty_at_import():
+    code = "from halfspace_bloch import cli; print(cli._lattice.cache_info().currsize)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ).stdout
+    assert out == "0\n"
+
+
+def test_negative_zero_generators_keep_their_own_basis(tmp_path, capsys):
+    # -0.0 == 0.0, but the two matrices are different bytes and bases
+    positive = {"dimension": 2, "generators": [[1.0, 0.0], [0.0, 1.0]]}
+    negative = {"dimension": 2, "generators": [[1.0, -0.0], [-0.0, 1.0]]}
+    cli._lattice.cache_clear()
+    assert run(tmp_path, capsys, positive, "classify")[0] == 0
+    basis = cli.parse_basis(negative)
+    assert np.signbit(basis.generators).tolist() == [[False, True], [True, False]]
+    assert not np.signbit(cli.parse_basis(positive).generators).any()
+
+
+@pytest.mark.parametrize("generators, code, message", [
+    ([[1.0, 0.0], [2.0, 0.0]], 3, "DegenerateBasisError: generators are numerically dependent"),
+    (
+        [[1e-160, 0.0], [0.0, 1e-160]], 2,
+        "config error (generators): 'generators' give a squared length outside the float range",
+    ),
+], ids=["degenerate", "out-of-range"])
+def test_refused_basis_fails_alike_on_every_call(tmp_path, capsys, generators, code, message):
+    # no exception is cached: the second call refuses the basis as the first
+    config = {"dimension": 2, "generators": generators}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    cli._lattice.cache_clear()
+    results = []
+    for _ in range(2):
+        results.append((cli.main(["classify", "--config", str(path)]), capsys.readouterr()))
+    assert results[0] == results[1]
+    exit_code, captured = results[0]
+    assert (exit_code, captured.out) == (code, "")
+    assert captured.err.startswith(message)
+    assert cli._lattice.cache_info().currsize == 0
+
+
 _POT = [{"index": [1, 0], "re": 0.1}]
 # an index beyond int64, after one valid record
 _HUGE_INDEX = [*_POT, {"index": [10**30, 1], "re": 0.1}]

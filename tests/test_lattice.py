@@ -130,6 +130,23 @@ def test_geometry_on_first_use_equals_up_front_bits(name):
     assert basis.fundamental_diameter() == diameter
 
 
+@pytest.mark.parametrize("name", GEOMETRY_BASES)
+def test_every_array_on_a_basis_is_read_only(name):
+    # a basis may be shared, so nothing it holds can be written, before or
+    # after its lazily computed geometry
+    basis = hb.LatticeBasis(np.array(GEOMETRY_BASES[name]))
+
+    def arrays():
+        return [v for v in vars(basis).values() if isinstance(v, np.ndarray)]
+
+    assert len(arrays()) == 3 and not any(a.flags.writeable for a in arrays())
+    basis.fundamental_diameter()
+    basis.cancellation
+    assert len(arrays()) == 3 and not any(a.flags.writeable for a in arrays())
+    with pytest.raises(ValueError, match="read-only"):
+        basis._inverse[0, 0] = 1.0
+
+
 def assert_ball(got, expected, dimension):
     """``enumerate_ball``'s array holds exactly the expected index tuples, in order."""
     assert got.dtype == np.int64
@@ -159,6 +176,23 @@ def test_enumerate_ball_empty():
     # an integer box with no point, and a box whose points all miss the ball
     assert_ball(IDENTITY.enumerate_ball((0.5, 0.5), 0.1), [], 2)
     assert_ball(hb.identity_basis(3).enumerate_ball((0.5, 0.5, 0.5), 0.6), [], 3)
+
+
+@pytest.mark.parametrize("radius", (math.inf, math.nan, -1.0))
+def test_enumerate_ball_refuses_a_bad_radius(radius):
+    with pytest.raises(ValueError, match="radius must be finite and nonnegative"):
+        IDENTITY.enumerate_ball((0, 0), radius)
+
+
+@pytest.mark.parametrize("center, radius", (
+    ((math.nan, 0.0), 1.0),
+    ((math.inf, 0.0), 1.0),
+    ((0.0, 0.0), 1e300),  # finite, but beyond int64
+    ((1e19, 0.0), 0.5),
+))
+def test_enumerate_ball_refuses_a_box_beyond_int64(center, radius):
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="integer box beyond int64"):
+        SKEWED.enumerate_ball(center, radius)
 
 
 def test_enumerate_ball_radius_1_5():

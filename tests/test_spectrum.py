@@ -199,3 +199,11 @@ def test_is_simple_iff_single_member():
         simple = levels.count(lam) == 1
         group = spectrum.degeneracy_group(BASIS, gamma, t, k=1)
         assert simple == (group.multiplicity == 1)
+
+
+def test_group_whose_level_overflows_is_a_value_error():
+    # |gamma + t|^2 = 1.5e310 overflows to inf, and so does the group ball's
+    # radius: enumerate_ball refuses it instead of failing to convert inf
+    basis = hb.LatticeBasis(np.array([[1e150]]))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="radius must be finite"):
+        spectrum.degeneracy_group(basis, (123456,), (0.0,), 1)
